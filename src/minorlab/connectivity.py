@@ -1,50 +1,149 @@
 """Vertex connectivity, minimum vertex cuts, and separations.
 
-Local connectivity between non-adjacent vertices is computed as unit-capacity
-max-flow on the standard split digraph (each vertex becomes an in->out arc of
-capacity one); flows run through scipy's ``maximum_flow``.  Global
-connectivity uses the classical pair coverage: fix a minimum-degree vertex v,
-take flows from v to every non-neighbor, and between every non-adjacent pair
-of neighbors of v.  Any minimum cut either avoids v (first family) or
-contains it (second family), so the minimum over these flows is kappa(G).
+Local connectivity between non-adjacent vertices s and t is the number of
+internally vertex-disjoint s-t paths, found by :func:`maximum_flow`: a
+unit-capacity flow on the split digraph, where every vertex v is an arc
+v_in -> v_out of capacity one and every edge {u, v} gives the arcs
+u_out -> v_in and v_out -> u_in.  The flow works on the adjacency bitmasks
+directly.  It starts from the common neighbours of s and t, then runs phases
+in the manner of Even and Tarjan ("Network flow and testing graph
+connectivity", 1975): a breadth-first search keeps one mask of in-copies and
+one of out-copies per level, and a backward walk from t takes as many
+shortest augmenting paths as the levels allow.  A flow stops as soon as it
+reaches a caller's cap, so "is kappa >= k?" costs at most k paths per pair.
+
+Global connectivity uses the classical pair coverage: fix a minimum-degree
+vertex v, take flows from v to every non-neighbor, and between every
+non-adjacent pair of neighbors of v.  Any minimum cut either avoids v (first
+family) or contains it (second family), so the minimum over these flows is
+kappa(G).
 """
 
 from __future__ import annotations
-
-from collections import deque
-
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .errors import InputError, PreconditionError
 from .graphs import Graph, components, mask_of, set_of
 
 
-def _split_network(G: Graph) -> csr_matrix:
-    """Split digraph: node v is v_in, node v+n is v_out.
+def maximum_flow(
+    G: Graph, s: int, t: int, cap: int
+) -> tuple[int, tuple[int, int] | None]:
+    """min(cap, number of internally vertex-disjoint s-t paths), s and t
+    distinct and non-adjacent.
 
-    v_in -> v_out has capacity 1; each edge {u, v} contributes the arcs
-    u_out -> v_in and v_out -> u_in with effectively unbounded capacity.
+    When the value is below `cap` the flow is maximum, and the second item is
+    ``(reach_in, reach_out)``: the masks of the vertices whose in-copy or
+    out-copy is reachable from s_out in the residual split digraph.  Every
+    maximum flow has the same residual-reachable set, so these masks do not
+    depend on which paths were found.  At the cap the second item is None.
     """
-    n = G.n
-    rows, cols, caps = [], [], []
-    for v in range(n):
-        rows.append(v)
-        cols.append(v + n)
-        caps.append(1)
-    big = n  # no vertex flow can exceed n
-    for u, v in G.edges():
-        rows.extend((u + n, v + n))
-        cols.extend((v, u))
-        caps.extend((big, big))
-    return csr_matrix(
-        (np.asarray(caps, dtype=np.int32), (rows, cols)), shape=(2 * n, 2 * n)
-    )
+    adj = G.adj
+    if s == t or adj[s] >> t & 1:
+        raise InputError(f"flow endpoints {s} and {t} must be distinct and non-adjacent")
+    sbit, tbit = 1 << s, 1 << t
+    # A vertex v other than s and t carries flow iff its bit is in `used`;
+    # then into[v] -> v -> out[v] are the flow arcs through it (out[v] is
+    # stale while v is free, and into[v] is -1).
+    into = [-1] * G.n
+    out = [-1] * G.n
+    used = 0
+    value = 0
+    common = adj[s] & adj[t]
+    while common and value < cap:
+        low = common & -common
+        c = low.bit_length() - 1
+        into[c], out[c] = s, t
+        used |= low
+        common ^= low
+        value += 1
 
+    while value < cap:
+        # Breadth-first levels of the residual split digraph from s_out.
+        # Arcs: x_out -> w_in (edges), v_in -> v_out (free v), and for used v
+        # the reverses v_out -> v_in and v_in -> into[v]_out.
+        lin, lout = [0], [sbit]
+        seen_in, seen_out = 0, sbit
+        fin, fout = 0, sbit
+        while True:
+            nin = fout & used
+            m = fout
+            while m:
+                low = m & -m
+                nin |= adj[low.bit_length() - 1]
+                m ^= low
+            nout = fin & ~used
+            m = fin & used
+            while m:
+                low = m & -m
+                nout |= 1 << into[low.bit_length() - 1]
+                m ^= low
+            nin &= ~seen_in
+            nout &= ~seen_out
+            if nin & tbit:
+                break
+            if not (nin or nout):
+                return value, (seen_in, seen_out)
+            seen_in |= nin
+            seen_out |= nout
+            lin.append(nin)
+            lout.append(nout)
+            fin, fout = nin, nout
 
-def _flow_value(net: csr_matrix, n: int, s: int, t: int) -> int:
-    return int(maximum_flow(net, s + n, t).flow_value)
+        # Walk back from t_in one level at a time.  A node is 2v (in-copy) or
+        # 2v+1 (out-copy); a node that leads nowhere, or lies on a path taken
+        # in this phase, is dead for the rest of the phase.
+        top = len(lin)  # the level of t_in
+        dead_in = dead_out = 0
+        while value < cap:
+            path = [2 * t]
+            while path:
+                level = top - len(path) + 1
+                node = path[-1]
+                v = node >> 1
+                if node & 1:
+                    if level == 0:  # reached s_out
+                        break
+                    w = out[v] if used >> v & 1 else v
+                    if (lin[level - 1] & ~dead_in) >> w & 1:
+                        path.append(2 * w)
+                        continue
+                    dead_out |= 1 << v
+                else:
+                    live = lout[level - 1] & ~dead_out
+                    if used >> v & 1 and live >> v & 1:
+                        path.append(2 * v + 1)
+                        continue
+                    live &= adj[v]
+                    if live:
+                        path.append(2 * ((live & -live).bit_length() - 1) + 1)
+                        continue
+                    dead_in |= 1 << v
+                path.pop()
+            if not path:
+                break  # t_in is dead: the phase's paths are all taken
+            path.reverse()
+            for a, b in zip(path, path[1:]):
+                x, y = a >> 1, b >> 1
+                if x == y:
+                    continue  # along or against the arc inside one vertex
+                if a & 1:  # x_out -> y_in along an edge
+                    out[x], into[y] = y, x
+                elif into[x] == y:
+                    # x_in -> y_out cancels the flow y -> x; unless an edge
+                    # arc just replaced it, x carries no flow any more
+                    into[x] = -1
+            for node in path[1:-1]:
+                v = node >> 1
+                if node & 1:
+                    dead_out |= 1 << v
+                else:
+                    dead_in |= 1 << v
+                if into[v] < 0:
+                    used &= ~(1 << v)
+                else:
+                    used |= 1 << v
+            value += 1
+    return value, None
 
 
 def _pair_coverage(G: Graph) -> list[tuple[int, int]]:
@@ -73,8 +172,10 @@ def vertex_connectivity(G: Graph) -> int:
         return G.n - 1
     if len(components(G)) > 1:
         return 0
-    net = _split_network(G)
-    return min(_flow_value(net, G.n, s, t) for s, t in _pair_coverage(G))
+    best = G.min_degree()  # kappa <= delta, so no flow needs to exceed it
+    for s, t in _pair_coverage(G):
+        best = maximum_flow(G, s, t, best)[0]
+    return best
 
 
 def connectivity_at_least(
@@ -87,7 +188,8 @@ def connectivity_at_least(
     For a bipartite graph with known `parts`, the sufficient certificate is:
     every degree >= k and every same-side pair shares more than k/2 neighbors
     (any cut smaller than k then leaves one side mutually connected and the
-    other side attached to it).
+    other side attached to it).  Otherwise each covering pair's flow stops at
+    k paths, and the first pair below k decides.
     """
     if k <= 0:
         return True
@@ -101,7 +203,7 @@ def connectivity_at_least(
         return False
     if parts is not None and _bipartite_certificate(G, parts, k):
         return True
-    return vertex_connectivity(G) >= k
+    return all(maximum_flow(G, s, t, k)[0] >= k for s, t in _pair_coverage(G))
 
 
 def _bipartite_certificate(
@@ -129,8 +231,11 @@ def minimum_separation(G: Graph) -> tuple[frozenset[int], frozenset[int]]:
     """A separation (A, B) of minimum order: A | B = V, no edges A-B except
     through the cut A & B, and |A & B| = kappa(G).
 
-    A is the cut plus the source side of the minimising flow, B the cut plus
-    the sink side.  Undefined (input error) for complete graphs.
+    The minimising flow is the first covering pair that reaches kappa.  A is
+    every vertex with a copy reachable from the source in that flow's
+    residual digraph; the cut is the vertices reachable only at their
+    in-copy, and B is the cut plus the unreachable rest.  Undefined (input
+    error) for complete graphs.
     """
     if G.n < 2:
         raise PreconditionError("a separation needs at least 2 vertices")
@@ -141,45 +246,13 @@ def minimum_separation(G: Graph) -> tuple[frozenset[int], frozenset[int]]:
         a = set_of(comps[0])
         return frozenset(a), frozenset(range(G.n)) - a
 
-    net = _split_network(G)
-    best_pair = None
-    best_val = G.n
+    best = G.min_degree() + 1  # kappa <= delta, so some pair falls below
+    reach = None
     for s, t in _pair_coverage(G):
-        val = _flow_value(net, G.n, s, t)
-        if val < best_val:
-            best_val = val
-            best_pair = (s, t)
-    s, t = best_pair
-    res = maximum_flow(net, s + G.n, t)
-    reach = _residual_reachable(net, res.flow, s + G.n)
-    n = G.n
-    cut = {v for v in range(n) if (v in reach) and (v + n not in reach)}
-    source_side = {v for v in range(n) if v + n in reach}
-    A = frozenset(cut | source_side)
-    B = frozenset(cut | (set(range(n)) - A))
-    return A, B
-
-
-def _residual_reachable(net: csr_matrix, flow: csr_matrix, source: int) -> set[int]:
-    cap = net.tocoo()
-    flo = flow.tocoo()
-    fdict: dict[tuple[int, int], int] = {}
-    for i, j, f in zip(flo.row, flo.col, flo.data):
-        fdict[(int(i), int(j))] = int(f)
-    residual: dict[int, list[int]] = {}
-    for i, j, c in zip(cap.row, cap.col, cap.data):
-        i, j, c = int(i), int(j), int(c)
-        f = fdict.get((i, j), 0)
-        if f < c:
-            residual.setdefault(i, []).append(j)
-        if f > 0:
-            residual.setdefault(j, []).append(i)
-    seen = {source}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for y in residual.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
+        val, r = maximum_flow(G, s, t, best)
+        if val < best:
+            best, reach = val, r
+    reach_in, reach_out = reach
+    A = reach_in | reach_out
+    cut = reach_in & ~reach_out
+    return set_of(A), set_of(cut | (G.full_mask & ~A))

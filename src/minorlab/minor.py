@@ -295,18 +295,26 @@ def _branch_set_search(
             remember(state, cap_hit)
             return None, cap_hit
 
-        return rec([], [], comp, 0)
+        # rec refers to itself, so its closure cell keeps this table alive
+        # until a full collection; empty it on the way out instead.
+        try:
+            return rec([], [], comp, 0)
+        finally:
+            failed_here.clear()
 
-    if comp_size <= 14:
-        found, _ = search(comp_size)
-        return found
-    for cap in range(t, comp_size + 1):
-        found, cap_hit = search(cap)
-        if found is not None:
+    try:
+        if comp_size <= 14:
+            found, _ = search(comp_size)
             return found
-        if not cap_hit:
-            return None
-    return None
+        for cap in range(t, comp_size + 1):
+            found, cap_hit = search(cap)
+            if found is not None:
+                return found
+            if not cap_hit:
+                return None
+        return None
+    finally:
+        failed_perm.clear()
 
 
 def find_kt_minor_exact(

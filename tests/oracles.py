@@ -3,7 +3,9 @@
 These deliberately use different algorithmic principles from the library:
 minor testing enumerates set partitions of vertex subsets, connectivity
 enumerates all vertex cuts, and the independence number enumerates subsets.
-They are only feasible on small graphs, which is the point.
+They are only feasible on small graphs, which is the point.  The one
+polynomial oracle, :func:`split_flow`, is a textbook augmenting-path max-flow
+on dict residual capacities, with none of the library's bitset machinery.
 """
 
 from __future__ import annotations
@@ -115,6 +117,42 @@ def kappa_brute(G: Graph) -> int:
             if disconnected_without(frozenset(cut)):
                 return size
     return n - 1
+
+
+def split_flow(G: Graph, s: int, t: int) -> tuple[int, set[tuple[int, int]]]:
+    """Max flow from s_out to t_in on the split digraph (v_in -> v_out of
+    capacity 1, u_out -> v_in of capacity n per edge), by depth-first
+    augmenting paths.  Returns the value and the residual-reachable nodes,
+    a node being (v, 0) for v_in or (v, 1) for v_out."""
+    n = G.n
+    res: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    for v in range(n):
+        res.setdefault((v, 0), {})[(v, 1)] = 1
+        res.setdefault((v, 1), {})[(v, 0)] = 0
+        for u in range(n):
+            if G.adj[v] >> u & 1:
+                res[(v, 1)][(u, 0)] = n
+                res.setdefault((u, 0), {})[(v, 1)] = 0
+    source, sink = (s, 1), (t, 0)
+    value = 0
+    while True:
+        parent = {source: source}
+        stack = [source]
+        while stack:
+            a = stack.pop()
+            for b, c in res[a].items():
+                if c > 0 and b not in parent:
+                    parent[b] = a
+                    stack.append(b)
+        if sink not in parent:
+            return value, set(parent)
+        b = sink
+        while b != source:
+            a = parent[b]
+            res[a][b] -= 1
+            res[b][a] += 1
+            b = a
+        value += 1
 
 
 def alpha_brute(G: Graph) -> int:

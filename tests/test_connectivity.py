@@ -1,7 +1,15 @@
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minorlab as ml
-from oracles import kappa_brute
+from minorlab.connectivity import maximum_flow
+from oracles import kappa_brute, split_flow
 
 
 def test_kappa_complete():
@@ -78,3 +86,150 @@ def test_connectivity_certificate_bipartite():
     want = ml.vertex_connectivity(G)
     assert ml.connectivity_at_least(G, want, parts=parts)
     assert not ml.connectivity_at_least(G, want + 1, parts=parts)
+
+
+# -- differential checks against the dict-based reference flow --------------
+
+
+def _reach_masks(reach):
+    rin = rout = 0
+    for v, side in reach:
+        if side:
+            rout |= 1 << v
+        else:
+            rin |= 1 << v
+    return rin, rout
+
+
+def _check_flow(G, s, t):
+    """maximum_flow against split_flow at every cap; returns the reference
+    value and reach masks."""
+    value, reach = split_flow(G, s, t)
+    want = _reach_masks(reach)
+    for cap in range(G.n + 1):
+        got, got_reach = maximum_flow(G, s, t, cap)
+        assert got == min(value, cap), (s, t, cap)
+        assert got_reach == (want if value < cap else None), (s, t, cap)
+    return value, want
+
+
+def _covering_pairs(G):
+    """The documented pair order: a minimum-degree vertex v0 (lowest id) with
+    each non-neighbour, then each non-adjacent pair of its neighbours."""
+    v0 = min(range(G.n), key=lambda v: (G.adj[v].bit_count(), v))
+    nbrs = [u for u in range(G.n) if G.adj[v0] >> u & 1]
+    pairs = [(v0, u) for u in range(G.n) if u != v0 and not G.adj[v0] >> u & 1]
+    for i, x in enumerate(nbrs):
+        pairs += [(x, y) for y in nbrs[i + 1 :] if not G.adj[x] >> y & 1]
+    return pairs
+
+
+def _check_connectivity(G, flow_pairs=None, seed=0):
+    """maximum_flow on `flow_pairs` random non-adjacent pairs (all of them
+    when None); kappa, every connectivity_at_least verdict and the
+    separation sides against reference flows over the covering pairs."""
+    nonadjacent = [
+        (s, t) for s in range(G.n) for t in range(G.n)
+        if s != t and not G.adj[s] >> t & 1
+    ]
+    if flow_pairs is not None:
+        nonadjacent = random.Random(seed).sample(
+            nonadjacent, min(flow_pairs, len(nonadjacent))
+        )
+    for s, t in nonadjacent:
+        _check_flow(G, s, t)
+    if G.is_complete():
+        assert ml.vertex_connectivity(G) == G.n - 1
+        return
+    flows = [split_flow(G, s, t) for s, t in _covering_pairs(G)]
+    kappa = min(value for value, _ in flows)
+    assert ml.vertex_connectivity(G) == kappa
+    for k in range(G.n + 1):
+        assert ml.connectivity_at_least(G, k) == (kappa >= k), k
+    A, B = ml.minimum_separation(G)
+    assert A | B == set(range(G.n)) and len(A & B) == kappa
+    assert not any(G.has_edge(u, v) for u in A - B for v in B - A)
+    if kappa == 0:
+        return  # disconnected: the sides are components, not a flow's cut
+    reach = next(r for value, r in flows if value == kappa)
+    rin, rout = _reach_masks(reach)
+    side = {v for v in range(G.n) if (rin | rout) >> v & 1}
+    cut = {v for v in range(G.n) if (rin & ~rout) >> v & 1}
+    assert A == side
+    assert B == cut | (set(range(G.n)) - side)
+
+
+def test_flows_match_reference_on_random_graphs():
+    rng = random.Random(2020)
+    for i in range(16):
+        n = rng.randint(10, 60)
+        p = rng.choice((0.1, 0.2, 0.3, 0.5, 0.65, 0.8))
+        G = ml.gnp_random_graph(n, p, seed=3100 + i)
+        _check_connectivity(G, flow_pairs=3, seed=i)
+
+
+def test_flow_reroutes_back_through_a_used_vertex():
+    # The only shortest 0-4 path, 0-1-2-3-4, blocks both longer paths
+    # 0-5-6-7-3-4 and 0-1-8-9-10-4.  Reaching 2 flow units walks back
+    # through vertex 2 (out-copy to in-copy) and frees it; the chain
+    # 0-11-...-15-2 then reaches the freed vertex in the last search.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 3)]
+    edges += [(1, 8), (8, 9), (9, 10), (10, 4)]
+    edges += [(0, 11), (11, 12), (12, 13), (13, 14), (14, 15), (15, 2)]
+    G = ml.from_edge_list(16, edges)
+    assert _check_flow(G, 0, 4)[0] == 2
+
+
+def test_flows_match_reference_on_sparse_graphs_at_every_pair():
+    # sparse graphs route flow around low-degree vertices, where the
+    # reverse arcs of the split digraph decide reachability
+    rng = random.Random(75)
+    for i in range(30):
+        n = rng.randint(6, 14)
+        G = ml.gnp_random_graph(n, rng.choice((0.2, 0.3, 0.4)), seed=3300 + i)
+        _check_connectivity(G)
+
+
+@pytest.mark.parametrize("b", [20, 30, 40])
+def test_flows_match_reference_on_random_bipartite(b):
+    G = ml.gen_bipartite(ml.BipartiteSpec(b, b, 0.5, b))
+    _check_connectivity(G, flow_pairs=3, seed=b)
+
+
+@st.composite
+def _graphs(draw, max_n=11):
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picked = draw(st.sets(st.sampled_from(pairs)))
+    return ml.from_edge_list(n, sorted(picked))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs())
+def test_flows_match_reference_on_generated_graphs(G):
+    _check_connectivity(G)
+    assert ml.vertex_connectivity(G) == kappa_brute(G)
+
+
+def test_maximum_flow_rejects_adjacent_endpoints():
+    G = ml.cycle_graph(6)
+    with pytest.raises(ml.InputError):
+        maximum_flow(G, 0, 1, 2)
+    with pytest.raises(ml.InputError):
+        maximum_flow(G, 3, 3, 2)
+
+
+def test_import_pulls_in_neither_numpy_nor_scipy():
+    code = (
+        "import sys\n"
+        "import minorlab\n"
+        "assert minorlab.vertex_connectivity(minorlab.cycle_graph(6)) == 2\n"
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    src = str(Path(ml.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

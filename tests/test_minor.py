@@ -1,4 +1,7 @@
+import gc
 import math
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -66,6 +69,26 @@ def test_k33_is_k5_minor_free():
 def test_budget_exhaustion_is_inconclusive_error():
     with pytest.raises(ml.BudgetExceeded):
         ml.find_kt_minor_exact(ml.petersen_graph(), 6, budget=5)
+
+
+def test_exhausted_search_frees_its_tables():
+    # K5 with every edge subdivided once: 15 vertices, beyond the small-block
+    # shortcut, so the search deepens its cap and fills both tables
+    edges = []
+    for mid, (u, v) in enumerate(combinations(range(5), 2), start=5):
+        edges += [(u, mid), (v, mid)]
+    G = ml.from_edge_list(15, edges)
+    gc.disable()  # only reference counting may free the tables
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ml.BudgetExceeded):
+            ml.find_kt_minor_exact(G, 5, budget=20_000)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert retained < 1_000_000
 
 
 def test_find_monotone_in_t():
