@@ -94,8 +94,9 @@ def _cmd_check(args) -> int:
     budget_hit = False
     try:
         model = find_kt_minor_exact(G, args.t, budget=args.budget)
-    except BudgetExceeded:
+    except BudgetExceeded as exc:
         budget_hit = True
+        print(f"budget exhausted: {exc}", file=sys.stderr)
     verdict_key = f"k{args.t}_minor"
     if budget_hit:
         fields[verdict_key] = "BudgetExceeded"

@@ -139,7 +139,7 @@ def exact_list_color(
     def rec() -> bool:
         steps[0] -= 1
         if steps[0] < 0:
-            raise BudgetExceeded("exact list coloring exceeded its node budget")
+            raise BudgetExceeded("exact list coloring", budget, n)
         if len(coloring) == n:
             return True
         v = choose()

@@ -12,8 +12,18 @@ class PreconditionError(ValueError):
 class BudgetExceeded(RuntimeError):
     """An exact search ran out of its node budget before reaching a verdict.
 
-    This is always inconclusive, never a wrong answer.
+    This is always inconclusive, never a wrong answer.  `steps` is the number
+    of search steps spent and `n` the number of vertices being searched (for
+    the minor search, the block the budget ran out in).
     """
+
+    def __init__(self, search: str, steps: int, n: int) -> None:
+        super().__init__(search, steps, n)
+        self.steps = steps
+        self.n = n
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} spent its budget of {self.steps} steps on {self.n} vertices"
 
 
 class HallRatioViolation(RuntimeError):

@@ -46,13 +46,17 @@ def gen_bipartite(spec: BipartiteSpec) -> Graph:
     index, then right index), so the output is bit-identical across runs for
     identical specs.
     """
-    rng = random.Random(spec.seed)
-    edges = []
-    for i in range(spec.a):
-        for j in range(spec.b):
-            if rng.random() < spec.p:
-                edges.append((i, spec.a + j))
-    return from_edge_list(spec.a + spec.b, edges)
+    a, b, p = spec.a, spec.b, spec.p
+    draw = random.Random(spec.seed).random
+    adj = [0] * (a + b)
+    m = 0
+    for i in range(a):
+        right = [j for j in range(a, a + b) if draw() < p]
+        m += len(right)
+        for j in right:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return Graph(a + b, tuple(adj), m)
 
 
 def lambda_constant(tol: float = 1e-6) -> tuple[float, float]:

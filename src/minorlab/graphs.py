@@ -420,9 +420,7 @@ def _mis_search(
         nonlocal best_size, best_mask, steps
         steps -= 1
         if steps < 0:
-            raise BudgetExceeded(
-                f"independent-set search exceeded its budget of {budget} nodes"
-            )
+            raise BudgetExceeded("independent-set search", budget, start.bit_count())
         if cur_size > best_size:
             best_size = cur_size
             best_mask = cur_mask

@@ -2,13 +2,16 @@
 
 A model of K_t in G is a family of t pairwise disjoint vertex sets, each
 inducing a connected subgraph, with an edge of G between every pair of sets.
-The exact search grows branch sets by backtracking with canonical-seed
-symmetry pruning; the two randomized procedures build models in dense graphs
-and in one random-contraction round of a bipartite graph.
+The exact search first reduces the graph series-parallel and skips blocks
+whose elimination width proves them free, then grows branch sets by
+backtracking with canonical-seed symmetry pruning; the two randomized
+procedures build models in dense graphs and in one random-contraction round
+of a bipartite graph.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -113,43 +116,110 @@ def _cycle_model(G: Graph) -> MinorModel | None:
     return None
 
 
+def _series_parallel_reduce(G: Graph) -> tuple[Graph, list[tuple[int, int, int]]]:
+    """Delete vertices of degree <= 1 and suppress vertices of degree 2 until
+    none is left; the reduced graph keeps the vertex ids of G.
+
+    Suppressing v with neighbours u < w deletes v and adds the edge uw, a
+    contraction, so every minor of the result is a minor of G.  When u and w
+    were already adjacent this is a plain deletion; otherwise (v, u, w) is
+    recorded, in order.  For t >= 4 the result has a K_t minor iff G has one:
+    no branch set is a lone vertex of degree <= 2, and any other branch set
+    loses nothing by giving such a vertex up.
+    """
+    adj = list(G.adj)
+    suppressed = []
+    stack = [v for v in range(G.n) if adj[v].bit_count() in (1, 2)]
+    while stack:
+        v = stack.pop()
+        nbrs = adj[v]
+        if nbrs.bit_count() not in (1, 2):
+            continue
+        vb = 1 << v
+        adj[v] = 0
+        ends = list(bits(nbrs))
+        for u in ends:
+            adj[u] ^= vb
+        if len(ends) == 2:
+            u, w = ends
+            if not adj[u] >> w & 1:
+                adj[u] |= 1 << w
+                adj[w] |= 1 << u
+                suppressed.append((v, u, w))
+                continue
+        stack.extend(u for u in ends if adj[u].bit_count() <= 2)
+    m = sum(a.bit_count() for a in adj) // 2
+    return Graph(G.n, tuple(adj), m), suppressed
+
+
+def _lift(masks: list[int], suppressed: list[tuple[int, int, int]]) -> list[int]:
+    """Map branch sets of the reduced graph back to the graph before the
+    suppressions, undoing them last first: v joins the branch set of u
+    whenever both u and w lie in branch sets, so the edge uw is again
+    realised, through v."""
+    masks = list(masks)
+    for v, u, w in reversed(suppressed):
+        owner = next((i for i, m in enumerate(masks) if m >> u & 1), None)
+        if owner is not None and any(m >> w & 1 for m in masks):
+            masks[owner] |= 1 << v
+    return masks
+
+
 def k4_minor_free(G: Graph) -> bool:
     """Decide K_4-minor-freeness by series-parallel reduction.
 
-    Repeatedly delete degree <= 1 vertices and suppress degree-2 vertices
-    (dropping the parallel edge when the neighbors are already adjacent).
-    The graph reduces to nothing iff it has no K_4 minor; a non-empty
-    remainder has minimum degree 3 and therefore a K_4 minor.
+    The reduction leaves no edge iff G has no K_4 minor; a remainder with
+    edges has minimum degree 3 on its non-isolated vertices and therefore a
+    K_4 minor.
     """
-    adj: dict[int, set[int]] = {v: set(G.neighbors(v)) for v in range(G.n)}
-    queue = sorted(v for v in adj if len(adj[v]) <= 2)
-    pending = set(queue)
-    while queue:
-        v = queue.pop(0)
-        pending.discard(v)
-        if v not in adj or len(adj[v]) > 2:
-            continue
-        nbrs = sorted(adj[v])
-        for u in nbrs:
-            adj[u].discard(v)
-        del adj[v]
-        if len(nbrs) == 2:
-            u, w = nbrs
-            if w not in adj[u]:
-                adj[u].add(w)
-                adj[w].add(u)
-        for u in nbrs:
-            if u in adj and len(adj[u]) <= 2 and u not in pending:
-                queue.append(u)
-                pending.add(u)
-    return not adj
+    return _series_parallel_reduce(G)[0].m == 0
+
+
+def _elimination_width(G: Graph, live: int, stop: int) -> int:
+    """Width of a min-degree elimination order of the subgraph induced on
+    `live` (lowest id on ties), or `stop` as soon as every remaining vertex
+    has degree at least `stop`.
+
+    Eliminating a vertex joins its neighbours into a clique; the largest
+    degree eliminated bounds the treewidth from above.  Only vertices of
+    degree below `stop` are tracked, in one bucket per degree, and after a
+    vertex of degree d goes no degree is below d - 1, so the search for the
+    lowest non-empty bucket resumes there.
+    """
+    adj = {v: G.adj[v] & live for v in bits(live)}
+    buckets = [0] * stop
+    for v, a in adj.items():
+        d = a.bit_count()
+        if d < stop:
+            buckets[d] |= 1 << v
+    width = d = 0
+    for _ in range(len(adj)):
+        while d < stop and not buckets[d]:
+            d += 1
+        if d == stop:
+            return stop
+        vb = buckets[d] & -buckets[d]
+        buckets[d] ^= vb
+        width = max(width, d)
+        nbrs = adj.pop(vb.bit_length() - 1)
+        for u in bits(nbrs):
+            ub = 1 << u
+            old = adj[u].bit_count()
+            adj[u] = (adj[u] | nbrs) & ~(ub | vb)
+            new = adj[u].bit_count()
+            if old < stop:
+                buckets[old] ^= ub
+            if new < stop:
+                buckets[new] |= ub
+        d = max(d - 1, 0)
+    return width
 
 
 _TRANSPOSITION_CAP = 1_000_000
 
 
 def _branch_set_search(
-    G: Graph, comp: int, t: int, steps: list[int]
+    G: Graph, comp: int, t: int, budget: int, spent: list[int]
 ) -> list[int] | None:
     """Backtracking over branch-set growth inside one block.
 
@@ -207,9 +277,9 @@ def _branch_set_search(
         def rec(
             sets: list[int], seeds: list[int], avail: int, used: int
         ) -> tuple[list[int] | None, bool]:
-            steps[0] -= 1
-            if steps[0] < 0:
-                raise BudgetExceeded("minor search exceeded its node budget")
+            spent[0] += 1
+            if spent[0] > budget:
+                raise BudgetExceeded("minor search", budget, comp_size)
             state = tuple(sets)
             if state in failed_perm:
                 return None, False
@@ -326,9 +396,12 @@ def find_kt_minor_exact(
     """Exact K_t-minor search: a verified model, or None as a proof of freeness.
 
     Raises :class:`BudgetExceeded` when the node budget runs out, which is
-    inconclusive.  With `fast_paths` enabled, t=3 reduces to cycle detection
-    and t=4-freeness to series-parallel reduction (a positive t=4 answer
-    still extracts its model by backtracking).
+    inconclusive.  With `fast_paths` enabled, t=3 reduces to cycle detection,
+    and for t >= 4 the search runs on the series-parallel reduction of G
+    (degree <= 1 vertices deleted, degree-2 vertices suppressed), skips every
+    block whose min-degree elimination width is below t-1 (treewidth never
+    grows under minors and tw(K_t) = t-1), and lifts a model found back onto
+    G.  Without it the search runs on every block of G.
     """
     if t < 1:
         raise InputError(f"clique order must be at least 1, got {t}")
@@ -342,23 +415,24 @@ def find_kt_minor_exact(
         return MinorModel((frozenset({u}), frozenset({v})))
     if fast_paths and t == 3:
         return _cycle_model(G)
-    if fast_paths and t == 4 and k4_minor_free(G):
-        return None
+    H, suppressed = _series_parallel_reduce(G) if fast_paths else (G, [])
 
     # K_t is 2-connected for t >= 3, so any model lives inside one block.
-    steps = [budget]
+    spent = [0]
     need_edges = t * (t - 1) // 2
-    for block in biconnected_blocks(G):
+    for block in biconnected_blocks(H):
         if block.bit_count() < t:
             continue
         block_edges = sum(
-            (G.adj[v] & block).bit_count() for v in bits(block)
+            (H.adj[v] & block).bit_count() for v in bits(block)
         ) // 2
         if block_edges < need_edges:
             continue
-        masks = _branch_set_search(G, block, t, steps)
+        if fast_paths and _elimination_width(H, block, t - 1) < t - 1:
+            continue
+        masks = _branch_set_search(H, block, t, budget, spent)
         if masks is not None:
-            model = MinorModel(tuple(set_of(m) for m in masks))
+            model = MinorModel(tuple(set_of(m) for m in _lift(masks, suppressed)))
             defect = model_defect(G, model)
             if defect is not None:
                 raise InvariantViolation(f"search produced an invalid model: {defect}")
@@ -367,10 +441,19 @@ def find_kt_minor_exact(
 
 
 def hadwiger_number(G: Graph, budget: int = DEFAULT_BUDGET) -> int:
-    """Largest t such that G has a K_t minor (0 for the null graph)."""
+    """Largest t such that G has a K_t minor (0 for the null graph).
+
+    Binary search between 1 and the least of n, the largest t with
+    C(t, 2) <= m, and the min-degree elimination width plus one.
+    """
     if G.n == 0:
         return 0
-    lo, hi = 1, G.n
+    lo = 1
+    hi = min(
+        G.n,
+        (1 + math.isqrt(1 + 8 * G.m)) // 2,
+        _elimination_width(G, G.full_mask, G.n) + 1,
+    )
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if find_kt_minor_exact(G, mid, budget) is not None:

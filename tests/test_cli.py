@@ -61,9 +61,12 @@ def test_check_malformed_file_names_line(tmp_path, capsys):
 
 
 def test_check_budget_exit_code(tmp_path, capsys):
+    # Petersen at t=5: nothing reduces and no width certificate applies
     path = write_graph(tmp_path, ml.petersen_graph())
-    code = main(["check", path, "--t", "6", "--budget", "4"])
+    code = main(["check", path, "--t", "5", "--budget", "4"])
     assert code == 3
+    err = capsys.readouterr().err
+    assert "budget exhausted: minor search spent its budget of 4 steps on 10 vertices" in err
 
 
 def test_color_degeneracy_writes_coloring(tmp_path, capsys):

@@ -111,8 +111,9 @@ def test_exact_list_color_proves_impossibility():
 
 def test_exact_list_color_budget():
     G = ml.complete_graph(12)
-    with pytest.raises(ml.BudgetExceeded):
+    with pytest.raises(ml.BudgetExceeded) as info:
         ml.exact_list_color(G, ml.uniform_lists(12, 11), budget=20)
+    assert (info.value.steps, info.value.n) == (20, 12)
 
 
 def test_c4_is_two_choosable_by_brute_force():

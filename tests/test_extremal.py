@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -30,6 +31,25 @@ def test_gen_bipartite_concentration_and_determinism():
     # Binomial(2500, 1/2): mean 1250, sigma 25; require within 4 sigma
     assert abs(G.m - 1250) <= 100
     assert ml.gen_bipartite(spec) == G
+
+
+def test_gen_bipartite_matches_edge_list_construction():
+    # reference: draws in row-major order into an edge list, then
+    # from_edge_list, as the generator was first written
+    rng = random.Random(31)
+    for _ in range(20):
+        spec = ml.BipartiteSpec(
+            rng.randint(0, 40), rng.randint(0, 40), rng.choice([0.0, 0.1, 0.5, 0.9, 1.0]),
+            rng.getrandbits(32),
+        )
+        draws = random.Random(spec.seed)
+        edges = [
+            (i, spec.a + j)
+            for i in range(spec.a)
+            for j in range(spec.b)
+            if draws.random() < spec.p
+        ]
+        assert ml.gen_bipartite(spec) == ml.from_edge_list(spec.a + spec.b, edges)
 
 
 def test_gen_bipartite_rejects_bad_probability():

@@ -247,8 +247,9 @@ def test_exact_alpha_examples():
 
 
 def test_exact_alpha_budget_is_resource_error():
-    with pytest.raises(ml.BudgetExceeded):
+    with pytest.raises(ml.BudgetExceeded) as info:
         ml.exact_alpha(ml.petersen_graph(), budget=3)
+    assert (info.value.steps, info.value.n) == (3, 10)
 
 
 def test_max_independent_set_is_independent():

@@ -1,12 +1,17 @@
 import gc
 import math
+import random
+import time
 import tracemalloc
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minorlab as ml
 from minorlab import DenseModelParams, MinorModel
+from minorlab.minor import _elimination_width
 from oracles import has_kt_minor_brute
 
 
@@ -67,28 +72,167 @@ def test_k33_is_k5_minor_free():
 
 
 def test_budget_exhaustion_is_inconclusive_error():
-    with pytest.raises(ml.BudgetExceeded):
-        ml.find_kt_minor_exact(ml.petersen_graph(), 6, budget=5)
+    # Petersen at t=5: cubic, so nothing reduces, and treewidth 4 = t-1, so
+    # no width certificate; only the search can decide it
+    with pytest.raises(ml.BudgetExceeded) as info:
+        ml.find_kt_minor_exact(ml.petersen_graph(), 5, budget=4)
+    assert (info.value.steps, info.value.n) == (4, 10)
+    assert "4 steps" in str(info.value) and "10 vertices" in str(info.value)
 
 
-def test_exhausted_search_frees_its_tables():
-    # K5 with every edge subdivided once: 15 vertices, beyond the small-block
-    # shortcut, so the search deepens its cap and fills both tables
+def subdivided_k5():
+    """K5 with every edge subdivided once: 15 vertices."""
     edges = []
     for mid, (u, v) in enumerate(combinations(range(5), 2), start=5):
         edges += [(u, mid), (v, mid)]
-    G = ml.from_edge_list(15, edges)
+    return ml.from_edge_list(15, edges)
+
+
+def test_exhausted_search_frees_its_tables():
+    # without the reduction the subdivided K5 is beyond the small-block
+    # shortcut, so the search deepens its cap and fills both tables
+    G = subdivided_k5()
     gc.disable()  # only reference counting may free the tables
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         with pytest.raises(ml.BudgetExceeded):
-            ml.find_kt_minor_exact(G, 5, budget=20_000)
+            ml.find_kt_minor_exact(G, 5, budget=20_000, fast_paths=False)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
         gc.enable()
     assert retained < 1_000_000
+
+
+def test_width_certificate_decides_petersen_at_six():
+    # min-degree elimination of the Petersen graph has width 4 < 5: no
+    # search step is needed to prove it K6-minor-free
+    model = ml.find_kt_minor_exact(ml.petersen_graph(), 6, budget=5)
+    assert model is None or ml.validate_model(ml.petersen_graph(), model)
+
+
+def test_reduction_finds_subdivided_k5_within_budget():
+    G = subdivided_k5()
+    model = ml.find_kt_minor_exact(G, 5, budget=20_000)
+    assert model is not None and model.t == 5
+    assert ml.validate_model(G, model)
+
+
+def triangulated_strip(rows, cols):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+            if r + 1 < rows and c + 1 < cols:
+                edges.append((v, v + cols + 1))
+    return ml.from_edge_list(rows * cols, edges)
+
+
+def test_long_cycle_is_decided_quickly():
+    start = time.perf_counter()
+    assert ml.find_kt_minor_exact(ml.cycle_graph(2000), 5, budget=2000) is None
+    assert time.perf_counter() - start < 0.5
+
+
+def test_long_triangulated_strip_is_certified_quickly():
+    G = triangulated_strip(3, 1000)  # treewidth at most 4
+    start = time.perf_counter()
+    assert ml.find_kt_minor_exact(G, 6, budget=2000) is None
+    assert time.perf_counter() - start < 0.5
+
+
+def min_degree_width(G, stop):
+    """Reference min-degree elimination: scan every vertex at every step."""
+    adj = list(G.adj)
+    live = set(range(G.n))
+    width = 0
+    while live:
+        v = min(live, key=lambda x: (adj[x].bit_count(), x))
+        if adj[v].bit_count() >= stop:
+            return stop
+        width = max(width, adj[v].bit_count())
+        live.remove(v)
+        for u in live:
+            if adj[u] >> v & 1:
+                adj[u] = (adj[u] | adj[v]) & ~(1 << u | 1 << v)
+    return width
+
+
+def test_elimination_width_follows_min_degree_order():
+    for i in range(200):
+        G = ml.gnp_random_graph(5 + i % 25, 0.05 + 0.05 * (i % 9), seed=6100 + i)
+        for stop in (3, 4, 5, G.n):
+            assert _elimination_width(G, G.full_mask, stop) == min_degree_width(G, stop)
+
+
+# -- differential checks against the partition oracle -----------------------
+
+
+def check_against_brute(G, hadwiger=False):
+    """Both search paths agree with the oracle at t = 4..6, every model is
+    valid, and (optionally) so does the Hadwiger number."""
+    for t in (4, 5, 6):
+        expected = has_kt_minor_brute(G, t)
+        for fast in (True, False):
+            model = ml.find_kt_minor_exact(G, t, fast_paths=fast)
+            assert (model is not None) == expected, (G, t, fast)
+            if model is not None:
+                assert model.t == t and ml.validate_model(G, model)
+    if hadwiger:
+        h = 0
+        while h < G.n and has_kt_minor_brute(G, h + 1):
+            h += 1
+        assert ml.hadwiger_number(G) == h, G
+
+
+def test_search_agrees_with_brute_on_every_graph_up_to_five_vertices():
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for picked in range(1 << len(pairs)):
+            edges = [pairs[i] for i in range(len(pairs)) if picked >> i & 1]
+            check_against_brute(ml.from_edge_list(n, edges), hadwiger=True)
+
+
+def test_search_agrees_with_brute_on_random_graphs():
+    for i in range(1500):
+        n = 6 + i % 3
+        p = 0.2 + 0.1 * (i // 3 % 8)
+        check_against_brute(ml.gnp_random_graph(n, p, seed=5000 + i), hadwiger=n <= 7)
+
+
+def test_search_lifts_models_through_subdivisions():
+    # dense graphs on 4-6 vertices with up to 3 edges subdivided and the ids
+    # shuffled, so suppressed vertices must be put back into branch sets
+    rng = random.Random(7100)
+    for _ in range(150):
+        n = rng.randint(4, 6)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.8]
+        for _ in range(min(rng.randint(1, 3), len(edges))):
+            u, v = edges.pop(rng.randrange(len(edges)))
+            edges += [(u, n), (n, v)]
+            n += 1
+        perm = rng.sample(range(n), n)
+        G = ml.from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
+        check_against_brute(G)
+
+
+@st.composite
+def _graphs(draw, max_n=8):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = list(combinations(range(n), 2))
+    picked = draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
+    return ml.from_edge_list(n, sorted(picked))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs())
+def test_search_agrees_with_brute_on_generated_graphs(G):
+    check_against_brute(G)
 
 
 def test_find_monotone_in_t():
