@@ -43,6 +43,7 @@ from .graphs import (
     mask_of,
     max_independent_set,
     nonedge_fraction,
+    quotient,
     saturating_matching,
     set_of,
 )

@@ -440,13 +440,11 @@ def minor_free_list_color(
         rho = 2 * d
 
     layers: list[list[int]] = []
-    remaining = sorted(range(G.n))
+    remaining = G.full_mask
     while remaining:
-        H, old_ids = induced_subgraph_with_map(G, remaining)
-        local_piece = peel_piece(H, d)
-        piece = sorted(old_ids[i] for i in local_piece)
+        piece = sorted(peel_piece(G, d, within=bits(remaining)))
         layers.append(piece)
-        remaining = sorted(set(remaining) - set(piece))
+        remaining &= ~mask_of(piece)
 
     coloring: dict[int, int] = {}
     for level, piece in enumerate(reversed(layers)):

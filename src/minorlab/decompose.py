@@ -4,13 +4,16 @@ Given minimum degree at least 6k, there is always a non-empty piece X whose
 coboundary Y has at most 3k vertices, together with a matching from Y into X
 saturating Y, such that contracting the matching inside G[X | Y] leaves a
 k-connected graph.  :func:`small_coboundary_piece` turns the minimal-piece
-argument into a terminating loop; :func:`peel_piece` is the wrapper the
-coloring pipeline consumes.
+argument into a terminating loop and forms each contracted piece as one
+:func:`~minorlab.graphs.quotient` of G.  :func:`peel_piece` is the wrapper the
+coloring pipeline consumes: it peels inside a live vertex set (`within`) and
+copies that induced subgraph only when no vertex has degree at most d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .connectivity import connectivity_at_least, minimum_separation, vertex_connectivity
 from .errors import InputError, InvariantViolation, PreconditionError
@@ -18,9 +21,10 @@ from .graphs import (
     Graph,
     HallViolator,
     adjacency_mask,
-    contract_with_classes,
+    bits,
     induced_subgraph_with_map,
     mask_of,
+    quotient,
     saturating_matching,
     set_of,
 )
@@ -43,13 +47,12 @@ def coboundary(G: Graph, X) -> frozenset[int]:
 
 
 def _contracted_piece(G: Graph, X: frozenset[int], Y: frozenset[int], matching):
-    """contract(G[X | Y], M) plus the original-id class of each new vertex."""
-    H, old_ids = induced_subgraph_with_map(G, X | Y)
-    pos = {v: i for i, v in enumerate(old_ids)}
-    local_matching = [(pos[y], pos[x]) for y, x in matching]
-    Q, classes = contract_with_classes(H, local_matching)
-    lifted = tuple(frozenset(old_ids[i] for i in cls) for cls in classes)
-    return Q, lifted
+    """contract(G[X | Y], M) for M saturating Y, plus the class of each new vertex."""
+    classes = {x: 1 << x for x in X}
+    for y, x in matching:
+        classes[x] |= 1 << y
+    masks = sorted(classes.values(), key=lambda c: c & -c)
+    return quotient(G, masks), tuple(set_of(c) for c in masks)
 
 
 def small_coboundary_piece(G: Graph, k: int) -> Decomposition:
@@ -111,22 +114,23 @@ def small_coboundary_piece(G: Graph, k: int) -> Decomposition:
             raise InvariantViolation("no separation side yields a small coboundary")
 
 
-def peel_piece(G: Graph, d: int) -> frozenset[int]:
-    """A non-empty piece whose coboundary has at most d vertices.
+def peel_piece(G: Graph, d: int, within: Iterable[int] | None = None) -> frozenset[int]:
+    """A non-empty piece of G[within] whose coboundary there has at most d vertices.
 
-    A vertex of degree at most d is its own piece; otherwise delegate to
-    :func:`small_coboundary_piece` with k = floor(d / 6) (coboundary at most
-    3k <= d/2).
+    A vertex of lowest degree (lowest id on ties) is its own piece when that
+    degree is at most d; otherwise delegate to :func:`small_coboundary_piece`
+    with k = floor(d / 6) (coboundary at most 3k <= d/2) on an induced copy.
     """
-    if G.n == 0:
+    live = G.full_mask if within is None else mask_of(within)
+    if live == 0:
         raise PreconditionError("the graph must be non-empty")
     if d < 6:
         raise InputError(f"peel parameter must be at least 6, got {d}")
-    degrees = [(G.degree(v), v) for v in range(G.n)]
-    deg, v = min(degrees)
+    deg, v = min(((G.adj[v] & live).bit_count(), v) for v in bits(live))
     if deg <= d:
         return frozenset({v})
-    return small_coboundary_piece(G, d // 6).X
+    H, old_ids = induced_subgraph_with_map(G, bits(live))
+    return frozenset(old_ids[i] for i in small_coboundary_piece(H, d // 6).X)
 
 
 def check_decomposition(G: Graph, D: Decomposition) -> list[str]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, InputError, PreconditionError
 
@@ -141,17 +141,19 @@ def is_connected_mask(G: Graph, mask: int) -> bool:
     return closure_mask(G, low, mask) == mask
 
 
+def mask_components(G: Graph, mask: int) -> list[int]:
+    """Connected components of the subgraph induced on `mask`, by smallest member."""
+    out = []
+    while mask:
+        comp = closure_mask(G, mask & -mask, mask)
+        out.append(comp)
+        mask &= ~comp
+    return out
+
+
 def components(G: Graph) -> list[int]:
     """Connected components as masks, ordered by smallest member."""
-    seen = 0
-    out = []
-    for v in range(G.n):
-        if seen >> v & 1:
-            continue
-        comp = closure_mask(G, 1 << v, G.full_mask & ~seen)
-        out.append(comp)
-        seen |= comp
-    return out
+    return mask_components(G, G.full_mask)
 
 
 def biconnected_blocks(G: Graph) -> list[int]:
@@ -243,6 +245,30 @@ def degeneracy(G: Graph) -> tuple[int, list[int]]:
     return d, order
 
 
+def quotient(G: Graph, classes: Sequence[int]) -> Graph:
+    """The graph whose vertex i is the vertex mask `classes[i]` of G.
+
+    The classes must be disjoint and non-empty; i ~ j exactly when an edge of
+    G joins classes[i] to classes[j].  Vertices in no class are dropped, so
+    singleton classes give an induced subgraph and a partition a contraction.
+    """
+    owner: dict[int, int] = {}
+    keep = 0
+    for i, c in enumerate(classes):
+        if c <= 0 or c & keep or c >> G.n:
+            raise InputError(f"class {i} is empty, out of range or overlaps another")
+        keep |= c
+        for v in bits(c):
+            owner[v] = i
+    adj = []
+    for c in classes:
+        row = 0
+        for v in bits(adjacency_mask(G, c) & keep & ~c):
+            row |= 1 << owner[v]
+        adj.append(row)
+    return Graph(len(adj), tuple(adj), sum(a.bit_count() for a in adj) // 2)
+
+
 def contract(G: Graph, F: Iterable[tuple[int, int]]) -> Graph:
     """Quotient of G by the connected components of (V, F), as a simple graph.
 
@@ -271,19 +297,13 @@ def contract_with_classes(
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
 
-    classes: dict[int, list[int]] = {}
+    # a class enters the dict at its smallest member, so values are in id order
+    classes: dict[int, int] = {}
     for v in range(G.n):
-        classes.setdefault(find(v), []).append(v)
-    roots = sorted(classes, key=lambda r: min(classes[r]))
-    new_id = {r: i for i, r in enumerate(roots)}
-
-    edges = set()
-    for u, v in G.edges():
-        cu, cv = new_id[find(u)], new_id[find(v)]
-        if cu != cv:
-            edges.add((min(cu, cv), max(cu, cv)))
-    H = from_edge_list(len(roots), sorted(edges))
-    return H, tuple(frozenset(classes[r]) for r in roots)
+        r = find(v)
+        classes[r] = classes.get(r, 0) | 1 << v
+    masks = list(classes.values())
+    return quotient(G, masks), tuple(set_of(c) for c in masks)
 
 
 def induced_subgraph_with_map(
@@ -297,13 +317,7 @@ def induced_subgraph_with_map(
     for v in old_ids:
         if not 0 <= v < G.n:
             raise InputError(f"vertex {v} out of range for n={G.n}")
-    pos = {v: i for i, v in enumerate(old_ids)}
-    edges = [
-        (pos[u], pos[v])
-        for u, v in G.edges()
-        if u in pos and v in pos
-    ]
-    return from_edge_list(len(old_ids), edges), old_ids
+    return quotient(G, [1 << v for v in old_ids]), old_ids
 
 
 def induced_subgraph(G: Graph, vertices: Iterable[int]) -> Graph:
@@ -318,16 +332,10 @@ def bipartite_induced(G: Graph, A: Iterable[int], B: Iterable[int]) -> Graph:
     sa, sb = frozenset(A), frozenset(B)
     if sa & sb:
         raise InputError(f"parts overlap: {sorted(sa & sb)}")
-    old_ids = sorted(sa | sb)
-    for v in old_ids:
-        if not 0 <= v < G.n:
-            raise InputError(f"vertex {v} out of range for n={G.n}")
-    pos = {v: i for i, v in enumerate(old_ids)}
-    edges = []
-    for a in sorted(sa):
-        for b in bits(G.adj[a] & mask_of(sb)):
-            edges.append((pos[a], pos[b]))
-    return from_edge_list(len(old_ids), edges)
+    H, old_ids = induced_subgraph_with_map(G, sa | sb)
+    side = mask_of(i for i, v in enumerate(old_ids) if v in sa)
+    adj = tuple(row & (~side if side >> i & 1 else side) for i, row in enumerate(H.adj))
+    return Graph(H.n, adj, sum(a.bit_count() for a in adj) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -360,23 +368,28 @@ def saturating_matching(
     match_of_x: dict[int, int] = {}
     match_of_y: dict[int, int] = {}
 
-    def try_augment(y: int, seen_x: set[int]) -> bool:
-        for x in bits(G.adj[y] & xmask):
-            if x in seen_x:
-                continue
-            seen_x.add(x)
-            owner = match_of_x.get(x)
-            if owner is None or try_augment(owner, seen_x):
-                match_of_x[x] = y
-                match_of_y[y] = x
-                return True
-        return False
-
     violator_seen: set[int] | None = None
-    for y in ys:
+    for y0 in ys:
+        # depth-first search for an augmenting path, as a loop; each entry
+        # keeps the X-vertex it was reached through and resumes its iterator
         seen: set[int] = set()
-        if not try_augment(y, seen):
-            violator_seen = {y} | {match_of_x[x] for x in seen}
+        stack = [(None, y0, bits(G.adj[y0] & xmask))]
+        while stack:
+            x = next((x for x in stack[-1][2] if x not in seen), None)
+            if x is None:
+                stack.pop()
+                continue
+            seen.add(x)
+            owner = match_of_x.get(x)
+            if owner is None:
+                for via, y, _ in reversed(stack):
+                    match_of_x[x] = y
+                    match_of_y[y] = x
+                    x = via
+                break
+            stack.append((x, owner, bits(G.adj[owner] & xmask)))
+        else:
+            violator_seen = {y0} | {match_of_x[x] for x in seen}
     if violator_seen is not None:
         return HallViolator(frozenset(violator_seen))
     return sorted(match_of_y.items())

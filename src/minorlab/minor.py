@@ -22,11 +22,11 @@ from .graphs import (
     adjacency_mask,
     biconnected_blocks,
     bits,
-    closure_mask,
-    from_edge_list,
     is_connected_mask,
+    mask_components,
     mask_of,
     nonedge_fraction,
+    quotient,
     set_of,
 )
 from .seeds import derive_seed
@@ -542,7 +542,7 @@ def dense_random_model(G: Graph, params: DenseModelParams) -> MinorModel | None:
         for i in range(t):
             s = xs[chosen[i]] | ys[i]
             while not is_connected_mask(G, s):
-                comps = _mask_components(G, s)
+                comps = mask_components(G, s)
                 connector = -1
                 for w in bits(outside & ~used & ~s):
                     touched = sum(1 for c in comps if G.adj[w] & c)
@@ -565,17 +565,6 @@ def dense_random_model(G: Graph, params: DenseModelParams) -> MinorModel | None:
             raise InvariantViolation(f"dense builder produced a bad model: {defect}")
         return model
     return None
-
-
-def _mask_components(G: Graph, mask: int) -> list[int]:
-    out = []
-    rest = mask
-    while rest:
-        low = rest & -rest
-        comp = closure_mask(G, low, rest)
-        out.append(comp)
-        rest &= ~comp
-    return out
 
 
 def dense_condition_holds(G: Graph, t: int, l: int) -> bool:
@@ -615,15 +604,9 @@ def contraction_round(
 
     rng = random.Random(seed)
     xmask = mask_of(X)
-    xs = sorted(X)
-    pos = {x: i for i, x in enumerate(xs)}
-    edges = set()
+    classes = {x: 1 << x for x in sorted(X)}
     for v in sorted(A):
-        nb = [x for x in bits(G.adj[v] & xmask)]
-        if not nb:
-            continue
-        u = nb[rng.randrange(len(nb))]
-        for x in nb:
-            if x != u:
-                edges.add((min(pos[u], pos[x]), max(pos[u], pos[x])))
-    return from_edge_list(len(xs), sorted(edges))
+        nb = list(bits(G.adj[v] & xmask))
+        if nb:
+            classes[nb[rng.randrange(len(nb))]] |= 1 << v
+    return quotient(G, list(classes.values()))

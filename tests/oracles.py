@@ -6,13 +6,20 @@ enumerates all vertex cuts, and the independence number enumerates subsets.
 They are only feasible on small graphs, which is the point.  The one
 polynomial oracle, :func:`split_flow`, is a textbook augmenting-path max-flow
 on dict residual capacities, with none of the library's bitset machinery.
+
+The subgraph references at the end (induced subgraph, contraction, bipartite
+induced subgraph, one random contraction round) walk the edge list and
+rebuild through :func:`from_edge_list`, independently of the library's mask
+quotient; the matching reference is the plain recursive augmenting-path
+search.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
-from minorlab.graphs import Graph
+from minorlab.graphs import Graph, from_edge_list
 
 
 def has_kt_minor_brute(G: Graph, t: int) -> bool:
@@ -175,3 +182,96 @@ def alpha_brute(G: Graph) -> int:
         if ok:
             best = mask.bit_count()
     return best
+
+
+# ---------------------------------------------------------------------------
+# Edge-walk subgraph references
+# ---------------------------------------------------------------------------
+
+
+def induced_subgraph_ref(G: Graph, vertices) -> tuple[Graph, list[int]]:
+    """G[vertices] renumbered ascending, and the old id of each new vertex."""
+    old_ids = sorted(set(vertices))
+    pos = {v: i for i, v in enumerate(old_ids)}
+    edges = [(pos[u], pos[v]) for u, v in G.edges() if u in pos and v in pos]
+    return from_edge_list(len(old_ids), edges), old_ids
+
+
+def contract_ref(G: Graph, F) -> tuple[Graph, list[frozenset[int]]]:
+    """G / F with classes ordered by smallest member.
+
+    Each class is labelled by its smallest member; merging two classes
+    relabels every vertex of both.
+    """
+    label = list(range(G.n))
+    for u, v in F:
+        lu, lv = label[u], label[v]
+        if lu != lv:
+            label = [min(lu, lv) if lab in (lu, lv) else lab for lab in label]
+    roots = sorted(set(label))
+    new_id = {r: i for i, r in enumerate(roots)}
+    edges = {
+        (min(new_id[label[u]], new_id[label[v]]), max(new_id[label[u]], new_id[label[v]]))
+        for u, v in G.edges()
+        if label[u] != label[v]
+    }
+    classes = [frozenset(v for v in range(G.n) if label[v] == r) for r in roots]
+    return from_edge_list(len(roots), sorted(edges)), classes
+
+
+def bipartite_induced_ref(G: Graph, A, B) -> Graph:
+    """The A-B edges of G on A | B, renumbered ascending."""
+    old_ids = sorted(set(A) | set(B))
+    pos = {v: i for i, v in enumerate(old_ids)}
+    edges = [
+        (pos[u], pos[v])
+        for u, v in G.edges()
+        if (u in A and v in B) or (u in B and v in A)
+    ]
+    return from_edge_list(len(old_ids), edges)
+
+
+def contraction_round_ref(G: Graph, A, X, seed: int) -> Graph:
+    """Each A-vertex with an X-neighbour joins a random one (ascending draw
+    order); the result is the graph on X, renumbered ascending, whose edges
+    join two X-vertices that share a contracted A-vertex."""
+    rng = random.Random(seed)
+    xs = sorted(X)
+    pos = {x: i for i, x in enumerate(xs)}
+    edges = set()
+    for v in sorted(A):
+        nb = [x for x in xs if G.has_edge(v, x)]
+        if not nb:
+            continue
+        u = nb[rng.randrange(len(nb))]
+        edges.update((min(pos[u], pos[x]), max(pos[u], pos[x])) for x in nb if x != u)
+    return from_edge_list(len(xs), sorted(edges))
+
+
+def saturating_matching_ref(G: Graph, Y, X):
+    """Recursive augmenting paths, X-neighbours tried in ascending order.
+
+    Returns the matching as sorted (y, x) pairs, or the Y-vertices reached by
+    the last failed search as a frozenset.  Recursion depth grows with the
+    longest alternating path, so keep inputs small.
+    """
+    xs = set(X)
+    match_of_x: dict[int, int] = {}
+
+    def augment(y: int, seen: set[int]) -> bool:
+        for x in sorted(set(G.neighbors(y)) & xs):
+            if x not in seen:
+                seen.add(x)
+                if x not in match_of_x or augment(match_of_x[x], seen):
+                    match_of_x[x] = y
+                    return True
+        return False
+
+    violator = None
+    for y in sorted(set(Y)):
+        seen: set[int] = set()
+        if not augment(y, seen):
+            violator = frozenset({y} | {match_of_x[x] for x in seen})
+    if violator is not None:
+        return violator
+    return sorted((y, x) for x, y in match_of_x.items())

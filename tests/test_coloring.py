@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 import minorlab as ml
+from minorlab import coloring
 
 
 PETERSEN_3COLORING = {0: 0, 1: 1, 2: 0, 3: 1, 4: 2, 5: 1, 6: 2, 7: 2, 8: 0, 9: 0}
@@ -287,3 +288,50 @@ def test_minorfree_dense_clique_with_big_piece_fails_honestly():
     c = ml.minor_free_list_color(G, ml.uniform_lists(40, 12), d=6, seed=0,
                                  budget=50_000)
     assert c is None
+
+
+def triangulated_grid(w):
+    """The w x w grid with one diagonal per square: planar, min degree 2."""
+    edges = []
+    for r in range(w):
+        for c in range(w):
+            v = r * w + c
+            if c + 1 < w:
+                edges.append((v, v + 1))
+            if r + 1 < w:
+                edges.append((v, v + w))
+            if c + 1 < w and r + 1 < w:
+                edges.append((v, v + w + 1))
+    return ml.from_edge_list(w * w, edges)
+
+
+def reference_layers(G, d):
+    """The peel loop on induced copies: each piece is peeled from G[remaining]."""
+    layers, remaining = [], list(range(G.n))
+    while remaining:
+        H, old_ids = ml.induced_subgraph_with_map(G, remaining)
+        piece = sorted(old_ids[i] for i in ml.peel_piece(H, d))
+        layers.append(piece)
+        remaining = sorted(set(remaining) - set(piece))
+    return layers
+
+
+def test_minorfree_peels_the_layers_of_induced_copies(monkeypatch):
+    pieces = []
+
+    def recorded_peel(G, d, within):
+        piece = ml.peel_piece(G, d, within=within)
+        pieces.append(sorted(piece))
+        return piece
+
+    monkeypatch.setattr(coloring, "peel_piece", recorded_peel)
+    # the bipartite graph has min degree above d, so its first peel takes the
+    # coboundary-piece branch
+    inputs = [triangulated_grid(w) for w in (6, 9, 12)]
+    inputs.append(ml.gen_bipartite(ml.BipartiteSpec(20, 20, 0.5, 9)))
+    for seed, G in enumerate(inputs):
+        pieces.clear()
+        lists = ml.random_lists(G.n, 12, 16, seed)
+        c = ml.minor_free_list_color(G, lists, d=6, seed=seed)
+        assert c is not None and ml.verify_list_coloring(G, lists, c)
+        assert pieces == reference_layers(G, 6), G.n

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
 import minorlab as ml
+from minorlab.decompose import _contracted_piece
+from oracles import contract_ref, induced_subgraph_ref
 
 
 def two_cliques_bridged(k_size, bridges):
@@ -14,6 +18,17 @@ def two_cliques_bridged(k_size, bridges):
         ]
     edges += [(i, k_size + i) for i in range(bridges)]
     return ml.from_edge_list(2 * k_size, edges)
+
+
+def embedded(H, extra, seed):
+    """H on random ids of a larger graph whose `extra` other vertices are
+    pendants on H-vertices; returns the graph and the ids of H's vertices."""
+    rng = random.Random(seed)
+    n = H.n + extra
+    ids = rng.sample(range(n), H.n)
+    edges = [(ids[u], ids[v]) for u, v in H.edges()]
+    edges += [(w, rng.choice(ids)) for w in sorted(set(range(n)) - set(ids))]
+    return ml.from_edge_list(n, edges), ids
 
 
 # -- coboundary -------------------------------------------------------------
@@ -112,6 +127,59 @@ def test_peel_coboundary_bound_random_suite():
         G = ml.random_graph_min_degree(20 + 3 * i, 7, seed=5000 + i)
         X = ml.peel_piece(G, 7)
         assert len(ml.coboundary(G, X)) <= 7
+
+
+@pytest.mark.parametrize(
+    "H, d, piece_size",
+    [
+        (ml.path_graph(9), 6, 1),
+        (ml.complete_graph(20), 6, 20),
+        (two_cliques_bridged(14, 1), 12, 13),
+        (two_cliques_bridged(14, 6), 12, 28),
+    ],
+)
+def test_peel_within_equals_peel_of_induced_copy(H, d, piece_size):
+    for seed in range(3):
+        G, ids = embedded(H, 7, seed)
+        X = ml.peel_piece(G, d, within=ids)
+        copy, old_ids = ml.induced_subgraph_with_map(G, ids)
+        assert X == frozenset(old_ids[i] for i in ml.peel_piece(copy, d))
+        assert len(X) == piece_size
+        # the pendants have degree 1 in G, so only `within` keeps them out
+        assert len(ml.peel_piece(G, d)) == 1
+
+
+def test_peel_within_empty_is_rejected():
+    with pytest.raises(ml.PreconditionError):
+        ml.peel_piece(ml.complete_graph(8), 6, within=[])
+
+
+def test_contracted_piece_equals_induced_then_contract():
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(1, 40)
+        p = rng.random()
+        G = ml.from_edge_list(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+        X = frozenset(v for v in range(n) if rng.random() < 0.6)
+        free = set(X)
+        matching = []
+        outside = [v for v in range(n) if v not in X]
+        rng.shuffle(outside)
+        for y in outside:  # a random matching; Y is what it saturates
+            options = sorted(free & set(G.neighbors(y)))
+            if options and rng.random() < 0.8:
+                x = rng.choice(options)
+                free.discard(x)
+                matching.append((y, x))
+        Y = frozenset(y for y, _ in matching)
+        Q, classes = _contracted_piece(G, X, Y, matching)
+        H, old_ids = induced_subgraph_ref(G, X | Y)
+        pos = {v: i for i, v in enumerate(old_ids)}
+        ref, ref_classes = contract_ref(H, [(pos[y], pos[x]) for y, x in matching])
+        assert (Q.n, Q.adj, Q.m) == (ref.n, ref.adj, ref.m), seed
+        assert list(classes) == [frozenset(old_ids[i] for i in c) for c in ref_classes]
 
 
 # -- checker ------------------------------------------------------------------

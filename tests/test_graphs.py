@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,14 @@ from hypothesis import strategies as st
 
 import minorlab as ml
 from minorlab import HallViolator
-from oracles import alpha_brute
+from minorlab.graphs import mask_components
+from oracles import (
+    alpha_brute,
+    bipartite_induced_ref,
+    contract_ref,
+    induced_subgraph_ref,
+    saturating_matching_ref,
+)
 
 
 def small_graphs(max_n=9):
@@ -192,6 +200,80 @@ def test_bipartite_induced_rejects_overlap():
         ml.bipartite_induced(ml.complete_graph(4), {0, 1}, {1, 2})
 
 
+# -- quotient and the subgraphs built on it ----------------------------------
+
+
+def seeded_gnp(seed):
+    """G(n, p) with n = 0..40 and p drawn per graph, plus its RNG."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 40)
+    p = rng.random()
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return ml.from_edge_list(n, pairs), rng
+
+
+def as_tuple(G):
+    return (G.n, G.adj, G.m)
+
+
+def test_quotient_joins_classes_an_edge_joins():
+    for seed in range(150):
+        G, rng = seeded_gnp(seed)
+        owner = [rng.randrange(-1, 5) for _ in range(G.n)]  # -1: dropped
+        classes = [m for m in (ml.mask_of(v for v in range(G.n) if owner[v] == c)
+                               for c in range(5)) if m]
+        rng.shuffle(classes)
+        Q = ml.quotient(G, classes)
+        assert Q.n == len(classes)
+        for i, ci in enumerate(classes):
+            for j, cj in enumerate(classes):
+                joined = i != j and any(G.adj[u] & cj for u in ml.bits(ci))
+                assert Q.has_edge(i, j) == joined, (seed, i, j)
+
+
+@pytest.mark.parametrize("classes", [[0b1, 0], [0b11, 0b10], [0b1, 1 << 3], [-1]])
+def test_quotient_rejects_bad_classes(classes):
+    with pytest.raises(ml.InputError):
+        ml.quotient(ml.path_graph(3), classes)
+
+
+def test_induced_subgraph_matches_edge_walk():
+    for seed in range(150):
+        G, rng = seeded_gnp(seed)
+        S = [v for v in range(G.n) if rng.random() < rng.random()]
+        H, ids = ml.induced_subgraph_with_map(G, S)
+        ref, ref_ids = induced_subgraph_ref(G, S)
+        assert (as_tuple(H), ids) == (as_tuple(ref), ref_ids), seed
+        comps = mask_components(G, ml.mask_of(S))
+        assert [c & -c for c in comps] == sorted(c & -c for c in comps)
+        assert [[ids[i] for i in ml.bits(c)] for c in ml.components(H)] == [
+            list(ml.bits(c)) for c in comps
+        ]
+    with pytest.raises(ml.InputError):
+        ml.induced_subgraph_with_map(ml.path_graph(3), [3])
+
+
+def test_contract_matches_edge_walk():
+    for seed in range(150):
+        G, rng = seeded_gnp(seed)
+        keep = rng.random()
+        F = [e for e in G.edges() if rng.random() < keep]
+        rng.shuffle(F)
+        Q, classes = ml.contract_with_classes(G, F)
+        ref, ref_classes = contract_ref(G, F)
+        assert (as_tuple(Q), list(classes)) == (as_tuple(ref), ref_classes), seed
+
+
+def test_bipartite_induced_matches_edge_walk():
+    for seed in range(150):
+        G, rng = seeded_gnp(seed)
+        side = [rng.randrange(3) for _ in range(G.n)]  # 2: in neither part
+        A = {v for v in range(G.n) if side[v] == 0}
+        B = {v for v in range(G.n) if side[v] == 1}
+        H = ml.bipartite_induced(G, A, B)
+        assert as_tuple(H) == as_tuple(bipartite_induced_ref(G, A, B)), seed
+
+
 # -- matching ---------------------------------------------------------------
 
 
@@ -235,6 +317,29 @@ def test_saturating_matching_postconditions(G, data):
         xs = [x for _, x in result]
         assert len(set(xs)) == len(xs)
         assert all(G.has_edge(y, x) for y, x in result)
+
+
+def test_saturating_matching_matches_recursive_search():
+    for seed in range(200):
+        G, rng = seeded_gnp(seed)
+        side = [rng.randrange(3) for _ in range(G.n)]
+        Y = {v for v in range(G.n) if side[v] == 0}
+        X = {v for v in range(G.n) if side[v] == 1}
+        result = ml.saturating_matching(G, Y, X)
+        if isinstance(result, HallViolator):
+            result = result.witness
+        assert result == saturating_matching_ref(G, Y, X), seed
+
+
+def test_saturating_matching_long_augmenting_path():
+    # y_i ~ x_i, x_{i+1} for i < 3000 and y_3000 ~ x_0: each y_i first takes
+    # x_i, so y_3000 needs an augmenting path through all 3000 earlier pairs
+    c = 3000
+    xs = [c + 1 + i for i in range(c + 1)]
+    edges = [(i, xs[i]) for i in range(c)] + [(i, xs[i + 1]) for i in range(c)]
+    G = ml.from_edge_list(2 * c + 2, edges + [(c, xs[0])])
+    result = ml.saturating_matching(G, range(c + 1), xs)
+    assert result == [(i, xs[i + 1]) for i in range(c)] + [(c, xs[0])]
 
 
 # -- independent sets -------------------------------------------------------

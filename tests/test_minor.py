@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import minorlab as ml
 from minorlab import DenseModelParams, MinorModel
 from minorlab.minor import _elimination_width
-from oracles import has_kt_minor_brute
+from oracles import contraction_round_ref, has_kt_minor_brute
 
 
 def spoke_model():
@@ -405,6 +405,24 @@ def test_contraction_round_rejects_non_bipartition():
     with pytest.raises(ml.InputError):
         ml.contraction_round(G, frozenset({0, 1}), frozenset({2, 3}),
                              frozenset({2}), seed=0)
+
+
+def test_contraction_round_matches_edge_walk():
+    for case in range(120):
+        rng = random.Random(case)
+        n = rng.randint(0, 40)
+        in_a = [rng.random() < 0.5 for _ in range(n)]
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if in_a[u] != in_a[v] and rng.random() < p]
+        G = ml.from_edge_list(n, edges)
+        A = frozenset(v for v in range(n) if in_a[v])
+        B = frozenset(range(n)) - A
+        X = frozenset(v for v in B if rng.random() < 0.6)
+        for seed in range(4):
+            H = ml.contraction_round(G, A, B, X, seed=seed)
+            ref = contraction_round_ref(G, A, X, seed)
+            assert (H.n, H.adj, H.m) == (ref.n, ref.adj, ref.m), (case, seed)
 
 
 def test_contraction_round_completeness_rate():
