@@ -123,54 +123,48 @@ def exact_list_color(
     n = G.n
     effective = [sorted(lists[v]) for v in range(n)]
     coloring: dict[int, int] = {}
-    steps = [budget]
-
-    def choose() -> int:
-        best, best_key = -1, None
-        for v in range(n):
-            if v in coloring:
-                continue
-            key = (len(effective[v]), v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = v
-        return best
-
-    def rec() -> bool:
-        steps[0] -= 1
-        if steps[0] < 0:
+    steps = budget
+    # one frame per coloured vertex on the search path:
+    # [v, colours left, colour tried, neighbours it was struck from]
+    path: list[list] = []
+    while True:
+        steps -= 1
+        if steps < 0:
             raise BudgetExceeded("exact list coloring", budget, n)
         if len(coloring) == n:
-            return True
-        v = choose()
-        if not effective[v]:
-            return False
-        for c in effective[v]:
-            removed = []
-            ok = True
+            return dict(coloring)
+        v = min(
+            (u for u in range(n) if u not in coloring),
+            key=lambda u: (len(effective[u]), u),
+        )
+        path.append([v, iter(effective[v]), None, []])
+        while path:
+            frame = path[-1]
+            v, colours, c, struck = frame
+            if c is not None:
+                del coloring[v]
+                for u in struck:
+                    effective[u] = sorted(effective[u] + [c])
+            c = frame[2] = next(colours, None)
+            if c is None:
+                path.pop()
+                continue
+            # coloured before the check, so a failed try is undone like any other
+            coloring[v] = c
+            struck = frame[3] = []
             for u in bits(G.adj[v]):
                 if u in coloring:
                     if coloring[u] == c:
-                        ok = False
                         break
                 elif c in effective[u]:
                     effective[u] = [x for x in effective[u] if x != c]
-                    removed.append(u)
+                    struck.append(u)
                     if not effective[u]:
-                        ok = False
                         break
-            if ok:
-                coloring[v] = c
-                if rec():
-                    return True
-                del coloring[v]
-            for u in removed:
-                effective[u] = sorted(effective[u] + [c])
-        return False
-
-    if rec():
-        return dict(coloring)
-    return None
+            else:
+                break  # every neighbour keeps a colour: go one vertex deeper
+        else:
+            return None
 
 
 # ---------------------------------------------------------------------------

@@ -428,9 +428,10 @@ def _mis_search(
     best_size = 0
     best_mask = 0
     steps = budget
-
-    def rec(P: int, cur_mask: int, cur_size: int) -> bool:
-        nonlocal best_size, best_mask, steps
+    # pending (candidates, chosen mask, chosen size); the top is searched next
+    stack = [(start, 0, 0)]
+    while stack:
+        P, cur_mask, cur_size = stack.pop()
         steps -= 1
         if steps < 0:
             raise BudgetExceeded("independent-set search", budget, start.bit_count())
@@ -438,12 +439,12 @@ def _mis_search(
             best_size = cur_size
             best_mask = cur_mask
             if target is not None and best_size >= target:
-                return True
+                break
         if P == 0:
-            return False
+            continue
         limit = target if target is not None else best_size + 1
         if cur_size + _clique_cover_bound(adj, P) < limit:
-            return False
+            continue
         # pivot: highest degree inside P, lowest index on ties
         pivot = -1
         pivot_deg = -1
@@ -453,11 +454,9 @@ def _mis_search(
                 pivot_deg = dv
                 pivot = v
         pbit = 1 << pivot
-        if rec(P & ~(adj[pivot] | pbit), cur_mask | pbit, cur_size + 1):
-            return True
-        return rec(P & ~pbit, cur_mask, cur_size)
-
-    rec(start, 0, 0)
+        # drop the pivot after every set that takes it has been searched
+        stack.append((P & ~pbit, cur_mask, cur_size))
+        stack.append((P & ~(adj[pivot] | pbit), cur_mask | pbit, cur_size + 1))
     return best_size, best_mask
 
 

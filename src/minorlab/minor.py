@@ -218,6 +218,30 @@ def _elimination_width(G: Graph, live: int, stop: int) -> int:
 _TRANSPOSITION_CAP = 1_000_000
 
 
+def _remember(table: set[tuple[int, ...]], state: tuple[int, ...]) -> None:
+    """Record a failed search state unless the table is full."""
+    if len(table) < _TRANSPOSITION_CAP:
+        table.add(state)
+
+
+def _interior_distance(G: Graph, src: int, dst_nbr: int, allowed: int) -> int | None:
+    """Fewest absorbed vertices that could make src adjacent to the set
+    whose neighborhood is dst_nbr, walking only through allowed."""
+    if dst_nbr & src:
+        return 0
+    frontier = src
+    seen = src
+    dist = 0
+    while True:
+        frontier = adjacency_mask(G, frontier) & allowed & ~seen
+        if not frontier:
+            return None
+        dist += 1
+        if dst_nbr & frontier:
+            return dist
+        seen |= frontier
+
+
 def _branch_set_search(
     G: Graph, comp: int, t: int, budget: int, spent: list[int]
 ) -> list[int] | None:
@@ -235,155 +259,121 @@ def _branch_set_search(
     closures can never touch prunes its subtree permanently; a transposition
     table collapses states reached through different absorption orders.
     """
-
-    def above(v: int) -> int:
-        """Mask of all vertices strictly larger than v."""
-        return -1 << (v + 1)
-
     comp_size = comp.bit_count()
     failed_perm: set[tuple[int, ...]] = set()
-
-    def remember_perm(state: tuple[int, ...]) -> None:
-        if len(failed_perm) < _TRANSPOSITION_CAP:
-            failed_perm.add(state)
-
-    def interior_distance(src: int, dst_nbr: int, allowed: int) -> int | None:
-        """Fewest absorbed vertices that could make src adjacent to the set
-        whose neighborhood is dst_nbr, walking only through allowed."""
-        if dst_nbr & src:
-            return 0
-        frontier = src
-        seen = src
-        dist = 0
-        while True:
-            frontier = adjacency_mask(G, frontier) & allowed & ~seen
-            if not frontier:
-                return None
-            dist += 1
-            if dst_nbr & frontier:
-                return dist
-            seen |= frontier
-
-    def search(cap: int) -> tuple[list[int] | None, bool]:
-        failed_here: set[tuple[int, ...]] = set()
-
-        def remember(state: tuple[int, ...], cap_hit: bool) -> None:
-            if cap_hit:
-                if len(failed_here) < _TRANSPOSITION_CAP:
-                    failed_here.add(state)
-            else:
-                remember_perm(state)
-
-        def rec(
-            sets: list[int], seeds: list[int], avail: int, used: int
-        ) -> tuple[list[int] | None, bool]:
-            spent[0] += 1
-            if spent[0] > budget:
-                raise BudgetExceeded("minor search", budget, comp_size)
-            state = tuple(sets)
-            if state in failed_perm:
-                return None, False
-            if state in failed_here:
-                return None, True
-            k = len(sets)
-            nbr = [adjacency_mask(G, s) for s in sets]
-            deficient = [
-                (i, j)
-                for i in range(k)
-                for j in range(i + 1, k)
-                if not nbr[i] & sets[j]
-            ]
-            need_absorb = 0
-            if deficient:
-                for i, j in deficient:
-                    dist = interior_distance(
-                        sets[i], nbr[j], avail & above(min(seeds[i], seeds[j]))
-                    )
-                    if dist is None:
-                        remember_perm(state)
-                        return None, False
-                    need_absorb = max(need_absorb, dist)
-            floor_size = used + (t - k) + need_absorb
-            if floor_size > comp_size:
-                remember_perm(state)
-                return None, False
-            if floor_size > cap:
-                remember(state, True)
-                return None, True
-            if deficient:
-                grow = {}
-                for i in {x for pair in deficient for x in pair}:
-                    grow[i] = avail & nbr[i] & above(seeds[i])
-                best = None
-                best_count = None
-                for i, j in deficient:
-                    count = grow[i].bit_count() + grow[j].bit_count()
-                    if count == 0:
-                        remember_perm(state)
-                        return None, False
-                    if best_count is None or count < best_count:
-                        best_count = count
-                        best = (i, j)
-                i, j = best
-                moves = []
-                for side, other in ((i, j), (j, i)):
-                    for v in bits(grow[side]):
-                        # absorptions that finish the pair at once go first
-                        instant = 1 if G.adj[v] & sets[other] else 0
-                        moves.append((1 - instant, side, v))
-                moves.sort()
-                cap_hit = False
-                for _, side, v in moves:
-                    vb = 1 << v
-                    new_sets = sets.copy()
-                    new_sets[side] |= vb
-                    found, child_hit = rec(new_sets, seeds, avail & ~vb, used + 1)
-                    if found is not None:
-                        return found, False
-                    cap_hit = cap_hit or child_hit
-                remember(state, cap_hit)
-                return None, cap_hit
-            if k == t:
-                return sets, False
-            base = -1 if not seeds else seeds[-1]
-            cands = avail & above(base)
-            if cands.bit_count() < t - k:
-                remember_perm(state)
-                return None, False
-            # seeds already adjacent to more of the current sets go first
-            ranked = sorted(
-                (sum(0 if G.adj[v] & s else 1 for s in sets), v)
-                for v in bits(cands)
-            )
-            cap_hit = False
-            for _, v in ranked:
-                vb = 1 << v
-                found, child_hit = rec(sets + [vb], seeds + [v], avail & ~vb, used + 1)
-                if found is not None:
-                    return found, False
-                cap_hit = cap_hit or child_hit
-            remember(state, cap_hit)
-            return None, cap_hit
-
-        # rec refers to itself, so its closure cell keeps this table alive
-        # until a full collection; empty it on the way out instead.
-        try:
-            return rec([], [], comp, 0)
-        finally:
-            failed_here.clear()
-
+    failed_here: set[tuple[int, ...]] = set()
+    # a raised BudgetExceeded keeps this frame, and with it both tables,
+    # alive in its traceback for as long as the exception is held; empty
+    # them on the way out
     try:
-        if comp_size <= 14:
-            found, _ = search(comp_size)
-            return found
-        for cap in range(t, comp_size + 1):
-            found, cap_hit = search(cap)
-            if found is not None:
-                return found
-            if not cap_hit:
+        # a block of at most 14 vertices gets one pass, capped at its size
+        for cap in [comp_size] if comp_size <= 14 else range(t, comp_size + 1):
+            failed_here.clear()
+            # one frame per node on the search path:
+            # [state, sets, seeds, avail, used, moves left, cap_hit]
+            path: list[list] = []
+            sets, seeds, avail, used = [], [], comp, 0
+            while True:
+                spent[0] += 1
+                if spent[0] > budget:
+                    raise BudgetExceeded("minor search", budget, comp_size)
+                state = tuple(sets)
+                if state in failed_perm:
+                    pass  # fails at every cap
+                elif state in failed_here:
+                    path[-1][6] = True  # fails at this cap
+                else:
+                    moves: list[tuple[int, int, int]] = []
+                    cap_hit = False
+                    k = len(sets)
+                    nbr = [adjacency_mask(G, s) for s in sets]
+                    deficient = [
+                        (i, j)
+                        for i in range(k)
+                        for j in range(i + 1, k)
+                        if not nbr[i] & sets[j]
+                    ]
+                    # -2 << v is the mask of the vertices above v
+                    need_absorb = 0
+                    for i, j in deficient:
+                        dist = _interior_distance(
+                            G, sets[i], nbr[j], avail & (-2 << min(seeds[i], seeds[j]))
+                        )
+                        if dist is None:  # never adjacent: no model fits
+                            need_absorb = comp_size + 1
+                            break
+                        need_absorb = max(need_absorb, dist)
+                    floor_size = used + (t - k) + need_absorb
+                    if floor_size > cap:
+                        # a model that does not fit the block fails at every cap
+                        cap_hit = floor_size <= comp_size
+                    elif deficient:
+                        grow = {}
+                        for i in {x for pair in deficient for x in pair}:
+                            grow[i] = avail & nbr[i] & (-2 << seeds[i])
+                        best = None
+                        best_count = None
+                        for i, j in deficient:
+                            count = grow[i].bit_count() + grow[j].bit_count()
+                            if best_count is None or count < best_count:
+                                best_count = count
+                                best = (i, j)
+                                if count == 0:
+                                    break
+                        if best_count:
+                            i, j = best
+                            # absorptions that finish the pair at once go first
+                            moves = sorted([
+                                (0 if G.adj[v] & sets[other] else 1, side, v)
+                                for side, other in ((i, j), (j, i))
+                                for v in bits(grow[side])
+                            ])
+                    elif k == t:
+                        return sets
+                    else:
+                        cands = avail & (-2 << seeds[-1] if seeds else -1)
+                        if cands.bit_count() >= t - k:
+                            # seeds already adjacent to more of the current
+                            # sets go first; side k is a new set
+                            moves = sorted([
+                                (sum(0 if G.adj[v] & s else 1 for s in sets), k, v)
+                                for v in bits(cands)
+                            ])
+                    if moves:
+                        path.append([state, sets, seeds, avail, used, iter(moves), cap_hit])
+                    else:  # a dead end
+                        _remember(failed_here if cap_hit else failed_perm, state)
+                        if cap_hit:
+                            path[-1][6] = True
+                # descend along the next move, closing finished nodes on the way
+                while path:
+                    frame = path[-1]
+                    move = next(frame[5], None)
+                    if move is not None:
+                        break
+                    path.pop()
+                    state, _, _, _, _, _, hit = frame
+                    _remember(failed_here if hit else failed_perm, state)
+                    if hit and path:
+                        path[-1][6] = True
+                else:
+                    break
+                _, side, v = move
+                _, sets, seeds, avail, used, _, _ = frame
+                vb = 1 << v
+                avail &= ~vb
+                used += 1
+                if side == len(sets):
+                    sets = sets + [vb]
+                    seeds = seeds + [v]
+                else:
+                    sets = sets.copy()
+                    sets[side] |= vb
+            if not hit:
                 return None
         return None
     finally:
+        failed_here.clear()
         failed_perm.clear()
 
 

@@ -11,7 +11,11 @@ The subgraph references at the end (induced subgraph, contraction, bipartite
 induced subgraph, one random contraction round) walk the edge list and
 rebuild through :func:`from_edge_list`, independently of the library's mask
 quotient; the matching reference is the plain recursive augmenting-path
-search.
+search.  The three search references at the very end are the recursive
+versions of the library's explicit-stack searches (branch sets, maximum
+independent set, exact list colouring); they must visit the same nodes in
+the same order, so tests compare results and the steps each one spends
+(:func:`smallest_budget`).
 """
 
 from __future__ import annotations
@@ -19,7 +23,16 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from minorlab.graphs import Graph, from_edge_list
+from minorlab.errors import BudgetExceeded
+from minorlab.graphs import (
+    DEFAULT_BUDGET,
+    Graph,
+    _clique_cover_bound,
+    adjacency_mask,
+    bits,
+    from_edge_list,
+)
+from minorlab.minor import _TRANSPOSITION_CAP
 
 
 def has_kt_minor_brute(G: Graph, t: int) -> bool:
@@ -275,3 +288,268 @@ def saturating_matching_ref(G: Graph, Y, X):
     if violator is not None:
         return violator
     return sorted((y, x) for x, y in match_of_x.items())
+
+
+def branch_set_search_ref(
+    G: Graph, comp: int, t: int, budget: int, spent: list[int]
+) -> list[int] | None:
+    """Recursive branch-set search: the same nodes, order, tables and step
+    charges as :func:`minorlab.minor._branch_set_search`."""
+
+    def above(v: int) -> int:
+        return -1 << (v + 1)
+
+    comp_size = comp.bit_count()
+    failed_perm: set[tuple[int, ...]] = set()
+
+    def remember_perm(state: tuple[int, ...]) -> None:
+        if len(failed_perm) < _TRANSPOSITION_CAP:
+            failed_perm.add(state)
+
+    def interior_distance(src: int, dst_nbr: int, allowed: int) -> int | None:
+        if dst_nbr & src:
+            return 0
+        frontier = src
+        seen = src
+        dist = 0
+        while True:
+            frontier = adjacency_mask(G, frontier) & allowed & ~seen
+            if not frontier:
+                return None
+            dist += 1
+            if dst_nbr & frontier:
+                return dist
+            seen |= frontier
+
+    def search(cap: int) -> tuple[list[int] | None, bool]:
+        failed_here: set[tuple[int, ...]] = set()
+
+        def remember(state: tuple[int, ...], cap_hit: bool) -> None:
+            if cap_hit:
+                if len(failed_here) < _TRANSPOSITION_CAP:
+                    failed_here.add(state)
+            else:
+                remember_perm(state)
+
+        def rec(
+            sets: list[int], seeds: list[int], avail: int, used: int
+        ) -> tuple[list[int] | None, bool]:
+            spent[0] += 1
+            if spent[0] > budget:
+                raise BudgetExceeded("minor search", budget, comp_size)
+            state = tuple(sets)
+            if state in failed_perm:
+                return None, False
+            if state in failed_here:
+                return None, True
+            k = len(sets)
+            nbr = [adjacency_mask(G, s) for s in sets]
+            deficient = [
+                (i, j)
+                for i in range(k)
+                for j in range(i + 1, k)
+                if not nbr[i] & sets[j]
+            ]
+            need_absorb = 0
+            if deficient:
+                for i, j in deficient:
+                    dist = interior_distance(
+                        sets[i], nbr[j], avail & above(min(seeds[i], seeds[j]))
+                    )
+                    if dist is None:
+                        remember_perm(state)
+                        return None, False
+                    need_absorb = max(need_absorb, dist)
+            floor_size = used + (t - k) + need_absorb
+            if floor_size > comp_size:
+                remember_perm(state)
+                return None, False
+            if floor_size > cap:
+                remember(state, True)
+                return None, True
+            if deficient:
+                grow = {}
+                for i in {x for pair in deficient for x in pair}:
+                    grow[i] = avail & nbr[i] & above(seeds[i])
+                best = None
+                best_count = None
+                for i, j in deficient:
+                    count = grow[i].bit_count() + grow[j].bit_count()
+                    if count == 0:
+                        remember_perm(state)
+                        return None, False
+                    if best_count is None or count < best_count:
+                        best_count = count
+                        best = (i, j)
+                i, j = best
+                moves = []
+                for side, other in ((i, j), (j, i)):
+                    for v in bits(grow[side]):
+                        instant = 1 if G.adj[v] & sets[other] else 0
+                        moves.append((1 - instant, side, v))
+                moves.sort()
+                cap_hit = False
+                for _, side, v in moves:
+                    vb = 1 << v
+                    new_sets = sets.copy()
+                    new_sets[side] |= vb
+                    found, child_hit = rec(new_sets, seeds, avail & ~vb, used + 1)
+                    if found is not None:
+                        return found, False
+                    cap_hit = cap_hit or child_hit
+                remember(state, cap_hit)
+                return None, cap_hit
+            if k == t:
+                return sets, False
+            base = -1 if not seeds else seeds[-1]
+            cands = avail & above(base)
+            if cands.bit_count() < t - k:
+                remember_perm(state)
+                return None, False
+            ranked = sorted(
+                (sum(0 if G.adj[v] & s else 1 for s in sets), v)
+                for v in bits(cands)
+            )
+            cap_hit = False
+            for _, v in ranked:
+                vb = 1 << v
+                found, child_hit = rec(sets + [vb], seeds + [v], avail & ~vb, used + 1)
+                if found is not None:
+                    return found, False
+                cap_hit = cap_hit or child_hit
+            remember(state, cap_hit)
+            return None, cap_hit
+
+        return rec([], [], comp, 0)
+
+    if comp_size <= 14:
+        found, _ = search(comp_size)
+        return found
+    for cap in range(t, comp_size + 1):
+        found, cap_hit = search(cap)
+        if found is not None:
+            return found
+        if not cap_hit:
+            return None
+    return None
+
+
+def mis_search_ref(
+    G: Graph, start: int, budget: int, target: int | None
+) -> tuple[int, int]:
+    """Recursive branch and bound: the same nodes, order and step charges as
+    :func:`minorlab.graphs._mis_search`."""
+    adj = G.adj
+    best_size = 0
+    best_mask = 0
+    steps = budget
+
+    def rec(P: int, cur_mask: int, cur_size: int) -> bool:
+        nonlocal best_size, best_mask, steps
+        steps -= 1
+        if steps < 0:
+            raise BudgetExceeded("independent-set search", budget, start.bit_count())
+        if cur_size > best_size:
+            best_size = cur_size
+            best_mask = cur_mask
+            if target is not None and best_size >= target:
+                return True
+        if P == 0:
+            return False
+        limit = target if target is not None else best_size + 1
+        if cur_size + _clique_cover_bound(adj, P) < limit:
+            return False
+        pivot = -1
+        pivot_deg = -1
+        for v in bits(P):
+            dv = (adj[v] & P).bit_count()
+            if dv > pivot_deg:
+                pivot_deg = dv
+                pivot = v
+        pbit = 1 << pivot
+        if rec(P & ~(adj[pivot] | pbit), cur_mask | pbit, cur_size + 1):
+            return True
+        return rec(P & ~pbit, cur_mask, cur_size)
+
+    rec(start, 0, 0)
+    return best_size, best_mask
+
+
+def exact_list_color_ref(
+    G: Graph, lists, budget: int = DEFAULT_BUDGET
+) -> dict[int, int] | None:
+    """Recursive forward-checking search: the same nodes, order and step
+    charges as :func:`minorlab.coloring.exact_list_color`."""
+    n = G.n
+    effective = [sorted(lists[v]) for v in range(n)]
+    coloring: dict[int, int] = {}
+    steps = [budget]
+
+    def choose() -> int:
+        best, best_key = -1, None
+        for v in range(n):
+            if v in coloring:
+                continue
+            key = (len(effective[v]), v)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = v
+        return best
+
+    def rec() -> bool:
+        steps[0] -= 1
+        if steps[0] < 0:
+            raise BudgetExceeded("exact list coloring", budget, n)
+        if len(coloring) == n:
+            return True
+        v = choose()
+        if not effective[v]:
+            return False
+        for c in effective[v]:
+            removed = []
+            ok = True
+            for u in bits(G.adj[v]):
+                if u in coloring:
+                    if coloring[u] == c:
+                        ok = False
+                        break
+                elif c in effective[u]:
+                    effective[u] = [x for x in effective[u] if x != c]
+                    removed.append(u)
+                    if not effective[u]:
+                        ok = False
+                        break
+            if ok:
+                coloring[v] = c
+                if rec():
+                    return True
+                del coloring[v]
+            for u in removed:
+                effective[u] = sorted(effective[u] + [c])
+        return False
+
+    if rec():
+        return dict(coloring)
+    return None
+
+
+def smallest_budget(search):
+    """The least budget b with which search(b) does not raise BudgetExceeded,
+    and its result there; search(b - 1) raises."""
+    hi = 1
+    while True:
+        try:
+            result = search(hi)
+            break
+        except BudgetExceeded:
+            hi *= 2
+    lo = hi // 2  # raises, or is 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            result_mid = search(mid)
+        except BudgetExceeded:
+            lo = mid
+        else:
+            hi, result = mid, result_mid
+    return hi, result

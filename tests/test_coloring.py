@@ -5,6 +5,7 @@ import pytest
 
 import minorlab as ml
 from minorlab import coloring
+from oracles import exact_list_color_ref, smallest_budget
 
 
 PETERSEN_3COLORING = {0: 0, 1: 1, 2: 0, 3: 1, 4: 2, 5: 1, 6: 2, 7: 2, 8: 0, 9: 0}
@@ -115,6 +116,31 @@ def test_exact_list_color_budget():
     with pytest.raises(ml.BudgetExceeded) as info:
         ml.exact_list_color(G, ml.uniform_lists(12, 11), budget=20)
     assert (info.value.steps, info.value.n) == (20, 12)
+
+
+def test_exact_list_color_colours_a_long_path():
+    # the search path holds every vertex, far beyond the recursion limit
+    G = ml.path_graph(3000)
+    lists = ml.uniform_lists(3000, 2)
+    c = ml.exact_list_color(G, lists)
+    assert c is not None and ml.verify_list_coloring(G, lists, c)
+
+
+def test_exact_list_color_matches_the_recursive_search():
+    # same colouring and the same steps: budget b suffices at both, b - 1 at
+    # neither
+    cases = [(ml.path_graph(50), ml.uniform_lists(50, 2))]
+    for i in range(60):
+        n = 4 + i % 11
+        G = ml.gnp_random_graph(n, 0.2 + 0.1 * (i % 6), seed=8000 + i)
+        cases.append((G, ml.random_lists(n, 2 + i % 3, 4 + i % 4, seed=i)))
+    for G, lists in cases:
+        b, result = smallest_budget(lambda b: exact_list_color_ref(G, lists, b))
+        found = ml.exact_list_color(G, lists, budget=b)
+        assert found == result
+        assert found is None or list(found) == list(result)
+        with pytest.raises(ml.BudgetExceeded):
+            ml.exact_list_color(G, lists, budget=b - 1)
 
 
 def test_c4_is_two_choosable_by_brute_force():

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,13 +8,15 @@ from hypothesis import strategies as st
 
 import minorlab as ml
 from minorlab import HallViolator
-from minorlab.graphs import mask_components
+from minorlab.graphs import _mis_search, mask_components
 from oracles import (
     alpha_brute,
     bipartite_induced_ref,
     contract_ref,
     induced_subgraph_ref,
+    mis_search_ref,
     saturating_matching_ref,
+    smallest_budget,
 )
 
 
@@ -375,3 +378,41 @@ def test_find_independent_set_respects_size():
     S = ml.find_independent_set(G, 3)
     assert S is not None and len(S) >= 3
     assert ml.find_independent_set(ml.complete_graph(4), 2) is None
+
+
+def test_mis_search_matches_the_recursive_search():
+    # same sets and the same steps: budget b suffices at both, b - 1 at neither
+    for i in range(40):
+        n = 5 + i % 26
+        G = ml.gnp_random_graph(n, 0.1 + 0.1 * (i % 7), seed=7000 + i)
+        within = ml.mask_of(random.Random(i).sample(range(n), n // 2 + 1))
+        alpha = ml.exact_alpha(G)
+        cases = [(G.full_mask, None), (within, None)]
+        cases += [(G.full_mask, size) for size in (1, alpha // 2 + 1, alpha, alpha + 1)]
+        for start, target in cases:
+            b, result = smallest_budget(lambda b: mis_search_ref(G, start, b, target))
+            assert _mis_search(G, start, b, target) == result
+            with pytest.raises(ml.BudgetExceeded):
+                _mis_search(G, start, b - 1, target)
+
+
+def stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_independent_set_searches_need_no_stack():
+    # a recursive search needs a frame per vertex taken; these need none
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 40)
+    try:
+        found = ml.find_independent_set(ml.path_graph(240), 100)
+        alpha = ml.exact_alpha(ml.path_graph(120))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found is not None and len(found) >= 100
+    assert all(abs(u - v) != 1 for u in found for v in found)
+    assert alpha == 60

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minorlab as ml
-from minorlab import DenseModelParams, MinorModel
+from minorlab import DenseModelParams, MinorModel, minor
 from minorlab.minor import _elimination_width
-from oracles import contraction_round_ref, has_kt_minor_brute
+from oracles import branch_set_search_ref, contraction_round_ref, has_kt_minor_brute
 
 
 def spoke_model():
@@ -103,6 +103,59 @@ def test_exhausted_search_frees_its_tables():
         tracemalloc.stop()
         gc.enable()
     assert retained < 1_000_000
+
+
+def searched_blocks(monkeypatch, search, G, t, fast_paths, budget):
+    """The verdict of find_kt_minor_exact with `search` as its branch-set
+    search, and (block, outcome, steps spent so far) for each block searched."""
+    calls = []
+
+    def recorded(H, block, t, budget, spent):
+        try:
+            found = search(H, block, t, budget, spent)
+        except ml.BudgetExceeded:
+            calls.append((block, "budget", spent[0]))
+            raise
+        calls.append((block, found, spent[0]))
+        return found
+
+    monkeypatch.setattr(minor, "_branch_set_search", recorded)
+    try:
+        verdict = ml.find_kt_minor_exact(G, t, budget=budget, fast_paths=fast_paths)
+    except ml.BudgetExceeded as exc:
+        verdict = (exc.steps, exc.n)
+    return verdict, calls
+
+
+def test_branch_set_search_matches_the_recursive_search(monkeypatch):
+    # same models, verdicts and steps spent per block, deepening included;
+    # the K3 model of C_15 needs every vertex, so only the last cap finds it
+    # (after 37 907 steps)
+    loop = minor._branch_set_search
+    graphs = [
+        ml.gnp_random_graph(9 + i % 12, 0.25 + 0.05 * (i % 9), seed=9000 + i)
+        for i in range(0, 100, 5)
+    ]
+    graphs += [
+        ml.petersen_graph(),
+        ml.complete_bipartite(4, 6),
+        ml.lower_bound_bipartite(12, 12, 5, 0.05, seed=0),
+        subdivided_k5(),
+    ]
+    cases = [
+        (G, t, fast_paths, 20_000)
+        for G in graphs
+        for t in (4, 5, 6)
+        for fast_paths in (True, False)
+    ]
+    cases.append((ml.cycle_graph(15), 3, False, 40_000))
+    searched = 0
+    for case in cases:
+        got = searched_blocks(monkeypatch, loop, *case)
+        want = searched_blocks(monkeypatch, branch_set_search_ref, *case)
+        assert got == want
+        searched += bool(got[1])
+    assert searched >= 100
 
 
 def test_width_certificate_decides_petersen_at_six():
