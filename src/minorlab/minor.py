@@ -2,11 +2,12 @@
 
 A model of K_t in G is a family of t pairwise disjoint vertex sets, each
 inducing a connected subgraph, with an edge of G between every pair of sets.
-The exact search first reduces the graph series-parallel and skips blocks
-whose elimination width proves them free, then grows branch sets by
-backtracking with canonical-seed symmetry pruning; the two randomized
-procedures build models in dense graphs and in one random-contraction round
-of a bipartite graph.
+The exact search reduces the graph series-parallel, then settles each block
+in turn: an elimination width or a vertex and edge count proves it free, a
+greedy contraction finds a model, and only what is left goes to a search
+that grows branch sets by backtracking with canonical-seed symmetry pruning.
+The two randomized procedures build models in dense graphs and in one
+random-contraction round of a bipartite graph.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .graphs import (
     adjacency_mask,
     biconnected_blocks,
     bits,
+    find_independent_set,
     is_connected_mask,
     mask_components,
     mask_of,
@@ -215,6 +217,61 @@ def _elimination_width(G: Graph, live: int, stop: int) -> int:
     return width
 
 
+def _too_small_for_model(G: Graph, block: int, t: int, fast_paths: bool) -> bool:
+    """Counting certificate: whether `block` has too few vertices or edges
+    to hold a K_t model.
+
+    Singleton branch sets are pairwise adjacent, so a model has at most
+    w = min(omega, t) of them; each other set has at least two vertices and
+    an edge inside.  A block with a model therefore has at least 2t - w
+    vertices and C(t, 2) + t - w edges.  Any edge gives w >= 2, so omega is
+    looked at only when the counts demand w > 2, and then only for a clique
+    of the least size they admit, as an independent set of the complement.
+    That search gives up, and the block stays, after |block|^2 nodes.
+    Without `fast_paths`, w = t.
+    """
+    size = block.bit_count()
+    edges = sum((G.adj[v] & block).bit_count() for v in bits(block)) // 2
+    w_least = max(2 * t - size, t * (t - 1) // 2 + t - edges)
+    if w_least > t:
+        return True
+    if not fast_paths or w_least <= 2:
+        return False
+    comp = [0] * G.n
+    for v in bits(block):
+        comp[v] = block & ~G.adj[v] & ~(1 << v)
+    Gc = Graph(G.n, tuple(comp), sum(c.bit_count() for c in comp) // 2)
+    try:
+        return find_independent_set(Gc, w_least, size * size, bits(block)) is None
+    except BudgetExceeded:
+        return False
+
+
+def _greedy_contraction(G: Graph, block: int, t: int) -> list[int] | None:
+    """Branch sets of a K_t model found by contraction alone, or None.
+
+    Repeatedly contract the class of least degree (lowest id on ties) into
+    the neighbour sharing the fewest neighbours with it (lowest id on ties),
+    the order of the minor-min-width treewidth bound, until the quotient is
+    complete; t of its classes are then a model.  A class keeps the id of
+    the neighbour it was contracted into.  O(|block|^2) bitset operations.
+    """
+    adj = {v: G.adj[v] & block for v in bits(block)}
+    members = {v: 1 << v for v in adj}
+    while len(adj) >= t:
+        v = min(adj, key=lambda c: (adj[c].bit_count(), c))
+        nbrs = adj.pop(v)
+        if nbrs.bit_count() == len(adj):  # least degree k - 1: complete
+            return [members[c] for c in sorted(members)[:t]]
+        u = min(bits(nbrs), key=lambda c: ((adj[c] & nbrs).bit_count(), c))
+        members[u] |= members.pop(v)
+        ub, vb = 1 << u, 1 << v
+        for w in bits(nbrs):
+            adj[w] = adj[w] & ~vb | ub
+        adj[u] = (adj[u] | nbrs) & ~ub
+    return None
+
+
 _TRANSPOSITION_CAP = 1_000_000
 
 
@@ -387,11 +444,24 @@ def find_kt_minor_exact(
 
     Raises :class:`BudgetExceeded` when the node budget runs out, which is
     inconclusive.  With `fast_paths` enabled, t=3 reduces to cycle detection,
-    and for t >= 4 the search runs on the series-parallel reduction of G
-    (degree <= 1 vertices deleted, degree-2 vertices suppressed), skips every
-    block whose min-degree elimination width is below t-1 (treewidth never
-    grows under minors and tw(K_t) = t-1), and lifts a model found back onto
-    G.  Without it the search runs on every block of G.
+    and for t >= 4 each block of the series-parallel reduction of G (degree
+    <= 1 vertices deleted, degree-2 vertices suppressed) goes through, in
+    order:
+
+    1. the width certificate: a min-degree elimination width below t-1
+       proves the block free (treewidth never grows under minors and
+       tw(K_t) = t-1);
+    2. the counting certificate: too few vertices or edges for a model with
+       at most min(omega, t) singleton branch sets proves it free;
+    3. greedy contraction: a complete quotient on at least t classes is a
+       model, found without spending the budget;
+    4. the branch-set search.
+
+    A model found is lifted back onto G and validated.  The verdicts are
+    those of the search alone, but the models returned may differ from
+    those of versions without steps 2 and 3.  Without `fast_paths` every
+    block of G with at least t vertices and C(t, 2) edges goes straight to
+    the search, so its models and steps spent are the search's own.
     """
     if t < 1:
         raise InputError(f"clique order must be at least 1, got {t}")
@@ -409,18 +479,14 @@ def find_kt_minor_exact(
 
     # K_t is 2-connected for t >= 3, so any model lives inside one block.
     spent = [0]
-    need_edges = t * (t - 1) // 2
     for block in biconnected_blocks(H):
-        if block.bit_count() < t:
-            continue
-        block_edges = sum(
-            (H.adj[v] & block).bit_count() for v in bits(block)
-        ) // 2
-        if block_edges < need_edges:
-            continue
         if fast_paths and _elimination_width(H, block, t - 1) < t - 1:
             continue
-        masks = _branch_set_search(H, block, t, budget, spent)
+        if _too_small_for_model(H, block, t, fast_paths):
+            continue
+        masks = _greedy_contraction(H, block, t) if fast_paths else None
+        if masks is None:
+            masks = _branch_set_search(H, block, t, budget, spent)
         if masks is not None:
             model = MinorModel(tuple(set_of(m) for m in _lift(masks, suppressed)))
             defect = model_defect(G, model)

@@ -113,6 +113,30 @@ def test_lower_bound_outputs_are_minor_free_small_t():
             assert ml.find_kt_minor_exact(G, t) is None
 
 
+def lower_bound_edge_list_ref(a, b, t, eps, seed):
+    """The construction as first written: each block from gen_bipartite,
+    shifted into place as an edge list, then from_edge_list."""
+    _, x_star = ml.lambda_constant(1e-9)
+    p = 1.0 - math.exp(-x_star)
+    k = math.ceil(math.sqrt((1 - eps / 4) * 2 * x_star * a * b / (t * t * math.log(t))))
+    a_blk, b_blk = a // k, b // k
+    edges = []
+    for i in range(k):
+        block = ml.gen_bipartite(ml.BipartiteSpec(a_blk, b_blk, p, ml.derive_seed(seed, i)))
+        for u, w in block.edges():
+            edges.append((i * a_blk + u, a + i * b_blk + (w - a_blk)))
+    return ml.from_edge_list(a + b, edges)
+
+
+def test_lower_bound_matches_edge_list_construction():
+    shapes = [(12, 12, 5), (30, 30, 4), (40, 40, 5), (60, 60, 6), (25, 47, 5), (80, 33, 3)]
+    for a, b, t in shapes:
+        for seed in (0, 1, 7, 104729):
+            for eps in (0.05, 0.5):
+                G = ml.lower_bound_bipartite(a, b, t, eps, seed=seed)
+                assert G == lower_bound_edge_list_ref(a, b, t, eps, seed), (a, b, t, seed)
+
+
 def test_lower_bound_degenerate_split_is_reported():
     # a lopsided shape forces more blocks than the short side can supply
     with pytest.raises(ml.ConstructionError):

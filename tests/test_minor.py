@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import random
 import time
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 
 import minorlab as ml
 from minorlab import DenseModelParams, MinorModel, minor
-from minorlab.minor import _elimination_width
+from minorlab.graphs import biconnected_blocks, set_of
+from minorlab.minor import (
+    _elimination_width,
+    _greedy_contraction,
+    _lift,
+    _series_parallel_reduce,
+    _too_small_for_model,
+)
 from oracles import branch_set_search_ref, contraction_round_ref, has_kt_minor_brute
 
 
@@ -130,16 +138,21 @@ def searched_blocks(monkeypatch, search, G, t, fast_paths, budget):
 def test_branch_set_search_matches_the_recursive_search(monkeypatch):
     # same models, verdicts and steps spent per block, deepening included;
     # the K3 model of C_15 needs every vertex, so only the last cap finds it
-    # (after 37 907 steps)
+    # (after 37 907 steps).  With fast paths the greedy contraction settles
+    # nearly every G(n, p) case before the search, so those reach it mostly
+    # without fast paths; the lower-bound graphs at t = 6 reach it with them
     loop = minor._branch_set_search
     graphs = [
         ml.gnp_random_graph(9 + i % 12, 0.25 + 0.05 * (i % 9), seed=9000 + i)
-        for i in range(0, 100, 5)
+        for i in range(100)
+        if i % 5 < 2
     ]
     graphs += [
         ml.petersen_graph(),
         ml.complete_bipartite(4, 6),
         ml.lower_bound_bipartite(12, 12, 5, 0.05, seed=0),
+        ml.lower_bound_bipartite(20, 20, 6, 0.05, seed=0),
+        ml.lower_bound_bipartite(20, 20, 6, 0.05, seed=2),
         subdivided_k5(),
     ]
     cases = [
@@ -149,13 +162,159 @@ def test_branch_set_search_matches_the_recursive_search(monkeypatch):
         for fast_paths in (True, False)
     ]
     cases.append((ml.cycle_graph(15), 3, False, 40_000))
-    searched = 0
+    searched = searched_fast = 0
     for case in cases:
         got = searched_blocks(monkeypatch, loop, *case)
         want = searched_blocks(monkeypatch, branch_set_search_ref, *case)
         assert got == want
         searched += bool(got[1])
+        searched_fast += bool(got[1]) and case[2]
     assert searched >= 100
+    assert searched_fast >= 3
+
+
+def test_without_fast_paths_models_and_steps_are_unchanged(monkeypatch):
+    # digest of every verdict and of (block, outcome, steps spent) per
+    # searched block without fast paths, taken before the counting
+    # certificate and the greedy contraction were added
+    loop = minor._branch_set_search
+    graphs = [
+        ml.gnp_random_graph(9 + i % 12, 0.25 + 0.05 * (i % 9), seed=9400 + i)
+        for i in range(40)
+    ]
+    graphs += [
+        ml.petersen_graph(),
+        ml.complete_bipartite(4, 6),
+        ml.lower_bound_bipartite(12, 12, 5, 0.05, seed=0),
+        subdivided_k5(),
+    ]
+    digest = hashlib.sha256()
+    for G in graphs:
+        for t in (4, 5, 6):
+            verdict, calls = searched_blocks(monkeypatch, loop, G, t, False, 20_000)
+            if isinstance(verdict, MinorModel):
+                verdict = [sorted(b) for b in verdict.branch_sets]
+            digest.update(repr((verdict, calls)).encode())
+    assert digest.hexdigest() == (
+        "fff7773cf71a9e34b053c4bf444a7bb1308067892692dbb909950f3a2d53e137"
+    )
+
+
+def test_fast_paths_agree_with_brute_and_settle_blocks_first(monkeypatch):
+    # the counting certificate and the greedy contraction both decide
+    # blocks here, and every verdict is the partition oracle's
+    settled = {"counting": 0, "contraction": 0}
+
+    def counting(H, block, t, fast_paths):
+        skip = _too_small_for_model(H, block, t, fast_paths)
+        settled["counting"] += skip and not _too_small_for_model(H, block, t, False)
+        return skip
+
+    def contraction(H, block, t):
+        masks = _greedy_contraction(H, block, t)
+        settled["contraction"] += masks is not None
+        return masks
+
+    monkeypatch.setattr(minor, "_too_small_for_model", counting)
+    monkeypatch.setattr(minor, "_greedy_contraction", contraction)
+    graphs = []
+    for i in range(30):
+        graphs.append(ml.gnp_random_graph(8 + i % 3, 0.3 + 0.05 * (i % 8), seed=9600 + i))
+        spec = ml.BipartiteSpec(4 + i % 2, 5, 0.4 + 0.05 * (i % 8), 9700 + i)
+        graphs.append(ml.gen_bipartite(spec))
+    # dense graphs with subdivided edges: the reduction suppresses the
+    # subdivision vertices and leaves triangles behind
+    rng = random.Random(9650)
+    for _ in range(30):
+        n = rng.randint(5, 7)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.7]
+        for _ in range(min(rng.randint(1, 3), len(edges))):
+            u, v = edges.pop(rng.randrange(len(edges)))
+            edges += [(u, n), (n, v)]
+            n += 1
+        graphs.append(ml.from_edge_list(n, edges))
+    for G in graphs:
+        for t in (4, 5, 6):
+            model = ml.find_kt_minor_exact(G, t)
+            assert (model is not None) == has_kt_minor_brute(G, t), (G, t)
+            assert model is None or (model.t == t and ml.validate_model(G, model))
+    assert settled["counting"] >= 2 and settled["contraction"] >= 90, settled
+
+
+def test_greedy_contraction_models_are_valid():
+    # on every block, reduced or not, a returned model is valid in the graph
+    # the block came from, and after lifting in the graph before reduction
+    graphs = [
+        ml.gnp_random_graph(6 + i % 30, 0.1 + 0.05 * (i % 12), seed=9800 + i)
+        for i in range(150)
+    ]
+    graphs += [ml.lower_bound_bipartite(s, s, 5, 0.05, seed=1) for s in (20, 40, 60)]
+    graphs += [subdivided_k5(), ml.petersen_graph(), triangulated_strip(4, 6)]
+    found = 0
+    for G in graphs:
+        H, suppressed = _series_parallel_reduce(G)
+        for t in (3, 4, 5, 6, 7):
+            for F, lift in ((G, []), (H, suppressed)):
+                for block in biconnected_blocks(F):
+                    masks = _greedy_contraction(F, block, t)
+                    if masks is None:
+                        continue
+                    found += 1
+                    assert len(masks) == t and all(m & ~block == 0 for m in masks)
+                    assert ml.model_defect(F, MinorModel(tuple(map(set_of, masks)))) is None
+                    lifted = MinorModel(tuple(map(set_of, _lift(masks, lift))))
+                    assert ml.model_defect(G, lifted) is None
+    assert found >= 300, found
+
+
+def test_counting_certificate_never_skips_a_block_with_a_model():
+    # blocks of the reduced lower-bound graphs that only the clique number
+    # proves too small: the recursive search, run to the end, finds no
+    # model in any of them
+    skipped = 0
+    for s in (12, 16, 20, 24):
+        for t in (5, 6):
+            for seed in range(10):
+                G = ml.lower_bound_bipartite(s, s, t, 0.05, seed=seed)
+                H, _ = _series_parallel_reduce(G)
+                for block in biconnected_blocks(H):
+                    if _too_small_for_model(H, block, t, False):
+                        continue
+                    if _too_small_for_model(H, block, t, True):
+                        skipped += 1
+                        assert branch_set_search_ref(H, block, t, 10**6, [0]) is None
+    assert skipped >= 40, skipped
+
+
+def test_counting_certificate_with_clique_number_two():
+    # Petersen at t = 6: 10 vertices and 15 edges, and it has no triangle,
+    # so a model needs 2t - 2 = 10 vertices and C(6,2) + 4 = 19 edges
+    P = ml.petersen_graph()
+    assert not _too_small_for_model(P, P.full_mask, 6, False)
+    assert _too_small_for_model(P, P.full_mask, 6, True)
+    # K_{3,3} plus an edge has a triangle but K5 would need 2*5 - 3 = 7 vertices
+    G = ml.from_edge_list(6, [(u, v) for u in range(3) for v in range(3, 6)] + [(0, 1)])
+    assert _too_small_for_model(G, G.full_mask, 5, True)
+
+
+def test_counting_certificate_gives_up_on_a_long_clique_search(monkeypatch):
+    # K_{3,...,3} with 13 parts at t = 27: a model needs a clique on
+    # 2t - 39 = 15 vertices and the clique number is 13, so no search step
+    # is spent
+    G = ml.complete_multipartite([3] * 13)
+    assert ml.find_kt_minor_exact(G, 27, budget=1) is None
+    # a clique search that runs out of its |block|^2 nodes keeps the block,
+    # and the budgeted search decides
+    caps = []
+
+    def gives_up(H, size, budget, within):
+        caps.append(budget)
+        raise ml.BudgetExceeded("independent-set search", budget, H.n)
+
+    monkeypatch.setattr(minor, "find_independent_set", gives_up)
+    with pytest.raises(ml.BudgetExceeded):
+        ml.find_kt_minor_exact(G, 27, budget=1)
+    assert caps == [39 * 39]
 
 
 def test_width_certificate_decides_petersen_at_six():
