@@ -1,7 +1,7 @@
 """List coloring: greedy, exact, and the randomized pipelines.
 
 A list assignment is a sequence of color sets, one per vertex; a coloring is
-a dict from vertex to chosen color (possibly partial mid-recursion).  Every
+a dict from vertex to chosen color (possibly partial between levels).  Every
 public operation that returns a coloring returns one that passes
 :func:`verify_list_coloring`; randomized procedures return None on failure
 rather than ever emitting an improper coloring.
@@ -26,8 +26,8 @@ from .graphs import (
     DEFAULT_BUDGET,
     Graph,
     bits,
+    checked_vertices,
     degeneracy,
-    exact_alpha,
     find_independent_set,
     induced_subgraph_with_map,
     mask_of,
@@ -82,7 +82,7 @@ def greedy_list_color(G: Graph, lists: ListAssignment, order=None) -> dict[int, 
     """
     _check_lists(G, lists)
     coloring: dict[int, int] = {}
-    for v in order if order is not None else range(G.n):
+    for v in range(G.n) if order is None else checked_vertices(G, order):
         taken = {coloring[u] for u in bits(G.adj[v]) if u in coloring}
         free = sorted(set(lists[v]) - taken)
         if not free:
@@ -226,7 +226,7 @@ def multipartite_list_color(
 
 
 # ---------------------------------------------------------------------------
-# Hall-ratio driven recursion
+# Hall-ratio driven colouring, level by level
 # ---------------------------------------------------------------------------
 
 
@@ -274,122 +274,103 @@ def hall_ratio_list_color(
     trials: int = 64,
     budget: int = DEFAULT_BUDGET,
     max_redraws: int = 64,
-    _depth: int = 0,
-    _n_top: int | None = None,
 ) -> dict[int, int] | None:
-    """Recursive list coloring driven by a promised Hall ratio bound.
+    """List coloring driven by a promised Hall ratio bound, one level at a time.
 
-    The caller promises ceil(v(H) / alpha(H)) <= rho for every subgraph H;
-    the promise is spot-checked on each recursion level (budget permitting)
-    and violations raise :class:`HallRatioViolation`.
+    The caller promises ceil(v(H) / alpha(H)) <= rho for every subgraph H.
+    On each level the promise is checked on the level's graph with a witness:
+    it holds exactly when alpha >= ceil(n / floor(rho)), so a target-stopping
+    independent-set search that proves no such set exists raises
+    :class:`HallRatioViolation` (a search out of budget takes the promise on
+    faith).
 
-    Large instances split a random global color subset off the lists,
-    extract k = ceil((1 - 1/e) n / s) disjoint independent sets of size
-    s = floor(n / (e rho)), color their union from the split-off colors via
-    :func:`multipartite_list_color`, and recurse on the remainder with the
-    remaining colors.  The color subset is redrawn (up to `max_redraws`
-    times) until every vertex keeps between (C/2) rho log(n/rho) and
-    (3C/2) rho log(n/rho) of its list.
+    A large level splits a random global color subset off its lists, extracts
+    k = ceil((1 - 1/e) n / s) disjoint independent sets of size
+    s = floor(n / (e rho)), colors their union from the split-off colors via
+    :func:`multipartite_list_color`, and hands the uncolored rest to the next
+    level with the remaining colors.  The color subset is redrawn (up to
+    `max_redraws` times) until every vertex keeps between (C/2) rho log(n/rho)
+    and (3C/2) rho log(n/rho) of its list.  There are at most
+    ceil(log(n / rho)) + 2 levels; more is an :class:`InvariantViolation`.
 
-    Small instances, and instances whose lists are too short for the
-    redraw window to ever accept, fall back to sequential greedy and then
-    to exact search.
+    A small level, or one whose lists are too short for the redraw window to
+    ever accept, is the last: it falls back to sequential greedy and then to
+    exact search.
     """
     _check_lists(G, lists)
-    if rho < 1:
+    if not rho >= 1:
         raise InputError(f"the Hall ratio bound must be at least 1, got {rho}")
-    n = G.n
-    if n == 0:
+    if G.n == 0:
         return {}
-    if _n_top is None:
-        _n_top = n
-    else:
-        limit = math.ceil(math.log(_n_top / rho)) + 1
-        if _depth > limit:
-            raise InvariantViolation(
-                f"recursion depth {_depth} exceeded the bound {limit}"
+    limit = math.ceil(math.log(G.n / min(rho, G.n))) + 1
+    coloring: dict[int, int] = {}
+    ids = range(G.n)  # original id of each vertex of the level's graph
+    for _ in range(limit + 1):
+        n = G.n
+        need = -(-n // math.floor(min(rho, n)))
+        try:
+            broken = find_independent_set(G, need, budget=budget) is None
+        except BudgetExceeded:
+            broken = False  # promise taken on faith when too big to check
+        if broken:
+            raise HallRatioViolation(
+                f"graph of {n} vertices has no independent set of {need}, "
+                f"so ceil(n / alpha) > {rho}"
             )
 
-    try:
-        alpha = exact_alpha(G, budget=budget)
-    except BudgetExceeded:
-        alpha = None  # promise taken on faith when too big to check
-    if alpha is not None and math.ceil(n / alpha) > rho:
-        raise HallRatioViolation(
-            f"graph itself has ceil(n / alpha) = {math.ceil(n / alpha)} > {rho}"
-        )
+        min_list = min(len(L) for L in lists)
+        if n <= 3 * math.e * rho or not min_list >= C * rho * math.log(n / rho) ** 2:
+            phi = greedy_list_color(G, lists)
+            if phi is None:
+                try:
+                    phi = exact_list_color(G, lists, budget=budget)
+                except BudgetExceeded:
+                    logger.debug("base-case exact search ran out of budget (n=%d)", n)
+            if phi is None:
+                return None
+            coloring.update({ids[i]: c for i, c in phi.items()})
+            return coloring
 
-    min_list = min((len(L) for L in lists), default=0)
-    base_case = n <= 3 * math.e * rho
-    window_ok = (
-        not base_case and min_list >= C * rho * math.log(n / rho) ** 2
-    )
-    if base_case or not window_ok:
-        coloring = greedy_list_color(G, lists)
-        if coloring is None:
-            try:
-                coloring = exact_list_color(G, lists, budget=budget)
-            except BudgetExceeded:
-                logger.debug("base-case exact search ran out of budget (n=%d)", n)
-                coloring = None
-        return coloring
-
-    log_ratio = math.log(n / rho)
-    keep_p = 1.0 / log_ratio
-    lo = C / 2 * rho * log_ratio
-    hi = 3 * C / 2 * rho * log_ratio
-    pool = sorted(set().union(*lists))
-
-    kept = None
-    for redraw in range(max_redraws):
-        rng = random.Random(derive_seed(seed, 3 + redraw))
-        candidate = {c for c in pool if rng.random() < keep_p}
-        sizes = [len(set(L) & candidate) for L in lists]
-        if all(lo <= sz <= hi for sz in sizes):
-            kept = candidate
-            break
-    if kept is None:
-        return None
-
-    first, second = split_lists_by_colors(lists, kept)
-    s = int(n / (math.e * rho))
-    k = math.ceil((1 - 1 / math.e) * n / s)
-    sets = independent_sets_extract(G, s, k, budget=budget)
-    if k * s < (1 - 1 / math.e) * n - s:
-        raise InvariantViolation("extracted union is smaller than the level target")
-
-    X = sorted(set().union(*sets))
-    H, old_ids = induced_subgraph_with_map(G, X)
-    pos = {v: i for i, v in enumerate(old_ids)}
-    local_parts = [frozenset(pos[v] for v in part) for part in sets]
-    local_lists = [first[old_ids[i]] for i in range(H.n)]
-    phi1 = multipartite_list_color(
-        H, local_parts, local_lists, trials=trials, seed=derive_seed(seed, 0)
-    )
-    if phi1 is None:
-        return None
-
-    rest = sorted(set(range(n)) - set(X))
-    coloring = {old_ids[i]: c for i, c in phi1.items()}
-    if rest:
-        R, rest_ids = induced_subgraph_with_map(G, rest)
-        rest_lists = [second[rest_ids[i]] for i in range(R.n)]
-        phi2 = hall_ratio_list_color(
-            R,
-            rest_lists,
-            rho,
-            C=C,
-            seed=derive_seed(seed, 2),
-            trials=trials,
-            budget=budget,
-            max_redraws=max_redraws,
-            _depth=_depth + 1,
-            _n_top=_n_top,
-        )
-        if phi2 is None:
+        log_ratio = math.log(n / rho)
+        keep_p = 1.0 / log_ratio
+        lo = C / 2 * rho * log_ratio
+        hi = 3 * C / 2 * rho * log_ratio
+        pool = sorted(set().union(*lists))
+        for redraw in range(max_redraws):
+            rng = random.Random(derive_seed(seed, 3 + redraw))
+            kept = {c for c in pool if rng.random() < keep_p}
+            if all(lo <= len(set(L) & kept) <= hi for L in lists):
+                break
+        else:
             return None
-        coloring.update({rest_ids[i]: c for i, c in phi2.items()})
-    return coloring
+
+        first, second = split_lists_by_colors(lists, kept)
+        s = int(n / (math.e * rho))
+        k = math.ceil((1 - 1 / math.e) * n / s)
+        sets = independent_sets_extract(G, s, k, budget=budget)
+        if k * s < (1 - 1 / math.e) * n - s:
+            raise InvariantViolation("extracted union is smaller than the level target")
+
+        X = sorted(set().union(*sets))
+        H, old_ids = induced_subgraph_with_map(G, X)
+        pos = {v: i for i, v in enumerate(old_ids)}
+        local_parts = [frozenset(pos[v] for v in part) for part in sets]
+        local_lists = [first[v] for v in old_ids]
+        phi = multipartite_list_color(
+            H, local_parts, local_lists, trials=trials, seed=derive_seed(seed, 0)
+        )
+        if phi is None:
+            return None
+        coloring.update({ids[old_ids[i]]: c for i, c in phi.items()})
+
+        rest = sorted(set(range(n)) - set(X))
+        if not rest:
+            return coloring
+        G, rest_ids = induced_subgraph_with_map(G, rest)
+        ids = [ids[v] for v in rest_ids]
+        lists = [second[v] for v in rest_ids]
+        seed = derive_seed(seed, 2)
+    raise InvariantViolation(f"depth {limit + 1} exceeded the bound {limit}")
 
 
 # ---------------------------------------------------------------------------

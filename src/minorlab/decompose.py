@@ -27,6 +27,7 @@ from .graphs import (
     quotient,
     saturating_matching,
     set_of,
+    within_mask,
 )
 
 
@@ -121,7 +122,7 @@ def peel_piece(G: Graph, d: int, within: Iterable[int] | None = None) -> frozens
     degree is at most d; otherwise delegate to :func:`small_coboundary_piece`
     with k = floor(d / 6) (coboundary at most 3k <= d/2) on an induced copy.
     """
-    live = G.full_mask if within is None else mask_of(within)
+    live = within_mask(G, within)
     if live == 0:
         raise PreconditionError("the graph must be non-empty")
     if d < 6:

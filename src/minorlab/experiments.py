@@ -13,7 +13,7 @@ import json
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .coloring import (
@@ -53,19 +53,6 @@ from .minor import (
 from .seeds import derive_seed
 
 SCHEMA_VERSION = 1
-
-SUITES = (
-    "dense-model",
-    "contraction-round",
-    "decompose",
-    "alon",
-    "hallratio",
-    "minorfree",
-    "extremal-bipartite",
-    "extremal-connectivity",
-    "bounds",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -318,41 +305,33 @@ def _trial_bounds(config: ExperimentConfig, i: int) -> dict:
     return rec
 
 
-_TRIALS = {
-    "dense-model": _trial_dense_model,
-    "contraction-round": _trial_contraction_round,
-    "decompose": _trial_decompose,
-    "alon": _trial_alon,
-    "hallratio": _trial_hallratio,
-    "minorfree": _trial_minorfree,
-    "extremal-bipartite": _trial_extremal_bipartite,
-    "extremal-connectivity": _trial_extremal_connectivity,
-    "bounds": _trial_bounds,
+#: Each suite's trial function and the record keys its summary gives rates of.
+_SUITES = {
+    "dense-model": (_trial_dense_model, ("success", "validated")),
+    "contraction-round": (_trial_contraction_round, ("complete",)),
+    "decompose": (_trial_decompose, ("valid",)),
+    "alon": (_trial_alon, ("success", "valid")),
+    "hallratio": (_trial_hallratio, ("success", "valid")),
+    "minorfree": (_trial_minorfree, ("success", "valid")),
+    "extremal-bipartite": (_trial_extremal_bipartite, ("minor_free",)),
+    "extremal-connectivity": (
+        _trial_extremal_connectivity,
+        ("kappa_ok", "small_kappa_ok", "small_minor_free"),
+    ),
+    "bounds": (_trial_bounds, ()),
 }
 
-_SUMMARY_RATES = {
-    "dense-model": ("success", "validated"),
-    "contraction-round": ("complete",),
-    "decompose": ("valid",),
-    "alon": ("success", "valid"),
-    "hallratio": ("success", "valid"),
-    "minorfree": ("success", "valid"),
-    "extremal-bipartite": ("minor_free",),
-    "extremal-connectivity": ("kappa_ok", "small_kappa_ok", "small_minor_free"),
-    "bounds": (),
-}
+SUITES = tuple(_SUITES)
 
 
-def _dispatch(args: tuple) -> dict:
-    suite, config_fields, i = args
-    config = ExperimentConfig(**config_fields)
-    return _TRIALS[suite](config, i)
+def _dispatch(job: tuple[ExperimentConfig, int]) -> dict:
+    config, i = job
+    return _SUITES[config.suite][0](config, i)
 
 
 def run_suite(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     """Run every trial of a suite and aggregate a deterministic report."""
-    fields = asdict(config)
-    jobs = [(config.suite, fields, i) for i in range(config.trials)]
+    jobs = [(config, i) for i in range(config.trials)]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             records = list(pool.map(_dispatch, jobs))
@@ -361,7 +340,7 @@ def run_suite(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     records.sort(key=lambda r: r["trial"])
 
     summary: dict = {"records": len(records)}
-    for key in _SUMMARY_RATES[config.suite]:
+    for key in _SUITES[config.suite][1]:
         summary[f"{key}_rate"] = _rate(records, key)
     columns = tuple(records[0].keys())
     report = ExperimentReport(

@@ -306,6 +306,21 @@ def contract_with_classes(
     return quotient(G, masks), tuple(set_of(c) for c in masks)
 
 
+def checked_vertices(G: Graph, vertices: Iterable[int]) -> list[int]:
+    """`vertices` as a list, in their order; raises InputError on an id that
+    is not a vertex of G."""
+    out = list(vertices)
+    for v in out:
+        if not 0 <= v < G.n:
+            raise InputError(f"vertex {v} out of range for n={G.n}")
+    return out
+
+
+def within_mask(G: Graph, within: Iterable[int] | None) -> int:
+    """The mask of the vertices in `within`, or of all of G when it is None."""
+    return G.full_mask if within is None else mask_of(checked_vertices(G, within))
+
+
 def induced_subgraph_with_map(
     G: Graph, vertices: Iterable[int]
 ) -> tuple[Graph, list[int]]:
@@ -313,10 +328,7 @@ def induced_subgraph_with_map(
 
     Returns (H, old_ids) where `old_ids[i]` is the original id of vertex i.
     """
-    old_ids = sorted(set(vertices))
-    for v in old_ids:
-        if not 0 <= v < G.n:
-            raise InputError(f"vertex {v} out of range for n={G.n}")
+    old_ids = sorted(set(checked_vertices(G, vertices)))
     return quotient(G, [1 << v for v in old_ids]), old_ids
 
 
@@ -464,8 +476,7 @@ def max_independent_set(
     G: Graph, budget: int = DEFAULT_BUDGET, within: Iterable[int] | None = None
 ) -> frozenset[int]:
     """An exact maximum independent set (of the induced subgraph on `within`)."""
-    start = G.full_mask if within is None else mask_of(within)
-    _, best = _mis_search(G, start, budget, None)
+    _, best = _mis_search(G, within_mask(G, within), budget, None)
     return set_of(best)
 
 
@@ -482,9 +493,9 @@ def find_independent_set(
     within: Iterable[int] | None = None,
 ) -> frozenset[int] | None:
     """Some independent set of at least `size` vertices, or None if impossible."""
+    start = within_mask(G, within)
     if size <= 0:
         return frozenset()
-    start = G.full_mask if within is None else mask_of(within)
     got, best = _mis_search(G, start, budget, size)
     if got >= size:
         return set_of(best)

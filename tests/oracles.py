@@ -15,24 +15,46 @@ search.  The three search references at the very end are the recursive
 versions of the library's explicit-stack searches (branch sets, maximum
 independent set, exact list colouring); they must visit the same nodes in
 the same order, so tests compare results and the steps each one spends
-(:func:`smallest_budget`).
+(:func:`smallest_budget`).  The last one, :func:`hall_ratio_list_color_ref`,
+is the recursive Hall-ratio colouring with its `exact_alpha` promise check;
+the library's loop over levels must return the same colouring, or raise the
+same error, on every input.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
-from minorlab.errors import BudgetExceeded
+from minorlab.coloring import (
+    ListAssignment,
+    _check_lists,
+    exact_list_color,
+    greedy_list_color,
+    independent_sets_extract,
+    logger,
+    multipartite_list_color,
+    split_lists_by_colors,
+)
+from minorlab.errors import (
+    BudgetExceeded,
+    HallRatioViolation,
+    InputError,
+    InvariantViolation,
+)
 from minorlab.graphs import (
     DEFAULT_BUDGET,
     Graph,
     _clique_cover_bound,
     adjacency_mask,
     bits,
+    exact_alpha,
     from_edge_list,
+    induced_subgraph_with_map,
 )
 from minorlab.minor import _TRANSPOSITION_CAP
+from minorlab.seeds import derive_seed
 
 
 def has_kt_minor_brute(G: Graph, t: int) -> bool:
@@ -553,3 +575,130 @@ def smallest_budget(search):
         else:
             hi, result = mid, result_mid
     return hi, result
+
+
+def hall_ratio_list_color_ref(
+    G: Graph,
+    lists: ListAssignment,
+    rho: float,
+    C: float = 2.0,
+    seed: int = 0,
+    trials: int = 64,
+    budget: int = DEFAULT_BUDGET,
+    max_redraws: int = 64,
+    _depth: int = 0,
+    _n_top: int | None = None,
+) -> dict[int, int] | None:
+    """Recursive list coloring driven by a promised Hall ratio bound.
+
+    The caller promises ceil(v(H) / alpha(H)) <= rho for every subgraph H;
+    the promise is spot-checked on each recursion level (budget permitting)
+    and violations raise :class:`HallRatioViolation`.
+
+    Large instances split a random global color subset off the lists,
+    extract k = ceil((1 - 1/e) n / s) disjoint independent sets of size
+    s = floor(n / (e rho)), color their union from the split-off colors via
+    :func:`multipartite_list_color`, and recurse on the remainder with the
+    remaining colors.  The color subset is redrawn (up to `max_redraws`
+    times) until every vertex keeps between (C/2) rho log(n/rho) and
+    (3C/2) rho log(n/rho) of its list.
+
+    Small instances, and instances whose lists are too short for the
+    redraw window to ever accept, fall back to sequential greedy and then
+    to exact search.
+    """
+    _check_lists(G, lists)
+    if rho < 1:
+        raise InputError(f"the Hall ratio bound must be at least 1, got {rho}")
+    n = G.n
+    if n == 0:
+        return {}
+    if _n_top is None:
+        _n_top = n
+    else:
+        limit = math.ceil(math.log(_n_top / rho)) + 1
+        if _depth > limit:
+            raise InvariantViolation(
+                f"recursion depth {_depth} exceeded the bound {limit}"
+            )
+
+    try:
+        alpha = exact_alpha(G, budget=budget)
+    except BudgetExceeded:
+        alpha = None  # promise taken on faith when too big to check
+    if alpha is not None and math.ceil(n / alpha) > rho:
+        raise HallRatioViolation(
+            f"graph itself has ceil(n / alpha) = {math.ceil(n / alpha)} > {rho}"
+        )
+
+    min_list = min((len(L) for L in lists), default=0)
+    base_case = n <= 3 * math.e * rho
+    window_ok = (
+        not base_case and min_list >= C * rho * math.log(n / rho) ** 2
+    )
+    if base_case or not window_ok:
+        coloring = greedy_list_color(G, lists)
+        if coloring is None:
+            try:
+                coloring = exact_list_color(G, lists, budget=budget)
+            except BudgetExceeded:
+                logger.debug("base-case exact search ran out of budget (n=%d)", n)
+                coloring = None
+        return coloring
+
+    log_ratio = math.log(n / rho)
+    keep_p = 1.0 / log_ratio
+    lo = C / 2 * rho * log_ratio
+    hi = 3 * C / 2 * rho * log_ratio
+    pool = sorted(set().union(*lists))
+
+    kept = None
+    for redraw in range(max_redraws):
+        rng = random.Random(derive_seed(seed, 3 + redraw))
+        candidate = {c for c in pool if rng.random() < keep_p}
+        sizes = [len(set(L) & candidate) for L in lists]
+        if all(lo <= sz <= hi for sz in sizes):
+            kept = candidate
+            break
+    if kept is None:
+        return None
+
+    first, second = split_lists_by_colors(lists, kept)
+    s = int(n / (math.e * rho))
+    k = math.ceil((1 - 1 / math.e) * n / s)
+    sets = independent_sets_extract(G, s, k, budget=budget)
+    if k * s < (1 - 1 / math.e) * n - s:
+        raise InvariantViolation("extracted union is smaller than the level target")
+
+    X = sorted(set().union(*sets))
+    H, old_ids = induced_subgraph_with_map(G, X)
+    pos = {v: i for i, v in enumerate(old_ids)}
+    local_parts = [frozenset(pos[v] for v in part) for part in sets]
+    local_lists = [first[old_ids[i]] for i in range(H.n)]
+    phi1 = multipartite_list_color(
+        H, local_parts, local_lists, trials=trials, seed=derive_seed(seed, 0)
+    )
+    if phi1 is None:
+        return None
+
+    rest = sorted(set(range(n)) - set(X))
+    coloring = {old_ids[i]: c for i, c in phi1.items()}
+    if rest:
+        R, rest_ids = induced_subgraph_with_map(G, rest)
+        rest_lists = [second[rest_ids[i]] for i in range(R.n)]
+        phi2 = hall_ratio_list_color_ref(
+            R,
+            rest_lists,
+            rho,
+            C=C,
+            seed=derive_seed(seed, 2),
+            trials=trials,
+            budget=budget,
+            max_redraws=max_redraws,
+            _depth=_depth + 1,
+            _n_top=_n_top,
+        )
+        if phi2 is None:
+            return None
+        coloring.update({rest_ids[i]: c for i, c in phi2.items()})
+    return coloring

@@ -108,6 +108,13 @@ def test_color_minorfree_strategy(tmp_path):
     assert code == 0
 
 
+def test_color_hallratio_takes_an_infinite_rho_and_rejects_nan(tmp_path):
+    path = write_graph(tmp_path, ml.petersen_graph())
+    args = ["color", path, "--strategy", "hallratio", "--list-size", "3"]
+    assert main(args + ["--rho", "inf"]) == 0
+    assert main(args + ["--rho", "nan"]) == 2
+
+
 def test_color_multipartite_strategy(tmp_path):
     path = write_graph(tmp_path, ml.complete_multipartite([3, 3]))
     out = str(tmp_path / "c.txt")

@@ -1,11 +1,12 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
 
 import minorlab as ml
 from minorlab import coloring
-from oracles import exact_list_color_ref, smallest_budget
+from oracles import exact_list_color_ref, hall_ratio_list_color_ref, smallest_budget
 
 
 PETERSEN_3COLORING = {0: 0, 1: 1, 2: 0, 3: 1, 4: 2, 5: 1, 6: 2, 7: 2, 8: 0, 9: 0}
@@ -256,6 +257,133 @@ def test_hall_ratio_recursive_path_produces_valid_coloring():
     c = ml.hall_ratio_list_color(G, lists, rho=rho, C=2.0, seed=11)
     assert c is not None and len(c) == n
     assert ml.verify_list_coloring(G, lists, c)
+
+
+def outcome(color, *args, **kwargs):
+    """A colouring as its (vertex, colour) items in order, None, or the type
+    of the error raised; a broken invariant fails the test outright."""
+    try:
+        c = color(*args, **kwargs)
+    except ml.InvariantViolation:
+        raise
+    except Exception as exc:
+        return type(exc)
+    return None if c is None else list(c.items())
+
+
+def random_multipartite(sizes, p, seed):
+    """A random subgraph of the complete multipartite graph: each of its
+    edges is kept with probability p."""
+    rng = random.Random(seed)
+    G = ml.complete_multipartite(sizes)
+    return ml.from_edge_list(G.n, [e for e in G.edges() if rng.random() < p])
+
+
+def hall_cases():
+    """(G, lists, rho, seed): the colour pipeline's Hall shapes, disjoint
+    triangles whose lists clear the redraw window, edgeless graphs and a
+    clique that breaks the promise."""
+    for seed in range(6):
+        for r, part in ((3, 60), (3, 80), (4, 60)):
+            n = r * part
+            size = math.ceil(2.0 * r * math.log(n / r) ** 2)
+            G = random_multipartite([part] * r, 0.5, seed)
+            yield G, ml.random_lists(n, size, 2 * size, seed), r, seed
+    for seed in range(6):
+        G = disjoint_triangles(12)
+        need = math.ceil(2 * 3 * math.log(G.n / 3) ** 2)
+        yield G, ml.uniform_lists(G.n, need), 3, seed
+        yield G, ml.random_lists(G.n, need, need + 6, seed), 3, seed
+    yield ml.empty_graph(12), ml.uniform_lists(12, 2), 1, 0
+    yield ml.empty_graph(60), ml.uniform_lists(60, 34), 1, 5
+    yield ml.complete_graph(10), ml.uniform_lists(10, 11), 2, 0
+
+
+def test_hall_ratio_loop_matches_the_recursive_function():
+    results = []
+    for G, lists, rho, seed in hall_cases():
+        got = outcome(ml.hall_ratio_list_color, G, lists, rho, C=2.0, seed=seed)
+        assert got == outcome(hall_ratio_list_color_ref, G, lists, rho, C=2.0, seed=seed)
+        if isinstance(got, list):
+            assert len(got) == G.n and ml.verify_list_coloring(G, lists, dict(got))
+        results.append(got)
+    assert results[-1] is ml.HallRatioViolation
+    # the cases reach both honest failures and full colourings
+    assert sum(r is None for r in results) >= 3
+    assert sum(isinstance(r, list) for r in results) >= 10
+
+
+def test_hall_ratio_reaches_later_levels(monkeypatch):
+    sizes = []
+
+    def counted(G, *args, **kwargs):
+        sizes.append(G.n)
+        return ml.find_independent_set(G, *args, **kwargs)
+
+    # every level checks its promise first, so the graph sizes the witness
+    # sees are the sizes of the levels
+    monkeypatch.setattr(coloring, "find_independent_set", counted)
+    size = math.ceil(2.0 * 4 * math.log(60) ** 2)
+    for seed in range(3):
+        G = random_multipartite([60] * 4, 0.5, seed)
+        lists = ml.random_lists(G.n, size, 2 * size, seed)
+        sizes.clear()
+        c = ml.hall_ratio_list_color(G, lists, 4, seed=seed)
+        assert c is not None and len(c) == G.n
+        assert len(set(sizes)) == 3 and sizes[0] == G.n
+
+
+@pytest.mark.parametrize("rho", [1, 1.5, 2, 2.7, 3, 4, 5.5, 7])
+def test_hall_ratio_promise_witness_agrees_with_exact_alpha(rho):
+    # one colour per vertex never clears the redraw window, so only the
+    # level-0 promise check can raise
+    broken_seen = kept_seen = 0
+    for i in range(400):
+        rng = random.Random(i)
+        n = rng.randint(1, 18)
+        G = ml.gnp_random_graph(n, rng.random(), seed=i)
+        lists = ml.uniform_lists(n, 1)
+        got = outcome(ml.hall_ratio_list_color, G, lists, rho)
+        assert got == outcome(hall_ratio_list_color_ref, G, lists, rho)
+        broken = math.ceil(n / ml.exact_alpha(G)) > rho
+        assert (got is ml.HallRatioViolation) == broken, (i, rho)
+        broken_seen += broken
+        kept_seen += not broken
+    assert broken_seen and kept_seen
+
+
+def test_hall_ratio_witness_never_needs_more_budget_than_exact_alpha():
+    # the target search prunes at least as hard as exact_alpha, so it never
+    # runs out of budget where the old promise check finished
+    for i in range(120):
+        rng = random.Random(i)
+        n = rng.randint(1, 18)
+        G = ml.gnp_random_graph(n, rng.random(), seed=i)
+        full, _ = smallest_budget(lambda b: ml.exact_alpha(G, budget=b))
+        for rho in (1, 2, 2.7, 5.5):
+            need = math.ceil(n / math.floor(min(rho, n)))
+            steps, _ = smallest_budget(lambda b: ml.find_independent_set(G, need, budget=b))
+            assert steps <= full, (i, rho)
+
+
+@pytest.mark.parametrize("rho", [math.nan, 0.5, 0, -math.inf])
+def test_hall_ratio_rejects_malformed_rho(rho):
+    with pytest.raises(ml.InputError):
+        ml.hall_ratio_list_color(ml.cycle_graph(5), ml.uniform_lists(5, 3), rho)
+
+
+def test_hall_ratio_infinite_rho_colours_as_before():
+    for G in (ml.petersen_graph(), disjoint_triangles(12), ml.empty_graph(20)):
+        lists = ml.uniform_lists(G.n, 3)
+        got = outcome(ml.hall_ratio_list_color, G, lists, math.inf)
+        assert got == outcome(hall_ratio_list_color_ref, G, lists, math.inf)
+        assert ml.verify_list_coloring(G, lists, dict(got)) and len(got) == G.n
+
+
+@pytest.mark.parametrize("order", [[0, 40], [-1], [1, 30]])
+def test_greedy_rejects_order_ids_out_of_range(order):
+    with pytest.raises(ml.InputError):
+        ml.greedy_list_color(ml.cycle_graph(30), ml.uniform_lists(30, 3), order=order)
 
 
 def test_split_lists_partition_property():

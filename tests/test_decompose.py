@@ -154,6 +154,12 @@ def test_peel_within_empty_is_rejected():
         ml.peel_piece(ml.complete_graph(8), 6, within=[])
 
 
+@pytest.mark.parametrize("within", [[40], [-1], [0, 30]])
+def test_peel_within_ids_out_of_range_are_rejected(within):
+    with pytest.raises(ml.InputError):
+        ml.peel_piece(ml.cycle_graph(30), 6, within=within)
+
+
 def test_contracted_piece_equals_induced_then_contract():
     for seed in range(150):
         rng = random.Random(seed)

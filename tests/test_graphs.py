@@ -380,6 +380,18 @@ def test_find_independent_set_respects_size():
     assert ml.find_independent_set(ml.complete_graph(4), 2) is None
 
 
+@pytest.mark.parametrize("within", [[40], [-1], [0, 30]])
+def test_find_independent_set_rejects_within_ids_out_of_range(within):
+    with pytest.raises(ml.InputError):
+        ml.find_independent_set(ml.cycle_graph(30), 1, within=within)
+
+
+@pytest.mark.parametrize("within", [[40], [-1], [0, 30]])
+def test_max_independent_set_rejects_within_ids_out_of_range(within):
+    with pytest.raises(ml.InputError):
+        ml.max_independent_set(ml.cycle_graph(30), within=within)
+
+
 def test_mis_search_matches_the_recursive_search():
     # same sets and the same steps: budget b suffices at both, b - 1 at neither
     for i in range(40):
