@@ -412,18 +412,24 @@ def saturating_matching(
 # ---------------------------------------------------------------------------
 
 
-def _clique_cover_bound(adj: tuple[int, ...], P: int) -> int:
-    """Greedy clique cover of P; its size bounds the independence number."""
-    cliques: list[int] = []
-    for v in bits(P):
-        av = adj[v]
-        for i, c in enumerate(cliques):
-            if c & ~av == 0:
-                cliques[i] = c | 1 << v
-                break
-        else:
-            cliques.append(1 << v)
-    return len(cliques)
+def _clique_cover_bound(adj: tuple[int, ...], P: int, cap: int) -> int:
+    """min(cap, size of the first-fit greedy clique cover of P in id order).
+
+    The cover is built one clique at a time on bitsets: each clique takes the
+    lowest vertex left, then every later vertex adjacent to all its members,
+    so every vertex lands in the first clique it fits.  The size bounds the
+    independence number of P.  A caller that only asks whether the bound is
+    below `cap` can stop there; a call costs O(|P|) bitset operations.
+    """
+    count = 0
+    while P and count < cap:
+        U = P
+        while U:
+            low = U & -U
+            P ^= low
+            U &= adj[low.bit_length() - 1]
+        count += 1
+    return count
 
 
 def _mis_search(
@@ -435,6 +441,11 @@ def _mis_search(
     search stops as soon as a set of that size exists.  Raises
     :class:`BudgetExceeded` when the node budget runs out (never returns a
     wrong answer).
+
+    A node is pruned when the first-fit clique cover of its candidates P,
+    built one clique at a time and stopped at the gap the node must beat,
+    stays below that gap.  Bound and pivot choice cost O(|P|) bitset
+    operations per node.
     """
     adj = G.adj
     best_size = 0
@@ -454,8 +465,8 @@ def _mis_search(
                 break
         if P == 0:
             continue
-        limit = target if target is not None else best_size + 1
-        if cur_size + _clique_cover_bound(adj, P) < limit:
+        gap = (target if target is not None else best_size + 1) - cur_size
+        if _clique_cover_bound(adj, P, gap) < gap:
             continue
         # pivot: highest degree inside P, lowest index on ties
         pivot = -1

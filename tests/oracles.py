@@ -43,10 +43,10 @@ from minorlab.errors import (
     InputError,
     InvariantViolation,
 )
+from minorlab.families import complete_multipartite
 from minorlab.graphs import (
     DEFAULT_BUDGET,
     Graph,
-    _clique_cover_bound,
     adjacency_mask,
     bits,
     exact_alpha,
@@ -456,6 +456,28 @@ def branch_set_search_ref(
     return None
 
 
+def random_multipartite(sizes, p: float, seed: int) -> Graph:
+    """A random subgraph of the complete multipartite graph: each of its
+    edges is kept with probability p."""
+    rng = random.Random(seed)
+    G = complete_multipartite(sizes)
+    return from_edge_list(G.n, [e for e in G.edges() if rng.random() < p])
+
+
+def clique_cover_bound_ref(adj: tuple[int, ...], P: int) -> int:
+    """Greedy clique cover of P; its size bounds the independence number."""
+    cliques: list[int] = []
+    for v in bits(P):
+        av = adj[v]
+        for i, c in enumerate(cliques):
+            if c & ~av == 0:
+                cliques[i] = c | 1 << v
+                break
+        else:
+            cliques.append(1 << v)
+    return len(cliques)
+
+
 def mis_search_ref(
     G: Graph, start: int, budget: int, target: int | None
 ) -> tuple[int, int]:
@@ -479,7 +501,7 @@ def mis_search_ref(
         if P == 0:
             return False
         limit = target if target is not None else best_size + 1
-        if cur_size + _clique_cover_bound(adj, P) < limit:
+        if cur_size + clique_cover_bound_ref(adj, P) < limit:
             return False
         pivot = -1
         pivot_deg = -1

@@ -6,7 +6,12 @@ import pytest
 
 import minorlab as ml
 from minorlab import coloring
-from oracles import exact_list_color_ref, hall_ratio_list_color_ref, smallest_budget
+from oracles import (
+    exact_list_color_ref,
+    hall_ratio_list_color_ref,
+    random_multipartite,
+    smallest_budget,
+)
 
 
 PETERSEN_3COLORING = {0: 0, 1: 1, 2: 0, 3: 1, 4: 2, 5: 1, 6: 2, 7: 2, 8: 0, 9: 0}
@@ -269,14 +274,6 @@ def outcome(color, *args, **kwargs):
     except Exception as exc:
         return type(exc)
     return None if c is None else list(c.items())
-
-
-def random_multipartite(sizes, p, seed):
-    """A random subgraph of the complete multipartite graph: each of its
-    edges is kept with probability p."""
-    rng = random.Random(seed)
-    G = ml.complete_multipartite(sizes)
-    return ml.from_edge_list(G.n, [e for e in G.edges() if rng.random() < p])
 
 
 def hall_cases():

@@ -1,5 +1,7 @@
+import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,13 +10,15 @@ from hypothesis import strategies as st
 
 import minorlab as ml
 from minorlab import HallViolator
-from minorlab.graphs import _mis_search, mask_components
+from minorlab.graphs import _clique_cover_bound, _mis_search, mask_components
 from oracles import (
     alpha_brute,
     bipartite_induced_ref,
+    clique_cover_bound_ref,
     contract_ref,
     induced_subgraph_ref,
     mis_search_ref,
+    random_multipartite,
     saturating_matching_ref,
     smallest_budget,
 )
@@ -392,20 +396,52 @@ def test_max_independent_set_rejects_within_ids_out_of_range(within):
         ml.max_independent_set(ml.cycle_graph(30), within=within)
 
 
-def test_mis_search_matches_the_recursive_search():
-    # same sets and the same steps: budget b suffices at both, b - 1 at neither
+def test_clique_cover_bound_is_the_first_fit_cover_stopped_at_the_cap():
+    checked = 0
+    for i in range(48):
+        n = 1 + i % 24
+        if i % 2:
+            G = ml.gnp_random_graph(n, 0.1 + 0.15 * (i % 6), seed=8000 + i)
+        else:
+            r = 2 + i % 3
+            G = random_multipartite([1 + n // r] * r, 0.5, seed=8000 + i)
+        rng = random.Random(i)
+        subsets = [0, G.full_mask]
+        subsets += [ml.mask_of(rng.sample(range(G.n), rng.randint(1, G.n))) for _ in range(2)]
+        for P in subsets:
+            cover = clique_cover_bound_ref(G.adj, P)
+            for cap in range(1, P.bit_count() + 2):
+                assert _clique_cover_bound(G.adj, P, cap) == min(cover, cap)
+                checked += 1
+    assert checked >= 300
+
+
+def mis_search_cases():
+    """(G, start, target) inputs: G(n, p) with n <= 30, and the Hall-ratio
+    shapes scaled down, where the bound is stopped at the gap."""
     for i in range(40):
         n = 5 + i % 26
         G = ml.gnp_random_graph(n, 0.1 + 0.1 * (i % 7), seed=7000 + i)
         within = ml.mask_of(random.Random(i).sample(range(n), n // 2 + 1))
         alpha = ml.exact_alpha(G)
-        cases = [(G.full_mask, None), (within, None)]
-        cases += [(G.full_mask, size) for size in (1, alpha // 2 + 1, alpha, alpha + 1)]
-        for start, target in cases:
-            b, result = smallest_budget(lambda b: mis_search_ref(G, start, b, target))
-            assert _mis_search(G, start, b, target) == result
-            with pytest.raises(ml.BudgetExceeded):
-                _mis_search(G, start, b - 1, target)
+        yield G, G.full_mask, None
+        yield G, within, None
+        for size in (1, alpha // 2 + 1, alpha, alpha + 1):
+            yield G, G.full_mask, size
+    for seed in range(3):
+        for r, part in ((3, 20), (4, 15)):
+            G = random_multipartite([part] * r, 0.5, seed=seed)
+            for size in (part, math.floor(G.n / (math.e * r)), part + 1):
+                yield G, G.full_mask, size
+
+
+def test_mis_search_matches_the_recursive_search():
+    # same sets and the same steps: budget b suffices at both, b - 1 at neither
+    for G, start, target in mis_search_cases():
+        b, result = smallest_budget(lambda b: mis_search_ref(G, start, b, target))
+        assert _mis_search(G, start, b, target) == result
+        with pytest.raises(ml.BudgetExceeded):
+            _mis_search(G, start, b - 1, target)
 
 
 def stack_depth():
@@ -428,3 +464,12 @@ def test_independent_set_searches_need_no_stack():
     assert found is not None and len(found) >= 100
     assert all(abs(u - v) != 1 for u in found for v in found)
     assert alpha == 60
+
+
+def test_exact_alpha_on_a_long_path_is_fast():
+    # a node budget should bound wall time too: a first-fit cover that scans
+    # every clique for each vertex took about 13 s here (2-core VM), the
+    # cover built one clique at a time on bitsets under 1 s
+    t0 = time.perf_counter()
+    assert ml.exact_alpha(ml.path_graph(300)) == 150
+    assert time.perf_counter() - t0 < 6.0
