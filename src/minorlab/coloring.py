@@ -9,6 +9,7 @@ rather than ever emitting an improper coloring.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 import random
@@ -123,6 +124,12 @@ def exact_list_color(
     n = G.n
     effective = [sorted(lists[v]) for v in range(n)]
     coloring: dict[int, int] = {}
+    # the uncoloured vertices bucketed by list length, ids ascending within
+    # a bucket, as one heap of (length, id): a vertex gets a new entry when
+    # its list shrinks or grows and when it is uncoloured, and an entry is
+    # current while its vertex is uncoloured and its list has that length
+    queue = [(len(effective[v]), v) for v in range(n)]
+    heapq.heapify(queue)
     steps = budget
     # one frame per coloured vertex on the search path:
     # [v, colours left, colour tried, neighbours it was struck from]
@@ -133,10 +140,12 @@ def exact_list_color(
             raise BudgetExceeded("exact list coloring", budget, n)
         if len(coloring) == n:
             return dict(coloring)
-        v = min(
-            (u for u in range(n) if u not in coloring),
-            key=lambda u: (len(effective[u]), u),
-        )
+        if len(queue) > 2 * n + 64:  # drop the stale entries
+            queue = [(len(effective[u]), u) for u in range(n) if u not in coloring]
+            heapq.heapify(queue)
+        while queue[0][1] in coloring or len(effective[queue[0][1]]) != queue[0][0]:
+            heapq.heappop(queue)
+        v = heapq.heappop(queue)[1]  # least (length, id)
         path.append([v, iter(effective[v]), None, []])
         while path:
             frame = path[-1]
@@ -145,9 +154,11 @@ def exact_list_color(
                 del coloring[v]
                 for u in struck:
                     effective[u] = sorted(effective[u] + [c])
+                    heapq.heappush(queue, (len(effective[u]), u))
             c = frame[2] = next(colours, None)
             if c is None:
                 path.pop()
+                heapq.heappush(queue, (len(effective[v]), v))
                 continue
             # coloured before the check, so a failed try is undone like any other
             coloring[v] = c
@@ -158,6 +169,7 @@ def exact_list_color(
                         break
                 elif c in effective[u]:
                     effective[u] = [x for x in effective[u] if x != c]
+                    heapq.heappush(queue, (len(effective[u]), u))
                     struck.append(u)
                     if not effective[u]:
                         break

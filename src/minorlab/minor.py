@@ -308,7 +308,10 @@ def _branch_set_search(
     seed), and a set only ever absorbs vertices larger than its own seed.
     At each node the most constrained non-adjacent pair is repaired by
     absorbing one available neighbor into either side; when all current
-    pairs are adjacent, the next set is seeded.
+    pairs are adjacent, the next set is seeded.  Each set's neighborhood
+    mask is stored next to it and updated by the move that grows the set,
+    so a step costs O(t^2) bitset operations plus the interior-distance
+    walks.
 
     The outer loop deepens a cap on the total number of used vertices, so
     small models are found quickly and a level that never hits the cap is a
@@ -327,9 +330,11 @@ def _branch_set_search(
         for cap in [comp_size] if comp_size <= 14 else range(t, comp_size + 1):
             failed_here.clear()
             # one frame per node on the search path:
-            # [state, sets, seeds, avail, used, moves left, cap_hit]
+            # [state, sets, nbr, seeds, avail, used, moves left, cap_hit];
+            # nbr[i] is the neighborhood mask of sets[i], and a move copies
+            # both lists, so a frame's own lists never change
             path: list[list] = []
-            sets, seeds, avail, used = [], [], comp, 0
+            sets, nbr, seeds, avail, used = [], [], [], comp, 0
             while True:
                 spent[0] += 1
                 if spent[0] > budget:
@@ -338,12 +343,11 @@ def _branch_set_search(
                 if state in failed_perm:
                     pass  # fails at every cap
                 elif state in failed_here:
-                    path[-1][6] = True  # fails at this cap
+                    path[-1][7] = True  # fails at this cap
                 else:
                     moves: list[tuple[int, int, int]] = []
                     cap_hit = False
                     k = len(sets)
-                    nbr = [adjacency_mask(G, s) for s in sets]
                     deficient = [
                         (i, j)
                         for i in range(k)
@@ -381,7 +385,7 @@ def _branch_set_search(
                             i, j = best
                             # absorptions that finish the pair at once go first
                             moves = sorted([
-                                (0 if G.adj[v] & sets[other] else 1, side, v)
+                                (0 if nbr[other] >> v & 1 else 1, side, v)
                                 for side, other in ((i, j), (j, i))
                                 for v in bits(grow[side])
                             ])
@@ -391,41 +395,47 @@ def _branch_set_search(
                         cands = avail & (-2 << seeds[-1] if seeds else -1)
                         if cands.bit_count() >= t - k:
                             # seeds already adjacent to more of the current
-                            # sets go first; side k is a new set
+                            # sets go first (v is in no set, so it touches
+                            # set s when it lies in nbr[s]); side k is a new set
                             moves = sorted([
-                                (sum(0 if G.adj[v] & s else 1 for s in sets), k, v)
+                                (sum(0 if b >> v & 1 else 1 for b in nbr), k, v)
                                 for v in bits(cands)
                             ])
                     if moves:
-                        path.append([state, sets, seeds, avail, used, iter(moves), cap_hit])
+                        path.append(
+                            [state, sets, nbr, seeds, avail, used, iter(moves), cap_hit]
+                        )
                     else:  # a dead end
                         _remember(failed_here if cap_hit else failed_perm, state)
                         if cap_hit:
-                            path[-1][6] = True
+                            path[-1][7] = True
                 # descend along the next move, closing finished nodes on the way
                 while path:
                     frame = path[-1]
-                    move = next(frame[5], None)
+                    move = next(frame[6], None)
                     if move is not None:
                         break
                     path.pop()
-                    state, _, _, _, _, _, hit = frame
+                    state, _, _, _, _, _, _, hit = frame
                     _remember(failed_here if hit else failed_perm, state)
                     if hit and path:
-                        path[-1][6] = True
+                        path[-1][7] = True
                 else:
                     break
                 _, side, v = move
-                _, sets, seeds, avail, used, _, _ = frame
+                _, sets, nbr, seeds, avail, used, _, _ = frame
                 vb = 1 << v
                 avail &= ~vb
                 used += 1
                 if side == len(sets):
                     sets = sets + [vb]
+                    nbr = nbr + [G.adj[v]]
                     seeds = seeds + [v]
                 else:
                     sets = sets.copy()
                     sets[side] |= vb
+                    nbr = nbr.copy()
+                    nbr[side] |= G.adj[v]
             if not hit:
                 return None
         return None

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -125,11 +126,16 @@ def test_exact_list_color_budget():
 
 
 def test_exact_list_color_colours_a_long_path():
-    # the search path holds every vertex, far beyond the recursion limit
-    G = ml.path_graph(3000)
-    lists = ml.uniform_lists(3000, 2)
+    # the search path holds every vertex, far beyond the recursion limit,
+    # and the next vertex comes from buckets by list length, not from a scan
+    # of every vertex, so the time grows as n log n
+    G = ml.path_graph(10_000)
+    lists = ml.uniform_lists(10_000, 2)
+    start = time.perf_counter()
     c = ml.exact_list_color(G, lists)
+    elapsed = time.perf_counter() - start
     assert c is not None and ml.verify_list_coloring(G, lists, c)
+    assert elapsed < 6.0
 
 
 def test_exact_list_color_matches_the_recursive_search():
@@ -147,6 +153,28 @@ def test_exact_list_color_matches_the_recursive_search():
         assert found is None or list(found) == list(result)
         with pytest.raises(ml.BudgetExceeded):
             ml.exact_list_color(G, lists, budget=b - 1)
+
+
+def test_exact_list_color_keeps_the_choice_through_deep_backtracking():
+    # the length buckets must hold every uncoloured vertex after strikes,
+    # restores and backtracking; on 15-30 vertices the search backtracks
+    # deep enough that a vertex missing from them changes the choice, and
+    # with it the colouring or the budget at which the search gives up
+    def outcome(search, G, lists, budget):
+        try:
+            found = search(G, lists, budget)
+        except ml.BudgetExceeded:
+            return "budget"
+        return found if found is None else list(found.items())
+
+    for i in range(400):
+        n = 15 + i % 16
+        G = ml.gnp_random_graph(n, 0.1 + 0.05 * (i % 10), seed=7000 + i)
+        lists = ml.random_lists(n, 2 + i % 3, 4 + i % 5, seed=i)
+        for budget in (30, 100, 300, 1000, 3000):
+            assert outcome(ml.exact_list_color, G, lists, budget) == outcome(
+                exact_list_color_ref, G, lists, budget
+            ), (i, budget)
 
 
 def test_c4_is_two_choosable_by_brute_force():

@@ -162,6 +162,12 @@ def test_branch_set_search_matches_the_recursive_search(monkeypatch):
         for fast_paths in (True, False)
     ]
     cases.append((ml.cycle_graph(15), 3, False, 40_000))
+    # lower-bound graphs that run out of the budget, as the slowest
+    # minor-check requests do: three and one blocks are proved free first
+    cases += [
+        (ml.lower_bound_bipartite(60, 60, 6, 0.05, seed=2), 6, True, 20_000),
+        (ml.lower_bound_bipartite(80, 80, 6, 0.05, seed=17), 6, True, 20_000),
+    ]
     searched = searched_fast = 0
     for case in cases:
         got = searched_blocks(monkeypatch, loop, *case)
