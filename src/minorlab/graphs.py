@@ -326,12 +326,9 @@ def induced_subgraph_with_map(
 ) -> tuple[Graph, list[int]]:
     """Induced subgraph on `vertices`, renumbered ascending.
 
-    Returns (H, old_ids) where `old_ids[i]` is the original id of vertex i;
-    the whole vertex set gives G itself.
+    Returns (H, old_ids) where `old_ids[i]` is the original id of vertex i.
     """
     old_ids = sorted(set(checked_vertices(G, vertices)))
-    if len(old_ids) == G.n:
-        return G, old_ids
     return quotient(G, [1 << v for v in old_ids]), old_ids
 
 

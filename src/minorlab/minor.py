@@ -310,8 +310,9 @@ def _branch_set_search(
     absorbing one available neighbor into either side; when all current
     pairs are adjacent, the next set is seeded.  Each set's neighborhood
     mask is stored next to it and updated by the move that grows the set,
-    so a step costs O(t^2) bitset operations plus the interior-distance
-    walks.
+    so no step rebuilds the neighborhoods.  A step still costs
+    O(|block| * t) bitset operations (the keys of the absorption and seed
+    moves) plus sorting its moves and the interior-distance walks.
 
     The outer loop deepens a cap on the total number of used vertices, so
     small models are found quickly and a level that never hits the cap is a

@@ -260,19 +260,6 @@ def test_induced_subgraph_matches_edge_walk():
         ml.induced_subgraph_with_map(ml.path_graph(3), [3])
 
 
-def test_induced_subgraph_of_every_vertex_is_the_quotient_build():
-    # the whole vertex set, in any order and with repeats, returns the graph
-    # itself; it must equal what the singleton-class quotient builds
-    graphs = [ml.empty_graph(0), ml.empty_graph(3), ml.petersen_graph()]
-    graphs += [seeded_gnp(seed)[0] for seed in range(60)]
-    for G in graphs:
-        everything = list(range(G.n))
-        want = ml.quotient(G, [1 << v for v in everything])
-        for S in (everything, everything[::-1] + everything[:2]):
-            H, ids = ml.induced_subgraph_with_map(G, S)
-            assert (as_tuple(H), ids) == (as_tuple(want), everything)
-
-
 def test_contract_matches_edge_walk():
     for seed in range(150):
         G, rng = seeded_gnp(seed)
