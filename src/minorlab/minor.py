@@ -217,44 +217,58 @@ def _elimination_width(G: Graph, live: int, stop: int) -> int:
     return width
 
 
-def _too_small_for_model(G: Graph, block: int, t: int, fast_paths: bool) -> bool:
-    """Counting certificate: whether `block` has too few vertices or edges
-    to hold a K_t model.
+def _edge_slack(G: Graph, block: int, t: int, fast_paths: bool) -> int | None:
+    """Counting certificate: None when `block` has too few vertices or edges
+    to hold a K_t model, otherwise the most excess such a model can have.
+
+    The excess of a model counts the edges inside its branch sets beyond a
+    spanning tree of each, and the edges between two sets beyond the first
+    one for that pair.  In a 2-connected block every vertex outside the
+    model has degree at least 2 there, so those vertices touch at least as
+    many edges as there are of them.  A block with n vertices and m edges
+    that holds a model therefore has m >= C(t, 2) + (n - t) + excess, and
+    a negative slack m - C(t, 2) - (n - t) proves it free.
 
     Singleton branch sets are pairwise adjacent, so a model has at most
-    w = min(omega, t) of them; each other set has at least two vertices and
-    an edge inside.  A block with a model therefore has at least 2t - w
-    vertices and C(t, 2) + t - w edges.  Any edge gives w >= 2, so omega is
-    looked at only when the counts demand w > 2, and then only for a clique
-    of the least size they admit, as an independent set of the complement.
-    That search gives up, and the block stays, after |block|^2 nodes.
-    Without `fast_paths`, w = t.
+    w = min(omega, t) of them; each other set has at least two vertices,
+    so the block has at least 2t - w of them.  Any edge gives w >= 2, so
+    omega is looked at only when the count demands w > 2, and then only
+    for a clique of the least size it admits, as an independent set of the
+    complement.  That search gives up, and the block stays, after
+    |block|^2 nodes.  Without `fast_paths` only n >= t and m >= C(t, 2)
+    are asked, and the slack returned is m, which no excess exceeds.
     """
     size = block.bit_count()
     edges = sum((G.adj[v] & block).bit_count() for v in bits(block)) // 2
-    w_least = max(2 * t - size, t * (t - 1) // 2 + t - edges)
-    if w_least > t:
-        return True
-    if not fast_paths or w_least <= 2:
-        return False
+    if not fast_paths:
+        return edges if size >= t and edges >= t * (t - 1) // 2 else None
+    slack = edges - t * (t - 1) // 2 - (size - t)
+    w_least = 2 * t - size
+    if slack < 0 or w_least > t:
+        return None
+    if w_least <= 2:
+        return slack
     comp = [0] * G.n
     for v in bits(block):
         comp[v] = block & ~G.adj[v] & ~(1 << v)
     Gc = Graph(G.n, tuple(comp), sum(c.bit_count() for c in comp) // 2)
     try:
-        return find_independent_set(Gc, w_least, size * size, bits(block)) is None
+        found = find_independent_set(Gc, w_least, size * size, bits(block))
     except BudgetExceeded:
-        return False
+        return slack
+    return None if found is None else slack
 
 
 def _greedy_contraction(G: Graph, block: int, t: int) -> list[int] | None:
-    """Branch sets of a K_t model found by contraction alone, or None.
+    """The classes, by id, of a complete quotient of the connected `block`
+    on at least t classes found by contraction alone, or None.
 
     Repeatedly contract the class of least degree (lowest id on ties) into
     the neighbour sharing the fewest neighbours with it (lowest id on ties),
     the order of the minor-min-width treewidth bound, until the quotient is
-    complete; t of its classes are then a model.  A class keeps the id of
-    the neighbour it was contracted into.  O(|block|^2) bitset operations.
+    complete; any t of its classes are then a K_t model.  A class keeps the
+    id of the neighbour it was contracted into.  O(|block|^2) bitset
+    operations.
     """
     adj = {v: G.adj[v] & block for v in bits(block)}
     members = {v: 1 << v for v in adj}
@@ -262,7 +276,7 @@ def _greedy_contraction(G: Graph, block: int, t: int) -> list[int] | None:
         v = min(adj, key=lambda c: (adj[c].bit_count(), c))
         nbrs = adj.pop(v)
         if nbrs.bit_count() == len(adj):  # least degree k - 1: complete
-            return [members[c] for c in sorted(members)[:t]]
+            return [members[c] for c in sorted(members)]
         u = min(bits(nbrs), key=lambda c: ((adj[c] & nbrs).bit_count(), c))
         members[u] |= members.pop(v)
         ub, vb = 1 << u, 1 << v
@@ -300,7 +314,7 @@ def _interior_distance(G: Graph, src: int, dst_nbr: int, allowed: int) -> int | 
 
 
 def _branch_set_search(
-    G: Graph, comp: int, t: int, budget: int, spent: list[int]
+    G: Graph, comp: int, t: int, budget: int, spent: list[int], slack: int
 ) -> list[int] | None:
     """Backtracking over branch-set growth inside one block.
 
@@ -313,6 +327,14 @@ def _branch_set_search(
     so no step rebuilds the neighborhoods.  A step still costs
     O(|block| * t) bitset operations (the keys of the absorption and seed
     moves) plus sorting its moves and the interior-distance walks.
+
+    Each node also carries the excess of its sets (see `_edge_slack`):
+    the edges among the used vertices beyond a spanning tree of each set
+    and beyond one edge per adjacent pair.  A move adds the edges from its
+    vertex to the used vertices, less one tree edge for an absorption and
+    less one for each pair it makes adjacent, so the excess never falls as
+    sets grow; a move that would push it past `slack` cannot lead to a
+    model and is never generated.
 
     The outer loop deepens a cap on the total number of used vertices, so
     small models are found quickly and a level that never hits the cap is a
@@ -331,22 +353,22 @@ def _branch_set_search(
         for cap in [comp_size] if comp_size <= 14 else range(t, comp_size + 1):
             failed_here.clear()
             # one frame per node on the search path:
-            # [state, sets, nbr, seeds, avail, used, moves left, cap_hit];
+            # [state, sets, nbr, seeds, avail, used, excess, moves left, cap_hit];
             # nbr[i] is the neighborhood mask of sets[i], and a move copies
             # both lists, so a frame's own lists never change
             path: list[list] = []
-            sets, nbr, seeds, avail, used = [], [], [], comp, 0
+            sets, nbr, seeds, avail, used, excess = [], [], [], comp, 0, 0
             while True:
                 spent[0] += 1
                 if spent[0] > budget:
                     raise BudgetExceeded("minor search", budget, comp_size)
                 state = tuple(sets)
-                if state in failed_perm:
-                    pass  # fails at every cap
-                elif state in failed_here:
-                    path[-1][7] = True  # fails at this cap
-                else:
-                    moves: list[tuple[int, int, int]] = []
+                # hit: the node just closed failed at this cap only
+                hit = state in failed_here
+                if not hit and state not in failed_perm:
+                    # a move is (order key, side, v, excess it adds), and
+                    # side k is a new set
+                    moves: list[tuple[int, int, int, int]] = []
                     cap_hit = False
                     k = len(sets)
                     deficient = [
@@ -366,6 +388,8 @@ def _branch_set_search(
                             break
                         need_absorb = max(need_absorb, dist)
                     floor_size = used + (t - k) + need_absorb
+                    room = slack - excess
+                    inside = comp & ~avail
                     if floor_size > cap:
                         # a model that does not fit the block fails at every cap
                         cap_hit = floor_size <= comp_size
@@ -382,14 +406,20 @@ def _branch_set_search(
                                 best = (i, j)
                                 if count == 0:
                                     break
-                        if best_count:
-                            i, j = best
-                            # absorptions that finish the pair at once go first
-                            moves = sorted([
-                                (0 if nbr[other] >> v & 1 else 1, side, v)
-                                for side, other in ((i, j), (j, i))
-                                for v in bits(grow[side])
-                            ])
+                        i, j = best
+                        for side, other in ((i, j), (j, i)):
+                            # the sets whose pair with this side lacks an edge
+                            lacking = [
+                                sets[x + y - side] for x, y in deficient if side in (x, y)
+                            ]
+                            for v in bits(grow[side]):
+                                a = G.adj[v]
+                                cost = (a & inside).bit_count() - 1
+                                cost -= sum(1 for s in lacking if a & s)
+                                if cost <= room:
+                                    # absorptions that finish the pair at once go first
+                                    key = 0 if nbr[other] >> v & 1 else 1
+                                    moves.append((key, side, v, cost))
                     elif k == t:
                         return sets
                     else:
@@ -397,37 +427,42 @@ def _branch_set_search(
                         if cands.bit_count() >= t - k:
                             # seeds already adjacent to more of the current
                             # sets go first (v is in no set, so it touches
-                            # set s when it lies in nbr[s]); side k is a new set
-                            moves = sorted([
-                                (sum(0 if b >> v & 1 else 1 for b in nbr), k, v)
-                                for v in bits(cands)
-                            ])
+                            # set s when it lies in nbr[s])
+                            for v in bits(cands):
+                                touching = sum(b >> v & 1 for b in nbr)
+                                cost = (G.adj[v] & inside).bit_count() - touching
+                                if cost <= room:
+                                    moves.append((k - touching, k, v, cost))
                     if moves:
-                        path.append(
-                            [state, sets, nbr, seeds, avail, used, iter(moves), cap_hit]
-                        )
+                        moves.sort()
+                        path.append([
+                            state, sets, nbr, seeds, avail, used, excess,
+                            iter(moves), cap_hit,
+                        ])
                     else:  # a dead end
-                        _remember(failed_here if cap_hit else failed_perm, state)
-                        if cap_hit:
-                            path[-1][7] = True
+                        hit = cap_hit
+                        _remember(failed_here if hit else failed_perm, state)
+                if hit and path:
+                    path[-1][8] = True
                 # descend along the next move, closing finished nodes on the way
                 while path:
                     frame = path[-1]
-                    move = next(frame[6], None)
+                    move = next(frame[7], None)
                     if move is not None:
                         break
                     path.pop()
-                    state, _, _, _, _, _, _, hit = frame
+                    state, hit = frame[0], frame[8]
                     _remember(failed_here if hit else failed_perm, state)
                     if hit and path:
-                        path[-1][7] = True
+                        path[-1][8] = True
                 else:
                     break
-                _, side, v = move
-                _, sets, nbr, seeds, avail, used, _, _ = frame
+                _, side, v, cost = move
+                _, sets, nbr, seeds, avail, used, excess, _, _ = frame
                 vb = 1 << v
                 avail &= ~vb
                 used += 1
+                excess += cost
                 if side == len(sets):
                     sets = sets + [vb]
                     nbr = nbr + [G.adj[v]]
@@ -437,6 +472,8 @@ def _branch_set_search(
                     sets[side] |= vb
                     nbr = nbr.copy()
                     nbr[side] |= G.adj[v]
+            # the root closed last: if no node below it hit the cap, no
+            # larger cap finds a model either
             if not hit:
                 return None
         return None
@@ -462,17 +499,20 @@ def find_kt_minor_exact(
     1. the width certificate: a min-degree elimination width below t-1
        proves the block free (treewidth never grows under minors and
        tw(K_t) = t-1);
-    2. the counting certificate: too few vertices or edges for a model with
-       at most min(omega, t) singleton branch sets proves it free;
+    2. the counting certificate: a negative edge slack
+       m - C(t, 2) - (n - t), or too few vertices for a model with at most
+       min(omega, t) singleton branch sets, proves it free;
     3. greedy contraction: a complete quotient on at least t classes is a
        model, found without spending the budget;
-    4. the branch-set search.
+    4. the branch-set search, which never lets the excess of its sets (the
+       edges a model spends beyond the fewest it needs) pass the slack.
 
     A model found is lifted back onto G and validated.  The verdicts are
     those of the search alone, but the models returned may differ from
     those of versions without steps 2 and 3.  Without `fast_paths` every
     block of G with at least t vertices and C(t, 2) edges goes straight to
-    the search, so its models and steps spent are the search's own.
+    the search, unpruned, so its models and steps spent are the search's
+    own.
     """
     if t < 1:
         raise InputError(f"clique order must be at least 1, got {t}")
@@ -493,13 +533,14 @@ def find_kt_minor_exact(
     for block in biconnected_blocks(H):
         if fast_paths and _elimination_width(H, block, t - 1) < t - 1:
             continue
-        if _too_small_for_model(H, block, t, fast_paths):
+        slack = _edge_slack(H, block, t, fast_paths)
+        if slack is None:
             continue
         masks = _greedy_contraction(H, block, t) if fast_paths else None
         if masks is None:
-            masks = _branch_set_search(H, block, t, budget, spent)
+            masks = _branch_set_search(H, block, t, budget, spent, slack)
         if masks is not None:
-            model = MinorModel(tuple(set_of(m) for m in _lift(masks, suppressed)))
+            model = MinorModel(tuple(set_of(m) for m in _lift(masks[:t], suppressed)))
             defect = model_defect(G, model)
             if defect is not None:
                 raise InvariantViolation(f"search produced an invalid model: {defect}")
@@ -510,12 +551,17 @@ def find_kt_minor_exact(
 def hadwiger_number(G: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Largest t such that G has a K_t minor (0 for the null graph).
 
-    Binary search between 1 and the least of n, the largest t with
-    C(t, 2) <= m, and the min-degree elimination width plus one.
+    Binary search between the class count of the greedy contraction's
+    complete quotient of a block (at least 1) and the least of n, the
+    largest t with C(t, 2) <= m, and the min-degree elimination width plus
+    one.
     """
     if G.n == 0:
         return 0
-    lo = 1
+    lo = max(
+        (len(_greedy_contraction(G, block, 1)) for block in biconnected_blocks(G)),
+        default=1,
+    )
     hi = min(
         G.n,
         (1 + math.isqrt(1 + 8 * G.m)) // 2,

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 import minorlab as ml
 from minorlab import DenseModelParams, MinorModel, minor
-from minorlab.graphs import biconnected_blocks, set_of
+from minorlab.graphs import biconnected_blocks, bits, induced_subgraph, set_of
 from minorlab.minor import (
+    _branch_set_search,
+    _edge_slack,
     _elimination_width,
     _greedy_contraction,
     _lift,
     _series_parallel_reduce,
-    _too_small_for_model,
 )
 from oracles import branch_set_search_ref, contraction_round_ref, has_kt_minor_brute
 
@@ -118,9 +119,9 @@ def searched_blocks(monkeypatch, search, G, t, fast_paths, budget):
     search, and (block, outcome, steps spent so far) for each block searched."""
     calls = []
 
-    def recorded(H, block, t, budget, spent):
+    def recorded(H, block, t, budget, spent, slack):
         try:
-            found = search(H, block, t, budget, spent)
+            found = search(H, block, t, budget, spent, slack)
         except ml.BudgetExceeded:
             calls.append((block, "budget", spent[0]))
             raise
@@ -135,12 +136,20 @@ def searched_blocks(monkeypatch, search, G, t, fast_paths, budget):
     return verdict, calls
 
 
+def unpruned_ref(H, block, t, budget, spent, slack):
+    """The recursive reference search, which never prunes by the slack."""
+    return branch_set_search_ref(H, block, t, budget, spent)
+
+
 def test_branch_set_search_matches_the_recursive_search(monkeypatch):
-    # same models, verdicts and steps spent per block, deepening included;
-    # the K3 model of C_15 needs every vertex, so only the last cap finds it
-    # (after 37 907 steps).  With fast paths the greedy contraction settles
-    # nearly every G(n, p) case before the search, so those reach it mostly
-    # without fast paths; the lower-bound graphs at t = 6 reach it with them
+    # without fast paths: the same models, verdicts and steps spent per
+    # block, deepening included; the K3 model of C_15 needs every vertex, so
+    # only the last cap finds it (after 37 907 steps).  With fast paths the
+    # search prunes by the edge slack: wherever the reference decides a
+    # block the verdict is the same, and no block costs more steps.  The
+    # greedy contraction settles nearly every G(n, p) case before the
+    # search, so those reach it mostly without fast paths; the lower-bound
+    # graphs at t = 6 reach it with them
     loop = minor._branch_set_search
     graphs = [
         ml.gnp_random_graph(9 + i % 12, 0.25 + 0.05 * (i % 9), seed=9000 + i)
@@ -162,21 +171,36 @@ def test_branch_set_search_matches_the_recursive_search(monkeypatch):
         for fast_paths in (True, False)
     ]
     cases.append((ml.cycle_graph(15), 3, False, 40_000))
-    # lower-bound graphs that run out of the budget, as the slowest
-    # minor-check requests do: three and one blocks are proved free first
-    cases += [
+    # lower-bound graphs on which the unpruned search runs out of the
+    # budget, as the slowest minor-check requests did: three and one blocks
+    # are proved free first, then a model is found (in 6 882 and 17 120
+    # steps when this test was written)
+    exhausting = [
         (ml.lower_bound_bipartite(60, 60, 6, 0.05, seed=2), 6, True, 20_000),
         (ml.lower_bound_bipartite(80, 80, 6, 0.05, seed=17), 6, True, 20_000),
     ]
     searched = searched_fast = 0
-    for case in cases:
+    for case in cases + exhausting:
         got = searched_blocks(monkeypatch, loop, *case)
-        want = searched_blocks(monkeypatch, branch_set_search_ref, *case)
-        assert got == want
+        want = searched_blocks(monkeypatch, unpruned_ref, *case)
         searched += bool(got[1])
-        searched_fast += bool(got[1]) and case[2]
+        if not case[2]:
+            assert got == want
+            continue
+        searched_fast += bool(got[1])
+        (verdict, calls), (ref_verdict, ref_calls) = got, want
+        if not isinstance(ref_verdict, tuple):  # the reference decided
+            assert (verdict is None) == (ref_verdict is None)
+        for (block, found, steps), ref in zip(calls, ref_calls):
+            assert block == ref[0] and steps <= ref[2]
+            if ref[1] != "budget":
+                assert (found is None) == (ref[1] is None)
+    monkeypatch.undo()
+    for G, t, _, budget in exhausting:
+        model = ml.find_kt_minor_exact(G, t, budget=budget)
+        assert model is not None and model.t == t and ml.validate_model(G, model)
     assert searched >= 100
-    assert searched_fast >= 3
+    assert searched_fast >= 5
 
 
 def test_without_fast_paths_models_and_steps_are_unchanged(monkeypatch):
@@ -212,16 +236,17 @@ def test_fast_paths_agree_with_brute_and_settle_blocks_first(monkeypatch):
     settled = {"counting": 0, "contraction": 0}
 
     def counting(H, block, t, fast_paths):
-        skip = _too_small_for_model(H, block, t, fast_paths)
-        settled["counting"] += skip and not _too_small_for_model(H, block, t, False)
-        return skip
+        slack = _edge_slack(H, block, t, fast_paths)
+        if slack is None and _edge_slack(H, block, t, False) is not None:
+            settled["counting"] += 1
+        return slack
 
     def contraction(H, block, t):
         masks = _greedy_contraction(H, block, t)
         settled["contraction"] += masks is not None
         return masks
 
-    monkeypatch.setattr(minor, "_too_small_for_model", counting)
+    monkeypatch.setattr(minor, "_edge_slack", counting)
     monkeypatch.setattr(minor, "_greedy_contraction", contraction)
     graphs = []
     for i in range(30):
@@ -248,8 +273,9 @@ def test_fast_paths_agree_with_brute_and_settle_blocks_first(monkeypatch):
 
 
 def test_greedy_contraction_models_are_valid():
-    # on every block, reduced or not, a returned model is valid in the graph
-    # the block came from, and after lifting in the graph before reduction
+    # on every block, reduced or not, a returned complete quotient is a
+    # valid model in the graph the block came from, and after lifting in
+    # the graph before reduction
     graphs = [
         ml.gnp_random_graph(6 + i % 30, 0.1 + 0.05 * (i % 12), seed=9800 + i)
         for i in range(150)
@@ -266,7 +292,7 @@ def test_greedy_contraction_models_are_valid():
                     if masks is None:
                         continue
                     found += 1
-                    assert len(masks) == t and all(m & ~block == 0 for m in masks)
+                    assert len(masks) >= t and all(m & ~block == 0 for m in masks)
                     assert ml.model_defect(F, MinorModel(tuple(map(set_of, masks)))) is None
                     lifted = MinorModel(tuple(map(set_of, _lift(masks, lift))))
                     assert ml.model_defect(G, lifted) is None
@@ -284,23 +310,161 @@ def test_counting_certificate_never_skips_a_block_with_a_model():
                 G = ml.lower_bound_bipartite(s, s, t, 0.05, seed=seed)
                 H, _ = _series_parallel_reduce(G)
                 for block in biconnected_blocks(H):
-                    if _too_small_for_model(H, block, t, False):
+                    if _edge_slack(H, block, t, False) is None:
                         continue
-                    if _too_small_for_model(H, block, t, True):
+                    if _edge_slack(H, block, t, True) is None:
                         skipped += 1
                         assert branch_set_search_ref(H, block, t, 10**6, [0]) is None
     assert skipped >= 40, skipped
 
 
 def test_counting_certificate_with_clique_number_two():
-    # Petersen at t = 6: 10 vertices and 15 edges, and it has no triangle,
-    # so a model needs 2t - 2 = 10 vertices and C(6,2) + 4 = 19 edges
-    P = ml.petersen_graph()
-    assert not _too_small_for_model(P, P.full_mask, 6, False)
-    assert _too_small_for_model(P, P.full_mask, 6, True)
-    # K_{3,3} plus an edge has a triangle but K5 would need 2*5 - 3 = 7 vertices
+    # K_{3,4} at t = 5: 7 vertices and 12 edges leave a slack of
+    # 12 - C(5,2) - 2 = 0, but it has no triangle, so a model needs
+    # 2t - 2 = 8 vertices
+    G = ml.complete_bipartite(3, 4)
+    assert _edge_slack(G, G.full_mask, 5, False) is not None
+    assert _edge_slack(G, G.full_mask, 5, True) is None
+    # K_{3,3,2} at t = 6 has a slack of 21 - C(6,2) - 2 = 4 and triangles,
+    # but no K_4, so a model needs 2*6 - 3 = 9 vertices
+    G = ml.complete_multipartite([3, 3, 2])
+    assert _edge_slack(G, G.full_mask, 6, True) is None
+    # K_{3,3} plus an edge: 10 edges fall short of C(5,2) + (6 - 5)
     G = ml.from_edge_list(6, [(u, v) for u in range(3) for v in range(3, 6)] + [(0, 1)])
-    assert _too_small_for_model(G, G.full_mask, 5, True)
+    assert _edge_slack(G, G.full_mask, 5, True) is None
+
+
+def test_edge_slack_certificate():
+    # Petersen at t = 6: 15 edges fall short of C(6,2) + (10 - 6) = 19, so
+    # it is free without a clique search; at t = 5 its slack is 0 and its
+    # K5 model (the five spokes, contracted) spends none of it
+    P = ml.petersen_graph()
+    assert _edge_slack(P, P.full_mask, 6, True) is None
+    assert _edge_slack(P, P.full_mask, 5, True) == 0
+    # without fast paths the search gets all m edges: it prunes nothing
+    assert [_edge_slack(P, P.full_mask, t, False) for t in (5, 6)] == [15, 15]
+    # K_6 has slack C(6,2) - C(6,2) - 0 = 0 at t = 6 and 15 - 10 - 1 = 4 at t = 5
+    K = ml.complete_graph(6)
+    assert [_edge_slack(K, K.full_mask, t, True) for t in (5, 6, 7)] == [4, 0, None]
+
+
+def test_branch_set_search_root_without_moves_returns_none():
+    # a slack below 0 prunes even the first seed, which adds no excess, so
+    # the root is a dead end: a proof of freeness after one step, in the
+    # single pass of a small block and in the deepening of a larger one
+    for G in (ml.petersen_graph(), subdivided_k5()):
+        spent = [0]
+        assert _branch_set_search(G, G.full_mask, 5, 100, spent, -1) is None
+        assert spent == [1]
+
+
+def tight_block(rng, n, m):
+    """A random Hamiltonian (so 2-connected) graph on n vertices with m
+    edges and minimum degree at least 3."""
+    while True:
+        order = rng.sample(range(n), n)
+        adj = [set() for _ in range(n)]
+        for u, v in zip(order, order[1:] + order[:1]):
+            adj[u].add(v)
+            adj[v].add(u)
+        while low := [v for v in range(n) if len(adj[v]) < 3]:
+            u = rng.choice(low)
+            free = [v for v in range(n) if v != u and v not in adj[u]]
+            v = rng.choice([v for v in free if v in low] or free)
+            adj[u].add(v)
+            adj[v].add(u)
+        edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
+        if len(edges) <= m:
+            spare = [(u, v) for u, v in combinations(range(n), 2) if v not in adj[u]]
+            return ml.from_edge_list(n, edges + rng.sample(spare, m - len(edges)))
+
+
+def planted_tight_model(rng, n, t):
+    """A random 2-connected graph on n vertices of minimum degree at least 3
+    made of a K_t model that spends no excess: t trees covering every
+    vertex and one edge between each pair of them, so its slack is 0.  Each
+    pair's edge ends at a vertex of least degree so far in either tree."""
+    while True:
+        order = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(1, n), t - 1))
+        sets = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        edges = [(s[k], rng.choice(s[:k])) for s in sets for k in range(1, len(s))]
+        degree = [0] * n
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        pairs = list(combinations(sets, 2))
+        rng.shuffle(pairs)
+        for pair in pairs:
+            u, v = (rng.choice([x for x in s if degree[x] == min(degree[y] for y in s)])
+                    for s in pair)
+            degree[u] += 1
+            degree[v] += 1
+            edges.append((u, v))
+        G = ml.from_edge_list(n, edges)
+        if min(map(G.degree, range(n))) >= 3 and biconnected_blocks(G) == [G.full_mask]:
+            return G
+
+
+def test_slack_pruned_search_agrees_with_brute():
+    # every distinct block that reaches the search from the lower-bound
+    # graphs at t = 5 (sides 40-60) and t = 6 (sides 60-80), and random
+    # 2-connected blocks of minimum degree 3 on 8-10 vertices with slack 0
+    # or 1; the certificate and the pruned search agree with the partition
+    # oracle on each.  Slack-0 blocks with a model, such as Petersen at
+    # t = 5 and the planted ones, fail here if the slack is one too tight
+    blocks = {}
+    for t, sides in ((5, (40, 50, 60)), (6, (60, 70, 80))):
+        for side in sides:
+            for seed in range(6):
+                G = ml.lower_bound_bipartite(side, side, t, 0.05, seed=seed)
+                H, _ = _series_parallel_reduce(G)
+                for block in biconnected_blocks(H):
+                    if (
+                        _elimination_width(H, block, t - 1) == t - 1
+                        and _edge_slack(H, block, t, True) is not None
+                        and _greedy_contraction(H, block, t) is None
+                    ):
+                        B = induced_subgraph(H, bits(block))
+                        blocks.setdefault((B.adj, t), (H, block))
+    searched = len(blocks)
+    P = ml.petersen_graph()
+    blocks[P.adj, 5] = (P, P.full_mask)
+    rng = random.Random(9900)
+    for i in range(12):
+        n, t, slack = 8 + i % 3, 5 + i // 3 % 2, i // 6 % 2
+        B = tight_block(rng, n, t * (t - 1) // 2 + n - t + slack)
+        blocks.setdefault((B.adj, t), (B, B.full_mask))
+        B = planted_tight_model(rng, n, t)
+        blocks.setdefault((B.adj, t), (B, B.full_mask))
+    tight_models = 0
+    for (_, t), (H, block) in blocks.items():
+        want = has_kt_minor_brute(induced_subgraph(H, bits(block)), t)
+        slack = _edge_slack(H, block, t, True)
+        if slack is None:
+            assert not want
+            continue
+        found = _branch_set_search(H, block, t, 10**6, [0], slack)
+        assert (found is not None) == want, (H, block, t, slack)
+        if found is not None:
+            assert ml.validate_model(H, MinorModel(tuple(map(set_of, found))))
+            tight_models += slack == 0
+    assert searched >= 20 and tight_models >= 12, (searched, tight_models)
+
+
+def test_hadwiger_starts_at_the_greedy_quotient(monkeypatch):
+    # the greedy contraction of the Petersen graph ends in a K_4, and the
+    # elimination width bounds it by 5, so only t = 5 is searched
+    asked = []
+    find = ml.find_kt_minor_exact
+
+    def recorded(G, t, budget):
+        asked.append(t)
+        return find(G, t, budget)
+
+    monkeypatch.setattr(minor, "find_kt_minor_exact", recorded)
+    assert ml.hadwiger_number(ml.petersen_graph()) == 5
+    assert asked == [5]
 
 
 def test_counting_certificate_gives_up_on_a_long_clique_search(monkeypatch):
