@@ -15,7 +15,7 @@ import math
 import random
 from typing import AbstractSet, Mapping, Sequence
 
-from .decompose import peel_piece
+from .decompose import peel_layers
 from .errors import (
     BudgetExceeded,
     HallRatioViolation,
@@ -26,6 +26,7 @@ from .errors import (
 from .graphs import (
     DEFAULT_BUDGET,
     Graph,
+    adjacency_mask,
     bits,
     checked_vertices,
     degeneracy,
@@ -193,9 +194,8 @@ def _check_partition(G: Graph, parts: Sequence[AbstractSet[int]]) -> None:
             raise InputError(f"part {i} overlaps an earlier part")
         seen |= set(part)
         pmask = mask_of(part)
-        for v in part:
-            if G.adj[v] & pmask:
-                raise InputError(f"part {i} is not independent in the graph")
+        if adjacency_mask(G, pmask) & pmask:
+            raise InputError(f"part {i} is not independent in the graph")
     if seen != set(range(G.n)):
         raise InputError("parts must cover every vertex")
 
@@ -426,13 +426,7 @@ def minor_free_list_color(
     if rho is None:
         rho = 2 * d
 
-    layers: list[list[int]] = []
-    remaining = G.full_mask
-    while remaining:
-        piece = sorted(peel_piece(G, d, within=bits(remaining)))
-        layers.append(piece)
-        remaining &= ~mask_of(piece)
-
+    layers = list(peel_layers(G, d, G.full_mask))
     coloring: dict[int, int] = {}
     for level, piece in enumerate(reversed(layers)):
         piece_set = set(piece)

@@ -22,7 +22,7 @@ kappa(G).
 from __future__ import annotations
 
 from .errors import InputError, PreconditionError
-from .graphs import Graph, components, mask_of, set_of
+from .graphs import Graph, adjacency_mask, components, mask_of, set_of
 
 
 def maximum_flow(
@@ -214,9 +214,8 @@ def _bipartite_certificate(
         return False
     for side in (A, B):
         smask = mask_of(side)
-        for v in side:
-            if G.adj[v] & smask:
-                return False  # not actually bipartite on these parts
+        if adjacency_mask(G, smask) & smask:
+            return False  # not actually bipartite on these parts
     for side in (A, B):
         vs = sorted(side)
         for i, x in enumerate(vs):

@@ -5,15 +5,17 @@ coboundary Y has at most 3k vertices, together with a matching from Y into X
 saturating Y, such that contracting the matching inside G[X | Y] leaves a
 k-connected graph.  :func:`small_coboundary_piece` turns the minimal-piece
 argument into a terminating loop and forms each contracted piece as one
-:func:`~minorlab.graphs.quotient` of G.  :func:`peel_piece` is the wrapper the
-coloring pipeline consumes: it peels inside a live vertex set (`within`) and
-copies that induced subgraph only when no vertex has degree at most d.
+:func:`~minorlab.graphs.quotient` of G.  :func:`peel_layers` is the peel the
+coloring pipeline consumes: single vertices from
+:func:`~minorlab.graphs.min_degree_peel` while some live degree is at most d,
+and an induced copy only when every live degree exceeds d.
+:func:`peel_piece` returns its first piece.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .connectivity import connectivity_at_least, minimum_separation, vertex_connectivity
 from .errors import InputError, InvariantViolation, PreconditionError
@@ -24,6 +26,7 @@ from .graphs import (
     bits,
     induced_subgraph_with_map,
     mask_of,
+    min_degree_peel,
     quotient,
     saturating_matching,
     set_of,
@@ -115,23 +118,39 @@ def small_coboundary_piece(G: Graph, k: int) -> Decomposition:
             raise InvariantViolation("no separation side yields a small coboundary")
 
 
+def peel_layers(G: Graph, d: int, live: int) -> Iterator[list[int]]:
+    """The pieces that peel G[live] apart, in order, each as ascending ids.
+
+    A vertex of least degree (lowest id on ties) is a piece on its own while
+    that degree is at most d.  Once every live vertex has degree above d, the
+    next piece is :func:`small_coboundary_piece` with k = floor(d / 6)
+    (coboundary at most 3k <= d/2) of the induced copy of what is left, and
+    peeling resumes on the rest.
+    """
+    while live:
+        for v, _ in min_degree_peel(G, live, d):
+            live &= ~(1 << v)
+            yield [v]
+        if live:
+            H, old_ids = induced_subgraph_with_map(G, bits(live))
+            piece = sorted(old_ids[i] for i in small_coboundary_piece(H, d // 6).X)
+            live &= ~mask_of(piece)
+            yield piece
+
+
 def peel_piece(G: Graph, d: int, within: Iterable[int] | None = None) -> frozenset[int]:
     """A non-empty piece of G[within] whose coboundary there has at most d vertices.
 
-    A vertex of lowest degree (lowest id on ties) is its own piece when that
-    degree is at most d; otherwise delegate to :func:`small_coboundary_piece`
-    with k = floor(d / 6) (coboundary at most 3k <= d/2) on an induced copy.
+    The first piece of :func:`peel_layers`: a vertex of lowest degree when
+    that degree is at most d, otherwise a small-coboundary piece of the
+    induced copy of G[within].
     """
     live = within_mask(G, within)
     if live == 0:
         raise PreconditionError("the graph must be non-empty")
     if d < 6:
         raise InputError(f"peel parameter must be at least 6, got {d}")
-    deg, v = min(((G.adj[v] & live).bit_count(), v) for v in bits(live))
-    if deg <= d:
-        return frozenset({v})
-    H, old_ids = induced_subgraph_with_map(G, bits(live))
-    return frozenset(old_ids[i] for i in small_coboundary_piece(H, d // 6).X)
+    return frozenset(next(peel_layers(G, d, live)))
 
 
 def check_decomposition(G: Graph, D: Decomposition) -> list[str]:

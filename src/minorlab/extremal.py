@@ -8,6 +8,7 @@ graphs whose connectivity concentrates at half the smaller side.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -102,14 +103,9 @@ def lambda_constant(tol: float = 1e-6) -> tuple[float, float]:
     return f(x_star), x_star
 
 
-_LAMBDA_CACHE: tuple[float, float] | None = None
-
-
+@functools.cache
 def _lambda() -> tuple[float, float]:
-    global _LAMBDA_CACHE
-    if _LAMBDA_CACHE is None:
-        _LAMBDA_CACHE = lambda_constant(1e-9)
-    return _LAMBDA_CACHE
+    return lambda_constant(1e-9)
 
 
 def lower_bound_edge_target(a: int, b: int, t: int, eps: float) -> float:

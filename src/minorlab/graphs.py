@@ -13,6 +13,7 @@ augmenting paths) is lowest-index-first for reproducibility.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -219,6 +220,33 @@ def nonedge_fraction(G: Graph) -> Fraction:
     return 1 - Fraction(G.m, G.n * (G.n - 1) // 2)
 
 
+def min_degree_peel(G: Graph, live: int, cap: int) -> Iterator[tuple[int, int]]:
+    """Remove least-degree vertices of G[live] while that degree is at most `cap`.
+
+    Yields (vertex, its degree among the vertices still live), lowest id on
+    ties.  The live vertices sit in one heap of (degree, id) entries: a
+    vertex gets a new entry when a neighbour is peeled, and an entry is
+    current while its vertex is live and has that degree, so a peel of the
+    whole graph costs O(m log n).
+    """
+    degree = {v: (G.adj[v] & live).bit_count() for v in bits(live)}
+    heap = [(dv, v) for v, dv in degree.items()]
+    heapq.heapify(heap)
+    while heap:
+        dv, v = heap[0]
+        if not live >> v & 1 or degree[v] != dv:
+            heapq.heappop(heap)
+            continue
+        if dv > cap:
+            return
+        heapq.heappop(heap)
+        live &= ~(1 << v)
+        yield v, dv
+        for u in bits(G.adj[v] & live):
+            degree[u] -= 1
+            heapq.heappush(heap, (degree[u], u))
+
+
 def degeneracy(G: Graph) -> tuple[int, list[int]]:
     """Minimum-degree elimination: returns (d, order).
 
@@ -228,21 +256,8 @@ def degeneracy(G: Graph) -> tuple[int, list[int]]:
     """
     if G.n == 0:
         raise PreconditionError("degeneracy of the null graph is undefined")
-    live = G.full_mask
-    order: list[int] = []
-    d = 0
-    for _ in range(G.n):
-        best_v = -1
-        best_deg = G.n + 1
-        for v in bits(live):
-            dv = (G.adj[v] & live).bit_count()
-            if dv < best_deg:
-                best_deg = dv
-                best_v = v
-        d = max(d, best_deg)
-        order.append(best_v)
-        live &= ~(1 << best_v)
-    return d, order
+    peel = list(min_degree_peel(G, G.full_mask, G.n))
+    return max(dv for _, dv in peel), [v for v, _ in peel]
 
 
 def quotient(G: Graph, classes: Sequence[int]) -> Graph:

@@ -709,9 +709,8 @@ def contraction_round(
         raise InputError("A and B must partition the vertex set")
     for side in (A, B):
         smask = mask_of(side)
-        for v in side:
-            if G.adj[v] & smask:
-                raise InputError("graph is not bipartite on the given parts")
+        if adjacency_mask(G, smask) & smask:
+            raise InputError("graph is not bipartite on the given parts")
     if not X <= B:
         raise InputError("X must be a subset of B")
 

@@ -11,8 +11,10 @@ The subgraph references at the end (induced subgraph, contraction, bipartite
 induced subgraph, one random contraction round) walk the edge list and
 rebuild through :func:`from_edge_list`, independently of the library's mask
 quotient; the matching reference is the plain recursive augmenting-path
-search.  The three search references at the very end are the recursive
-versions of the library's explicit-stack searches (branch sets, maximum
+search.  The peel references scan every live vertex for the least degree on
+each step, where the library keeps one heap for a whole peel, and peel each
+layer from a fresh induced copy.  The three search references at the very
+end are the recursive versions of the library's explicit-stack searches (branch sets, maximum
 independent set, exact list colouring); they must visit the same nodes in
 the same order, so tests compare results and the steps each one spends
 (:func:`smallest_budget`).  The last one, :func:`hall_ratio_list_color_ref`,
@@ -37,6 +39,7 @@ from minorlab.coloring import (
     multipartite_list_color,
     split_lists_by_colors,
 )
+from minorlab.decompose import small_coboundary_piece
 from minorlab.errors import (
     BudgetExceeded,
     HallRatioViolation,
@@ -310,6 +313,55 @@ def saturating_matching_ref(G: Graph, Y, X):
     if violator is not None:
         return violator
     return sorted((y, x) for x, y in match_of_x.items())
+
+
+def triangulated_grid(w):
+    """The w x w grid with one diagonal per square: planar, min degree 2."""
+    edges = []
+    for r in range(w):
+        for c in range(w):
+            v = r * w + c
+            if c + 1 < w:
+                edges.append((v, v + 1))
+            if r + 1 < w:
+                edges.append((v, v + w))
+            if c + 1 < w and r + 1 < w:
+                edges.append((v, v + w + 1))
+    return from_edge_list(w * w, edges)
+
+
+def degeneracy_ref(G: Graph) -> tuple[int, list[int]]:
+    """Minimum-degree elimination by a full scan of the live vertices per
+    step (lowest id on ties): O(n^2) bitset operations, no heap."""
+    live = G.full_mask
+    order: list[int] = []
+    d = 0
+    for _ in range(G.n):
+        best_v = -1
+        best_deg = G.n + 1
+        for v in bits(live):
+            dv = (G.adj[v] & live).bit_count()
+            if dv < best_deg:
+                best_deg = dv
+                best_v = v
+        d = max(d, best_deg)
+        order.append(best_v)
+        live &= ~(1 << best_v)
+    return d, order
+
+
+def peel_layers_ref(G: Graph, d: int) -> list[list[int]]:
+    """The peel loop on induced copies: each piece is peeled from a fresh
+    G[remaining], as its lowest (degree, id) vertex when that degree is at
+    most d, else as the small-coboundary piece with k = d // 6."""
+    layers, remaining = [], list(range(G.n))
+    while remaining:
+        H, old_ids = induced_subgraph_with_map(G, remaining)
+        deg, v = min((H.degree(v), v) for v in range(H.n))
+        piece = {v} if deg <= d else small_coboundary_piece(H, d // 6).X
+        layers.append(sorted(old_ids[i] for i in piece))
+        remaining = sorted(set(remaining) - set(layers[-1]))
+    return layers
 
 
 def branch_set_search_ref(

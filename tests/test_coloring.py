@@ -7,11 +7,14 @@ import pytest
 
 import minorlab as ml
 from minorlab import coloring
+from minorlab.decompose import peel_layers
 from oracles import (
     exact_list_color_ref,
     hall_ratio_list_color_ref,
+    peel_layers_ref,
     random_multipartite,
     smallest_budget,
+    triangulated_grid,
 )
 
 
@@ -469,41 +472,15 @@ def test_minorfree_dense_clique_with_big_piece_fails_honestly():
     assert c is None
 
 
-def triangulated_grid(w):
-    """The w x w grid with one diagonal per square: planar, min degree 2."""
-    edges = []
-    for r in range(w):
-        for c in range(w):
-            v = r * w + c
-            if c + 1 < w:
-                edges.append((v, v + 1))
-            if r + 1 < w:
-                edges.append((v, v + w))
-            if c + 1 < w and r + 1 < w:
-                edges.append((v, v + w + 1))
-    return ml.from_edge_list(w * w, edges)
-
-
-def reference_layers(G, d):
-    """The peel loop on induced copies: each piece is peeled from G[remaining]."""
-    layers, remaining = [], list(range(G.n))
-    while remaining:
-        H, old_ids = ml.induced_subgraph_with_map(G, remaining)
-        piece = sorted(old_ids[i] for i in ml.peel_piece(H, d))
-        layers.append(piece)
-        remaining = sorted(set(remaining) - set(piece))
-    return layers
-
-
 def test_minorfree_peels_the_layers_of_induced_copies(monkeypatch):
     pieces = []
 
-    def recorded_peel(G, d, within):
-        piece = ml.peel_piece(G, d, within=within)
-        pieces.append(sorted(piece))
-        return piece
+    def recorded_layers(G, d, live):
+        for piece in peel_layers(G, d, live):
+            pieces.append(sorted(piece))
+            yield piece
 
-    monkeypatch.setattr(coloring, "peel_piece", recorded_peel)
+    monkeypatch.setattr(coloring, "peel_layers", recorded_layers)
     # the bipartite graph has min degree above d, so its first peel takes the
     # coboundary-piece branch
     inputs = [triangulated_grid(w) for w in (6, 9, 12)]
@@ -513,4 +490,16 @@ def test_minorfree_peels_the_layers_of_induced_copies(monkeypatch):
         lists = ml.random_lists(G.n, 12, 16, seed)
         c = ml.minor_free_list_color(G, lists, d=6, seed=seed)
         assert c is not None and ml.verify_list_coloring(G, lists, c)
-        assert pieces == reference_layers(G, 6), G.n
+        assert pieces == peel_layers_ref(G, 6), G.n
+
+
+def test_minorfree_colours_a_large_grid_fast():
+    # a min over every live vertex per layer made the peel quadratic: 1.6 s
+    # for this call on a 2-core VM, against about 0.04 s with one heap for
+    # the whole peel
+    G = triangulated_grid(40)
+    lists = ml.random_lists(G.n, 12, 16, 0)
+    t0 = time.perf_counter()
+    c = ml.minor_free_list_color(G, lists, d=6, seed=0)
+    assert time.perf_counter() - t0 < 1.0
+    assert c is not None and ml.verify_list_coloring(G, lists, c)

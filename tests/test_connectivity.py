@@ -88,6 +88,22 @@ def test_connectivity_certificate_bipartite():
     assert not ml.connectivity_at_least(G, want + 1, parts=parts)
 
 
+def test_certificate_on_split_that_is_not_independent_matches_brute_force():
+    # the certificate proves nothing when a side holds an edge, so such a
+    # split must leave the verdict to the flows
+    for seed in range(3000):
+        rng = random.Random(seed)
+        n = rng.randint(4, 9)
+        G = ml.gnp_random_graph(n, rng.choice((0.5, 0.7, 0.9)), seed=seed)
+        A = frozenset(v for v in range(n) if rng.random() < 0.5)
+        B = frozenset(range(n)) - A
+        if not any((u in A) == (v in A) for u, v in G.edges()):
+            continue  # independent split
+        kappa = kappa_brute(G)
+        for k in range(n + 1):
+            assert ml.connectivity_at_least(G, k, parts=(A, B)) == (kappa >= k), (seed, k)
+
+
 # -- differential checks against the dict-based reference flow --------------
 
 

@@ -1,10 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minorlab as ml
-from minorlab.decompose import _contracted_piece
-from oracles import contract_ref, induced_subgraph_ref
+from minorlab.decompose import _contracted_piece, peel_layers
+from oracles import (
+    contract_ref,
+    degeneracy_ref,
+    induced_subgraph_ref,
+    peel_layers_ref,
+    triangulated_grid,
+)
+from test_graphs import small_graphs
 
 
 def two_cliques_bridged(k_size, bridges):
@@ -147,6 +156,45 @@ def test_peel_within_equals_peel_of_induced_copy(H, d, piece_size):
         assert len(X) == piece_size
         # the pendants have degree 1 in G, so only `within` keeps them out
         assert len(ml.peel_piece(G, d)) == 1
+
+
+def dense_peel_cases():
+    """Graphs whose least degree exceeds d somewhere in the peel, at each d."""
+    graphs = [ml.gen_bipartite(ml.BipartiteSpec(20, 20, 0.5, s)) for s in range(9, 15)]
+    graphs.append(ml.random_graph_min_degree(50, 14, seed=77))
+    return [(G, d) for G in graphs for d in (6, 7, 12)]
+
+
+def check_layers(G, d):
+    layers = peel_layers_ref(G, d)
+    assert list(peel_layers(G, d, G.full_mask)) == layers
+    remaining = set(range(G.n))
+    for layer in layers:
+        # each layer is the piece peel_piece takes from what is left
+        assert ml.peel_piece(G, d, within=sorted(remaining)) == frozenset(layer)
+        remaining -= set(layer)
+
+
+@given(small_graphs(), st.sampled_from((6, 7, 12)))
+@settings(max_examples=60, deadline=None)
+def test_peel_layers_match_the_induced_copy_reference_on_small_graphs(G, d):
+    check_layers(G, d)
+
+
+@pytest.mark.parametrize(
+    "G, d", [(triangulated_grid(w), 6) for w in (5, 12, 20)] + dense_peel_cases()
+)
+def test_peel_layers_match_the_induced_copy_reference(G, d):
+    check_layers(G, d)
+
+
+def test_peel_layers_of_a_large_grid_follow_the_scan_order():
+    # no degree of the grid exceeds 6, so every layer is one vertex, in the
+    # order of the scanning degeneracy reference (the induced-copy reference
+    # takes seconds here)
+    G = triangulated_grid(40)
+    _, order = degeneracy_ref(G)
+    assert list(peel_layers(G, 6, G.full_mask)) == [[v] for v in order]
 
 
 def test_peel_within_empty_is_rejected():
