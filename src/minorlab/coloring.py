@@ -28,11 +28,11 @@ from .graphs import (
     Graph,
     adjacency_mask,
     bits,
+    checked_mask,
     checked_vertices,
     degeneracy,
     find_independent_set,
     induced_subgraph_with_map,
-    mask_of,
 )
 from .seeds import derive_seed
 
@@ -193,7 +193,7 @@ def _check_partition(G: Graph, parts: Sequence[AbstractSet[int]]) -> None:
         if seen & set(part):
             raise InputError(f"part {i} overlaps an earlier part")
         seen |= set(part)
-        pmask = mask_of(part)
+        pmask = checked_mask(G, part)
         if adjacency_mask(G, pmask) & pmask:
             raise InputError(f"part {i} is not independent in the graph")
     if seen != set(range(G.n)):

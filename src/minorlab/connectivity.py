@@ -16,7 +16,9 @@ Global connectivity uses the classical pair coverage: fix a minimum-degree
 vertex v, take flows from v to every non-neighbor, and between every
 non-adjacent pair of neighbors of v.  Any minimum cut either avoids v (first
 family) or contains it (second family), so the minimum over these flows is
-kappa(G).
+kappa(G).  :func:`separation_below` is the one loop over these pairs, with a
+falling cap; :func:`vertex_connectivity`, :func:`minimum_separation` and the
+piece loop of :mod:`minorlab.decompose` all run it.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ def maximum_flow(
     depend on which paths were found.  At the cap the second item is None.
     """
     adj = G.adj
-    if s == t or adj[s] >> t & 1:
-        raise InputError(f"flow endpoints {s} and {t} must be distinct and non-adjacent")
+    if not (0 <= s < G.n and 0 <= t < G.n) or s == t or adj[s] >> t & 1:
+        raise InputError(f"flow endpoints {s} and {t} must be distinct non-adjacent vertices")
     sbit, tbit = 1 << s, 1 << t
     # A vertex v other than s and t carries flow iff its bit is in `used`;
     # then into[v] -> v -> out[v] are the flow arcs through it (out[v] is
@@ -161,6 +163,32 @@ def _pair_coverage(G: Graph) -> list[tuple[int, int]]:
     return pairs
 
 
+def separation_below(G: Graph, cap: int) -> tuple[int, int, int] | None:
+    """(order, A, B) of a minimum separation of G, as masks, if kappa(G) < cap.
+
+    A disconnected G gives order 0 and A the component of vertex 0.  Else
+    each covering pair's flow is capped at the least value so far; the first
+    pair to reach kappa (the same pair for any cap above kappa) decides.  A
+    is the vertices with a copy reachable in its residual digraph, the cut
+    A & B those reachable only at their in-copy.  None when no pair falls
+    below `cap`, as for a complete G, which has no pairs.
+    """
+    comps = components(G)
+    if len(comps) > 1:
+        return 0, comps[0], G.full_mask & ~comps[0]
+    reach = None
+    for s, t in _pair_coverage(G):
+        val, r = maximum_flow(G, s, t, cap)
+        if val < cap:
+            cap, reach = val, r
+    if reach is None:
+        return None
+    reach_in, reach_out = reach
+    A = reach_in | reach_out
+    cut = reach_in & ~reach_out
+    return cap, A, cut | (G.full_mask & ~A)
+
+
 def vertex_connectivity(G: Graph) -> int:
     """kappa(G): minimum over non-adjacent pairs of max vertex-disjoint paths.
 
@@ -170,12 +198,9 @@ def vertex_connectivity(G: Graph) -> int:
         raise PreconditionError("vertex connectivity needs at least 2 vertices")
     if G.is_complete():
         return G.n - 1
-    if len(components(G)) > 1:
-        return 0
-    best = G.min_degree()  # kappa <= delta, so no flow needs to exceed it
-    for s, t in _pair_coverage(G):
-        best = maximum_flow(G, s, t, best)[0]
-    return best
+    delta = G.min_degree()  # kappa <= delta, so no flow needs to exceed it
+    found = separation_below(G, delta)
+    return delta if found is None else found[0]
 
 
 def connectivity_at_least(
@@ -210,7 +235,7 @@ def _bipartite_certificate(
     G: Graph, parts: tuple[frozenset[int], frozenset[int]], k: int
 ) -> bool:
     A, B = parts
-    if A & B or len(A) + len(B) != G.n:
+    if A & B or A | B != frozenset(range(G.n)):
         return False
     for side in (A, B):
         smask = mask_of(side)
@@ -230,28 +255,12 @@ def minimum_separation(G: Graph) -> tuple[frozenset[int], frozenset[int]]:
     """A separation (A, B) of minimum order: A | B = V, no edges A-B except
     through the cut A & B, and |A & B| = kappa(G).
 
-    The minimising flow is the first covering pair that reaches kappa.  A is
-    every vertex with a copy reachable from the source in that flow's
-    residual digraph; the cut is the vertices reachable only at their
-    in-copy, and B is the cut plus the unreachable rest.  Undefined (input
-    error) for complete graphs.
+    :func:`separation_below` capped at delta + 1, so some pair falls below
+    it.  Undefined (input error) for complete graphs.
     """
     if G.n < 2:
         raise PreconditionError("a separation needs at least 2 vertices")
     if G.is_complete():
         raise InputError("complete graphs have no separation")
-    comps = components(G)
-    if len(comps) > 1:
-        a = set_of(comps[0])
-        return frozenset(a), frozenset(range(G.n)) - a
-
-    best = G.min_degree() + 1  # kappa <= delta, so some pair falls below
-    reach = None
-    for s, t in _pair_coverage(G):
-        val, r = maximum_flow(G, s, t, best)
-        if val < best:
-            best, reach = val, r
-    reach_in, reach_out = reach
-    A = reach_in | reach_out
-    cut = reach_in & ~reach_out
-    return set_of(A), set_of(cut | (G.full_mask & ~A))
+    _, A, B = separation_below(G, G.min_degree() + 1)
+    return set_of(A), set_of(B)

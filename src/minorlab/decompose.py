@@ -17,13 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .connectivity import connectivity_at_least, minimum_separation, vertex_connectivity
+from .connectivity import connectivity_at_least, separation_below, vertex_connectivity
 from .errors import InputError, InvariantViolation, PreconditionError
 from .graphs import (
     Graph,
     HallViolator,
     adjacency_mask,
     bits,
+    checked_mask,
     induced_subgraph_with_map,
     mask_of,
     min_degree_peel,
@@ -46,7 +47,7 @@ class Decomposition:
 
 def coboundary(G: Graph, X) -> frozenset[int]:
     """External neighborhood: the union of N(v) over v in X, minus X."""
-    xmask = mask_of(X)
+    xmask = checked_mask(G, X)
     return set_of(adjacency_mask(G, xmask) & ~xmask)
 
 
@@ -66,7 +67,8 @@ def small_coboundary_piece(G: Graph, k: int) -> Decomposition:
     Hall violator by discarding the violator's neighborhood from X, or splits
     X along a separation of order below k.  |X| strictly decreases, so the
     loop terminates; under the minimum-degree precondition a failing round is
-    an implementation bug, reported as :class:`InvariantViolation`.
+    an implementation bug, reported as :class:`InvariantViolation`.  One
+    :func:`~minorlab.connectivity.separation_below` at cap k decides a round.
     """
     if k < 1:
         raise InputError(f"k must be at least 1, got {k}")
@@ -102,14 +104,13 @@ def small_coboundary_piece(G: Graph, k: int) -> Decomposition:
 
         matching = tuple(result)
         Q, classes = _contracted_piece(G, X, Y, matching)
-        if Q.n >= 2 and connectivity_at_least(Q, k):
+        if Q.n <= k and Q.is_complete():
+            raise InvariantViolation(f"contracted piece is complete on {Q.n} <= k vertices")
+        split = separation_below(Q, k)  # one pass of flows; None: kappa(Q) >= k
+        if split is None:
             return Decomposition(X, Y, matching, k)
-        if Q.n < 2:
-            raise InvariantViolation("contracted piece collapsed to a single vertex")
-
-        A_new, B_new = minimum_separation(Q)
-        A = frozenset().union(*(classes[i] for i in A_new))
-        B = frozenset().union(*(classes[i] for i in B_new))
+        A = frozenset().union(*(classes[i] for i in bits(split[1])))
+        B = frozenset().union(*(classes[i] for i in bits(split[2])))
         for candidate in ((A & X) - B, (B & X) - A):
             if candidate and len(coboundary(G, candidate)) <= 3 * k:
                 X = candidate
@@ -165,6 +166,9 @@ def check_decomposition(G: Graph, D: Decomposition) -> list[str]:
     if not D.X:
         problems.append("piece-empty")
         return problems
+    outside = [v for v in D.X | D.Y if not 0 <= v < G.n]
+    if outside:
+        return [f"vertex-out-of-range:{min(outside)}"]
     if coboundary(G, D.X) != D.Y:
         problems.append("coboundary-mismatch")
     if len(D.Y) > 3 * D.k:

@@ -331,9 +331,19 @@ def checked_vertices(G: Graph, vertices: Iterable[int]) -> list[int]:
     return out
 
 
+def checked_mask(G: Graph, vertices: Iterable[int]) -> int:
+    """mask_of(vertices); raises InputError on an id that is not a vertex of G."""
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < G.n:
+            raise InputError(f"vertex {v} out of range for n={G.n}")
+        mask |= 1 << v
+    return mask
+
+
 def within_mask(G: Graph, within: Iterable[int] | None) -> int:
     """The mask of the vertices in `within`, or of all of G when it is None."""
-    return G.full_mask if within is None else mask_of(checked_vertices(G, within))
+    return G.full_mask if within is None else checked_mask(G, within)
 
 
 def induced_subgraph_with_map(
@@ -387,16 +397,14 @@ def saturating_matching(
     harvested from the final failed augmenting-path search: the Y-vertices
     reachable by alternating paths from the unmatched vertex.
     """
-    ys = sorted(set(Y))
-    xs = frozenset(X)
-    if set(ys) & xs:
+    ymask, xmask = checked_mask(G, Y), checked_mask(G, X)
+    if ymask & xmask:
         raise InputError("Y and X must be disjoint")
-    xmask = mask_of(xs)
     match_of_x: dict[int, int] = {}
     match_of_y: dict[int, int] = {}
 
     violator_seen: set[int] | None = None
-    for y0 in ys:
+    for y0 in bits(ymask):
         # depth-first search for an augmenting path, as a loop; each entry
         # keeps the X-vertex it was reached through and resumes its iterator
         seen: set[int] = set()

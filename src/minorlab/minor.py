@@ -23,6 +23,7 @@ from .graphs import (
     adjacency_mask,
     biconnected_blocks,
     bits,
+    closure_mask,
     find_independent_set,
     is_connected_mask,
     mask_components,
@@ -80,42 +81,13 @@ def validate_model(G: Graph, model: MinorModel) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_model(G: Graph) -> MinorModel | None:
-    """K_3 model from any cycle: two singletons plus the rest of the cycle."""
-    parent = [-1] * G.n
-    state = [0] * G.n  # 0 unseen, 1 active, 2 done
-    for root in range(G.n):
-        if state[root]:
-            continue
-        stack = [(root, -1, iter(G.neighbors(root)))]
-        state[root] = 1
-        while stack:
-            v, pv, it = stack[-1]
-            advanced = False
-            for u in it:
-                if u == pv:
-                    continue
-                if state[u] == 1:
-                    # back edge v-u closes a cycle
-                    path = [v]
-                    x = v
-                    while x != u:
-                        x = parent[x]
-                        path.append(x)
-                    cyc = path[::-1]  # u ... v along tree edges, closed by v-u
-                    return MinorModel(
-                        (frozenset({cyc[0]}), frozenset({cyc[1]}), frozenset(cyc[2:]))
-                    )
-                if state[u] == 0:
-                    parent[u] = v
-                    state[u] = 1
-                    stack.append((u, v, iter(G.neighbors(u))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                stack.pop()
-    return None
+def _verified_model(G: Graph, masks: list[int], source: str) -> MinorModel:
+    """The model with these branch-set masks; an invalid one is a bug in `source`."""
+    model = MinorModel(tuple(set_of(m) for m in masks))
+    defect = model_defect(G, model)
+    if defect is not None:
+        raise InvariantViolation(f"{source} produced an invalid model: {defect}")
+    return model
 
 
 def _series_parallel_reduce(G: Graph) -> tuple[Graph, list[tuple[int, int, int]]]:
@@ -491,10 +463,10 @@ def find_kt_minor_exact(
     """Exact K_t-minor search: a verified model, or None as a proof of freeness.
 
     Raises :class:`BudgetExceeded` when the node budget runs out, which is
-    inconclusive.  With `fast_paths` enabled, t=3 reduces to cycle detection,
-    and for t >= 4 each block of the series-parallel reduction of G (degree
-    <= 1 vertices deleted, degree-2 vertices suppressed) goes through, in
-    order:
+    inconclusive.  With `fast_paths` enabled, a K_3 model comes from the
+    first block of G with three or more vertices, and for t >= 4 each block
+    of the series-parallel reduction of G (degree <= 1 vertices deleted,
+    degree-2 vertices suppressed) goes through, in order:
 
     1. the width certificate: a min-degree elimination width below t-1
        proves the block free (treewidth never grows under minors and
@@ -525,7 +497,19 @@ def find_kt_minor_exact(
         u, v = edges[0]
         return MinorModel((frozenset({u}), frozenset({v})))
     if fast_paths and t == 3:
-        return _cycle_model(G)
+        # K_3 lives in a block of at least three vertices, which is
+        # 2-connected: its least vertex v, v's least neighbour u in it, and
+        # the part of block - {v, u} holding another neighbour of v, which
+        # reaches u because block - v is connected
+        for block in biconnected_blocks(G):
+            if block.bit_count() >= 3:
+                v = block & -block
+                nbrs = G.adj[v.bit_length() - 1] & block
+                u = nbrs & -nbrs
+                w = nbrs ^ u
+                third = closure_mask(G, w & -w, block & ~v & ~u)
+                return _verified_model(G, [v, u, third], "search")
+        return None
     H, suppressed = _series_parallel_reduce(G) if fast_paths else (G, [])
 
     # K_t is 2-connected for t >= 3, so any model lives inside one block.
@@ -540,11 +524,7 @@ def find_kt_minor_exact(
         if masks is None:
             masks = _branch_set_search(H, block, t, budget, spent, slack)
         if masks is not None:
-            model = MinorModel(tuple(set_of(m) for m in _lift(masks[:t], suppressed)))
-            defect = model_defect(G, model)
-            if defect is not None:
-                raise InvariantViolation(f"search produced an invalid model: {defect}")
-            return model
+            return _verified_model(G, _lift(masks[:t], suppressed), "search")
     return None
 
 
@@ -672,11 +652,7 @@ def dense_random_model(G: Graph, params: DenseModelParams) -> MinorModel | None:
             branch_masks.append(s)
         if not ok:
             continue
-        model = MinorModel(tuple(set_of(s) for s in branch_masks))
-        defect = model_defect(G, model)
-        if defect is not None:
-            raise InvariantViolation(f"dense builder produced a bad model: {defect}")
-        return model
+        return _verified_model(G, branch_masks, "dense builder")
     return None
 
 

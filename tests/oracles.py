@@ -13,7 +13,9 @@ rebuild through :func:`from_edge_list`, independently of the library's mask
 quotient; the matching reference is the plain recursive augmenting-path
 search.  The peel references scan every live vertex for the least degree on
 each step, where the library keeps one heap for a whole peel, and peel each
-layer from a fresh induced copy.  The three search references at the very
+layer from a fresh induced copy; the piece reference runs two passes of
+flows per round (a k-connectivity verdict, then a minimum separation from
+scratch) where the library runs one.  The three search references at the very
 end are the recursive versions of the library's explicit-stack searches (branch sets, maximum
 independent set, exact list colouring); they must visit the same nodes in
 the same order, so tests compare results and the steps each one spends
@@ -39,7 +41,13 @@ from minorlab.coloring import (
     multipartite_list_color,
     split_lists_by_colors,
 )
-from minorlab.decompose import small_coboundary_piece
+from minorlab.connectivity import connectivity_at_least, minimum_separation
+from minorlab.decompose import (
+    Decomposition,
+    _contracted_piece,
+    coboundary,
+    small_coboundary_piece,
+)
 from minorlab.errors import (
     BudgetExceeded,
     HallRatioViolation,
@@ -50,11 +58,15 @@ from minorlab.families import complete_multipartite
 from minorlab.graphs import (
     DEFAULT_BUDGET,
     Graph,
+    HallViolator,
     adjacency_mask,
     bits,
     exact_alpha,
     from_edge_list,
     induced_subgraph_with_map,
+    mask_of,
+    saturating_matching,
+    set_of,
 )
 from minorlab.minor import _TRANSPOSITION_CAP
 from minorlab.seeds import derive_seed
@@ -362,6 +374,35 @@ def peel_layers_ref(G: Graph, d: int) -> list[list[int]]:
         layers.append(sorted(old_ids[i] for i in piece))
         remaining = sorted(set(remaining) - set(layers[-1]))
     return layers
+
+
+def small_coboundary_piece_ref(G: Graph, k: int) -> Decomposition:
+    """The piece loop with two passes of flows per round: connectivity_at_least
+    decides whether the contracted piece is k-connected, and only when it is
+    not does minimum_separation find the split, from scratch at cap delta + 1.
+    The preconditions are the caller's to meet."""
+    X = frozenset(range(G.n))
+    while True:
+        Y = coboundary(G, X)
+        result = saturating_matching(G, Y, X)
+        if isinstance(result, HallViolator):
+            X = X - set_of(adjacency_mask(G, mask_of(result.witness)) & mask_of(X))
+            continue
+        matching = tuple(result)
+        Q, classes = _contracted_piece(G, X, Y, matching)
+        if Q.n < 2:
+            raise InvariantViolation("contracted piece collapsed to a single vertex")
+        if connectivity_at_least(Q, k):
+            return Decomposition(X, Y, matching, k)
+        A_new, B_new = minimum_separation(Q)
+        A = frozenset().union(*(classes[i] for i in A_new))
+        B = frozenset().union(*(classes[i] for i in B_new))
+        for candidate in ((A & X) - B, (B & X) - A):
+            if candidate and len(coboundary(G, candidate)) <= 3 * k:
+                X = candidate
+                break
+        else:
+            raise InvariantViolation("no separation side yields a small coboundary")
 
 
 def branch_set_search_ref(

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minorlab as ml
-from minorlab.connectivity import maximum_flow
+from minorlab.connectivity import maximum_flow, separation_below
+from minorlab.graphs import set_of
 from oracles import kappa_brute, split_flow
 
 
@@ -70,6 +71,21 @@ def test_minimum_separation_properties():
 def test_minimum_separation_rejects_complete():
     with pytest.raises(ml.InputError):
         ml.minimum_separation(ml.complete_graph(4))
+
+
+def test_separation_below_matches_brute_force_and_minimum_separation():
+    for i in range(180):
+        n = 4 + i % 9
+        G = ml.gnp_random_graph(n, (0.2, 0.4, 0.6, 0.8, 0.9)[i % 5], seed=3100 + i)
+        kappa = kappa_brute(G)
+        for k in range(1, n + 2):
+            found = separation_below(G, k)
+            if kappa >= k or G.is_complete():  # a complete graph has no pairs
+                assert found is None, (i, k)
+                continue
+            order, A, B = found
+            assert order == kappa, (i, k)
+            assert (set_of(A), set_of(B)) == ml.minimum_separation(G), (i, k)
 
 
 def test_connectivity_at_least_matches_exact():

@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minorlab as ml
+from minorlab import connectivity
 from minorlab.decompose import _contracted_piece, peel_layers
 from oracles import (
     contract_ref,
     degeneracy_ref,
     induced_subgraph_ref,
     peel_layers_ref,
+    small_coboundary_piece_ref,
     triangulated_grid,
 )
 from test_graphs import small_graphs
@@ -27,6 +29,31 @@ def two_cliques_bridged(k_size, bridges):
         ]
     edges += [(i, k_size + i) for i in range(bridges)]
     return ml.from_edge_list(2 * k_size, edges)
+
+
+def cliques_in_a_row(k_size, count):
+    """`count` disjoint K_{k_size}, each joined to the next by one edge."""
+    edges = []
+    for c in range(count):
+        base = c * k_size
+        edges += [
+            (base + u, base + v)
+            for u in range(k_size)
+            for v in range(u + 1, k_size)
+        ]
+        if c:
+            edges.append((base - 1, base))
+    return ml.from_edge_list(count * k_size, edges)
+
+
+#: (graph, k) pairs whose whole-graph piece is not k-connected, so the
+#: piece loop has to split at least once
+MUST_SPLIT = [
+    (two_cliques_bridged(13, 1), 2),
+    (two_cliques_bridged(19, 2), 3),
+    (cliques_in_a_row(13, 3), 2),
+    (two_cliques_bridged(7, 0), 1),
+]
 
 
 def embedded(H, extra, seed):
@@ -104,6 +131,38 @@ def test_random_forced_degree_pieces_verify():
         G = ml.random_graph_min_degree(n, 6 * k, seed=4000 + i)
         D = ml.small_coboundary_piece(G, k)
         assert ml.check_decomposition(G, D) == [], (i, k, n)
+
+
+@pytest.mark.parametrize(
+    "G, k",
+    MUST_SPLIT
+    + [(two_cliques_bridged(13, 6), 2), (ml.complete_graph(13), 2)]
+    + [
+        (ml.random_graph_min_degree(30 + 7 * i, 6 * (1 + i % 3), seed=4000 + i), 1 + i % 3)
+        for i in range(12)
+    ],
+)
+def test_piece_equals_the_two_pass_reference(G, k):
+    D = ml.small_coboundary_piece(G, k)
+    R = small_coboundary_piece_ref(G, k)
+    assert (D.X, D.Y, D.matching) == (R.X, R.Y, R.matching)
+
+
+@pytest.mark.parametrize("G, k", MUST_SPLIT)
+def test_piece_loop_runs_fewer_flows_than_the_two_pass_reference(G, k, monkeypatch):
+    calls = [0]
+    flow = connectivity.maximum_flow
+
+    def counted(*args):
+        calls[0] += 1
+        return flow(*args)
+
+    monkeypatch.setattr(connectivity, "maximum_flow", counted)
+    D = ml.small_coboundary_piece(G, k)
+    ours, calls[0] = calls[0], 0
+    small_coboundary_piece_ref(G, k)
+    assert len(D.X) < G.n
+    assert ours < calls[0]
 
 
 # -- peel_piece ---------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import minorlab as ml
 from minorlab import HallViolator
+from minorlab.connectivity import maximum_flow
 from minorlab.graphs import _clique_cover_bound, _mis_search, mask_components
 from oracles import (
     alpha_brute,
@@ -493,3 +494,35 @@ def test_exact_alpha_on_a_long_path_is_fast():
     t0 = time.perf_counter()
     assert ml.exact_alpha(ml.path_graph(300)) == 150
     assert time.perf_counter() - t0 < 6.0
+
+
+# -- vertex ids out of range at the public entry points ----------------------
+
+_RAISING_SITES = {
+    "coboundary": lambda G, v: ml.coboundary(G, [v]),
+    "saturating_matching-Y": lambda G, v: ml.saturating_matching(G, [v], [0]),
+    "saturating_matching-X": lambda G, v: ml.saturating_matching(G, [1], [v]),
+    "maximum_flow": lambda G, v: maximum_flow(G, 0, v, 2),
+    "multipartite_list_color": lambda G, v: ml.multipartite_list_color(
+        G, [{0, 2, 4}, {1, 3, v}], [{0, 1}] * G.n
+    ),
+}
+
+
+@pytest.mark.parametrize("v", [6, -1], ids=["n", "-1"])
+@pytest.mark.parametrize(
+    "site", [*_RAISING_SITES, "connectivity_at_least", "check_decomposition"]
+)
+def test_vertex_ids_out_of_range(site, v):
+    G = ml.cycle_graph(6)
+    if site == "connectivity_at_least":
+        # the certificate declines such parts, as it does overlapping ones
+        parts = (frozenset({0, 2, 4}), frozenset({1, 3, v}))
+        for k in (2, 3):
+            assert ml.connectivity_at_least(G, k, parts=parts) == (k <= 2)
+    elif site == "check_decomposition":
+        D = ml.Decomposition(X=frozenset({v}), Y=frozenset(), matching=(), k=1)
+        assert ml.check_decomposition(G, D) == [f"vertex-out-of-range:{v}"]
+    else:
+        with pytest.raises(ml.InputError):
+            _RAISING_SITES[site](G, v)

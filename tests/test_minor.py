@@ -521,6 +521,16 @@ def test_long_cycle_is_decided_quickly():
     assert time.perf_counter() - start < 0.5
 
 
+def test_k3_on_a_long_cycle_and_path_needs_no_recursion():
+    for G, found in ((ml.cycle_graph(20000), True), (ml.path_graph(20000), False)):
+        start = time.perf_counter()
+        model = ml.find_kt_minor_exact(G, 3)
+        assert time.perf_counter() - start < 2.0
+        assert (model is not None) == found
+        if found:
+            assert model.t == 3 and ml.validate_model(G, model)
+
+
 def test_long_triangulated_strip_is_certified_quickly():
     G = triangulated_strip(3, 1000)  # treewidth at most 4
     start = time.perf_counter()
@@ -556,9 +566,9 @@ def test_elimination_width_follows_min_degree_order():
 
 
 def check_against_brute(G, hadwiger=False):
-    """Both search paths agree with the oracle at t = 4..6, every model is
+    """Both search paths agree with the oracle at t = 3..6, every model is
     valid, and (optionally) so does the Hadwiger number."""
-    for t in (4, 5, 6):
+    for t in (3, 4, 5, 6):
         expected = has_kt_minor_brute(G, t)
         for fast in (True, False):
             model = ml.find_kt_minor_exact(G, t, fast_paths=fast)
