@@ -66,14 +66,13 @@ def random_lists(n: int, size: int, universe: int, seed: int) -> list[frozenset[
 def verify_list_coloring(G: Graph, lists: ListAssignment, coloring: Coloring) -> bool:
     """True iff the coloring is proper on its domain and respects the lists."""
     _check_lists(G, lists)
+    classes: dict[int, int] = {}  # colour -> mask of the vertices given it
     for v, c in coloring.items():
         if not 0 <= v < G.n or c not in lists[v]:
             return False
-    for v, c in coloring.items():
-        for u in bits(G.adj[v]):
-            if u in coloring and coloring[u] == c:
-                return False
-    return True
+        classes[c] = classes.get(c, 0) | 1 << v
+    adj = G.adj
+    return not any(adj[v] & classes[c] for v, c in coloring.items())
 
 
 def greedy_list_color(G: Graph, lists: ListAssignment, order=None) -> dict[int, int] | None:
@@ -272,8 +271,9 @@ def split_lists_by_colors(
     lists: ListAssignment, kept: AbstractSet[int]
 ) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
     """Partition every list by a global color subset: (L & kept, L - kept)."""
-    first = [frozenset(L) & frozenset(kept) for L in lists]
-    second = [frozenset(L) - frozenset(kept) for L in lists]
+    kept = frozenset(kept)
+    first = [frozenset(L) & kept for L in lists]
+    second = [frozenset(L) - kept for L in lists]
     return first, second
 
 

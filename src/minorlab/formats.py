@@ -11,7 +11,7 @@ from __future__ import annotations
 from .coloring import Coloring, ListAssignment
 from .decompose import Decomposition
 from .errors import InputError
-from .graphs import Graph, from_edge_list
+from .graphs import Graph
 from .minor import MinorModel, validate_model
 
 
@@ -42,7 +42,9 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(fields[1]), int(fields[2])
     except ValueError:
         raise InputError(f"line {lineno}: non-integer counts in {header!r}") from None
-    edges = []
+    # with a negative n every edge line fails its range check first, so
+    # only an edgeless body reports the count itself
+    adj = [0] * n
     for lineno, body in lines[1:]:
         fields = body.split()
         if len(fields) != 2:
@@ -55,13 +57,16 @@ def parse_edge_list(text: str) -> Graph:
             raise InputError(f"line {lineno}: loop edge {u} {v}")
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"line {lineno}: vertex id out of range in {body!r}")
-        edges.append((u, v))
-    G = from_edge_list(n, edges)
-    if G.m != m:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    if n < 0:
+        raise InputError(f"vertex count must be non-negative, got {n}")
+    edges = sum(a.bit_count() for a in adj) // 2
+    if edges != m:
         raise InputError(
-            f"header claims {m} edges but the body de-duplicates to {G.m}"
+            f"header claims {m} edges but the body de-duplicates to {edges}"
         )
-    return G
+    return Graph(n, tuple(adj), edges)
 
 
 def write_edge_list(G: Graph, path) -> None:

@@ -117,9 +117,12 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def adjacency_mask(G: Graph, mask: int) -> int:
     """Union of the neighborhoods of all vertices in `mask`."""
+    adj = G.adj
     out = 0
-    for v in bits(mask):
-        out |= G.adj[v]
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -162,47 +165,58 @@ def biconnected_blocks(G: Graph) -> list[int]:
 
     Bridges appear as 2-vertex blocks; isolated vertices belong to no block.
     Any 2-connected minor of the graph is a minor of one of its blocks.
+
+    One depth-first pass that tries neighbours lowest id first.  Each frame
+    keeps the mask of the neighbours it has not tried yet, and a finished
+    child v of p whose subtree reaches no vertex above p closes a block: p
+    and the vertices pushed on the vertex stack since v.  The edge back to
+    the parent may lower low[v] to disc[p], which leaves that test as it is.
     """
+    adj = G.adj
     disc = [-1] * G.n
     low = [0] * G.n
     timer = 0
     blocks: list[int] = []
-    edge_stack: list[tuple[int, int]] = []
+    stack: list[int] = []  # discovered vertices not yet in a closed block
     for root in range(G.n):
-        if disc[root] != -1:
+        if disc[root] != -1 or not adj[root]:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        dfs = [(root, -1, iter(G.neighbors(root)))]
+        # one frame per vertex on the DFS path: [v, its untried neighbours,
+        # the height of the vertex stack below v]
+        dfs = [[root, adj[root], 0]]
         while dfs:
-            v, parent, it = dfs[-1]
-            advanced = False
-            for u in it:
-                if u == parent:
-                    continue
-                if disc[u] == -1:
-                    edge_stack.append((v, u))
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    dfs.append((u, v, iter(G.neighbors(u))))
-                    advanced = True
+            frame = dfs[-1]
+            v, untried = frame[0], frame[1]
+            low_v = low[v]
+            u = -1
+            while untried:
+                ub = untried & -untried
+                untried ^= ub
+                d = disc[ub.bit_length() - 1]
+                if d == -1:
+                    u = ub.bit_length() - 1
                     break
-                if disc[u] < disc[v]:
-                    edge_stack.append((v, u))
-                    low[v] = min(low[v], disc[u])
-            if not advanced:
-                dfs.pop()
-                if dfs:
-                    pv = dfs[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] >= disc[pv]:
-                        block = 0
-                        while True:
-                            x, y = edge_stack.pop()
-                            block |= (1 << x) | (1 << y)
-                            if (x, y) == (pv, v):
-                                break
-                        blocks.append(block)
+                if d < low_v:
+                    low_v = d
+            low[v] = low_v
+            if u != -1:
+                frame[1] = untried
+                disc[u] = low[u] = timer
+                timer += 1
+                dfs.append([u, adj[u], len(stack)])
+                stack.append(u)
+                continue
+            dfs.pop()
+            if dfs:
+                p = dfs[-1][0]
+                if low_v < low[p]:
+                    low[p] = low_v
+                if low_v >= disc[p]:
+                    at = frame[2]
+                    blocks.append(mask_of(stack[at:]) | 1 << p)
+                    del stack[at:]
     return blocks
 
 

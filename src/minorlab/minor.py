@@ -308,6 +308,13 @@ def _branch_set_search(
     sets grow; a move that would push it past `slack` cannot lead to a
     model and is never generated.
 
+    The first seed v also pays for the block vertices below it, which no
+    set can use.  For a model leaving the non-empty vertex set U of the
+    2-connected block B unused, slack - excess equals
+    (sum over u in U of (d_B(u) - 2) + e(U, model)) / 2, and U sends at
+    least two edges to the model; so a first seed above the least vertex
+    costs ceil((sum over u < v of (d_B(u) - 2) + 2) / 2).
+
     The outer loop deepens a cap on the total number of used vertices, so
     small models are found quickly and a level that never hits the cap is a
     complete proof that no model exists.  A pair whose canonical-growth
@@ -315,6 +322,13 @@ def _branch_set_search(
     table collapses states reached through different absorption orders.
     """
     comp_size = comp.bit_count()
+    adj = G.adj
+    # below[v]: the first-seed charge for the block vertices below v
+    below: dict[int, int] = {}
+    spare = 0
+    for v in bits(comp):
+        below[v] = (spare + 3) // 2 if below else 0
+        spare += (adj[v] & comp).bit_count() - 2
     failed_perm: set[tuple[int, ...]] = set()
     failed_here: set[tuple[int, ...]] = set()
     # a raised BudgetExceeded keeps this frame, and with it both tables,
@@ -384,13 +398,20 @@ def _branch_set_search(
                             lacking = [
                                 sets[x + y - side] for x, y in deficient if side in (x, y)
                             ]
-                            for v in bits(grow[side]):
-                                a = G.adj[v]
+                            finishing = nbr[other]
+                            rest = grow[side]
+                            while rest:
+                                vb = rest & -rest
+                                rest ^= vb
+                                v = vb.bit_length() - 1
+                                a = adj[v]
                                 cost = (a & inside).bit_count() - 1
-                                cost -= sum(1 for s in lacking if a & s)
+                                for s in lacking:
+                                    if a & s:
+                                        cost -= 1
                                 if cost <= room:
                                     # absorptions that finish the pair at once go first
-                                    key = 0 if nbr[other] >> v & 1 else 1
+                                    key = 0 if finishing & vb else 1
                                     moves.append((key, side, v, cost))
                     elif k == t:
                         return sets
@@ -402,7 +423,9 @@ def _branch_set_search(
                             # set s when it lies in nbr[s])
                             for v in bits(cands):
                                 touching = sum(b >> v & 1 for b in nbr)
-                                cost = (G.adj[v] & inside).bit_count() - touching
+                                cost = (adj[v] & inside).bit_count() - touching
+                                if not k:
+                                    cost += below[v]
                                 if cost <= room:
                                     moves.append((k - touching, k, v, cost))
                     if moves:
@@ -437,13 +460,13 @@ def _branch_set_search(
                 excess += cost
                 if side == len(sets):
                     sets = sets + [vb]
-                    nbr = nbr + [G.adj[v]]
+                    nbr = nbr + [adj[v]]
                     seeds = seeds + [v]
                 else:
                     sets = sets.copy()
                     sets[side] |= vb
                     nbr = nbr.copy()
-                    nbr[side] |= G.adj[v]
+                    nbr[side] |= adj[v]
             # the root closed last: if no node below it hit the cap, no
             # larger cap finds a model either
             if not hit:
@@ -477,7 +500,8 @@ def find_kt_minor_exact(
     3. greedy contraction: a complete quotient on at least t classes is a
        model, found without spending the budget;
     4. the branch-set search, which never lets the excess of its sets (the
-       edges a model spends beyond the fewest it needs) pass the slack.
+       edges a model spends beyond the fewest it needs) pass the slack,
+       and charges a first seed for the block vertices below it.
 
     A model found is lifted back onto G and validated.  The verdicts are
     those of the search alone, but the models returned may differ from

@@ -11,7 +11,9 @@ The subgraph references at the end (induced subgraph, contraction, bipartite
 induced subgraph, one random contraction round) walk the edge list and
 rebuild through :func:`from_edge_list`, independently of the library's mask
 quotient; the matching reference is the plain recursive augmenting-path
-search.  The peel references scan every live vertex for the least degree on
+search.  The block reference keeps Tarjan's edge stack where the library
+keeps a vertex stack, and the colouring check walks every edge where the
+library ANDs each neighbourhood with one mask per colour.  The peel references scan every live vertex for the least degree on
 each step, where the library keeps one heap for a whole peel, and peel each
 layer from a fresh induced copy; the piece reference runs two passes of
 flows per round (a k-connectivity verdict, then a minimum separation from
@@ -325,6 +327,66 @@ def saturating_matching_ref(G: Graph, Y, X):
     if violator is not None:
         return violator
     return sorted((y, x) for x, y in match_of_x.items())
+
+
+def biconnected_blocks_ref(G: Graph) -> list[int]:
+    """Blocks by Tarjan's edge stack: a finished child v of p whose subtree
+    reaches no vertex above p closes the block of the edges pushed since pv.
+    Neighbours are tried lowest id first, as in the library."""
+    disc = [-1] * G.n
+    low = [0] * G.n
+    timer = 0
+    blocks: list[int] = []
+    edge_stack: list[tuple[int, int]] = []
+    for root in range(G.n):
+        if disc[root] != -1:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        dfs = [(root, -1, iter(G.neighbors(root)))]
+        while dfs:
+            v, parent, it = dfs[-1]
+            advanced = False
+            for u in it:
+                if u == parent:
+                    continue
+                if disc[u] == -1:
+                    edge_stack.append((v, u))
+                    disc[u] = low[u] = timer
+                    timer += 1
+                    dfs.append((u, v, iter(G.neighbors(u))))
+                    advanced = True
+                    break
+                if disc[u] < disc[v]:
+                    edge_stack.append((v, u))
+                    low[v] = min(low[v], disc[u])
+            if not advanced:
+                dfs.pop()
+                if dfs:
+                    pv = dfs[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                    if low[v] >= disc[pv]:
+                        block = 0
+                        while True:
+                            x, y = edge_stack.pop()
+                            block |= (1 << x) | (1 << y)
+                            if (x, y) == (pv, v):
+                                break
+                        blocks.append(block)
+    return blocks
+
+
+def verify_list_coloring_ref(G: Graph, lists: ListAssignment, coloring) -> bool:
+    """Every coloured vertex in range with a colour from its list, and no
+    edge whose two ends are coloured alike, checked edge by edge."""
+    _check_lists(G, lists)
+    for v, c in coloring.items():
+        if not 0 <= v < G.n or c not in lists[v]:
+            return False
+    for u, v in G.edges():
+        if u in coloring and v in coloring and coloring[u] == coloring[v]:
+            return False
+    return True
 
 
 def triangulated_grid(w):

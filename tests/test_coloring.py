@@ -15,6 +15,7 @@ from oracles import (
     random_multipartite,
     smallest_budget,
     triangulated_grid,
+    verify_list_coloring_ref,
 )
 
 
@@ -72,6 +73,30 @@ def test_verify_petersen_three_coloring():
 def test_verify_rejects_color_outside_list():
     G = ml.empty_graph(1)
     assert not ml.verify_list_coloring(G, [frozenset({0})], {0: 5})
+
+
+def test_verify_matches_the_edge_walk():
+    # full and partial colourings, out-of-range ids and colours off the
+    # vertex's list: the per-colour masks give the edge walk's verdict
+    rng = random.Random(7100)
+    verdicts = set()
+    for i in range(300):
+        n = rng.randint(0, 14)
+        G = ml.gnp_random_graph(n, rng.choice([0.1, 0.3, 0.6]), seed=7100 + i)
+        lists = ml.random_lists(n, rng.randint(1, 3), 4, seed=7100 + i)
+        coloring_ = {
+            v: rng.choice(sorted(lists[v])) for v in range(n) if rng.random() < 0.8
+        }
+        kind = i % 4
+        if kind == 1 and n:  # a colour that is not on the vertex's list
+            v = rng.randrange(n)
+            coloring_[v] = rng.choice([c for c in range(5) if c not in lists[v]])
+        elif kind == 2:  # a vertex id outside 0..n-1
+            coloring_[rng.choice([-1, n, n + 3])] = 0
+        want = verify_list_coloring_ref(G, lists, coloring_)
+        assert ml.verify_list_coloring(G, lists, coloring_) == want, (G, lists, coloring_)
+        verdicts.add((kind, want))
+    assert {(0, True), (0, False), (1, False), (2, False), (3, True)} <= verdicts
 
 
 # -- degeneracy greedy ---------------------------------------------------------

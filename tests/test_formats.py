@@ -30,6 +30,12 @@ def test_edge_list_comments_and_blank_lines():
         ("p 3 2\n0 x\n", "line 2"),
         ("p 3 2\n0 0\n", "loop"),
         ("p 3 2\n0 7\n", "out of range"),
+        # a negative count: an edge line fails on its range first, and
+        # only an edgeless body reports the count itself
+        ("p -1 1\n0 1\n", "line 2: vertex id out of range"),
+        ("p -1 0\n", "vertex count must be non-negative, got -1"),
+        ("p 3 2\n0 1\n0 x\n", "line 3: non-integer"),
+        ("p 3 2\n0 1\n1 0\n", "header claims 2 edges but the body de-duplicates to 1"),
     ],
 )
 def test_edge_list_parse_errors_carry_line_numbers(text, fragment):

@@ -3,6 +3,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,15 @@ from hypothesis import strategies as st
 import minorlab as ml
 from minorlab import HallViolator
 from minorlab.connectivity import maximum_flow
-from minorlab.graphs import _clique_cover_bound, _mis_search, mask_components
+from minorlab.graphs import (
+    _clique_cover_bound,
+    _mis_search,
+    biconnected_blocks,
+    mask_components,
+)
 from oracles import (
     alpha_brute,
+    biconnected_blocks_ref,
     bipartite_induced_ref,
     clique_cover_bound_ref,
     contract_ref,
@@ -163,6 +170,49 @@ def test_every_subgraph_has_a_low_degree_vertex(G, rnd):
     subset = sorted(rnd.sample(vertices, rnd.randint(1, G.n)))
     H = ml.induced_subgraph(G, subset)
     assert H.min_degree() <= d
+
+
+# -- blocks -----------------------------------------------------------------
+
+
+def glued_blocks_graph(rng, n):
+    """A random graph on n vertices, shuffled ids: a few dense clusters and
+    cycles joined by paths and bridges, pendant trees and isolated vertices,
+    in one or several components."""
+    order = rng.sample(range(n), n)
+    edges, placed = [], []
+    while len(placed) < n:
+        size = min(rng.randint(1, 7), n - len(placed))
+        part = order[len(placed) : len(placed) + size]
+        shape = rng.random()
+        if shape < 0.4:  # a cluster
+            edges += [(u, v) for u, v in combinations(part, 2) if rng.random() < 0.6]
+        elif shape < 0.7 and size >= 3:  # a cycle
+            edges += list(zip(part, part[1:] + part[:1]))
+        else:  # a path
+            edges += list(zip(part, part[1:]))
+        if placed and rng.random() < 0.7:  # joined to what came before
+            edges.append((rng.choice(placed), rng.choice(part)))
+        placed += part
+    return ml.from_edge_list(n, [(u, v) for u, v in edges if u != v])
+
+
+def test_biconnected_blocks_match_the_edge_stack_reference():
+    # the same blocks in the same order: isolated vertices, bridges, cut
+    # vertices, several components, and one long cycle
+    rng = random.Random(5200)
+    graphs = [glued_blocks_graph(rng, rng.randint(1, 40)) for _ in range(300)]
+    graphs += [ml.gnp_random_graph(30, p, seed=5300) for p in (0.05, 0.1, 0.2)]
+    graphs += [ml.empty_graph(5), ml.path_graph(7), ml.cycle_graph(2000)]
+    kinds = {"bridge": 0, "larger": 0, "isolated": 0}
+    for G in graphs:
+        blocks = biconnected_blocks(G)
+        assert blocks == biconnected_blocks_ref(G)
+        kinds["bridge"] += sum(b.bit_count() == 2 for b in blocks)
+        kinds["larger"] += sum(b.bit_count() > 2 for b in blocks)
+        kinds["isolated"] += sum(not G.adj[v] for v in range(G.n))
+    assert min(kinds.values()) >= 150, kinds
+    assert biconnected_blocks(ml.cycle_graph(2000)) == [ml.cycle_graph(2000).full_mask]
 
 
 # -- contraction ------------------------------------------------------------

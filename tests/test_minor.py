@@ -452,6 +452,79 @@ def test_slack_pruned_search_agrees_with_brute():
     assert searched >= 20 and tight_models >= 12, (searched, tight_models)
 
 
+def subdivided(rng, G, count):
+    """G with `count` random edges subdivided, ids shuffled: each new vertex
+    has degree 2, and a 2-connected G stays 2-connected with the same
+    slack."""
+    edges = G.edges()
+    split = set(rng.sample(range(len(edges)), count))
+    n = G.n + count
+    ids = rng.sample(range(n), n)
+    out, extra = [], G.n
+    for i, (u, v) in enumerate(edges):
+        if i in split:
+            out += [(ids[u], ids[extra]), (ids[extra], ids[v])]
+            extra += 1
+        else:
+            out.append((ids[u], ids[v]))
+    return ml.from_edge_list(n, out)
+
+
+def test_first_seed_charge_agrees_with_brute():
+    # unreduced 2-connected blocks with degree-2 vertices, searched with the
+    # real edge slack, so a first seed above the least vertex pays for the
+    # vertices below it (degree-2 ones pay 0).  Planted slack-0 models with
+    # subdivided edges fail here if the least vertex is charged, or if a
+    # later seed is; every verdict is the partition oracle's.  No charge on
+    # a first seed above the least vertex can change a verdict (a model of a
+    # connected block grows into a spanning one, whose first set holds the
+    # least vertex), so the next test pins the charge's size by its steps
+    rng = random.Random(9950)
+    blocks = []
+    for i in range(8):
+        n, t = 8 + i % 2, 5 + i // 4
+        blocks.append((subdivided(rng, planted_tight_model(rng, n, t), 1 + i % 2), t))
+        m = t * (t - 1) // 2 + n - t + i % 2
+        blocks.append((subdivided(rng, tight_block(rng, n, m), 1 + i % 2), t))
+    for i in range(30):
+        G = ml.gnp_random_graph(7 + i % 3, 0.45 + 0.05 * (i % 3), seed=9950 + i)
+        blocks += [(subdivided(rng, G, 1 + i % 2), t) for t in (4, 5)]
+    searched = models = tight_models = 0
+    for G, t in blocks:
+        for block in biconnected_blocks(G):
+            if not any((G.adj[v] & block).bit_count() == 2 for v in bits(block)):
+                continue
+            slack = _edge_slack(G, block, t, True)
+            want = has_kt_minor_brute(induced_subgraph(G, bits(block)), t)
+            if slack is None:
+                assert not want
+                continue
+            searched += 1
+            found = _branch_set_search(G, block, t, 10**6, [0], slack)
+            assert (found is not None) == want, (G, block, t, slack)
+            if found is not None:
+                assert ml.validate_model(G, MinorModel(tuple(map(set_of, found))))
+                models += 1
+                tight_models += slack == 0
+    assert searched >= 50 and models >= 30 and tight_models >= 8, (
+        searched, models, tight_models
+    )
+
+
+def test_first_seed_charge_cuts_the_lower_bound_steps(monkeypatch):
+    # the lower-bound graphs that the unpruned search cannot settle within
+    # 20 000 steps: the edge slack alone spent 6 882 and 17 120 steps on
+    # them, and charging the first seed for the vertices below it spends
+    # 4 321 and 10 189; the models are valid either way
+    for (side, seed), steps in (((60, 2), 4_321), ((80, 17), 10_189)):
+        G = ml.lower_bound_bipartite(side, side, 6, 0.05, seed=seed)
+        model, calls = searched_blocks(
+            monkeypatch, minor._branch_set_search, G, 6, True, 20_000
+        )
+        assert isinstance(model, MinorModel) and ml.validate_model(G, model)
+        assert calls[-1][2] == steps
+
+
 def test_hadwiger_starts_at_the_greedy_quotient(monkeypatch):
     # the greedy contraction of the Petersen graph ends in a K_4, and the
     # elimination width bounds it by 5, so only t = 5 is searched
