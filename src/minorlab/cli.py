@@ -188,22 +188,17 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+#: The optional keyword inputs of :func:`eval_bounds`, each a ``--name`` option.
+_BOUND_INPUTS = (
+    ("beta", float), ("delta", float), ("eps", float), ("a", int), ("b", int),
+    ("k", int), ("q", float), ("l", int), ("p", float), ("n_vertices", int),
+    ("graph_density", float),
+)
+
+
 def _cmd_bounds(args) -> int:
-    report = eval_bounds(
-        args.t,
-        beta=args.beta,
-        delta=args.delta,
-        eps=args.eps,
-        a=args.a,
-        b=args.b,
-        k=args.k,
-        q=args.q,
-        l=args.l,
-        p=args.p,
-        n_vertices=args.n_vertices,
-        graph_density=args.graph_density,
-        c_bipartite=args.c_bipartite,
-    )
+    inputs = {name: getattr(args, name) for name, _ in _BOUND_INPUTS}
+    report = eval_bounds(args.t, c_bipartite=args.c_bipartite, **inputs)
     if args.format == "text":
         lines = [f"{k}={v}" for k, v in sorted(report.values.items())]
         lines += [f"{k}={'true' if v else 'false'}"
@@ -282,17 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate the closed-form bounds as JSON")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--n-vertices", type=int, default=None)
-    p.add_argument("--graph-density", type=float, default=None)
+    for name, kind in _BOUND_INPUTS:
+        p.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
     p.add_argument("--c-bipartite", type=float, default=6400.0)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None)

@@ -57,7 +57,7 @@ def uniform_lists(n: int, k: int) -> list[frozenset[int]]:
 
 def random_lists(n: int, size: int, universe: int, seed: int) -> list[frozenset[int]]:
     """Seeded per-vertex lists: `size` distinct colors drawn from range(universe)."""
-    if size > universe:
+    if not 0 <= size <= universe:
         raise InputError(f"cannot draw {size} distinct colors from {universe}")
     rng = random.Random(seed)
     return [frozenset(rng.sample(range(universe), size)) for _ in range(n)]

@@ -124,7 +124,9 @@ def _rate(records: list[dict], key: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Per-suite trial functions (top level so a worker pool can pickle them)
+# Per-suite trial functions (top level so a worker pool can pickle them).
+# Each takes (config, trial index, derived seed) and returns only its own
+# measurements; _dispatch puts the trial and seed columns in front.
 # ---------------------------------------------------------------------------
 
 
@@ -134,17 +136,14 @@ def _cap(config: ExperimentConfig, default: int, floor: int) -> int:
     return max(floor, min(default, config.max_n))
 
 
-def _trial_dense_model(config: ExperimentConfig, i: int) -> dict:
+def _trial_dense_model(config: ExperimentConfig, i: int, seed: int) -> dict:
     n = _cap(config, 180, 40)
     G = gnp_random_graph(n, 0.995, derive_seed(config.seed, 1_000_003))
-    seed = derive_seed(config.seed, i)
     model = dense_random_model(G, DenseModelParams(t=4, trials=1, seed=seed))
     success = model is not None
     validated = bool(model is not None and validate_model(G, model))
     min_size = min((len(s) for s in model.branch_sets), default=0) if model else 0
     return {
-        "trial": i,
-        "seed": seed,
         "n": n,
         "success": success,
         "validated": validated,
@@ -152,26 +151,18 @@ def _trial_dense_model(config: ExperimentConfig, i: int) -> dict:
     }
 
 
-def _trial_contraction_round(config: ExperimentConfig, i: int) -> dict:
+def _trial_contraction_round(config: ExperimentConfig, i: int, seed: int) -> dict:
     x_size = 8
     a = _cap(config, math.ceil(10 * x_size * math.log(x_size)), x_size)
     G = complete_bipartite(a, x_size)
     A = frozenset(range(a))
     B = frozenset(range(a, a + x_size))
-    seed = derive_seed(config.seed, i)
     H = contraction_round(G, A, B, B, seed=seed)
-    return {
-        "trial": i,
-        "seed": seed,
-        "a": a,
-        "x_size": x_size,
-        "complete": H.is_complete(),
-    }
+    return {"a": a, "x_size": x_size, "complete": H.is_complete()}
 
 
-def _trial_decompose(config: ExperimentConfig, i: int) -> dict:
+def _trial_decompose(config: ExperimentConfig, i: int, seed: int) -> dict:
     k = 1 + i % 3
-    seed = derive_seed(config.seed, i)
     rng = random.Random(seed)
     hi = _cap(config, 120, 6 * k + 4)
     lo = min(hi, 6 * k + 2)
@@ -180,8 +171,6 @@ def _trial_decompose(config: ExperimentConfig, i: int) -> dict:
     D = small_coboundary_piece(G, k)
     problems = check_decomposition(G, D)
     return {
-        "trial": i,
-        "seed": seed,
         "k": k,
         "n": n,
         "piece_size": len(D.X),
@@ -190,23 +179,16 @@ def _trial_decompose(config: ExperimentConfig, i: int) -> dict:
     }
 
 
-def _trial_alon(config: ExperimentConfig, i: int) -> dict:
+def _trial_alon(config: ExperimentConfig, i: int, seed: int) -> dict:
     m, r = 4, 3
     G = complete_multipartite([m] * r)
     parts = turan_parts([m] * r)
     size = math.ceil(6 * r * math.log(m))
     lists = uniform_lists(G.n, size)
-    seed = derive_seed(config.seed, i)
     coloring = multipartite_list_color(G, parts, lists, trials=1, seed=seed)
     success = coloring is not None
     valid = bool(coloring is not None and verify_list_coloring(G, lists, coloring))
-    return {
-        "trial": i,
-        "seed": seed,
-        "list_size": size,
-        "success": success,
-        "valid": valid,
-    }
+    return {"list_size": size, "success": success, "valid": valid}
 
 
 def _disjoint_triangles(count: int):
@@ -216,11 +198,10 @@ def _disjoint_triangles(count: int):
     return from_edge_list(3 * count, edges)
 
 
-def _trial_hallratio(config: ExperimentConfig, i: int) -> dict:
+def _trial_hallratio(config: ExperimentConfig, i: int, seed: int) -> dict:
     count = _cap(config, 30, 9) // 3
     G = _disjoint_triangles(count)
     lists = uniform_lists(G.n, 3)
-    seed = derive_seed(config.seed, i)
     coloring = hall_ratio_list_color(G, lists, rho=3, C=2.0, seed=seed)
     success = coloring is not None
     valid = bool(
@@ -228,13 +209,12 @@ def _trial_hallratio(config: ExperimentConfig, i: int) -> dict:
         and len(coloring) == G.n
         and verify_list_coloring(G, lists, coloring)
     )
-    return {"trial": i, "seed": seed, "n": G.n, "success": success, "valid": valid}
+    return {"n": G.n, "success": success, "valid": valid}
 
 
-def _trial_minorfree(config: ExperimentConfig, i: int) -> dict:
+def _trial_minorfree(config: ExperimentConfig, i: int, seed: int) -> dict:
     G = petersen_graph()
     lists = uniform_lists(G.n, 12)
-    seed = derive_seed(config.seed, i)
     coloring = minor_free_list_color(G, lists, d=6, seed=seed)
     success = coloring is not None
     valid = bool(
@@ -242,20 +222,17 @@ def _trial_minorfree(config: ExperimentConfig, i: int) -> dict:
         and len(coloring) == G.n
         and verify_list_coloring(G, lists, coloring)
     )
-    return {"trial": i, "seed": seed, "success": success, "valid": valid}
+    return {"success": success, "valid": valid}
 
 
-def _trial_extremal_bipartite(config: ExperimentConfig, i: int) -> dict:
+def _trial_extremal_bipartite(config: ExperimentConfig, i: int, seed: int) -> dict:
     t = 4 if i % 2 == 0 else 5
     side = _cap(config, 30, 2 * t)
     eps = 0.05
-    seed = derive_seed(config.seed, i)
     G = lower_bound_bipartite(side, side, t, eps, seed=seed)
     minor_free = find_kt_minor_exact(G, t, budget=config.budget) is None
     target = lower_bound_edge_target(side, side, t, eps)
     return {
-        "trial": i,
-        "seed": seed,
         "t": t,
         "side": side,
         "edges": G.m,
@@ -264,11 +241,10 @@ def _trial_extremal_bipartite(config: ExperimentConfig, i: int) -> dict:
     }
 
 
-def _trial_extremal_connectivity(config: ExperimentConfig, i: int) -> dict:
+def _trial_extremal_connectivity(config: ExperimentConfig, i: int, seed: int) -> dict:
     b = _cap(config, 120, 12) // 2
     eps = 0.5
     threshold = math.ceil((1 - eps) * b / 2)
-    seed = derive_seed(config.seed, i)
     G = gen_bipartite(BipartiteSpec(b, b, 0.5, seed))
     parts = (frozenset(range(b)), frozenset(range(b, 2 * b)))
     kappa_ok = connectivity_at_least(G, threshold, parts=parts)
@@ -277,8 +253,6 @@ def _trial_extremal_connectivity(config: ExperimentConfig, i: int) -> dict:
     small_kappa_ok = connectivity_at_least(small, 3)
     small_minor_free = find_kt_minor_exact(small, 5, budget=config.budget) is None
     return {
-        "trial": i,
-        "seed": seed,
         "b": b,
         "threshold": threshold,
         "kappa_ok": kappa_ok,
@@ -287,7 +261,7 @@ def _trial_extremal_connectivity(config: ExperimentConfig, i: int) -> dict:
     }
 
 
-def _trial_bounds(config: ExperimentConfig, i: int) -> dict:
+def _trial_bounds(config: ExperimentConfig, i: int, seed: int) -> dict:
     t = 3 + i % 8
     report = eval_bounds(
         t,
@@ -299,10 +273,7 @@ def _trial_bounds(config: ExperimentConfig, i: int) -> dict:
         k=t,
         n_vertices=20 * t,
     )
-    rec = {"trial": i, "seed": derive_seed(config.seed, i), "t": t}
-    for key in sorted(report.values):
-        rec[key] = report.values[key]
-    return rec
+    return {"t": t, **{key: report.values[key] for key in sorted(report.values)}}
 
 
 #: Each suite's trial function and the record keys its summary gives rates of.
@@ -326,7 +297,8 @@ SUITES = tuple(_SUITES)
 
 def _dispatch(job: tuple[ExperimentConfig, int]) -> dict:
     config, i = job
-    return _SUITES[config.suite][0](config, i)
+    seed = derive_seed(config.seed, i)
+    return {"trial": i, "seed": seed, **_SUITES[config.suite][0](config, i, seed)}
 
 
 def run_suite(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
@@ -337,7 +309,6 @@ def run_suite(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
             records = list(pool.map(_dispatch, jobs))
     else:
         records = [_dispatch(job) for job in jobs]
-    records.sort(key=lambda r: r["trial"])
 
     summary: dict = {"records": len(records)}
     for key in _SUITES[config.suite][1]:

@@ -29,7 +29,7 @@ def cycle_graph(n: int) -> Graph:
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
-    return from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return complete_multipartite([a, b])
 
 
 def complete_multipartite(sizes: Sequence[int]) -> Graph:
@@ -88,8 +88,8 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
 def gnm_random_graph(n: int, m: int, seed: int) -> Graph:
     """Uniform graph with exactly m edges (sampled without replacement)."""
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if m > len(all_pairs):
-        raise InputError(f"m={m} exceeds the {len(all_pairs)} available pairs")
+    if not 0 <= m <= len(all_pairs):
+        raise InputError(f"m must lie in [0, {len(all_pairs)}], got {m}")
     rng = random.Random(seed)
     return from_edge_list(n, rng.sample(all_pairs, m))
 

@@ -30,6 +30,14 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _ints(lineno: int, body: str, tokens) -> list[int]:
+    """`tokens` of line `lineno` (`body`) as integers, or an error naming it."""
+    try:
+        return [int(x) for x in tokens]
+    except ValueError:
+        raise InputError(f"line {lineno}: non-integer entry in {body!r}") from None
+
+
 def parse_edge_list(text: str) -> Graph:
     lines = _content_lines(text)
     if not lines:
@@ -38,10 +46,7 @@ def parse_edge_list(text: str) -> Graph:
     fields = header.split()
     if len(fields) != 3 or fields[0] != "p":
         raise InputError(f"line {lineno}: expected 'p <n> <m>', got {header!r}")
-    try:
-        n, m = int(fields[1]), int(fields[2])
-    except ValueError:
-        raise InputError(f"line {lineno}: non-integer counts in {header!r}") from None
+    n, m = _ints(lineno, header, fields[1:])
     # with a negative n every edge line fails its range check first, so
     # only an edgeless body reports the count itself
     adj = [0] * n
@@ -93,10 +98,7 @@ def model_to_str(G: Graph, model: MinorModel) -> str:
 def parse_model(text: str) -> MinorModel:
     sets = []
     for lineno, body in _content_lines(text):
-        try:
-            sets.append(frozenset(int(x) for x in body.split()))
-        except ValueError:
-            raise InputError(f"line {lineno}: non-integer vertex id") from None
+        sets.append(frozenset(_ints(lineno, body, body.split())))
     return MinorModel(tuple(sets))
 
 
@@ -116,14 +118,12 @@ def parse_lists(text: str, n: int | None = None) -> list[frozenset[int]]:
         if ":" not in body:
             raise InputError(f"line {lineno}: expected 'v: c1 c2 ...', got {body!r}")
         head, tail = body.split(":", 1)
-        try:
-            v = int(head)
-            colors = frozenset(int(c) for c in tail.split())
-        except ValueError:
-            raise InputError(f"line {lineno}: non-integer entry in {body!r}") from None
+        v, *colors = _ints(lineno, body, [head, *tail.split()])
+        if v < 0 or (n is not None and v >= n):
+            raise InputError(f"line {lineno}: list for vertex {v} is out of range")
         if v in entries:
             raise InputError(f"line {lineno}: duplicate list for vertex {v}")
-        entries[v] = colors
+        entries[v] = frozenset(colors)
     count = n if n is not None else (max(entries) + 1 if entries else 0)
     missing = [v for v in range(count) if v not in entries]
     if missing:
@@ -142,10 +142,7 @@ def parse_coloring(text: str) -> dict[int, int]:
         fields = body.split()
         if len(fields) != 2:
             raise InputError(f"line {lineno}: expected 'v c', got {body!r}")
-        try:
-            v, c = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise InputError(f"line {lineno}: non-integer entry in {body!r}") from None
+        v, c = _ints(lineno, body, fields)
         if v in out:
             raise InputError(f"line {lineno}: duplicate color for vertex {v}")
         out[v] = c
@@ -169,19 +166,16 @@ def parse_decomposition(text: str) -> Decomposition:
     X: frozenset[int] | None = None
     Y: frozenset[int] | None = None
     matching: list[tuple[int, int]] = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped.startswith("# decomposition"):
             for token in stripped.split():
                 if token.startswith("k="):
-                    k = int(token[2:])
+                    k = _ints(lineno, stripped, [token[2:]])[0]
     for lineno, body in _content_lines(text):
         fields = body.split()
         tag = fields[0]
-        try:
-            ids = [int(x) for x in fields[1:]]
-        except ValueError:
-            raise InputError(f"line {lineno}: non-integer vertex id in {body!r}") from None
+        ids = _ints(lineno, body, fields[1:])
         if tag == "X":
             X = frozenset(ids)
         elif tag == "Y":

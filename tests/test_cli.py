@@ -94,6 +94,15 @@ def test_color_with_list_file(tmp_path):
     assert ml.verify_list_coloring(G, lists, coloring)
 
 
+def test_color_rejects_a_list_file_with_an_out_of_range_vertex(tmp_path, capsys):
+    path = write_graph(tmp_path, ml.cycle_graph(4))
+    lists_path = tmp_path / "lists.txt"
+    lists_path.write_text(formats.lists_to_str(ml.uniform_lists(4, 2)) + "9: 0\n")
+    code = main(["color", path, "--strategy", "exact", "--lists", str(lists_path)])
+    assert code == 2
+    assert "line 5: list for vertex 9 is out of range" in capsys.readouterr().err
+
+
 def test_color_failure_exit_code(tmp_path, capsys):
     path = write_graph(tmp_path, ml.complete_graph(4))
     code = main(["color", path, "--strategy", "exact", "--list-size", "3"])
@@ -145,6 +154,17 @@ def test_bounds_json_output(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["schema"] == 1
     assert abs(doc["values"]["density_forcing_threshold"] - 15.0714) < 1e-3
+
+    # every optional input reaches eval_bounds under its own keyword
+    inputs = dict(beta=0.3, delta=0.1, eps=0.5, a=50, b=50, k=3, q=0.5, l=4, p=0.5,
+                  n_vertices=100, graph_density=12.5)
+    argv = ["bounds", "--t", "5", "--c-bipartite", "100"]
+    for name, value in inputs.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    report = ml.eval_bounds(5, c_bipartite=100.0, **inputs)
+    assert doc == {"schema": 1, **report.as_dict()}
 
 
 def test_bounds_input_error(tmp_path, capsys):

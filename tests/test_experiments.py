@@ -56,10 +56,12 @@ def test_report_files_and_schema(tmp_path):
 
 
 def test_per_trial_seeds_recorded():
-    report = run_suite(ExperimentConfig(suite="minorfree", trials=3, seed=5))
-    seeds = [rec["seed"] for rec in report.records]
-    assert len(set(seeds)) == 3
-    assert seeds == [ml.derive_seed(5, i) for i in range(3)]
+    for suite in ml.SUITES:
+        report = run_suite(ExperimentConfig(suite=suite, trials=3, seed=5, max_n=40))
+        assert report.columns[:2] == ("trial", "seed"), suite
+        assert [rec["trial"] for rec in report.records] == [0, 1, 2], suite
+        seeds = [rec["seed"] for rec in report.records]
+        assert seeds == [ml.derive_seed(5, i) for i in range(3)], suite
 
 
 def test_every_suite_runs_small():

@@ -70,6 +70,21 @@ def test_lists_missing_vertex_is_an_error():
         formats.parse_lists("0: 1 2\n2: 3\n")
 
 
+@pytest.mark.parametrize(
+    "text,n,fragment",
+    [
+        ("0: 1\n1: 2\n7: 3\n", 2, "line 3: list for vertex 7 is out of range"),
+        ("0: 1\n-1: 4\n1: 2\n", 2, "line 2: list for vertex -1 is out of range"),
+        ("-3: 1\n", None, "line 1: list for vertex -3 is out of range"),
+        ("0: 1\n0: 2\n", None, "line 2: duplicate list for vertex 0"),
+    ],
+    ids=["above-n", "negative", "negative-without-n", "duplicate"],
+)
+def test_lists_reject_out_of_range_and_duplicate_vertices(text, n, fragment):
+    with pytest.raises(ml.InputError, match=fragment):
+        formats.parse_lists(text, n=n)
+
+
 def test_coloring_round_trip():
     coloring = {0: 3, 2: 1, 5: 0}
     text = formats.coloring_to_str(coloring)
@@ -92,3 +107,16 @@ def test_decomposition_with_matching_round_trip():
     D = ml.small_coboundary_piece(G, 2)
     assert D.matching
     assert formats.parse_decomposition(formats.decomposition_to_str(D)) == D
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("# decomposition k=abc\nX 1\nY 2\n", "line 1: non-integer entry in '# decomp"),
+        ("# decomposition k=2\nX 1\nY x\n", "line 3: non-integer"),
+    ],
+    ids=["header", "body"],
+)
+def test_decomposition_parse_errors_carry_line_numbers(text, fragment):
+    with pytest.raises(ml.InputError, match=fragment):
+        formats.parse_decomposition(text)

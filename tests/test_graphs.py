@@ -77,6 +77,20 @@ def test_from_edge_list_rejects_bad_edges(bad):
         ml.from_edge_list(3, bad)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ml.gnm_random_graph(4, -1, 0),
+        lambda: ml.random_lists(3, -1, 5, 0),
+        lambda: ml.complete_bipartite(-1, 2),
+    ],
+    ids=["gnm-negative-m", "lists-negative-size", "bipartite-negative-side"],
+)
+def test_generators_reject_negative_sizes(make):
+    with pytest.raises(ml.InputError):
+        make()
+
+
 # -- density ----------------------------------------------------------------
 
 
