@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("bounds", help="evaluate the closed-form bounds as JSON")
+    p = sub.add_parser("bounds", help="evaluate the closed-form bounds as JSON or key=value text")
     p.add_argument("--t", type=int, required=True)
     for name, kind in _BOUND_INPUTS:
         p.add_argument("--" + name.replace("_", "-"), type=kind, default=None)

@@ -51,12 +51,16 @@ def _check_lists(G: Graph, lists: ListAssignment) -> None:
 
 def uniform_lists(n: int, k: int) -> list[frozenset[int]]:
     """The same list {0, .., k-1} for every vertex."""
+    if n < 0 or k < 0:
+        raise InputError(f"vertex count and list size must be non-negative, got {n}, {k}")
     base = frozenset(range(k))
     return [base] * n
 
 
 def random_lists(n: int, size: int, universe: int, seed: int) -> list[frozenset[int]]:
     """Seeded per-vertex lists: `size` distinct colors drawn from range(universe)."""
+    if n < 0:
+        raise InputError(f"vertex count must be non-negative, got {n}")
     if not 0 <= size <= universe:
         raise InputError(f"cannot draw {size} distinct colors from {universe}")
     rng = random.Random(seed)
@@ -351,7 +355,7 @@ def hall_ratio_list_color(
         for redraw in range(max_redraws):
             rng = random.Random(derive_seed(seed, 3 + redraw))
             kept = {c for c in pool if rng.random() < keep_p}
-            if all(lo <= len(set(L) & kept) <= hi for L in lists):
+            if all(lo <= len(kept.intersection(L)) <= hi for L in lists):
                 break
         else:
             return None

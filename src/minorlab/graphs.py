@@ -472,22 +472,49 @@ def _clique_cover_bound(adj: tuple[int, ...], P: int, cap: int) -> int:
 def _mis_search(
     G: Graph, start: int, budget: int, target: int | None
 ) -> tuple[int, int]:
-    """Branch and bound for a maximum independent set inside `start`.
+    """A greedy dive, then branch and reduce, for a maximum independent set
+    inside `start`.
 
     Returns (size, mask) of the best set found.  If `target` is given the
     search stops as soon as a set of that size exists.  Raises
     :class:`BudgetExceeded` when the node budget runs out (never returns a
     wrong answer).
 
-    A node is pruned when the first-fit clique cover of its candidates P,
-    built one clique at a time and stopped at the gap the node must beat,
-    stays below that gap.  Bound and pivot choice cost O(|P|) bitset
-    operations per node.
+    The dive takes a least-degree vertex of what is left (lowest id on
+    ties) until nothing is left or the target is reached; its set is the
+    best the branch and bound starts from.  A node with candidates P is
+    pruned when the first-fit clique cover of P, built one clique at a time
+    and stopped at the gap the node must beat, stays below that gap.  The
+    first vertex of degree at most 1 inside P lies in some maximum
+    independent set of P, so it is taken with no branch that drops it;
+    otherwise the node takes, then drops, a highest-degree vertex (lowest
+    id on ties).  Each pick of the dive and each node costs one step and
+    O(|P|) bitset operations.
     """
     adj = G.adj
+    steps = budget
     best_size = 0
     best_mask = 0
-    steps = budget
+    P = start
+    while P and (target is None or best_size < target):
+        steps -= 1
+        if steps < 0:
+            raise BudgetExceeded("independent-set search", budget, start.bit_count())
+        # least degree inside P, lowest index on ties
+        pick = -1
+        pick_deg = P.bit_count()
+        for v in bits(P):
+            dv = (adj[v] & P).bit_count()
+            if dv < pick_deg:
+                pick_deg = dv
+                pick = v
+                if dv == 0:
+                    break
+        P &= ~(adj[pick] | 1 << pick)
+        best_mask |= 1 << pick
+        best_size += 1
+    if target is not None and best_size >= target:
+        return best_size, best_mask
     # pending (candidates, chosen mask, chosen size); the top is searched next
     stack = [(start, 0, 0)]
     while stack:
@@ -505,17 +532,22 @@ def _mis_search(
         gap = (target if target is not None else best_size + 1) - cur_size
         if _clique_cover_bound(adj, P, gap) < gap:
             continue
-        # pivot: highest degree inside P, lowest index on ties
+        # pivot: the first vertex of degree <= 1 inside P, taken with no drop
+        # branch; else the highest degree, lowest index on ties
         pivot = -1
-        pivot_deg = -1
+        pivot_deg = 1
         for v in bits(P):
             dv = (adj[v] & P).bit_count()
+            if dv <= 1:
+                pivot = v
+                break
             if dv > pivot_deg:
                 pivot_deg = dv
                 pivot = v
+        else:
+            # drop the pivot after every set that takes it has been searched
+            stack.append((P & ~(1 << pivot), cur_mask, cur_size))
         pbit = 1 << pivot
-        # drop the pivot after every set that takes it has been searched
-        stack.append((P & ~pbit, cur_mask, cur_size))
         stack.append((P & ~(adj[pivot] | pbit), cur_mask | pbit, cur_size + 1))
     return best_size, best_mask
 

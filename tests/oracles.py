@@ -636,18 +636,33 @@ def clique_cover_bound_ref(adj: tuple[int, ...], P: int) -> int:
 def mis_search_ref(
     G: Graph, start: int, budget: int, target: int | None
 ) -> tuple[int, int]:
-    """Recursive branch and bound: the same nodes, order and step charges as
+    """A greedy dive over vertex sets, then a recursive branch and bound: the
+    same picks, nodes, order and step charges as
     :func:`minorlab.graphs._mis_search`."""
     adj = G.adj
-    best_size = 0
-    best_mask = 0
     steps = budget
 
-    def rec(P: int, cur_mask: int, cur_size: int) -> bool:
-        nonlocal best_size, best_mask, steps
+    def charge() -> None:
+        nonlocal steps
         steps -= 1
         if steps < 0:
             raise BudgetExceeded("independent-set search", budget, start.bit_count())
+
+    left = set(bits(start))
+    dive: list[int] = []
+    while left and (target is None or len(dive) < target):
+        charge()
+        v = min(left, key=lambda u: (len(left & set(bits(adj[u]))), u))
+        dive.append(v)
+        left -= {v} | set(bits(adj[v]))
+    best_size = len(dive)
+    best_mask = mask_of(dive)
+    if target is not None and best_size >= target:
+        return best_size, best_mask
+
+    def rec(P: int, cur_mask: int, cur_size: int) -> bool:
+        nonlocal best_size, best_mask
+        charge()
         if cur_size > best_size:
             best_size = cur_size
             best_mask = cur_mask
@@ -658,13 +673,13 @@ def mis_search_ref(
         limit = target if target is not None else best_size + 1
         if cur_size + clique_cover_bound_ref(adj, P) < limit:
             return False
-        pivot = -1
-        pivot_deg = -1
-        for v in bits(P):
-            dv = (adj[v] & P).bit_count()
-            if dv > pivot_deg:
-                pivot_deg = dv
-                pivot = v
+        degree = {v: (adj[v] & P).bit_count() for v in bits(P)}
+        leaves = [v for v in sorted(degree) if degree[v] <= 1]
+        if leaves:
+            # a vertex of degree <= 1 lies in some maximum set: no drop branch
+            v = leaves[0]
+            return rec(P & ~(adj[v] | 1 << v), cur_mask | 1 << v, cur_size + 1)
+        pivot = min(degree, key=lambda v: (-degree[v], v))
         pbit = 1 << pivot
         if rec(P & ~(adj[pivot] | pbit), cur_mask | pbit, cur_size + 1):
             return True

@@ -83,8 +83,18 @@ def test_from_edge_list_rejects_bad_edges(bad):
         lambda: ml.gnm_random_graph(4, -1, 0),
         lambda: ml.random_lists(3, -1, 5, 0),
         lambda: ml.complete_bipartite(-1, 2),
+        lambda: ml.random_lists(-2, 2, 5, 0),
+        lambda: ml.uniform_lists(-2, 3),
+        lambda: ml.uniform_lists(4, -1),
     ],
-    ids=["gnm-negative-m", "lists-negative-size", "bipartite-negative-side"],
+    ids=[
+        "gnm-negative-m",
+        "lists-negative-size",
+        "bipartite-negative-side",
+        "lists-negative-count",
+        "uniform-lists-negative-count",
+        "uniform-lists-negative-size",
+    ],
 )
 def test_generators_reject_negative_sizes(make):
     with pytest.raises(ml.InputError):
@@ -501,9 +511,41 @@ def test_clique_cover_bound_is_the_first_fit_cover_stopped_at_the_cap():
     assert checked >= 300
 
 
+def relabelled(G, seed):
+    """G with its vertex ids shuffled."""
+    ids = list(range(G.n))
+    random.Random(seed).shuffle(ids)
+    return ml.from_edge_list(G.n, [(ids[u], ids[v]) for u, v in G.edges()])
+
+
+def random_forest(n, keep, seed):
+    """A random labelled tree on n vertices with each edge kept with
+    probability `keep`."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    return relabelled(ml.from_edge_list(n, [e for e in edges if rng.random() < keep]), seed)
+
+
+def leaf_stripping_count(G):
+    """The independence number of a forest: take a vertex of degree <= 1,
+    delete it and its neighbour, repeat."""
+    nbrs = {v: set(G.neighbors(v)) for v in range(G.n)}
+    count = 0
+    while nbrs:
+        v = next(v for v in nbrs if len(nbrs[v]) <= 1)
+        gone = {v} | nbrs[v]
+        for u in gone:
+            for w in nbrs.pop(u):
+                if w not in gone:
+                    nbrs[w].discard(u)
+        count += 1
+    return count
+
+
 def mis_search_cases():
-    """(G, start, target) inputs: G(n, p) with n <= 30, and the Hall-ratio
-    shapes scaled down, where the bound is stopped at the gap."""
+    """(G, start, target) inputs: G(n, p) with n <= 30, the Hall-ratio
+    shapes scaled down, where the bound is stopped at the gap, and forests
+    and relabelled paths, where every node has a vertex of degree <= 1."""
     for i in range(40):
         n = 5 + i % 26
         G = ml.gnp_random_graph(n, 0.1 + 0.1 * (i % 7), seed=7000 + i)
@@ -518,6 +560,12 @@ def mis_search_cases():
             G = random_multipartite([part] * r, 0.5, seed=seed)
             for size in (part, math.floor(G.n / (math.e * r)), part + 1):
                 yield G, G.full_mask, size
+    for i in range(12):
+        n = 6 + 2 * i
+        for G in (random_forest(n, 0.8, 7100 + i), relabelled(ml.path_graph(n), 7100 + i)):
+            alpha = leaf_stripping_count(G)
+            for target in (None, alpha, alpha + 1):
+                yield G, G.full_mask, target
 
 
 def test_mis_search_matches_the_recursive_search():
@@ -527,6 +575,31 @@ def test_mis_search_matches_the_recursive_search():
         assert _mis_search(G, start, b, target) == result
         with pytest.raises(ml.BudgetExceeded):
             _mis_search(G, start, b - 1, target)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_alpha_settles_a_relabelled_path_within_a_small_budget(seed):
+    # the dive and the degree <= 1 moves take a forest without branching;
+    # the max-degree pivot alone ran out of these 5 000 steps, and of
+    # 20 000 on a relabelled 200-vertex path
+    assert ml.exact_alpha(relabelled(ml.path_graph(400), seed), budget=5000) == 200
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_alpha_settles_a_random_tree_within_a_small_budget(seed):
+    tree = random_forest(400, 1.0, seed)
+    assert tree.m == 399
+    assert ml.exact_alpha(tree, budget=5000) == leaf_stripping_count(tree)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_find_independent_set_dives_into_a_part(seed):
+    # a least-degree dive reaches a whole part of a random 3-partite graph;
+    # the max-degree pivot alone ran out of 80 steps
+    G = random_multipartite([80] * 3, 0.5, seed)
+    S = ml.find_independent_set(G, 80, budget=80)
+    assert S is not None and len(S) == 80
+    assert all(not G.has_edge(u, v) for u in S for v in S if u < v)
 
 
 def stack_depth():
