@@ -4,7 +4,9 @@ A list assignment is a sequence of color sets, one per vertex; a coloring is
 a dict from vertex to chosen color (possibly partial between levels).  Every
 public operation that returns a coloring returns one that passes
 :func:`verify_list_coloring`; randomized procedures return None on failure
-rather than ever emitting an improper coloring.
+rather than ever emitting an improper coloring.  The Hall-ratio levels and
+the minor-free peel layers are vertex masks of the caller's graph, colored
+with the lists at their original ids; no induced copy is built.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .graphs import (
     checked_vertices,
     degeneracy,
     find_independent_set,
-    induced_subgraph_with_map,
+    mask_of,
 )
 from .seeds import derive_seed
 
@@ -125,14 +127,19 @@ def exact_list_color(
     :class:`BudgetExceeded` when the node budget runs out.
     """
     _check_lists(G, lists)
-    n = G.n
-    effective = [sorted(lists[v]) for v in range(n)]
+    return _exact_list_color(G, lists, G.full_mask, budget)
+
+
+def _exact_list_color(G: Graph, lists, live: int, budget: int) -> dict[int, int] | None:
+    """:func:`exact_list_color` of G[live]; `lists` is read at the live ids."""
+    n = live.bit_count()
+    effective = {v: sorted(lists[v]) for v in bits(live)}
     coloring: dict[int, int] = {}
     # the uncoloured vertices bucketed by list length, ids ascending within
     # a bucket, as one heap of (length, id): a vertex gets a new entry when
     # its list shrinks or grows and when it is uncoloured, and an entry is
     # current while its vertex is uncoloured and its list has that length
-    queue = [(len(effective[v]), v) for v in range(n)]
+    queue = [(len(L), v) for v, L in effective.items()]
     heapq.heapify(queue)
     steps = budget
     # one frame per coloured vertex on the search path:
@@ -145,7 +152,7 @@ def exact_list_color(
         if len(coloring) == n:
             return dict(coloring)
         if len(queue) > 2 * n + 64:  # drop the stale entries
-            queue = [(len(effective[u]), u) for u in range(n) if u not in coloring]
+            queue = [(len(L), u) for u, L in effective.items() if u not in coloring]
             heapq.heapify(queue)
         while queue[0][1] in coloring or len(effective[queue[0][1]]) != queue[0][0]:
             heapq.heappop(queue)
@@ -167,7 +174,7 @@ def exact_list_color(
             # coloured before the check, so a failed try is undone like any other
             coloring[v] = c
             struck = frame[3] = []
-            for u in bits(G.adj[v]):
+            for u in bits(G.adj[v] & live):
                 if u in coloring:
                     if coloring[u] == c:
                         break
@@ -188,21 +195,6 @@ def exact_list_color(
 # ---------------------------------------------------------------------------
 
 
-def _check_partition(G: Graph, parts: Sequence[AbstractSet[int]]) -> None:
-    seen: set[int] = set()
-    for i, part in enumerate(parts):
-        if not part:
-            raise InputError(f"part {i} is empty")
-        if seen & set(part):
-            raise InputError(f"part {i} overlaps an earlier part")
-        seen |= set(part)
-        pmask = checked_mask(G, part)
-        if adjacency_mask(G, pmask) & pmask:
-            raise InputError(f"part {i} is not independent in the graph")
-    if seen != set(range(G.n)):
-        raise InputError("parts must cover every vertex")
-
-
 def multipartite_list_color(
     G: Graph,
     parts: Sequence[AbstractSet[int]],
@@ -219,18 +211,34 @@ def multipartite_list_color(
     trial.
     """
     _check_lists(G, lists)
-    _check_partition(G, parts)
-    part_of = {}
+    return _multipartite_list_color(G, parts, lists, G.full_mask, trials, seed)
+
+
+def _multipartite_list_color(
+    G: Graph, parts: Sequence[AbstractSet[int]], lists, live: int, trials: int, seed: int
+) -> dict[int, int] | None:
+    """:func:`multipartite_list_color` of G[live]: the parts must be disjoint
+    independent sets that cover the live vertices, and `lists` is read at the
+    live ids."""
+    part_of: dict[int, int] = {}
     for i, part in enumerate(parts):
-        for v in part:
-            part_of[v] = i
-    pool = sorted(set().union(*lists)) if G.n else []
+        if not part:
+            raise InputError(f"part {i} is empty")
+        pmask = checked_mask(G, part)
+        if part_of.keys() & part:
+            raise InputError(f"part {i} overlaps an earlier part")
+        if adjacency_mask(G, pmask) & pmask:
+            raise InputError(f"part {i} is not independent in the graph")
+        part_of.update(dict.fromkeys(part, i))
+    if mask_of(part_of) != live:
+        raise InputError("parts must cover every vertex")
+    pool = sorted(set().union(*(lists[v] for v in bits(live))))
     r = len(parts)
     for trial in range(trials):
         rng = random.Random(derive_seed(seed, trial))
         owner = {c: rng.randrange(r) for c in pool}
         coloring: dict[int, int] = {}
-        for v in range(G.n):
+        for v in bits(live):
             mine = [c for c in sorted(lists[v]) if owner[c] == part_of[v]]
             if not mine:
                 break
@@ -256,18 +264,22 @@ def independent_sets_extract(
     """
     if s < 1 or k < 1:
         raise InputError("both the set size and the count must be at least 1")
-    remainder = set(range(G.n))
+    return _independent_sets_extract(G, s, k, G.full_mask, budget)
+
+
+def _independent_sets_extract(G: Graph, s: int, k: int, live: int, budget: int):
+    """:func:`independent_sets_extract` from G[live]."""
     out: list[frozenset[int]] = []
     for i in range(k):
-        found = find_independent_set(G, s, budget=budget, within=remainder)
+        found = find_independent_set(G, s, budget=budget, within=bits(live))
         if found is None:
             raise HallRatioViolation(
-                f"remainder of {len(remainder)} vertices has no independent "
+                f"remainder of {live.bit_count()} vertices has no independent "
                 f"set of size {s} (needed {k - i} more)"
             )
         chosen = frozenset(sorted(found)[:s])
         out.append(chosen)
-        remainder -= chosen
+        live &= ~mask_of(chosen)
     return out
 
 
@@ -294,20 +306,20 @@ def hall_ratio_list_color(
     """List coloring driven by a promised Hall ratio bound, one level at a time.
 
     The caller promises ceil(v(H) / alpha(H)) <= rho for every subgraph H.
-    On each level the promise is checked on the level's graph with a witness:
-    it holds exactly when alpha >= ceil(n / floor(rho)), so a target-stopping
-    independent-set search that proves no such set exists raises
-    :class:`HallRatioViolation` (a search out of budget takes the promise on
-    faith).
+    Every level is a vertex mask of G, the first one all of G; on each, the
+    promise is checked with a witness: it holds exactly when alpha >=
+    ceil(n / floor(rho)), so a target-stopping independent-set search that
+    proves no such set exists raises :class:`HallRatioViolation` (a search
+    out of budget takes the promise on faith).
 
     A large level splits a random global color subset off its lists, extracts
     k = ceil((1 - 1/e) n / s) disjoint independent sets of size
     s = floor(n / (e rho)), colors their union from the split-off colors via
-    :func:`multipartite_list_color`, and hands the uncolored rest to the next
-    level with the remaining colors.  The color subset is redrawn (up to
-    `max_redraws` times) until every vertex keeps between (C/2) rho log(n/rho)
-    and (3C/2) rho log(n/rho) of its list.  There are at most
-    ceil(log(n / rho)) + 2 levels; more is an :class:`InvariantViolation`.
+    :func:`multipartite_list_color`, and leaves the uncolored rest, with the
+    remaining colors, as the next level's mask.  The color subset is redrawn
+    (up to `max_redraws` times) until every vertex keeps between
+    (C/2) rho log(n/rho) and (3C/2) rho log(n/rho) of its list.  There are at
+    most ceil(log(n / rho)) + 2 levels; more is an :class:`InvariantViolation`.
 
     A small level, or one whose lists are too short for the redraw window to
     ever accept, is the last: it falls back to sequential greedy and then to
@@ -316,16 +328,29 @@ def hall_ratio_list_color(
     _check_lists(G, lists)
     if not rho >= 1:
         raise InputError(f"the Hall ratio bound must be at least 1, got {rho}")
-    if G.n == 0:
+    lists = [frozenset(L) for L in lists]  # the levels overwrite them
+    return _hall_ratio_list_color(
+        G, lists, G.full_mask, rho, C, seed, trials, budget, max_redraws
+    )
+
+
+def _hall_ratio_list_color(
+    G: Graph, lists: list, live: int, rho: float, C: float, seed: int, trials: int,
+    budget: int, max_redraws: int,
+) -> dict[int, int] | None:
+    """:func:`hall_ratio_list_color` of G[live], on frozenset `lists` indexed
+    by vertex id.  Each level overwrites the lists of its vertices in place:
+    the split-off colors for the vertices it colors, the rest for the others."""
+    if not live:
         return {}
-    limit = math.ceil(math.log(G.n / min(rho, G.n))) + 1
+    n = live.bit_count()
+    limit = math.ceil(math.log(n / min(rho, n))) + 1
     coloring: dict[int, int] = {}
-    ids = range(G.n)  # original id of each vertex of the level's graph
     for _ in range(limit + 1):
-        n = G.n
+        n = live.bit_count()
         need = -(-n // math.floor(min(rho, n)))
         try:
-            broken = find_independent_set(G, need, budget=budget) is None
+            broken = find_independent_set(G, need, budget=budget, within=bits(live)) is None
         except BudgetExceeded:
             broken = False  # promise taken on faith when too big to check
         if broken:
@@ -334,57 +359,49 @@ def hall_ratio_list_color(
                 f"so ceil(n / alpha) > {rho}"
             )
 
-        min_list = min(len(L) for L in lists)
+        min_list = min(len(lists[v]) for v in bits(live))
         if n <= 3 * math.e * rho or not min_list >= C * rho * math.log(n / rho) ** 2:
-            phi = greedy_list_color(G, lists)
+            phi = greedy_list_color(G, lists, order=bits(live))
             if phi is None:
                 try:
-                    phi = exact_list_color(G, lists, budget=budget)
+                    phi = _exact_list_color(G, lists, live, budget)
                 except BudgetExceeded:
                     logger.debug("base-case exact search ran out of budget (n=%d)", n)
             if phi is None:
                 return None
-            coloring.update({ids[i]: c for i, c in phi.items()})
+            coloring.update(phi)
             return coloring
 
         log_ratio = math.log(n / rho)
         keep_p = 1.0 / log_ratio
         lo = C / 2 * rho * log_ratio
         hi = 3 * C / 2 * rho * log_ratio
-        pool = sorted(set().union(*lists))
+        pool = sorted(set().union(*(lists[v] for v in bits(live))))
         for redraw in range(max_redraws):
             rng = random.Random(derive_seed(seed, 3 + redraw))
             kept = {c for c in pool if rng.random() < keep_p}
-            if all(lo <= len(kept.intersection(L)) <= hi for L in lists):
+            if all(lo <= len(kept.intersection(lists[v])) <= hi for v in bits(live)):
                 break
         else:
             return None
 
-        first, second = split_lists_by_colors(lists, kept)
         s = int(n / (math.e * rho))
         k = math.ceil((1 - 1 / math.e) * n / s)
-        sets = independent_sets_extract(G, s, k, budget=budget)
+        sets = _independent_sets_extract(G, s, k, live, budget)
         if k * s < (1 - 1 / math.e) * n - s:
             raise InvariantViolation("extracted union is smaller than the level target")
 
-        X = sorted(set().union(*sets))
-        H, old_ids = induced_subgraph_with_map(G, X)
-        pos = {v: i for i, v in enumerate(old_ids)}
-        local_parts = [frozenset(pos[v] for v in part) for part in sets]
-        local_lists = [first[v] for v in old_ids]
-        phi = multipartite_list_color(
-            H, local_parts, local_lists, trials=trials, seed=derive_seed(seed, 0)
-        )
+        X = mask_of(v for part in sets for v in part)
+        for v in bits(live):
+            lists[v] = lists[v] & kept if X >> v & 1 else lists[v] - kept
+        phi = _multipartite_list_color(G, sets, lists, X, trials, derive_seed(seed, 0))
         if phi is None:
             return None
-        coloring.update({ids[old_ids[i]]: c for i, c in phi.items()})
+        coloring.update(phi)
 
-        rest = sorted(set(range(n)) - set(X))
-        if not rest:
+        live &= ~X
+        if not live:
             return coloring
-        G, rest_ids = induced_subgraph_with_map(G, rest)
-        ids = [ids[v] for v in rest_ids]
-        lists = [second[v] for v in rest_ids]
         seed = derive_seed(seed, 2)
     raise InvariantViolation(f"depth {limit + 1} exceeded the bound {limit}")
 
@@ -409,8 +426,8 @@ def minor_free_list_color(
     Repeatedly peel a piece X whose coboundary has at most d vertices, color
     the rest first, then color G[X] from the lists minus the colors of X's
     outside neighbors; the boundary costs at most d colors per list, so
-    |L(v)| >= 2d leaves at least d usable colors for the inner stage.  The
-    inner stage is exact search for small pieces and
+    |L(v)| >= 2d leaves at least d usable colors for the inner stage, which
+    colors the piece as a vertex mask of G: exact search for small pieces and
     :func:`hall_ratio_list_color` beyond `inner_threshold` (with rho
     defaulting to 2d: a graph peelable at d is minor-free for a clique order
     at most d, whose independence ratio bounds the Hall ratio by 2d).
@@ -421,58 +438,45 @@ def minor_free_list_color(
     _check_lists(G, lists)
     if d < 6:
         raise InputError(f"peel parameter must be at least 6, got {d}")
+    if rho is None:
+        rho = 2 * d
+    if not rho >= 1:
+        raise InputError(f"the Hall ratio bound must be at least 1, got {rho}")
     short = [v for v in range(G.n) if len(lists[v]) < 2 * d]
     if short:
         raise PreconditionError(
             f"lists must have at least 2d = {2 * d} colors; vertex "
             f"{short[0]} has {len(lists[short[0]])}"
         )
-    if rho is None:
-        rho = 2 * d
 
     layers = list(peel_layers(G, d, G.full_mask))
+    lists = list(lists)  # each piece's lists lose its outside neighbours' colors
     coloring: dict[int, int] = {}
     for level, piece in enumerate(reversed(layers)):
-        piece_set = set(piece)
-        reduced: list[frozenset[int]] = []
+        live = mask_of(piece)
         for v in piece:
-            outside = {
-                coloring[u]
-                for u in bits(G.adj[v])
-                if u not in piece_set and u in coloring
-            }
+            outside = {coloring[u] for u in bits(G.adj[v]) if u in coloring}
             L = frozenset(lists[v]) - outside
             if len(L) < len(lists[v]) - d:
                 raise InvariantViolation(
                     f"boundary consumed more than d = {d} colors at vertex {v}"
                 )
-            reduced.append(L)
-        H, old_ids = induced_subgraph_with_map(G, piece)
+            lists[v] = L
         try:
-            if H.n <= inner_threshold:
-                phi = exact_list_color(H, reduced, budget=budget)
+            if len(piece) <= inner_threshold:
+                phi = _exact_list_color(G, lists, live, budget)
             else:
-                phi = hall_ratio_list_color(
-                    H,
-                    reduced,
-                    rho,
-                    seed=derive_seed(seed, level),
-                    trials=trials,
-                    budget=budget,
+                phi = _hall_ratio_list_color(
+                    G, lists, live, rho, C=2.0, seed=derive_seed(seed, level),
+                    trials=trials, budget=budget, max_redraws=64,
                 )
-        except BudgetExceeded:
-            logger.debug("inner stage ran out of budget at peel level %d", level)
-            phi = None
-        except HallRatioViolation as exc:
-            # the graph is denser than the peel parameter promised
+        except (BudgetExceeded, HallRatioViolation) as exc:
+            # out of budget, or the graph is denser than the peel parameter promised
             logger.debug("inner stage at peel level %d: %s", level, exc)
             phi = None
         if phi is None:
-            logger.debug(
-                "inner coloring failed at peel level %d (piece of %d vertices)",
-                level,
-                H.n,
-            )
+            logger.debug("inner coloring failed at peel level %d (piece of %d vertices)",
+                         level, len(piece))
             return None
-        coloring.update({old_ids[i]: c for i, c in phi.items()})
+        coloring.update(phi)
     return coloring

@@ -476,9 +476,10 @@ def _mis_search(
     inside `start`.
 
     Returns (size, mask) of the best set found.  If `target` is given the
-    search stops as soon as a set of that size exists.  Raises
-    :class:`BudgetExceeded` when the node budget runs out (never returns a
-    wrong answer).
+    search stops as soon as a set of that size exists, and skips the dive
+    when the clique cover of `start` rules the target out, so that the
+    root's one step settles it.  Raises :class:`BudgetExceeded` when the
+    node budget runs out (never returns a wrong answer).
 
     The dive takes a least-degree vertex of what is left (lowest id on
     ties) until nothing is left or the target is reached; its set is the
@@ -495,7 +496,7 @@ def _mis_search(
     steps = budget
     best_size = 0
     best_mask = 0
-    P = start
+    P = start if target is None or _clique_cover_bound(adj, start, target) >= target else 0
     while P and (target is None or best_size < target):
         steps -= 1
         if steps < 0:

@@ -24,7 +24,10 @@ the same order, so tests compare results and the steps each one spends
 (:func:`smallest_budget`).  The last one, :func:`hall_ratio_list_color_ref`,
 is the recursive Hall-ratio colouring with its `exact_alpha` promise check;
 the library's loop over levels must return the same colouring, or raise the
-same error, on every input.
+same error, on every input.  :func:`minor_free_list_color_ref` colours each
+peel layer as an induced copy through the public exact and Hall-ratio
+colourings, where the library colours every layer and level as a vertex mask
+of one graph; both must give the same colouring.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from minorlab.coloring import (
     _check_lists,
     exact_list_color,
     greedy_list_color,
+    hall_ratio_list_color,
     independent_sets_extract,
     logger,
     multipartite_list_color,
@@ -48,6 +52,7 @@ from minorlab.decompose import (
     Decomposition,
     _contracted_piece,
     coboundary,
+    peel_layers,
     small_coboundary_piece,
 )
 from minorlab.errors import (
@@ -55,6 +60,7 @@ from minorlab.errors import (
     HallRatioViolation,
     InputError,
     InvariantViolation,
+    PreconditionError,
 )
 from minorlab.families import complete_multipartite
 from minorlab.graphs import (
@@ -648,7 +654,9 @@ def mis_search_ref(
         if steps < 0:
             raise BudgetExceeded("independent-set search", budget, start.bit_count())
 
-    left = set(bits(start))
+    # no dive when the root's clique cover rules the target out
+    settled = target is not None and clique_cover_bound_ref(adj, start) < target
+    left = set() if settled else set(bits(start))
     dive: list[int] = []
     while left and (target is None or len(dive) < target):
         charge()
@@ -893,4 +901,64 @@ def hall_ratio_list_color_ref(
         if phi2 is None:
             return None
         coloring.update({rest_ids[i]: c for i, c in phi2.items()})
+    return coloring
+
+
+def minor_free_list_color_ref(
+    G: Graph,
+    lists: ListAssignment,
+    d: int,
+    seed: int = 0,
+    rho: float | None = None,
+    inner_threshold: int = 24,
+    trials: int = 64,
+    budget: int = DEFAULT_BUDGET,
+) -> dict[int, int] | None:
+    """Peel-and-recolor list coloring, each layer on its induced copy.
+
+    The layers of :func:`peel_layers` are coloured last one first, each from
+    its lists minus the colours of its coloured outside neighbours: by
+    :func:`exact_list_color` on the renumbered copy of a small layer, by
+    :func:`hall_ratio_list_color` (rho defaulting to 2d) on that of a large
+    one.  A failed inner stage is None.
+    """
+    _check_lists(G, lists)
+    if d < 6:
+        raise InputError(f"peel parameter must be at least 6, got {d}")
+    short = [v for v in range(G.n) if len(lists[v]) < 2 * d]
+    if short:
+        raise PreconditionError(f"vertex {short[0]} has fewer than 2d colours")
+    if rho is None:
+        rho = 2 * d
+
+    layers = list(peel_layers(G, d, G.full_mask))
+    coloring: dict[int, int] = {}
+    for level, piece in enumerate(reversed(layers)):
+        piece_set = set(piece)
+        reduced: list[frozenset[int]] = []
+        for v in piece:
+            outside = {
+                coloring[u]
+                for u in bits(G.adj[v])
+                if u not in piece_set and u in coloring
+            }
+            reduced.append(frozenset(lists[v]) - outside)
+        H, old_ids = induced_subgraph_with_map(G, piece)
+        try:
+            if H.n <= inner_threshold:
+                phi = exact_list_color(H, reduced, budget=budget)
+            else:
+                phi = hall_ratio_list_color(
+                    H,
+                    reduced,
+                    rho,
+                    seed=derive_seed(seed, level),
+                    trials=trials,
+                    budget=budget,
+                )
+        except (BudgetExceeded, HallRatioViolation):
+            phi = None
+        if phi is None:
+            return None
+        coloring.update({old_ids[i]: c for i, c in phi.items()})
     return coloring

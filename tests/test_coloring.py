@@ -6,11 +6,12 @@ from itertools import combinations
 import pytest
 
 import minorlab as ml
-from minorlab import coloring
+from minorlab import coloring, graphs
 from minorlab.decompose import peel_layers
 from oracles import (
     exact_list_color_ref,
     hall_ratio_list_color_ref,
+    minor_free_list_color_ref,
     peel_layers_ref,
     random_multipartite,
     smallest_budget,
@@ -368,19 +369,34 @@ def test_hall_ratio_loop_matches_the_recursive_function():
 
 def test_hall_ratio_reaches_later_levels(monkeypatch):
     sizes = []
+    level_start = True
 
-    def counted(G, *args, **kwargs):
-        sizes.append(G.n)
-        return ml.find_independent_set(G, *args, **kwargs)
+    def counted(G, size, budget, within):
+        nonlocal level_start
+        within = list(within)
+        if level_start:
+            sizes.append(len(within))
+            level_start = False
+        return ml.find_independent_set(G, size, budget=budget, within=within)
 
-    # every level checks its promise first, so the graph sizes the witness
-    # sees are the sizes of the levels
+    def extract(*args):
+        nonlocal level_start
+        sets = extract_sets(*args)
+        level_start = True
+        return sets
+
+    # every level checks its promise first, on the level's whole mask, and
+    # extracts its sets last, so the masks the first search of each level
+    # sees are the levels
+    extract_sets = coloring._independent_sets_extract
     monkeypatch.setattr(coloring, "find_independent_set", counted)
+    monkeypatch.setattr(coloring, "_independent_sets_extract", extract)
     size = math.ceil(2.0 * 4 * math.log(60) ** 2)
     for seed in range(3):
         G = random_multipartite([60] * 4, 0.5, seed)
         lists = ml.random_lists(G.n, size, 2 * size, seed)
         sizes.clear()
+        level_start = True
         c = ml.hall_ratio_list_color(G, lists, 4, seed=seed)
         assert c is not None and len(c) == G.n
         assert len(set(sizes)) == 3 and sizes[0] == G.n
@@ -516,6 +532,92 @@ def test_minorfree_peels_the_layers_of_induced_copies(monkeypatch):
         c = ml.minor_free_list_color(G, lists, d=6, seed=seed)
         assert c is not None and ml.verify_list_coloring(G, lists, c)
         assert pieces == peel_layers_ref(G, 6), G.n
+
+
+@pytest.mark.parametrize("rho", [math.nan, 0.5, 0, -math.inf])
+def test_minorfree_rejects_malformed_rho_up_front(rho):
+    # a path peels into single vertices that never reach the Hall stage, so
+    # only a check at entry sees the bad bound
+    with pytest.raises(ml.InputError, match="Hall ratio bound"):
+        ml.minor_free_list_color(ml.path_graph(9), ml.uniform_lists(9, 12), d=6, rho=rho)
+
+
+def minor_free_cases():
+    """(G, lists, seed, budget): grids that peel into single vertices, a
+    bipartite graph whose one coboundary piece takes the Hall stage, the
+    Petersen graph, and cliques that fail by budget or by a broken promise."""
+    for seed, w in enumerate((6, 9, 12)):
+        G = triangulated_grid(w)
+        yield G, ml.random_lists(G.n, 12, 16, seed), seed, ml.DEFAULT_BUDGET
+    G = ml.gen_bipartite(ml.BipartiteSpec(20, 20, 0.5, 9))
+    for seed in range(3):
+        yield G, ml.uniform_lists(40, 12), seed, ml.DEFAULT_BUDGET
+        yield G, ml.random_lists(40, 12, 16, seed), seed, ml.DEFAULT_BUDGET
+    for seed in range(20):
+        yield ml.petersen_graph(), ml.uniform_lists(10, 12), seed, ml.DEFAULT_BUDGET
+    yield ml.complete_graph(20), ml.uniform_lists(20, 12), 0, 100_000
+    yield ml.complete_graph(40), ml.uniform_lists(40, 12), 0, 50_000
+
+
+def test_minorfree_masks_match_the_induced_copies():
+    results = []
+    for G, lists, seed, budget in minor_free_cases():
+        got = outcome(ml.minor_free_list_color, G, lists, d=6, seed=seed, budget=budget)
+        want = outcome(minor_free_list_color_ref, G, lists, d=6, seed=seed, budget=budget)
+        assert got == want, (G.n, seed)
+        if got is not None:
+            assert len(got) == G.n and ml.verify_list_coloring(G, lists, dict(got))
+        results.append(got)
+    assert results[-2:] == [None, None]
+    assert sum(r is not None for r in results) >= 20
+
+
+def test_masked_exact_search_matches_the_induced_copy():
+    # the same colouring, mapped back, and the same steps to find it
+    found = failed = 0
+    for i in range(80):
+        rng = random.Random(i)
+        n = rng.randint(2, 14)
+        G = ml.gnp_random_graph(n, rng.random(), seed=i)
+        lists = ml.random_lists(n, 3, 5, seed=i)
+        live = ml.mask_of(rng.sample(range(n), rng.randint(1, n)))
+        H, old_ids = ml.induced_subgraph_with_map(G, graphs.bits(live))
+        copy_lists = [lists[v] for v in old_ids]
+        want_steps, phi = smallest_budget(
+            lambda b: ml.exact_list_color(H, copy_lists, budget=b)
+        )
+        steps, got = smallest_budget(lambda b: coloring._exact_list_color(G, lists, live, b))
+        assert steps == want_steps, i
+        if phi is None:
+            assert got is None, i
+            failed += 1
+        else:
+            assert list(got.items()) == [(old_ids[v], c) for v, c in phi.items()], i
+            found += 1
+    assert found and failed
+
+
+def test_colouring_makes_no_induced_copy(monkeypatch):
+    # levels and layers are masks of the caller's graph; the grids peel into
+    # single vertices, so the peel makes no copy for a coboundary piece either
+    calls = []
+    quotient = graphs.quotient
+
+    def counted(G, classes):
+        calls.append(len(classes))
+        return quotient(G, classes)
+
+    monkeypatch.setattr(graphs, "quotient", counted)
+    for seed, w in enumerate((6, 9, 12)):
+        G = triangulated_grid(w)
+        lists = ml.random_lists(G.n, 12, 16, seed)
+        assert ml.minor_free_list_color(G, lists, d=6, seed=seed) is not None
+    for seed in range(3):
+        G = random_multipartite([60] * 4, 0.5, seed)
+        size = math.ceil(2.0 * 4 * math.log(60) ** 2)
+        lists = ml.random_lists(G.n, size, 2 * size, seed)
+        assert ml.hall_ratio_list_color(G, lists, 4, seed=seed) is not None
+    assert calls == []
 
 
 def test_minorfree_colours_a_large_grid_fast():

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -70,3 +72,17 @@ def test_every_suite_runs_small():
         report = run_suite(config)
         assert len(report.records) == 2
         assert report.columns[0] == "trial"
+
+
+def test_colouring_suite_reports_match_their_golden_digests():
+    # SHA-256 of each report, one line per file in `sha256sum` format: the
+    # colourings behind them must not change by a byte
+    golden = Path(__file__).parent / "golden" / "colour_suites.sha256"
+    want = dict(reversed(line.split()) for line in golden.read_text().splitlines())
+    got = {}
+    for suite in ("hallratio", "minorfree"):
+        for seed in range(4):
+            report = run_suite(ExperimentConfig(suite=suite, trials=4, seed=seed, max_n=60))
+            for ext, text in (("json", report.json_text()), ("csv", report.csv_text())):
+                got[f"{suite}-seed{seed}.{ext}"] = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert got == want

@@ -577,6 +577,27 @@ def test_mis_search_matches_the_recursive_search():
             _mis_search(G, start, b - 1, target)
 
 
+def test_mis_search_settles_a_ruled_out_target_before_the_dive():
+    # the root's clique cover is read before the dive, so a target it rules
+    # out costs the root's one step where the dive first took up to alpha
+    # picks; no target search needs more than the exact search of its start
+    steps, found = smallest_budget(
+        lambda b: ml.find_independent_set(ml.complete_graph(5), 2, budget=b)
+    )
+    assert steps <= 1 and found is None
+    settled = 0
+    for G, start, target in mis_search_cases():
+        if target is None:
+            continue
+        steps, result = smallest_budget(lambda b: _mis_search(G, start, b, target))
+        full, _ = smallest_budget(lambda b: _mis_search(G, start, b, None))
+        assert steps <= full
+        if clique_cover_bound_ref(G.adj, start) < target:
+            assert (steps, result) == (1, (0, 0))
+            settled += 1
+    assert settled >= 20
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_exact_alpha_settles_a_relabelled_path_within_a_small_budget(seed):
     # the dive and the degree <= 1 moves take a forest without branching;
