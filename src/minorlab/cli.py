@@ -44,8 +44,9 @@ from .formats import (
     model_to_str,
     parse_lists,
     read_edge_list,
+    read_text,
 )
-from .graphs import DEFAULT_BUDGET, degeneracy, density, exact_alpha
+from .graphs import DEFAULT_BUDGET, degeneracy, density, exact_alpha, set_of
 from .minor import find_kt_minor_exact, hadwiger_number
 
 EXIT_OK = 0
@@ -128,22 +129,21 @@ def _cmd_check(args) -> int:
 
 def _first_fit_parts(G):
     """Deterministic partition into independent sets, first fit by vertex id."""
-    parts: list[set[int]] = []
+    parts: list[int] = []  # one vertex mask per part
     for v in range(G.n):
-        for part in parts:
-            if all(not G.has_edge(v, u) for u in part):
-                part.add(v)
+        for i, part in enumerate(parts):
+            if not G.adj[v] & part:
+                parts[i] |= 1 << v
                 break
         else:
-            parts.append({v})
-    return [frozenset(p) for p in parts]
+            parts.append(1 << v)
+    return [set_of(part) for part in parts]
 
 
 def _cmd_color(args) -> int:
     G = read_edge_list(args.path)
     if args.lists is not None:
-        with open(args.lists, "r", encoding="ascii") as fh:
-            lists = parse_lists(fh.read(), n=G.n)
+        lists = parse_lists(read_text(args.lists), n=G.n)
     elif args.list_size is not None:
         lists = uniform_lists(G.n, args.list_size)
     else:

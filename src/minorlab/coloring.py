@@ -51,6 +51,13 @@ def _check_lists(G: Graph, lists: ListAssignment) -> None:
         )
 
 
+def _check_counts(**counts: int) -> None:
+    """Reject a trial or redraw count below 1, which would fail untried."""
+    for name, count in counts.items():
+        if count < 1:
+            raise InputError(f"{name} must be at least 1, got {count}")
+
+
 def uniform_lists(n: int, k: int) -> list[frozenset[int]]:
     """The same list {0, .., k-1} for every vertex."""
     if n < 0 or k < 0:
@@ -211,6 +218,7 @@ def multipartite_list_color(
     trial.
     """
     _check_lists(G, lists)
+    _check_counts(trials=trials)
     return _multipartite_list_color(G, parts, lists, G.full_mask, trials, seed)
 
 
@@ -328,6 +336,9 @@ def hall_ratio_list_color(
     _check_lists(G, lists)
     if not rho >= 1:
         raise InputError(f"the Hall ratio bound must be at least 1, got {rho}")
+    if not C > 0:
+        raise InputError(f"the list-size constant C must be positive, got {C}")
+    _check_counts(trials=trials, max_redraws=max_redraws)
     lists = [frozenset(L) for L in lists]  # the levels overwrite them
     return _hall_ratio_list_color(
         G, lists, G.full_mask, rho, C, seed, trials, budget, max_redraws
@@ -442,6 +453,7 @@ def minor_free_list_color(
         rho = 2 * d
     if not rho >= 1:
         raise InputError(f"the Hall ratio bound must be at least 1, got {rho}")
+    _check_counts(trials=trials)
     short = [v for v in range(G.n) if len(lists[v]) < 2 * d]
     if short:
         raise PreconditionError(

@@ -79,9 +79,20 @@ def write_edge_list(G: Graph, path) -> None:
         fh.write(edge_list_to_str(G))
 
 
+def read_text(path) -> str:
+    """The ASCII text of the file at `path`; any other byte, even in a
+    comment, is an input error naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"line {lineno}: non-ASCII byte {data[exc.start]:#04x}") from None
+
+
 def read_edge_list(path) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_edge_list(fh.read())
+    return parse_edge_list(read_text(path))
 
 
 # -- minor models ----------------------------------------------------------

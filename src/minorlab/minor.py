@@ -286,19 +286,21 @@ def _interior_distance(G: Graph, src: int, dst_nbr: int, allowed: int) -> int | 
 
 
 def _branch_set_search(
-    G: Graph, comp: int, t: int, budget: int, spent: list[int], slack: int
+    G: Graph, comp: int, t: int, budget: int, spent: list[int], slack: int,
+    fast_paths: bool,
 ) -> list[int] | None:
     """Backtracking over branch-set growth inside one block.
 
     Canonical form: branch sets are ordered by their minimum vertex (the
-    seed), and a set only ever absorbs vertices larger than its own seed.
-    At each node the most constrained non-adjacent pair is repaired by
-    absorbing one available neighbor into either side; when all current
-    pairs are adjacent, the next set is seeded.  Each set's neighborhood
-    mask is stored next to it and updated by the move that grows the set,
-    so no step rebuilds the neighborhoods.  A step still costs
-    O(|block| * t) bitset operations (the keys of the absorption and seed
-    moves) plus sorting its moves and the interior-distance walks.
+    seed), and a set only ever absorbs vertices larger than its own seed,
+    so a set's seed is its lowest bit.  At each node the most constrained
+    non-adjacent pair is repaired by absorbing one available neighbor into
+    either side; when all current pairs are adjacent, the next set is
+    seeded.  Each set's neighborhood mask is stored next to it and updated
+    by the move that grows the set, so no step rebuilds the neighborhoods.
+    A step still costs O(|block| * t) bitset operations (the keys of the
+    absorption and seed moves) plus sorting its moves and the
+    interior-distance walks.
 
     Each node also carries the excess of its sets (see `_edge_slack`):
     the edges among the used vertices beyond a spanning tree of each set
@@ -308,12 +310,10 @@ def _branch_set_search(
     sets grow; a move that would push it past `slack` cannot lead to a
     model and is never generated.
 
-    The first seed v also pays for the block vertices below it, which no
-    set can use.  For a model leaving the non-empty vertex set U of the
-    2-connected block B unused, slack - excess equals
-    (sum over u in U of (d_B(u) - 2) + e(U, model)) / 2, and U sends at
-    least two edges to the model; so a first seed above the least vertex
-    costs ceil((sum over u < v of (d_B(u) - 2) + 2) / 2).
+    With `fast_paths` the first set is seeded only at the block's least
+    vertex: a model of a connected block grows into one that spans it (add
+    each unused vertex to a set it touches), and the first set of that
+    model holds the least vertex.
 
     The outer loop deepens a cap on the total number of used vertices, so
     small models are found quickly and a level that never hits the cap is a
@@ -323,12 +323,6 @@ def _branch_set_search(
     """
     comp_size = comp.bit_count()
     adj = G.adj
-    # below[v]: the first-seed charge for the block vertices below v
-    below: dict[int, int] = {}
-    spare = 0
-    for v in bits(comp):
-        below[v] = (spare + 3) // 2 if below else 0
-        spare += (adj[v] & comp).bit_count() - 2
     failed_perm: set[tuple[int, ...]] = set()
     failed_here: set[tuple[int, ...]] = set()
     # a raised BudgetExceeded keeps this frame, and with it both tables,
@@ -339,11 +333,11 @@ def _branch_set_search(
         for cap in [comp_size] if comp_size <= 14 else range(t, comp_size + 1):
             failed_here.clear()
             # one frame per node on the search path:
-            # [state, sets, nbr, seeds, avail, used, excess, moves left, cap_hit];
+            # [state, sets, nbr, avail, excess, moves left, cap_hit];
             # nbr[i] is the neighborhood mask of sets[i], and a move copies
             # both lists, so a frame's own lists never change
             path: list[list] = []
-            sets, nbr, seeds, avail, used, excess = [], [], [], comp, 0, 0
+            sets, nbr, avail, excess = [], [], comp, 0
             while True:
                 spent[0] += 1
                 if spent[0] > budget:
@@ -363,36 +357,31 @@ def _branch_set_search(
                         for j in range(i + 1, k)
                         if not nbr[i] & sets[j]
                     ]
-                    # -2 << v is the mask of the vertices above v
+                    # -(s & -s) << 1 is the mask of the vertices above the
+                    # seed of s, and sets[i] has the lower seed of a pair
                     need_absorb = 0
                     for i, j in deficient:
-                        dist = _interior_distance(
-                            G, sets[i], nbr[j], avail & (-2 << min(seeds[i], seeds[j]))
-                        )
+                        s = sets[i]
+                        dist = _interior_distance(G, s, nbr[j], avail & -(s & -s) << 1)
                         if dist is None:  # never adjacent: no model fits
                             need_absorb = comp_size + 1
                             break
                         need_absorb = max(need_absorb, dist)
-                    floor_size = used + (t - k) + need_absorb
-                    room = slack - excess
                     inside = comp & ~avail
+                    floor_size = inside.bit_count() + (t - k) + need_absorb
+                    room = slack - excess
                     if floor_size > cap:
                         # a model that does not fit the block fails at every cap
                         cap_hit = floor_size <= comp_size
                     elif deficient:
                         grow = {}
                         for i in {x for pair in deficient for x in pair}:
-                            grow[i] = avail & nbr[i] & (-2 << seeds[i])
-                        best = None
-                        best_count = None
-                        for i, j in deficient:
-                            count = grow[i].bit_count() + grow[j].bit_count()
-                            if best_count is None or count < best_count:
-                                best_count = count
-                                best = (i, j)
-                                if count == 0:
-                                    break
-                        i, j = best
+                            s = sets[i]
+                            grow[i] = avail & nbr[i] & -(s & -s) << 1
+                        i, j = min(
+                            deficient,
+                            key=lambda p: grow[p[0]].bit_count() + grow[p[1]].bit_count(),
+                        )
                         for side, other in ((i, j), (j, i)):
                             # the sets whose pair with this side lacks an edge
                             lacking = [
@@ -416,52 +405,47 @@ def _branch_set_search(
                     elif k == t:
                         return sets
                     else:
-                        cands = avail & (-2 << seeds[-1] if seeds else -1)
+                        cands = avail & -(sets[-1] & -sets[-1]) << 1 if sets else avail
                         if cands.bit_count() >= t - k:
+                            if fast_paths and not k:
+                                cands &= -cands  # the least vertex only
                             # seeds already adjacent to more of the current
                             # sets go first (v is in no set, so it touches
                             # set s when it lies in nbr[s])
                             for v in bits(cands):
                                 touching = sum(b >> v & 1 for b in nbr)
                                 cost = (adj[v] & inside).bit_count() - touching
-                                if not k:
-                                    cost += below[v]
                                 if cost <= room:
                                     moves.append((k - touching, k, v, cost))
                     if moves:
                         moves.sort()
-                        path.append([
-                            state, sets, nbr, seeds, avail, used, excess,
-                            iter(moves), cap_hit,
-                        ])
+                        path.append([state, sets, nbr, avail, excess, iter(moves), cap_hit])
                     else:  # a dead end
                         hit = cap_hit
                         _remember(failed_here if hit else failed_perm, state)
                 if hit and path:
-                    path[-1][8] = True
+                    path[-1][6] = True
                 # descend along the next move, closing finished nodes on the way
                 while path:
                     frame = path[-1]
-                    move = next(frame[7], None)
+                    move = next(frame[5], None)
                     if move is not None:
                         break
                     path.pop()
-                    state, hit = frame[0], frame[8]
+                    state, hit = frame[0], frame[6]
                     _remember(failed_here if hit else failed_perm, state)
                     if hit and path:
-                        path[-1][8] = True
+                        path[-1][6] = True
                 else:
                     break
                 _, side, v, cost = move
-                _, sets, nbr, seeds, avail, used, excess, _, _ = frame
+                _, sets, nbr, avail, excess, _, _ = frame
                 vb = 1 << v
                 avail &= ~vb
-                used += 1
                 excess += cost
                 if side == len(sets):
                     sets = sets + [vb]
                     nbr = nbr + [adj[v]]
-                    seeds = seeds + [v]
                 else:
                     sets = sets.copy()
                     sets[side] |= vb
@@ -501,7 +485,7 @@ def find_kt_minor_exact(
        model, found without spending the budget;
     4. the branch-set search, which never lets the excess of its sets (the
        edges a model spends beyond the fewest it needs) pass the slack,
-       and charges a first seed for the block vertices below it.
+       and seeds the first set only at the block's least vertex.
 
     A model found is lifted back onto G and validated.  The verdicts are
     those of the search alone, but the models returned may differ from
@@ -546,7 +530,7 @@ def find_kt_minor_exact(
             continue
         masks = _greedy_contraction(H, block, t) if fast_paths else None
         if masks is None:
-            masks = _branch_set_search(H, block, t, budget, spent, slack)
+            masks = _branch_set_search(H, block, t, budget, spent, slack, fast_paths)
         if masks is not None:
             return _verified_model(G, _lift(masks[:t], suppressed), "search")
     return None

@@ -13,7 +13,9 @@ rebuild through :func:`from_edge_list`, independently of the library's mask
 quotient; the matching reference is the plain recursive augmenting-path
 search.  The block reference keeps Tarjan's edge stack where the library
 keeps a vertex stack, and the colouring check walks every edge where the
-library ANDs each neighbourhood with one mask per colour.  The peel references scan every live vertex for the least degree on
+library ANDs each neighbourhood with one mask per colour; the first-fit
+partition reference asks `has_edge` of every member of a part where the CLI
+ANDs a neighbourhood with one mask per part.  The peel references scan every live vertex for the least degree on
 each step, where the library keeps one heap for a whole peel, and peel each
 layer from a fresh induced copy; the piece reference runs two passes of
 flows per round (a k-connectivity verdict, then a minimum separation from
@@ -395,6 +397,20 @@ def verify_list_coloring_ref(G: Graph, lists: ListAssignment, coloring) -> bool:
     return True
 
 
+def first_fit_parts_ref(G: Graph) -> list[frozenset[int]]:
+    """Independent parts, first fit by vertex id, each vertex tested against
+    every member of a part by `has_edge`."""
+    parts: list[set[int]] = []
+    for v in range(G.n):
+        for part in parts:
+            if all(not G.has_edge(v, u) for u in part):
+                part.add(v)
+                break
+        else:
+            parts.append({v})
+    return [frozenset(p) for p in parts]
+
+
 def triangulated_grid(w):
     """The w x w grid with one diagonal per square: planar, min degree 2."""
     edges = []
@@ -477,7 +493,9 @@ def branch_set_search_ref(
     G: Graph, comp: int, t: int, budget: int, spent: list[int]
 ) -> list[int] | None:
     """Recursive branch-set search: the same nodes, order, tables and step
-    charges as :func:`minorlab.minor._branch_set_search`."""
+    charges as :func:`minorlab.minor._branch_set_search` without fast paths,
+    where every vertex is a first seed and the slack is the edge count,
+    which no excess exceeds."""
 
     def above(v: int) -> int:
         return -1 << (v + 1)

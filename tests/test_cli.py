@@ -2,7 +2,8 @@ import json
 
 import minorlab as ml
 from minorlab import formats
-from minorlab.cli import main
+from minorlab.cli import _first_fit_parts, main
+from oracles import first_fit_parts_ref
 
 
 def write_graph(tmp_path, G, name="g.el"):
@@ -58,6 +59,20 @@ def test_check_malformed_file_names_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 2" in err
+
+
+def test_non_ascii_input_is_an_input_error_naming_its_line(tmp_path, capsys):
+    # even inside a comment; the read used to raise UnicodeDecodeError
+    path = tmp_path / "accent.el"
+    path.write_bytes(b"p 2 1\n0 1 # caf\xc3\xa9\n")
+    assert main(["check", str(path), "--t", "3"]) == 2
+    assert "line 2: non-ASCII byte 0xc3" in capsys.readouterr().err
+    lists_path = tmp_path / "lists.txt"
+    lists_path.write_bytes(b"0: 0 1\n1: 1 2 # \xe9\n")
+    path = write_graph(tmp_path, ml.complete_graph(2))
+    code = main(["color", path, "--strategy", "exact", "--lists", str(lists_path)])
+    assert code == 2
+    assert "line 2: non-ASCII byte 0xe9" in capsys.readouterr().err
 
 
 def test_check_budget_exit_code(tmp_path, capsys):
@@ -130,6 +145,20 @@ def test_color_multipartite_strategy(tmp_path):
     code = main(["color", path, "--strategy", "multipartite", "--list-size", "8",
                  "--trials", "32", "--out", out])
     assert code == 0
+
+
+def test_color_multipartite_rejects_zero_trials(tmp_path, capsys):
+    path = write_graph(tmp_path, ml.complete_multipartite([3, 3]))
+    code = main(["color", path, "--strategy", "multipartite", "--list-size", "8",
+                 "--trials", "0"])
+    assert code == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+
+
+def test_first_fit_parts_match_first_fit_by_id():
+    for i in range(40):
+        G = ml.gnp_random_graph(1 + i, 0.05 * (i % 10), seed=i)
+        assert _first_fit_parts(G) == first_fit_parts_ref(G), i
 
 
 def test_decompose_command_round_trips(tmp_path):

@@ -441,6 +441,32 @@ def test_hall_ratio_rejects_malformed_rho(rho):
         ml.hall_ratio_list_color(ml.cycle_graph(5), ml.uniform_lists(5, 3), rho)
 
 
+@pytest.mark.parametrize("C", [math.nan, 0, -1.5])
+def test_hall_ratio_rejects_a_malformed_constant(C):
+    # on a level large enough to split, NaN sent it to the greedy base case
+    # and C <= 0 kept the redraw window from accepting; the check at entry
+    # rejects them on any input
+    with pytest.raises(ml.InputError, match="constant C"):
+        ml.hall_ratio_list_color(ml.cycle_graph(5), ml.uniform_lists(5, 3), 3, C=C)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_colourings_reject_trial_and_redraw_counts_below_one(count):
+    # a count below 1 leaves no try, so wherever one was needed the result
+    # was None; it is rejected at entry, even where this input needs none
+    G, lists = ml.complete_multipartite([3, 3]), ml.uniform_lists(6, 12)
+    calls = [
+        ("trials", lambda: ml.multipartite_list_color(
+            G, [range(3), range(3, 6)], lists, trials=count)),
+        ("trials", lambda: ml.hall_ratio_list_color(G, lists, 3, trials=count)),
+        ("max_redraws", lambda: ml.hall_ratio_list_color(G, lists, 3, max_redraws=count)),
+        ("trials", lambda: ml.minor_free_list_color(G, lists, d=6, trials=count)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ml.InputError, match=f"{name} must be at least 1"):
+            call()
+
+
 def test_hall_ratio_infinite_rho_colours_as_before():
     for G in (ml.petersen_graph(), disjoint_triangles(12), ml.empty_graph(20)):
         lists = ml.uniform_lists(G.n, 3)

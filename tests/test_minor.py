@@ -119,9 +119,9 @@ def searched_blocks(monkeypatch, search, G, t, fast_paths, budget):
     search, and (block, outcome, steps spent so far) for each block searched."""
     calls = []
 
-    def recorded(H, block, t, budget, spent, slack):
+    def recorded(H, block, t, budget, spent, slack, fast_paths):
         try:
-            found = search(H, block, t, budget, spent, slack)
+            found = search(H, block, t, budget, spent, slack, fast_paths)
         except ml.BudgetExceeded:
             calls.append((block, "budget", spent[0]))
             raise
@@ -136,7 +136,7 @@ def searched_blocks(monkeypatch, search, G, t, fast_paths, budget):
     return verdict, calls
 
 
-def unpruned_ref(H, block, t, budget, spent, slack):
+def unpruned_ref(H, block, t, budget, spent, slack, fast_paths):
     """The recursive reference search, which never prunes by the slack."""
     return branch_set_search_ref(H, block, t, budget, spent)
 
@@ -354,7 +354,7 @@ def test_branch_set_search_root_without_moves_returns_none():
     # single pass of a small block and in the deepening of a larger one
     for G in (ml.petersen_graph(), subdivided_k5()):
         spent = [0]
-        assert _branch_set_search(G, G.full_mask, 5, 100, spent, -1) is None
+        assert _branch_set_search(G, G.full_mask, 5, 100, spent, -1, True) is None
         assert spent == [1]
 
 
@@ -444,7 +444,7 @@ def test_slack_pruned_search_agrees_with_brute():
         if slack is None:
             assert not want
             continue
-        found = _branch_set_search(H, block, t, 10**6, [0], slack)
+        found = _branch_set_search(H, block, t, 10**6, [0], slack, True)
         assert (found is not None) == want, (H, block, t, slack)
         if found is not None:
             assert ml.validate_model(H, MinorModel(tuple(map(set_of, found))))
@@ -470,15 +470,15 @@ def subdivided(rng, G, count):
     return ml.from_edge_list(n, out)
 
 
-def test_first_seed_charge_agrees_with_brute():
+def test_first_seed_at_the_least_vertex_agrees_with_brute():
     # unreduced 2-connected blocks with degree-2 vertices, searched with the
-    # real edge slack, so a first seed above the least vertex pays for the
-    # vertices below it (degree-2 ones pay 0).  Planted slack-0 models with
-    # subdivided edges fail here if the least vertex is charged, or if a
-    # later seed is; every verdict is the partition oracle's.  No charge on
-    # a first seed above the least vertex can change a verdict (a model of a
-    # connected block grows into a spanning one, whose first set holds the
-    # least vertex), so the next test pins the charge's size by its steps
+    # real edge slack and the first set seeded only at the block's least
+    # vertex.  Planted slack-0 models with subdivided edges fail here if a
+    # later seed is charged, or if a model needs its first set elsewhere;
+    # every verdict is the partition oracle's, and every model found holds
+    # the least vertex in its first set.  A model of a connected block grows
+    # into a spanning one, whose first set holds the least vertex, so the
+    # rule cannot change a verdict; the next test pins its steps
     rng = random.Random(9950)
     blocks = []
     for i in range(8):
@@ -500,10 +500,11 @@ def test_first_seed_charge_agrees_with_brute():
                 assert not want
                 continue
             searched += 1
-            found = _branch_set_search(G, block, t, 10**6, [0], slack)
+            found = _branch_set_search(G, block, t, 10**6, [0], slack, True)
             assert (found is not None) == want, (G, block, t, slack)
             if found is not None:
                 assert ml.validate_model(G, MinorModel(tuple(map(set_of, found))))
+                assert found[0] & block & -block
                 models += 1
                 tight_models += slack == 0
     assert searched >= 50 and models >= 30 and tight_models >= 8, (
@@ -511,11 +512,11 @@ def test_first_seed_charge_agrees_with_brute():
     )
 
 
-def test_first_seed_charge_cuts_the_lower_bound_steps(monkeypatch):
+def test_first_seed_at_the_least_vertex_cuts_the_lower_bound_steps(monkeypatch):
     # the lower-bound graphs that the unpruned search cannot settle within
     # 20 000 steps: the edge slack alone spent 6 882 and 17 120 steps on
-    # them, and charging the first seed for the vertices below it spends
-    # 4 321 and 10 189; the models are valid either way
+    # them, and seeding the first set only at the block's least vertex
+    # spends 4 321 and 10 189; the models are valid either way
     for (side, seed), steps in (((60, 2), 4_321), ((80, 17), 10_189)):
         G = ml.lower_bound_bipartite(side, side, 6, 0.05, seed=seed)
         model, calls = searched_blocks(
