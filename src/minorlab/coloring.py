@@ -247,10 +247,10 @@ def _multipartite_list_color(
         owner = {c: rng.randrange(r) for c in pool}
         coloring: dict[int, int] = {}
         for v in bits(live):
-            mine = [c for c in sorted(lists[v]) if owner[c] == part_of[v]]
-            if not mine:
+            mine = min((c for c in lists[v] if owner[c] == part_of[v]), default=None)
+            if mine is None:
                 break
-            coloring[v] = mine[0]
+            coloring[v] = mine
         else:
             return coloring
     return None

@@ -24,7 +24,7 @@ piece loop of :mod:`minorlab.decompose` all run it.
 from __future__ import annotations
 
 from .errors import InputError, PreconditionError
-from .graphs import Graph, adjacency_mask, components, mask_of, set_of
+from .graphs import Graph, bipartition_defect, components, set_of
 
 
 def maximum_flow(
@@ -234,14 +234,9 @@ def connectivity_at_least(
 def _bipartite_certificate(
     G: Graph, parts: tuple[frozenset[int], frozenset[int]], k: int
 ) -> bool:
-    A, B = parts
-    if A & B or A | B != frozenset(range(G.n)):
+    if bipartition_defect(G, *parts) is not None:
         return False
-    for side in (A, B):
-        smask = mask_of(side)
-        if adjacency_mask(G, smask) & smask:
-            return False  # not actually bipartite on these parts
-    for side in (A, B):
+    for side in parts:
         vs = sorted(side)
         for i, x in enumerate(vs):
             ax = G.adj[x]

@@ -4,12 +4,13 @@ Given minimum degree at least 6k, there is always a non-empty piece X whose
 coboundary Y has at most 3k vertices, together with a matching from Y into X
 saturating Y, such that contracting the matching inside G[X | Y] leaves a
 k-connected graph.  :func:`small_coboundary_piece` turns the minimal-piece
-argument into a terminating loop and forms each contracted piece as one
-:func:`~minorlab.graphs.quotient` of G.  :func:`peel_layers` is the peel the
-coloring pipeline consumes: single vertices from
-:func:`~minorlab.graphs.min_degree_peel` while some live degree is at most d,
-and an induced copy only when every live degree exceeds d.
-:func:`peel_piece` returns its first piece.
+argument into a terminating loop on vertex masks of G and forms each
+contracted piece as one :func:`~minorlab.graphs.quotient` of G.
+:func:`peel_layers` is the peel the coloring pipeline consumes: single
+vertices from :func:`~minorlab.graphs.min_degree_peel` while some live degree
+is at most d, and the same loop on the live mask once every live degree
+exceeds d; no induced copy is built.  :func:`peel_piece` returns its first
+piece.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .graphs import (
     adjacency_mask,
     bits,
     checked_mask,
-    induced_subgraph_with_map,
     mask_of,
     min_degree_peel,
     quotient,
@@ -51,13 +51,13 @@ def coboundary(G: Graph, X) -> frozenset[int]:
     return set_of(adjacency_mask(G, xmask) & ~xmask)
 
 
-def _contracted_piece(G: Graph, X: frozenset[int], Y: frozenset[int], matching):
-    """contract(G[X | Y], M) for M saturating Y, plus the class of each new vertex."""
-    classes = {x: 1 << x for x in X}
+def _contracted_piece(G: Graph, X: int, matching):
+    """contract(G[X | Y], M) for M saturating Y, plus the class mask of each new vertex."""
+    classes = {x: 1 << x for x in bits(X)}
     for y, x in matching:
         classes[x] |= 1 << y
     masks = sorted(classes.values(), key=lambda c: c & -c)
-    return quotient(G, masks), tuple(set_of(c) for c in masks)
+    return quotient(G, masks), masks
 
 
 def small_coboundary_piece(G: Graph, k: int) -> Decomposition:
@@ -78,41 +78,47 @@ def small_coboundary_piece(G: Graph, k: int) -> Decomposition:
         raise PreconditionError(
             f"minimum degree {G.min_degree()} is below 6k = {6 * k}"
         )
+    X, Y, matching = _piece(G, k, G.full_mask)
+    return Decomposition(set_of(X), set_of(Y), matching, k)
 
-    X = frozenset(range(G.n))
-    prev_size = G.n + 1
+
+def _piece(G: Graph, k: int, live: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """The loop of :func:`small_coboundary_piece` on G[live], which must meet
+    its preconditions: the piece X, its coboundary Y in G[live] (both masks)
+    and the matching."""
+    X = live
+    prev_size = live.bit_count() + 1
     while True:
         if not X:
             raise InvariantViolation("piece became empty")
-        if len(X) >= prev_size:
+        if X.bit_count() >= prev_size:
             raise InvariantViolation("piece size failed to decrease")
-        prev_size = len(X)
+        prev_size = X.bit_count()
 
-        Y = coboundary(G, X)
-        if len(Y) > 3 * k:
-            raise InvariantViolation(f"coboundary grew past 3k: {len(Y)} > {3 * k}")
-        result = saturating_matching(G, Y, X)
+        Y = adjacency_mask(G, X) & live & ~X
+        if Y.bit_count() > 3 * k:
+            raise InvariantViolation(f"coboundary grew past 3k: {Y.bit_count()} > {3 * k}")
+        result = saturating_matching(G, bits(Y), bits(X))
         if isinstance(result, HallViolator):
-            S = result.witness
-            hit = set_of(adjacency_mask(G, mask_of(S)) & mask_of(X))
+            hit = adjacency_mask(G, mask_of(result.witness)) & X
             if hit == X:
                 raise InvariantViolation(
                     "violator neighborhood covers the whole piece despite the degree bound"
                 )
-            X = X - hit
+            X &= ~hit
             continue
 
-        matching = tuple(result)
-        Q, classes = _contracted_piece(G, X, Y, matching)
+        Q, classes = _contracted_piece(G, X, result)
         if Q.n <= k and Q.is_complete():
             raise InvariantViolation(f"contracted piece is complete on {Q.n} <= k vertices")
         split = separation_below(Q, k)  # one pass of flows; None: kappa(Q) >= k
         if split is None:
-            return Decomposition(X, Y, matching, k)
-        A = frozenset().union(*(classes[i] for i in bits(split[1])))
-        B = frozenset().union(*(classes[i] for i in bits(split[2])))
-        for candidate in ((A & X) - B, (B & X) - A):
-            if candidate and len(coboundary(G, candidate)) <= 3 * k:
+            return X, Y, tuple(result)
+        # the classes are disjoint masks, so a sum of them is their union
+        A, B = (sum(classes[i] for i in bits(side)) for side in split[1:])
+        for candidate in (A & X & ~B, B & X & ~A):
+            outside = adjacency_mask(G, candidate) & live & ~candidate
+            if candidate and outside.bit_count() <= 3 * k:
                 X = candidate
                 break
         else:
@@ -123,9 +129,9 @@ def peel_layers(G: Graph, d: int, live: int) -> Iterator[list[int]]:
     """The pieces that peel G[live] apart, in order, each as ascending ids.
 
     A vertex of least degree (lowest id on ties) is a piece on its own while
-    that degree is at most d.  Once every live vertex has degree above d, the
-    next piece is :func:`small_coboundary_piece` with k = floor(d / 6)
-    (coboundary at most 3k <= d/2) of the induced copy of what is left, and
+    that degree is at most d.  Once every live vertex has degree above d >= 6,
+    the next piece is the :func:`small_coboundary_piece` of G[live] with
+    k = floor(d / 6) (coboundary at most 3k <= d/2), taken on the mask, and
     peeling resumes on the rest.
     """
     while live:
@@ -133,18 +139,17 @@ def peel_layers(G: Graph, d: int, live: int) -> Iterator[list[int]]:
             live &= ~(1 << v)
             yield [v]
         if live:
-            H, old_ids = induced_subgraph_with_map(G, bits(live))
-            piece = sorted(old_ids[i] for i in small_coboundary_piece(H, d // 6).X)
-            live &= ~mask_of(piece)
-            yield piece
+            piece = _piece(G, d // 6, live)[0]
+            live &= ~piece
+            yield list(bits(piece))
 
 
 def peel_piece(G: Graph, d: int, within: Iterable[int] | None = None) -> frozenset[int]:
     """A non-empty piece of G[within] whose coboundary there has at most d vertices.
 
     The first piece of :func:`peel_layers`: a vertex of lowest degree when
-    that degree is at most d, otherwise a small-coboundary piece of the
-    induced copy of G[within].
+    that degree is at most d, otherwise a small-coboundary piece of
+    G[within], taken on its mask.
     """
     live = within_mask(G, within)
     if live == 0:
@@ -184,7 +189,7 @@ def check_decomposition(G: Graph, D: Decomposition) -> list[str]:
             problems.append(f"matching-pair-not-an-edge:{y}-{x}")
     if problems:
         return problems
-    Q, _ = _contracted_piece(G, D.X, D.Y, D.matching)
+    Q, _ = _contracted_piece(G, mask_of(D.X), D.matching)
     if Q.n >= 2:
         if not connectivity_at_least(Q, D.k):
             kappa = vertex_connectivity(Q)

@@ -375,6 +375,18 @@ def induced_subgraph(G: Graph, vertices: Iterable[int]) -> Graph:
     return induced_subgraph_with_map(G, vertices)[0]
 
 
+def bipartition_defect(G: Graph, A: Iterable[int], B: Iterable[int]) -> str | None:
+    """Why A and B do not split V(G) into two independent sets, or None."""
+    A, B = frozenset(A), frozenset(B)
+    if A & B or A | B != frozenset(range(G.n)):
+        return "A and B must partition the vertex set"
+    for side in (A, B):
+        smask = mask_of(side)
+        if adjacency_mask(G, smask) & smask:
+            return "graph is not bipartite on the given parts"
+    return None
+
+
 def bipartite_induced(G: Graph, A: Iterable[int], B: Iterable[int]) -> Graph:
     """Graph on A | B keeping only edges with one end in each part.
 
@@ -420,25 +432,29 @@ def saturating_matching(
     violator_seen: set[int] | None = None
     for y0 in bits(ymask):
         # depth-first search for an augmenting path, as a loop; each entry
-        # keeps the X-vertex it was reached through and resumes its iterator
-        seen: set[int] = set()
-        stack = [(None, y0, bits(G.adj[y0] & xmask))]
+        # keeps the X-vertex it was reached through and tries next its least
+        # X-neighbour not yet seen; `seen` only grows, so an entry tries its
+        # neighbours in ascending order, and each X-vertex once per search
+        seen = 0
+        stack = [(-1, y0)]
         while stack:
-            x = next((x for x in stack[-1][2] if x not in seen), None)
-            if x is None:
+            untried = G.adj[stack[-1][1]] & xmask & ~seen
+            if not untried:
                 stack.pop()
                 continue
-            seen.add(x)
+            low = untried & -untried
+            seen |= low
+            x = low.bit_length() - 1
             owner = match_of_x.get(x)
             if owner is None:
-                for via, y, _ in reversed(stack):
+                for via, y in reversed(stack):
                     match_of_x[x] = y
                     match_of_y[y] = x
                     x = via
                 break
-            stack.append((x, owner, bits(G.adj[owner] & xmask)))
+            stack.append((x, owner))
         else:
-            violator_seen = {y0} | {match_of_x[x] for x in seen}
+            violator_seen = {y0} | {match_of_x[x] for x in bits(seen)}
     if violator_seen is not None:
         return HallViolator(frozenset(violator_seen))
     return sorted(match_of_y.items())

@@ -22,6 +22,7 @@ from .graphs import (
     Graph,
     adjacency_mask,
     biconnected_blocks,
+    bipartition_defect,
     bits,
     closure_mask,
     find_independent_set,
@@ -689,12 +690,9 @@ def contraction_round(
     of the result is the i-th smallest element of X.
     """
     A, B, X = frozenset(A), frozenset(B), frozenset(X)
-    if A & B or A | B != frozenset(range(G.n)):
-        raise InputError("A and B must partition the vertex set")
-    for side in (A, B):
-        smask = mask_of(side)
-        if adjacency_mask(G, smask) & smask:
-            raise InputError("graph is not bipartite on the given parts")
+    defect = bipartition_defect(G, A, B)
+    if defect is not None:
+        raise InputError(defect)
     if not X <= B:
         raise InputError("X must be a subset of B")
 

@@ -19,7 +19,8 @@ ANDs a neighbourhood with one mask per part.  The peel references scan every liv
 each step, where the library keeps one heap for a whole peel, and peel each
 layer from a fresh induced copy; the piece reference runs two passes of
 flows per round (a k-connectivity verdict, then a minimum separation from
-scratch) where the library runs one.  The three search references at the very
+scratch) where the library runs one, and contracts each piece through the
+edge-walk references.  The three search references at the very
 end are the recursive versions of the library's explicit-stack searches (branch sets, maximum
 independent set, exact list colouring); they must visit the same nodes in
 the same order, so tests compare results and the steps each one spends
@@ -52,7 +53,6 @@ from minorlab.coloring import (
 from minorlab.connectivity import connectivity_at_least, minimum_separation
 from minorlab.decompose import (
     Decomposition,
-    _contracted_piece,
     coboundary,
     peel_layers,
     small_coboundary_piece,
@@ -464,7 +464,9 @@ def small_coboundary_piece_ref(G: Graph, k: int) -> Decomposition:
     """The piece loop with two passes of flows per round: connectivity_at_least
     decides whether the contracted piece is k-connected, and only when it is
     not does minimum_separation find the split, from scratch at cap delta + 1.
-    The preconditions are the caller's to meet."""
+    Each contracted piece comes from the edge-walk references
+    (:func:`induced_subgraph_ref`, then :func:`contract_ref`).  The
+    preconditions are the caller's to meet."""
     X = frozenset(range(G.n))
     while True:
         Y = coboundary(G, X)
@@ -473,7 +475,10 @@ def small_coboundary_piece_ref(G: Graph, k: int) -> Decomposition:
             X = X - set_of(adjacency_mask(G, mask_of(result.witness)) & mask_of(X))
             continue
         matching = tuple(result)
-        Q, classes = _contracted_piece(G, X, Y, matching)
+        H, old_ids = induced_subgraph_ref(G, X | Y)
+        pos = {v: i for i, v in enumerate(old_ids)}
+        Q, classes = contract_ref(H, [(pos[y], pos[x]) for y, x in matching])
+        classes = [frozenset(old_ids[i] for i in c) for c in classes]
         if Q.n < 2:
             raise InvariantViolation("contracted piece collapsed to a single vertex")
         if connectivity_at_least(Q, k):

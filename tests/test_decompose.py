@@ -287,12 +287,14 @@ def test_contracted_piece_equals_induced_then_contract():
                 free.discard(x)
                 matching.append((y, x))
         Y = frozenset(y for y, _ in matching)
-        Q, classes = _contracted_piece(G, X, Y, matching)
+        Q, classes = _contracted_piece(G, ml.mask_of(X), matching)
         H, old_ids = induced_subgraph_ref(G, X | Y)
         pos = {v: i for i, v in enumerate(old_ids)}
         ref, ref_classes = contract_ref(H, [(pos[y], pos[x]) for y, x in matching])
         assert (Q.n, Q.adj, Q.m) == (ref.n, ref.adj, ref.m), seed
-        assert list(classes) == [frozenset(old_ids[i] for i in c) for c in ref_classes]
+        assert [ml.set_of(c) for c in classes] == [
+            frozenset(old_ids[i] for i in c) for c in ref_classes
+        ]
 
 
 # -- checker ------------------------------------------------------------------

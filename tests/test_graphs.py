@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 import minorlab as ml
 from minorlab import HallViolator
+from minorlab import connectivity
 from minorlab.connectivity import maximum_flow
 from minorlab.graphs import (
     _clique_cover_bound,
     _mis_search,
     biconnected_blocks,
+    bipartition_defect,
     mask_components,
 )
 from oracles import (
@@ -422,15 +424,35 @@ def test_saturating_matching_postconditions(G, data):
 
 
 def test_saturating_matching_matches_recursive_search():
+    inputs = []
     for seed in range(200):
         G, rng = seeded_gnp(seed)
         side = [rng.randrange(3) for _ in range(G.n)]
         Y = {v for v in range(G.n) if side[v] == 0}
         X = {v for v in range(G.n) if side[v] == 1}
+        inputs.append((G, Y, X))
+    # each y of K_{a,a} first takes the least x, so it re-walks the whole
+    # matching before it finds a free one
+    for a in range(1, 13):
+        inputs.append((ml.complete_bipartite(a, a), set(range(a)), set(range(a, 2 * a))))
+    for i, (G, Y, X) in enumerate(inputs):
         result = ml.saturating_matching(G, Y, X)
         if isinstance(result, HallViolator):
             result = result.witness
-        assert result == saturating_matching_ref(G, Y, X), seed
+        assert result == saturating_matching_ref(G, Y, X), i
+
+
+def test_saturating_matching_of_a_dense_bipartite_graph_is_fast():
+    # a new neighbour iterator per alternating-path step re-walked the seen
+    # X-vertices: K_{400,400} took 3.8-5.2 s (2-core VM); the least unseen
+    # neighbour taken from masks takes about 0.08 s
+    a = 400
+    G = ml.complete_bipartite(a, a)
+    t0 = time.perf_counter()
+    result = ml.saturating_matching(G, range(a), range(a, 2 * a))
+    assert time.perf_counter() - t0 < 1.0
+    assert [y for y, _ in result] == list(range(a))
+    assert sorted(x for _, x in result) == list(range(a, 2 * a))
 
 
 def test_saturating_matching_long_augmenting_path():
@@ -652,6 +674,35 @@ def test_exact_alpha_on_a_long_path_is_fast():
     t0 = time.perf_counter()
     assert ml.exact_alpha(ml.path_graph(300)) == 150
     assert time.perf_counter() - t0 < 6.0
+
+
+# -- one bipartition rule -----------------------------------------------------
+
+_PARTITION = "A and B must partition the vertex set"
+
+
+@pytest.mark.parametrize(
+    "A, B, defect",
+    [
+        ({0, 1, 2}, {3, 4, 5}, None),
+        ({0, 1, 2}, {3, 4}, _PARTITION),
+        ({0, 1, 2}, {2, 3, 4, 5}, _PARTITION),
+        ({0, 1, 2}, {3, 4, 5, 6}, _PARTITION),
+        ({-1, 0, 1, 2}, {3, 4, 5}, _PARTITION),
+        ({0, 1, 3}, {2, 4, 5}, "graph is not bipartite on the given parts"),
+    ],
+)
+def test_bipartition_defect_is_the_rule_of_both_callers(A, B, defect):
+    G = ml.complete_bipartite(3, 3)
+    assert bipartition_defect(G, A, B) == defect
+    # the certificate declines the parts that the contraction round rejects
+    parts = (frozenset(A), frozenset(B))
+    assert connectivity._bipartite_certificate(G, parts, 3) == (defect is None)
+    if defect is None:
+        assert ml.contraction_round(G, A, B, set()).n == 0
+    else:
+        with pytest.raises(ml.InputError, match=defect):
+            ml.contraction_round(G, A, B, set())
 
 
 # -- vertex ids out of range at the public entry points ----------------------
