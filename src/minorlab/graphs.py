@@ -311,27 +311,12 @@ def contract_with_classes(
     G: Graph, F: Iterable[tuple[int, int]]
 ) -> tuple[Graph, tuple[frozenset[int], ...]]:
     """Like :func:`contract`, also returning the vertex class of each new id."""
-    parent = list(range(G.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    F = list(F)
     for u, v in F:
         if not (0 <= u < G.n and 0 <= v < G.n) or not G.has_edge(u, v):
             raise InputError(f"({u}, {v}) is not an edge of the graph")
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-
-    # a class enters the dict at its smallest member, so values are in id order
-    classes: dict[int, int] = {}
-    for v in range(G.n):
-        r = find(v)
-        classes[r] = classes.get(r, 0) | 1 << v
-    masks = list(classes.values())
+    # components come by smallest member, the order of the new ids
+    masks = components(from_edge_list(G.n, F))
     return quotient(G, masks), tuple(set_of(c) for c in masks)
 
 

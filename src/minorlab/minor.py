@@ -268,24 +268,6 @@ def _remember(table: set[tuple[int, ...]], state: tuple[int, ...]) -> None:
         table.add(state)
 
 
-def _interior_distance(G: Graph, src: int, dst_nbr: int, allowed: int) -> int | None:
-    """Fewest absorbed vertices that could make src adjacent to the set
-    whose neighborhood is dst_nbr, walking only through allowed."""
-    if dst_nbr & src:
-        return 0
-    frontier = src
-    seen = src
-    dist = 0
-    while True:
-        frontier = adjacency_mask(G, frontier) & allowed & ~seen
-        if not frontier:
-            return None
-        dist += 1
-        if dst_nbr & frontier:
-            return dist
-        seen |= frontier
-
-
 def _branch_set_search(
     G: Graph, comp: int, t: int, budget: int, spent: list[int], slack: int,
     fast_paths: bool,
@@ -299,9 +281,9 @@ def _branch_set_search(
     either side; when all current pairs are adjacent, the next set is
     seeded.  Each set's neighborhood mask is stored next to it and updated
     by the move that grows the set, so no step rebuilds the neighborhoods.
-    A step still costs O(|block| * t) bitset operations (the keys of the
-    absorption and seed moves) plus sorting its moves and the
-    interior-distance walks.
+    A step costs O(|block| * t) bitset operations (the keys of the
+    absorption and seed moves) plus sorting its moves, and walks no path,
+    so the node budget bounds the wall time.
 
     Each node also carries the excess of its sets (see `_edge_slack`):
     the edges among the used vertices beyond a spanning tree of each set
@@ -318,9 +300,11 @@ def _branch_set_search(
 
     The outer loop deepens a cap on the total number of used vertices, so
     small models are found quickly and a level that never hits the cap is a
-    complete proof that no model exists.  A pair whose canonical-growth
-    closures can never touch prunes its subtree permanently; a transposition
-    table collapses states reached through different absorption orders.
+    complete proof that no model exists.  The cap is checked against the
+    used vertices, one per missing set and one more while a pair is not
+    adjacent; a node whose pair has no vertex left to absorb fails at every
+    cap.  A transposition table collapses states reached through different
+    absorption orders.
     """
     comp_size = comp.bit_count()
     adj = G.adj
@@ -358,18 +342,9 @@ def _branch_set_search(
                         for j in range(i + 1, k)
                         if not nbr[i] & sets[j]
                     ]
-                    # -(s & -s) << 1 is the mask of the vertices above the
-                    # seed of s, and sets[i] has the lower seed of a pair
-                    need_absorb = 0
-                    for i, j in deficient:
-                        s = sets[i]
-                        dist = _interior_distance(G, s, nbr[j], avail & -(s & -s) << 1)
-                        if dist is None:  # never adjacent: no model fits
-                            need_absorb = comp_size + 1
-                            break
-                        need_absorb = max(need_absorb, dist)
                     inside = comp & ~avail
-                    floor_size = inside.bit_count() + (t - k) + need_absorb
+                    # a non-adjacent pair needs at least one more vertex
+                    floor_size = inside.bit_count() + (t - k) + (1 if deficient else 0)
                     room = slack - excess
                     if floor_size > cap:
                         # a model that does not fit the block fails at every cap
@@ -377,6 +352,8 @@ def _branch_set_search(
                     elif deficient:
                         grow = {}
                         for i in {x for pair in deficient for x in pair}:
+                            # -(s & -s) << 1 is the mask of the vertices
+                            # above the seed of s
                             s = sets[i]
                             grow[i] = avail & nbr[i] & -(s & -s) << 1
                         i, j = min(
@@ -500,11 +477,13 @@ def find_kt_minor_exact(
     if t == 1:
         return MinorModel((frozenset({0}),)) if G.n >= 1 else None
     if t == 2:
-        edges = G.edges()
-        if not edges:
-            return None
-        u, v = edges[0]
-        return MinorModel((frozenset({u}), frozenset({v})))
+        # the first edge: the least vertex with a neighbour, and its least
+        # neighbour, which lies above it
+        for u, nbrs in enumerate(G.adj):
+            if nbrs:
+                v = (nbrs & -nbrs).bit_length() - 1
+                return MinorModel((frozenset({u}), frozenset({v})))
+        return None
     if fast_paths and t == 3:
         # K_3 lives in a block of at least three vertices, which is
         # 2-connected: its least vertex v, v's least neighbour u in it, and

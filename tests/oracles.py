@@ -512,21 +512,6 @@ def branch_set_search_ref(
         if len(failed_perm) < _TRANSPOSITION_CAP:
             failed_perm.add(state)
 
-    def interior_distance(src: int, dst_nbr: int, allowed: int) -> int | None:
-        if dst_nbr & src:
-            return 0
-        frontier = src
-        seen = src
-        dist = 0
-        while True:
-            frontier = adjacency_mask(G, frontier) & allowed & ~seen
-            if not frontier:
-                return None
-            dist += 1
-            if dst_nbr & frontier:
-                return dist
-            seen |= frontier
-
     def search(cap: int) -> tuple[list[int] | None, bool]:
         failed_here: set[tuple[int, ...]] = set()
 
@@ -556,17 +541,7 @@ def branch_set_search_ref(
                 for j in range(i + 1, k)
                 if not nbr[i] & sets[j]
             ]
-            need_absorb = 0
-            if deficient:
-                for i, j in deficient:
-                    dist = interior_distance(
-                        sets[i], nbr[j], avail & above(min(seeds[i], seeds[j]))
-                    )
-                    if dist is None:
-                        remember_perm(state)
-                        return None, False
-                    need_absorb = max(need_absorb, dist)
-            floor_size = used + (t - k) + need_absorb
+            floor_size = used + (t - k) + (1 if deficient else 0)
             if floor_size > comp_size:
                 remember_perm(state)
                 return None, False

@@ -366,6 +366,9 @@ def test_contract_matches_edge_walk():
         Q, classes = ml.contract_with_classes(G, F)
         ref, ref_classes = contract_ref(G, F)
         assert (as_tuple(Q), list(classes)) == (as_tuple(ref), ref_classes), seed
+        # F read once, as from a generator
+        Q, classes = ml.contract_with_classes(G, iter(F))
+        assert (as_tuple(Q), list(classes)) == (as_tuple(ref), ref_classes), seed
 
 
 def test_bipartite_induced_matches_edge_walk():
