@@ -2,7 +2,7 @@
 
 Subcommands: generate, check, color, decompose, bounds, experiment.
 Exit codes: 0 success, 1 negative verdict (a requested find failed),
-2 input error, 3 search budget exhausted.
+2 input error or broken Hall ratio promise, 3 search budget exhausted.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .decompose import check_decomposition, small_coboundary_piece
 from .errors import (
     BudgetExceeded,
     ConstructionError,
+    HallRatioViolation,
     InputError,
     InvariantViolation,
     PreconditionError,
@@ -302,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, PreconditionError, ConstructionError, OSError) as exc:
+    except (InputError, PreconditionError, ConstructionError, HallRatioViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceeded as exc:

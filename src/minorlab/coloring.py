@@ -4,15 +4,16 @@ A list assignment is a sequence of color sets, one per vertex; a coloring is
 a dict from vertex to chosen color (possibly partial between levels).  Every
 public operation that returns a coloring returns one that passes
 :func:`verify_list_coloring`; randomized procedures return None on failure
-rather than ever emitting an improper coloring.  The Hall-ratio levels and
-the minor-free peel layers are vertex masks of the caller's graph, colored
-with the lists at their original ids; no induced copy is built.
+rather than ever emitting an improper coloring, and a search out of budget
+raises :class:`BudgetExceeded`, in the pipelines too (the Hall promise check
+alone takes the promise on faith).  The Hall-ratio levels and the minor-free
+peel layers are vertex masks of the caller's graph, colored with the lists
+at their original ids; no induced copy is built.
 """
 
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 import random
 from typing import AbstractSet, Mapping, Sequence
@@ -37,8 +38,6 @@ from .graphs import (
     mask_of,
 )
 from .seeds import derive_seed
-
-logger = logging.getLogger(__name__)
 
 ListAssignment = Sequence[AbstractSet[int]]
 Coloring = Mapping[int, int]
@@ -331,7 +330,8 @@ def hall_ratio_list_color(
 
     A small level, or one whose lists are too short for the redraw window to
     ever accept, is the last: it falls back to sequential greedy and then to
-    exact search.
+    exact search, which, like the extraction, raises :class:`BudgetExceeded`
+    out of budget.
     """
     _check_lists(G, lists)
     if not rho >= 1:
@@ -374,10 +374,7 @@ def _hall_ratio_list_color(
         if n <= 3 * math.e * rho or not min_list >= C * rho * math.log(n / rho) ** 2:
             phi = greedy_list_color(G, lists, order=bits(live))
             if phi is None:
-                try:
-                    phi = _exact_list_color(G, lists, live, budget)
-                except BudgetExceeded:
-                    logger.debug("base-case exact search ran out of budget (n=%d)", n)
+                phi = _exact_list_color(G, lists, live, budget)
             if phi is None:
                 return None
             coloring.update(phi)
@@ -443,8 +440,9 @@ def minor_free_list_color(
     defaulting to 2d: a graph peelable at d is minor-free for a clique order
     at most d, whose independence ratio bounds the Hall ratio by 2d).
 
-    Returns None when an inner stage fails (including an inner exact search
-    exhausting its node budget); never an improper coloring.
+    Returns None when an inner stage fails or a piece breaks the Hall promise,
+    never an improper coloring; an inner search out of budget raises
+    :class:`BudgetExceeded`.
     """
     _check_lists(G, lists)
     if d < 6:
@@ -482,13 +480,9 @@ def minor_free_list_color(
                     G, lists, live, rho, C=2.0, seed=derive_seed(seed, level),
                     trials=trials, budget=budget, max_redraws=64,
                 )
-        except (BudgetExceeded, HallRatioViolation) as exc:
-            # out of budget, or the graph is denser than the peel parameter promised
-            logger.debug("inner stage at peel level %d: %s", level, exc)
-            phi = None
+        except HallRatioViolation:
+            return None  # the piece is denser than the peel parameter promised
         if phi is None:
-            logger.debug("inner coloring failed at peel level %d (piece of %d vertices)",
-                         level, len(piece))
             return None
         coloring.update(phi)
     return coloring

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -305,6 +304,9 @@ def run_suite(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     """Run every trial of a suite and aggregate a deterministic report."""
     jobs = [(config, i) for i in range(config.trials)]
     if config.workers > 1:
+        # imported here so that importing the library does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             records = list(pool.map(_dispatch, jobs))
     else:

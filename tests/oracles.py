@@ -46,7 +46,6 @@ from minorlab.coloring import (
     greedy_list_color,
     hall_ratio_list_color,
     independent_sets_extract,
-    logger,
     multipartite_list_color,
     split_lists_by_colors,
 )
@@ -803,7 +802,7 @@ def hall_ratio_list_color_ref(
 
     Small instances, and instances whose lists are too short for the
     redraw window to ever accept, fall back to sequential greedy and then
-    to exact search.
+    to exact search, which raises :class:`BudgetExceeded` out of budget.
     """
     _check_lists(G, lists)
     if rho < 1:
@@ -837,11 +836,7 @@ def hall_ratio_list_color_ref(
     if base_case or not window_ok:
         coloring = greedy_list_color(G, lists)
         if coloring is None:
-            try:
-                coloring = exact_list_color(G, lists, budget=budget)
-            except BudgetExceeded:
-                logger.debug("base-case exact search ran out of budget (n=%d)", n)
-                coloring = None
+            coloring = exact_list_color(G, lists, budget=budget)
         return coloring
 
     log_ratio = math.log(n / rho)
@@ -918,7 +913,8 @@ def minor_free_list_color_ref(
     its lists minus the colours of its coloured outside neighbours: by
     :func:`exact_list_color` on the renumbered copy of a small layer, by
     :func:`hall_ratio_list_color` (rho defaulting to 2d) on that of a large
-    one.  A failed inner stage is None.
+    one.  A failed inner stage, or a broken Hall promise, is None; an inner
+    search out of budget raises :class:`BudgetExceeded`.
     """
     _check_lists(G, lists)
     if d < 6:
@@ -954,7 +950,7 @@ def minor_free_list_color_ref(
                     trials=trials,
                     budget=budget,
                 )
-        except (BudgetExceeded, HallRatioViolation):
+        except HallRatioViolation:
             phi = None
         if phi is None:
             return None

@@ -132,6 +132,31 @@ def test_color_minorfree_strategy(tmp_path):
     assert code == 0
 
 
+def test_color_pipelines_exit_3_when_an_inner_search_runs_out(tmp_path, capsys):
+    k44 = write_graph(tmp_path, ml.complete_bipartite(4, 4), "k44.el")
+    for budget in ("0", "1"):
+        code = main(["color", k44, "--strategy", "minorfree", "--list-size", "12",
+                     "--d", "6", "--budget", budget])
+        assert code == 3
+        assert "budget exhausted:" in capsys.readouterr().err
+    # greedy fails on this path with 2-lists, so the exact search decides
+    path = write_graph(tmp_path, ml.from_edge_list(4, [(0, 2), (2, 3), (3, 1)]))
+    args = ["color", path, "--strategy", "hallratio", "--list-size", "2"]
+    assert main(args + ["--budget", "0"]) == 3
+    assert "budget exhausted:" in capsys.readouterr().err
+    assert main(args + ["--budget", "1000"]) == 0
+
+
+def test_color_hallratio_broken_promise_is_an_input_error(tmp_path, capsys):
+    path = write_graph(tmp_path, ml.complete_bipartite(4, 4))
+    code = main(["color", path, "--strategy", "hallratio", "--list-size", "2",
+                 "--rho", "1"])
+    assert code == 2
+    assert "error: graph of 8 vertices has no independent set of 8" in (
+        capsys.readouterr().err
+    )
+
+
 def test_color_hallratio_takes_an_infinite_rho_and_rejects_nan(tmp_path):
     path = write_graph(tmp_path, ml.petersen_graph())
     args = ["color", path, "--strategy", "hallratio", "--list-size", "3"]

@@ -309,6 +309,18 @@ def test_hall_ratio_rejects_false_promise():
                                  rho=2, seed=0)
 
 
+def test_hall_ratio_base_case_out_of_budget_raises():
+    # greedy fails on this path with 2-lists, so the base case needs the
+    # exact search, whose answer the caller gets
+    G = ml.from_edge_list(4, [(0, 2), (2, 3), (3, 1)])
+    lists = ml.uniform_lists(4, 2)
+    assert ml.greedy_list_color(G, lists) is None
+    with pytest.raises(ml.BudgetExceeded):
+        ml.hall_ratio_list_color(G, lists, rho=4, budget=0)
+    c = ml.hall_ratio_list_color(G, lists, rho=4, budget=1000)
+    assert c is not None and len(c) == 4 and ml.verify_list_coloring(G, lists, c)
+
+
 def test_hall_ratio_recursive_path_produces_valid_coloring():
     # large enough lists to clear the redraw window, forcing the full recursion
     G = disjoint_triangles(12)
@@ -511,8 +523,10 @@ def test_minorfree_petersen_all_seeds():
 def test_minorfree_never_emits_invalid_coloring_on_clique():
     G = ml.complete_graph(20)
     lists = ml.uniform_lists(20, 12)
-    c = ml.minor_free_list_color(G, lists, d=6, seed=0, budget=100_000)
-    assert c is None  # K_20 needs 20 colors, so an honest outcome is failure
+    # K_20 needs 20 colors; its one piece goes to the exact search, which
+    # runs out of budget and says so instead of emitting a coloring
+    with pytest.raises(ml.BudgetExceeded):
+        ml.minor_free_list_color(G, lists, d=6, seed=0, budget=100_000)
 
 
 def test_minorfree_rejects_short_lists():
@@ -591,10 +605,10 @@ def test_minorfree_masks_match_the_induced_copies():
         got = outcome(ml.minor_free_list_color, G, lists, d=6, seed=seed, budget=budget)
         want = outcome(minor_free_list_color_ref, G, lists, d=6, seed=seed, budget=budget)
         assert got == want, (G.n, seed)
-        if got is not None:
+        if isinstance(got, list):
             assert len(got) == G.n and ml.verify_list_coloring(G, lists, dict(got))
         results.append(got)
-    assert results[-2:] == [None, None]
+    assert results[-2:] == [ml.BudgetExceeded, None]
     assert sum(r is not None for r in results) >= 20
 
 
