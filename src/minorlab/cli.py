@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 negative verdict (a requested find failed),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -93,24 +94,22 @@ def _cmd_check(args) -> int:
 
     code = EXIT_OK
     model = None
-    budget_hit = False
+    verdict_key = f"k{args.t}_minor"
     try:
         model = find_kt_minor_exact(G, args.t, budget=args.budget)
     except BudgetExceeded as exc:
-        budget_hit = True
         print(f"budget exhausted: {exc}", file=sys.stderr)
-    verdict_key = f"k{args.t}_minor"
-    if budget_hit:
         fields[verdict_key] = "BudgetExceeded"
         code = EXIT_BUDGET
-    elif model is None:
-        fields[verdict_key] = "NotFound"
-        code = EXIT_NEGATIVE
-        if alpha is not None and G.n and args.t >= 2:
-            ok = alpha >= G.n / (2 * (args.t - 1))
-            fields["independence_bound_ok"] = "true" if ok else "false"
     else:
-        fields[verdict_key] = "Found"
+        if model is not None:
+            fields[verdict_key] = "Found"
+        else:
+            fields[verdict_key] = "NotFound"
+            code = EXIT_NEGATIVE
+            if alpha is not None and G.n and args.t >= 2:
+                ok = alpha >= G.n / (2 * (args.t - 1))
+                fields["independence_bound_ok"] = "true" if ok else "false"
     try:
         fields["hadwiger"] = hadwiger_number(G, budget=args.budget)
     except BudgetExceeded:
@@ -212,14 +211,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = ExperimentConfig(
-        suite=args.suite,
-        trials=args.trials,
-        seed=args.seed,
-        max_n=args.max_n,
-        budget=args.budget,
-        workers=args.workers,
-    )
+    names = (f.name for f in dataclasses.fields(ExperimentConfig))
+    config = ExperimentConfig(**{name: getattr(args, name) for name in names})
     report = run_suite(config, out_dir=args.out_dir)
     sys.stdout.write(report.json_text())
     return EXIT_OK
@@ -286,12 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("experiment", help="run a seeded experiment suite")
-    p.add_argument("--suite", required=True)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
+    for f in dataclasses.fields(ExperimentConfig):  # --suite, then one int option per field
+        if f.default is dataclasses.MISSING:
+            p.add_argument("--" + f.name, required=True)
+        else:
+            p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=_cmd_experiment)
 

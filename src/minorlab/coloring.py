@@ -396,8 +396,6 @@ def _hall_ratio_list_color(
         s = int(n / (math.e * rho))
         k = math.ceil((1 - 1 / math.e) * n / s)
         sets = _independent_sets_extract(G, s, k, live, budget)
-        if k * s < (1 - 1 / math.e) * n - s:
-            raise InvariantViolation("extracted union is smaller than the level target")
 
         X = mask_of(v for part in sets for v in part)
         for v in bits(live):

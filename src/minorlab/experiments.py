@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .coloring import (
@@ -83,15 +83,9 @@ class ExperimentReport:
     summary: dict
 
     def json_text(self) -> str:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "suite": self.config.suite,
-            "trials": self.config.trials,
-            "seed": self.config.seed,
-            "max_n": self.config.max_n,
-            "budget": self.config.budget,
-            "summary": self.summary,
-        }
+        # the worker count never changes a report, so the report omits it
+        doc = {"schema": SCHEMA_VERSION, **asdict(self.config), "summary": self.summary}
+        del doc["workers"]
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     def csv_text(self) -> str:
@@ -116,10 +110,6 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _rate(records: list[dict], key: str) -> float:
-    return sum(1 for r in records if r[key]) / len(records)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +168,13 @@ def _trial_decompose(config: ExperimentConfig, i: int, seed: int) -> dict:
     }
 
 
+def _colouring_outcome(G, lists, coloring) -> dict:
+    """``success``: a colouring came back; ``valid``: it is full and verified."""
+    success = coloring is not None
+    valid = success and len(coloring) == G.n and verify_list_coloring(G, lists, coloring)
+    return {"success": success, "valid": valid}
+
+
 def _trial_alon(config: ExperimentConfig, i: int, seed: int) -> dict:
     m, r = 4, 3
     G = complete_multipartite([m] * r)
@@ -185,9 +182,7 @@ def _trial_alon(config: ExperimentConfig, i: int, seed: int) -> dict:
     size = math.ceil(6 * r * math.log(m))
     lists = uniform_lists(G.n, size)
     coloring = multipartite_list_color(G, parts, lists, trials=1, seed=seed)
-    success = coloring is not None
-    valid = bool(coloring is not None and verify_list_coloring(G, lists, coloring))
-    return {"list_size": size, "success": success, "valid": valid}
+    return {"list_size": size, **_colouring_outcome(G, lists, coloring)}
 
 
 def _disjoint_triangles(count: int):
@@ -201,27 +196,15 @@ def _trial_hallratio(config: ExperimentConfig, i: int, seed: int) -> dict:
     count = _cap(config, 30, 9) // 3
     G = _disjoint_triangles(count)
     lists = uniform_lists(G.n, 3)
-    coloring = hall_ratio_list_color(G, lists, rho=3, C=2.0, seed=seed)
-    success = coloring is not None
-    valid = bool(
-        coloring is not None
-        and len(coloring) == G.n
-        and verify_list_coloring(G, lists, coloring)
-    )
-    return {"n": G.n, "success": success, "valid": valid}
+    coloring = hall_ratio_list_color(G, lists, rho=3, C=2.0, seed=seed, budget=config.budget)
+    return {"n": G.n, **_colouring_outcome(G, lists, coloring)}
 
 
 def _trial_minorfree(config: ExperimentConfig, i: int, seed: int) -> dict:
     G = petersen_graph()
     lists = uniform_lists(G.n, 12)
-    coloring = minor_free_list_color(G, lists, d=6, seed=seed)
-    success = coloring is not None
-    valid = bool(
-        coloring is not None
-        and len(coloring) == G.n
-        and verify_list_coloring(G, lists, coloring)
-    )
-    return {"success": success, "valid": valid}
+    coloring = minor_free_list_color(G, lists, d=6, seed=seed, budget=config.budget)
+    return _colouring_outcome(G, lists, coloring)
 
 
 def _trial_extremal_bipartite(config: ExperimentConfig, i: int, seed: int) -> dict:
@@ -275,20 +258,18 @@ def _trial_bounds(config: ExperimentConfig, i: int, seed: int) -> dict:
     return {"t": t, **{key: report.values[key] for key in sorted(report.values)}}
 
 
-#: Each suite's trial function and the record keys its summary gives rates of.
+#: Each suite's trial function. Its record names every column of the report,
+#: and the summary gives the rate of each true/false column.
 _SUITES = {
-    "dense-model": (_trial_dense_model, ("success", "validated")),
-    "contraction-round": (_trial_contraction_round, ("complete",)),
-    "decompose": (_trial_decompose, ("valid",)),
-    "alon": (_trial_alon, ("success", "valid")),
-    "hallratio": (_trial_hallratio, ("success", "valid")),
-    "minorfree": (_trial_minorfree, ("success", "valid")),
-    "extremal-bipartite": (_trial_extremal_bipartite, ("minor_free",)),
-    "extremal-connectivity": (
-        _trial_extremal_connectivity,
-        ("kappa_ok", "small_kappa_ok", "small_minor_free"),
-    ),
-    "bounds": (_trial_bounds, ()),
+    "dense-model": _trial_dense_model,
+    "contraction-round": _trial_contraction_round,
+    "decompose": _trial_decompose,
+    "alon": _trial_alon,
+    "hallratio": _trial_hallratio,
+    "minorfree": _trial_minorfree,
+    "extremal-bipartite": _trial_extremal_bipartite,
+    "extremal-connectivity": _trial_extremal_connectivity,
+    "bounds": _trial_bounds,
 }
 
 SUITES = tuple(_SUITES)
@@ -297,11 +278,15 @@ SUITES = tuple(_SUITES)
 def _dispatch(job: tuple[ExperimentConfig, int]) -> dict:
     config, i = job
     seed = derive_seed(config.seed, i)
-    return {"trial": i, "seed": seed, **_SUITES[config.suite][0](config, i, seed)}
+    return {"trial": i, "seed": seed, **_SUITES[config.suite](config, i, seed)}
 
 
 def run_suite(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
-    """Run every trial of a suite and aggregate a deterministic report."""
+    """Run every trial of a suite and aggregate a deterministic report.
+
+    ``config.budget`` bounds every exact search the trials run; a search that
+    runs out raises :class:`BudgetExceeded` rather than count as a failure.
+    """
     jobs = [(config, i) for i in range(config.trials)]
     if config.workers > 1:
         # imported here so that importing the library does not load multiprocessing
@@ -312,10 +297,11 @@ def run_suite(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     else:
         records = [_dispatch(job) for job in jobs]
 
-    summary: dict = {"records": len(records)}
-    for key in _SUITES[config.suite][1]:
-        summary[f"{key}_rate"] = _rate(records, key)
     columns = tuple(records[0].keys())
+    summary: dict = {"records": len(records)}
+    for key in columns:
+        if all(isinstance(r[key], bool) for r in records):
+            summary[f"{key}_rate"] = sum(r[key] for r in records) / len(records)
     report = ExperimentReport(
         config=config, columns=columns, records=tuple(records), summary=summary
     )

@@ -240,12 +240,30 @@ def test_experiment_unknown_suite(tmp_path, capsys):
     assert main(["experiment", "--suite", "mystery"]) == 2
 
 
+def test_experiment_budget_reaches_the_colouring_suites(capsys):
+    code = main(["experiment", "--suite", "minorfree", "--trials", "2", "--seed", "5",
+                 "--budget", "1"])
+    assert code == 3
+    assert "budget exhausted:" in capsys.readouterr().err
+
+
 def test_check_json_format(tmp_path, capsys):
     path = write_graph(tmp_path, ml.petersen_graph())
     code = main(["check", path, "--t", "6", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 1
     assert doc["hadwiger"] == 5 and doc["k6_minor"] == "NotFound"
+
+
+def test_check_json_format_lists_a_found_model(tmp_path, capsys):
+    G = ml.complete_bipartite(4, 4)
+    path = write_graph(tmp_path, G)
+    code = main(["check", path, "--t", "3", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["k3_minor"] == "Found"
+    model = ml.MinorModel(tuple(frozenset(s) for s in doc["model"]))
+    assert len(model.branch_sets) == 3 and ml.validate_model(G, model)
 
 
 def test_bounds_text_format(capsys):

@@ -1,13 +1,16 @@
+import hashlib
 import math
 import random
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 import minorlab as ml
 from minorlab import coloring, graphs
 from minorlab.decompose import peel_layers
+from minorlab.formats import coloring_to_str
 from oracles import (
     exact_list_color_ref,
     hall_ratio_list_color_ref,
@@ -412,6 +415,35 @@ def test_hall_ratio_reaches_later_levels(monkeypatch):
         c = ml.hall_ratio_list_color(G, lists, 4, seed=seed)
         assert c is not None and len(c) == G.n
         assert len(set(sizes)) == 3 and sizes[0] == G.n
+
+
+def test_hall_ratio_colourings_past_a_level_match_their_golden_digests(monkeypatch):
+    # SHA-256 of each colouring's text (or of "None"), one line per case in
+    # `sha256sum` format; every case extracts at least one level's sets
+    golden = Path(__file__).parent / "golden" / "hall_levels.sha256"
+    want = dict(reversed(line.split()) for line in golden.read_text().splitlines())
+    extract_sets = coloring._independent_sets_extract
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return extract_sets(*args)
+
+    monkeypatch.setattr(coloring, "_independent_sets_extract", counted)
+    got = {}
+    for r, part in ((3, 60), (3, 80), (4, 60)):
+        n = r * part
+        size = math.ceil(2 * r * math.log(n / r) ** 2)
+        for s in range(4):
+            G = random_multipartite([part] * r, 0.5, s)
+            lists = ml.random_lists(n, size, 2 * size, s)
+            calls = 0
+            phi = ml.hall_ratio_list_color(G, lists, rho=r, C=2.0, seed=s)
+            assert calls >= 1, (r, part, s)
+            text = "None" if phi is None else coloring_to_str(phi)
+            got[f"r{r}-part{part}-seed{s}"] = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert got == want
 
 
 @pytest.mark.parametrize("rho", [1, 1.5, 2, 2.7, 3, 4, 5.5, 7])

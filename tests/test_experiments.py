@@ -86,3 +86,39 @@ def test_colouring_suite_reports_match_their_golden_digests():
             for ext, text in (("json", report.json_text()), ("csv", report.csv_text())):
                 got[f"{suite}-seed{seed}.{ext}"] = hashlib.sha256(text.encode("ascii")).hexdigest()
     assert got == want
+
+
+def test_summary_gives_the_rate_of_every_true_false_column():
+    rates = {
+        "dense-model": ["success", "validated"],
+        "contraction-round": ["complete"],
+        "decompose": ["valid"],
+        "alon": ["success", "valid"],
+        "hallratio": ["success", "valid"],
+        "minorfree": ["success", "valid"],
+        "extremal-bipartite": ["minor_free"],
+        "extremal-connectivity": ["kappa_ok", "small_kappa_ok", "small_minor_free"],
+        "bounds": [],
+    }
+    assert set(rates) == set(ml.SUITES)
+    for suite, keys in rates.items():
+        report = run_suite(ExperimentConfig(suite=suite, trials=3, seed=2, max_n=40))
+        assert list(report.summary) == ["records"] + [f"{k}_rate" for k in keys], suite
+        for k in keys:
+            hits = sum(1 for rec in report.records if rec[k] is True)
+            assert report.summary[f"{k}_rate"] == hits / 3, (suite, k)
+
+
+def test_budget_reaches_every_colouring_search(monkeypatch):
+    exact = ml.coloring._exact_list_color
+    budgets = []
+
+    def recorded(G, lists, live, budget):
+        budgets.append(budget)
+        return exact(G, lists, live, budget)
+
+    monkeypatch.setattr(ml.coloring, "_exact_list_color", recorded)
+    run_suite(ExperimentConfig(suite="minorfree", trials=4, seed=5, budget=50))
+    assert budgets and set(budgets) == {50}
+    with pytest.raises(ml.BudgetExceeded):
+        run_suite(ExperimentConfig(suite="minorfree", trials=2, seed=5, budget=1))

@@ -836,6 +836,28 @@ def test_dense_model_branch_sets_cover_both_blocks():
     assert ml.validate_model(G, model)
 
 
+@pytest.mark.parametrize("graph_seed", [9, 16])
+def test_dense_model_joins_a_split_branch_set_through_a_connector(monkeypatch, graph_seed):
+    # in the complement of a sparse G(36, 0.3) some X_i + Y_i is disconnected,
+    # so the builder must add a vertex outside the core that touches two parts
+    H = ml.gnp_random_graph(36, 0.3, graph_seed)
+    G = ml.from_edge_list(
+        36, [(u, v) for u, v in combinations(range(36), 2) if not H.has_edge(u, v)]
+    )
+    components = minor.mask_components
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return components(*args)
+
+    monkeypatch.setattr(minor, "mask_components", counted)
+    model = ml.dense_random_model(G, DenseModelParams(t=2, l=2, trials=1, seed=1))
+    assert calls >= 1
+    assert model is not None and ml.validate_model(G, model)
+
+
 def test_dense_model_deterministic_given_seed():
     G = ml.gnp_random_graph(180, 0.995, seed=12)
     params = DenseModelParams(t=4, trials=3, seed=9)
