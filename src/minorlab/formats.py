@@ -39,19 +39,33 @@ def _ints(lineno: int, body: str, tokens) -> list[int]:
 
 
 def parse_edge_list(text: str) -> Graph:
-    lines = _content_lines(text)
-    if not lines:
-        raise InputError("line 1: missing 'p <n> <m>' header")
-    lineno, header = lines[0]
-    fields = header.split()
-    if len(fields) != 3 or fields[0] != "p":
-        raise InputError(f"line {lineno}: expected 'p <n> <m>', got {header!r}")
-    n, m = _ints(lineno, header, fields[1:])
-    # with a negative n every edge line fails its range check first, so
-    # only an edgeless body reports the count itself
-    adj = [0] * n
-    for lineno, body in lines[1:]:
+    # `ids` maps each token of an edge line that passed every check to its
+    # in-range vertex id.  A line of two known tokens with distinct ids,
+    # split by one space, would pass every check again, so it goes straight
+    # into the masks; any other line runs the checks in full, in order.
+    ids: dict[str, int] = {}
+    adj: list[int] = []
+    n = m = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        a, _, b = raw.partition(" ")
+        u = ids.get(a)
+        v = ids.get(b)
+        if u is not None and v is not None and u != v:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            continue
+        body = raw.split("#", 1)[0].strip()
+        if not body:
+            continue
         fields = body.split()
+        if n is None:
+            if len(fields) != 3 or fields[0] != "p":
+                raise InputError(f"line {lineno}: expected 'p <n> <m>', got {body!r}")
+            n, m = _ints(lineno, body, fields[1:])
+            # with a negative n every edge line fails its range check
+            # first, so only an edgeless body reports the count itself
+            adj = [0] * n
+            continue
         if len(fields) != 2:
             raise InputError(f"line {lineno}: expected 'u v', got {body!r}")
         try:
@@ -62,8 +76,12 @@ def parse_edge_list(text: str) -> Graph:
             raise InputError(f"line {lineno}: loop edge {u} {v}")
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"line {lineno}: vertex id out of range in {body!r}")
+        ids[fields[0]] = u
+        ids[fields[1]] = v
         adj[u] |= 1 << v
         adj[v] |= 1 << u
+    if n is None:
+        raise InputError("line 1: missing 'p <n> <m>' header")
     if n < 0:
         raise InputError(f"vertex count must be non-negative, got {n}")
     edges = sum(a.bit_count() for a in adj) // 2
@@ -154,6 +172,8 @@ def parse_coloring(text: str) -> dict[int, int]:
         if len(fields) != 2:
             raise InputError(f"line {lineno}: expected 'v c', got {body!r}")
         v, c = _ints(lineno, body, fields)
+        if v < 0:
+            raise InputError(f"line {lineno}: color for vertex {v} is out of range")
         if v in out:
             raise InputError(f"line {lineno}: duplicate color for vertex {v}")
         out[v] = c
@@ -174,29 +194,30 @@ def decomposition_to_str(D: Decomposition) -> str:
 
 def parse_decomposition(text: str) -> Decomposition:
     k = None
-    X: frozenset[int] | None = None
-    Y: frozenset[int] | None = None
+    sections: dict[str, frozenset[int]] = {}
     matching: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
+        body = stripped.split("#", 1)[0].strip()
         if stripped.startswith("# decomposition"):
             for token in stripped.split():
                 if token.startswith("k="):
+                    if k is not None:
+                        raise InputError(f"line {lineno}: second k= header")
                     k = _ints(lineno, stripped, [token[2:]])[0]
-    for lineno, body in _content_lines(text):
-        fields = body.split()
-        tag = fields[0]
-        ids = _ints(lineno, body, fields[1:])
-        if tag == "X":
-            X = frozenset(ids)
-        elif tag == "Y":
-            Y = frozenset(ids)
-        elif tag == "M":
-            if len(ids) != 2:
-                raise InputError(f"line {lineno}: expected 'M y x'")
-            matching.append((ids[0], ids[1]))
-        else:
-            raise InputError(f"line {lineno}: unknown section {tag!r}")
-    if k is None or X is None or Y is None:
+        elif body:
+            tag, *fields = body.split()
+            ids = _ints(lineno, body, fields)
+            if tag == "M":
+                if len(ids) != 2:
+                    raise InputError(f"line {lineno}: expected 'M y x'")
+                matching.append((ids[0], ids[1]))
+            elif tag not in ("X", "Y"):
+                raise InputError(f"line {lineno}: unknown section {tag!r}")
+            elif tag in sections:
+                raise InputError(f"line {lineno}: second {tag} section")
+            else:
+                sections[tag] = frozenset(ids)
+    if k is None or len(sections) != 2:
         raise InputError("decomposition needs a k= header plus X and Y sections")
-    return Decomposition(X, Y, tuple(sorted(matching)), k)
+    return Decomposition(sections["X"], sections["Y"], tuple(sorted(matching)), k)

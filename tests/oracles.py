@@ -30,7 +30,10 @@ the library's loop over levels must return the same colouring, or raise the
 same error, on every input.  :func:`minor_free_list_color_ref` colours each
 peel layer as an induced copy through the public exact and Hall-ratio
 colourings, where the library colours every layer and level as a vertex mask
-of one graph; both must give the same colouring.
+of one graph; both must give the same colouring.  :func:`parse_edge_list_ref`
+is the edge-list parser that checks every line in full, with no token table:
+the library's parser must give the same Graph, or the same `InputError`
+text, on every input.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from minorlab.errors import (
     PreconditionError,
 )
 from minorlab.families import complete_multipartite
+from minorlab.formats import _content_lines, _ints
 from minorlab.graphs import (
     DEFAULT_BUDGET,
     Graph,
@@ -954,3 +958,39 @@ def minor_free_list_color_ref(
             return None
         coloring.update({old_ids[i]: c for i, c in phi.items()})
     return coloring
+
+
+def parse_edge_list_ref(text: str) -> Graph:
+    lines = _content_lines(text)
+    if not lines:
+        raise InputError("line 1: missing 'p <n> <m>' header")
+    lineno, header = lines[0]
+    fields = header.split()
+    if len(fields) != 3 or fields[0] != "p":
+        raise InputError(f"line {lineno}: expected 'p <n> <m>', got {header!r}")
+    n, m = _ints(lineno, header, fields[1:])
+    # with a negative n every edge line fails its range check first, so
+    # only an edgeless body reports the count itself
+    adj = [0] * n
+    for lineno, body in lines[1:]:
+        fields = body.split()
+        if len(fields) != 2:
+            raise InputError(f"line {lineno}: expected 'u v', got {body!r}")
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise InputError(f"line {lineno}: non-integer vertex id in {body!r}") from None
+        if u == v:
+            raise InputError(f"line {lineno}: loop edge {u} {v}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"line {lineno}: vertex id out of range in {body!r}")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    if n < 0:
+        raise InputError(f"vertex count must be non-negative, got {n}")
+    edges = sum(a.bit_count() for a in adj) // 2
+    if edges != m:
+        raise InputError(
+            f"header claims {m} edges but the body de-duplicates to {edges}"
+        )
+    return Graph(n, tuple(adj), edges)

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from oracles import parse_edge_list_ref
 
 import minorlab as ml
 from minorlab import formats
@@ -36,11 +39,86 @@ def test_edge_list_comments_and_blank_lines():
         ("p -1 0\n", "vertex count must be non-negative, got -1"),
         ("p 3 2\n0 1\n0 x\n", "line 3: non-integer"),
         ("p 3 2\n0 1\n1 0\n", "header claims 2 edges but the body de-duplicates to 1"),
+        # errors on lines whose tokens are all known from earlier lines
+        ("p 3 2\n0 1\n1 2\n1 1\n", "line 4: loop edge 1 1"),
+        ("p 3 2\n0 1\n1 2\n0 1 2\n", "line 4: expected 'u v'"),
+        ("p 3 2\n0 1\n1 2\n1 3\n", "line 4: vertex id out of range"),
     ],
 )
 def test_edge_list_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(ml.InputError, match=fragment):
         formats.parse_edge_list(text)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ml.InputError as exc:
+        return str(exc)
+
+
+def _fuzz_edge_text(rng: random.Random) -> str:
+    """An edge-list text mixing canonical pairs with the spellings, spacing,
+    comments, line ends and faults the parser must treat as the reference
+    does; the header's edge count is usually the body's true one."""
+    n = rng.randint(2, 7) if rng.random() < 0.95 else rng.randint(0, 1)
+    odd = ["01", "+1", "-1", "1_0", "00", str(n), str(n + 1), "x"]
+    seps = [" "] * 6 + ["\t", "  ", " \t", " \x0c "]
+    body = []
+    for _ in range(rng.randint(0, 14)):
+        r = rng.random()
+        if r < 0.75 and n >= 2:
+            u, v = rng.sample(range(n), 2)
+            line = f"{u} {v}"
+        elif r < 0.86:
+            tokens = [str(i) for i in range(n)] + odd
+            line = rng.choice(tokens) + rng.choice(seps) + rng.choice(tokens)
+        elif r < 0.89 and n:
+            u = rng.randrange(n)
+            line = f"{u} {u}"
+        elif r < 0.92:
+            line = " ".join(str(rng.randrange(max(n, 1))) for _ in range(3))
+        elif r < 0.96:
+            line = ""
+        else:
+            line = "# note"
+        if rng.random() < 0.1:
+            line += rng.choice([" ", "  ", "\t", " # c", "#c"])
+        if rng.random() < 0.05:
+            line = rng.choice([" ", "\t"]) + line
+        body.append(line)
+    try:
+        parse_edge_list_ref("\n".join([f"p {n} -1"] + body))
+        m = 0
+    except ml.InputError as exc:
+        words = str(exc).split()
+        m = int(words[-1]) if "de-duplicates" in words else rng.randint(0, 4)
+    if rng.random() < 0.2:
+        m += rng.choice([-1, 1])
+    header = rng.choices(
+        [f"p {n} {m}", None, f"p {n}", f"q {n} {m}", f"p {n} x", f"p -1 {m}"],
+        weights=[85, 3, 3, 3, 3, 3],
+    )[0]
+    lines = ([header] if header is not None else []) + body
+    if rng.random() < 0.1:
+        lines.insert(0, rng.choice(["# graph", "", "  "]))
+    ends = rng.choice(["\n", "\r\n", "\x0c", None])
+    text = ""
+    for line in lines:
+        text += line + (ends or rng.choice(["\n", "\r\n", "\x0c"]))
+    return text if rng.random() < 0.9 else text.rstrip("\r\n\x0c")
+
+
+def test_edge_list_parser_agrees_with_reference_on_fuzzed_texts():
+    rng = random.Random(20201)
+    parsed = 0
+    for _ in range(6000):
+        text = _fuzz_edge_text(rng)
+        want = _parse_outcome(parse_edge_list_ref, text)
+        assert _parse_outcome(formats.parse_edge_list, text) == want, repr(text)
+        parsed += isinstance(want, ml.Graph)
+    # both outcomes are common, so the comparison covers both
+    assert 1000 < parsed < 5000
 
 
 def test_edge_list_file_round_trip(tmp_path):
@@ -91,6 +169,11 @@ def test_coloring_round_trip():
     assert formats.parse_coloring(text) == coloring
 
 
+def test_coloring_rejects_a_negative_vertex():
+    with pytest.raises(ml.InputError, match="line 1: color for vertex -1 is out of range"):
+        formats.parse_coloring("-1 3\n0 2\n")
+
+
 def test_decomposition_round_trip():
     G = ml.complete_graph(13)
     D = ml.small_coboundary_piece(G, 2)
@@ -114,8 +197,11 @@ def test_decomposition_with_matching_round_trip():
     [
         ("# decomposition k=abc\nX 1\nY 2\n", "line 1: non-integer entry in '# decomp"),
         ("# decomposition k=2\nX 1\nY x\n", "line 3: non-integer"),
+        ("# decomposition k=2\nX 1\nX 2 3\nY 4\n", "line 3: second X section"),
+        ("# decomposition k=2\nX 1\nY 4\nY 5\n", "line 4: second Y section"),
+        ("# decomposition k=2\nX 1\n# decomposition k=5\nY 4\n", "line 3: second k= header"),
     ],
-    ids=["header", "body"],
+    ids=["header", "body", "second-X", "second-Y", "second-k"],
 )
 def test_decomposition_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(ml.InputError, match=fragment):
