@@ -285,13 +285,17 @@ def _branch_set_search(
     absorption and seed moves) plus sorting its moves, and walks no path,
     so the node budget bounds the wall time.
 
-    Each node also carries the excess of its sets (see `_edge_slack`):
-    the edges among the used vertices beyond a spanning tree of each set
-    and beyond one edge per adjacent pair.  A move adds the edges from its
-    vertex to the used vertices, less one tree edge for an absorption and
-    less one for each pair it makes adjacent, so the excess never falls as
-    sets grow; a move that would push it past `slack` cannot lead to a
-    model and is never generated.
+    Each node also carries the surplus of each set: the sum over its
+    vertices of their degree in the block less 2, less t - 3.  In a model
+    that spans the block every set has at least |B| - 1 edges inside and
+    t - 1 edges to the other sets, so its surplus is at least 0, and the
+    surpluses sum to exactly twice the excess (see `_edge_slack`), at most
+    2 * `slack`.  No vertex of a 2-connected block has degree below 2, so
+    a surplus never falls as its set grows, and any model grows into a
+    spanning one; a move that would push the sum of the positive surpluses
+    past 2 * `slack` cannot lead to a model and is never generated.  The
+    slack without `fast_paths` is the edge count m, and no surplus sum
+    reaches 2m, so that search is never pruned.
 
     With `fast_paths` the first set is seeded only at the block's least
     vertex: a model of a connected block grows into one that spans it (add
@@ -308,6 +312,8 @@ def _branch_set_search(
     """
     comp_size = comp.bit_count()
     adj = G.adj
+    charge = {v: (adj[v] & comp).bit_count() - 2 for v in bits(comp)}
+    room = 2 * slack
     failed_perm: set[tuple[int, ...]] = set()
     failed_here: set[tuple[int, ...]] = set()
     # a raised BudgetExceeded keeps this frame, and with it both tables,
@@ -318,11 +324,12 @@ def _branch_set_search(
         for cap in [comp_size] if comp_size <= 14 else range(t, comp_size + 1):
             failed_here.clear()
             # one frame per node on the search path:
-            # [state, sets, nbr, avail, excess, moves left, cap_hit];
-            # nbr[i] is the neighborhood mask of sets[i], and a move copies
-            # both lists, so a frame's own lists never change
+            # [state, sets, nbr, sur, avail, over, moves left, cap_hit];
+            # nbr[i] is the neighborhood mask of sets[i] and sur[i] its
+            # surplus, over is the sum of the positive surpluses, and a move
+            # copies the lists, so a frame's own lists never change
             path: list[list] = []
-            sets, nbr, avail, excess = [], [], comp, 0
+            sets, nbr, sur, avail, over = [], [], [], comp, 0
             while True:
                 spent[0] += 1
                 if spent[0] > budget:
@@ -331,9 +338,8 @@ def _branch_set_search(
                 # hit: the node just closed failed at this cap only
                 hit = state in failed_here
                 if not hit and state not in failed_perm:
-                    # a move is (order key, side, v, excess it adds), and
-                    # side k is a new set
-                    moves: list[tuple[int, int, int, int]] = []
+                    # a move is (order key, side, v), and side k is a new set
+                    moves: list[tuple[int, int, int]] = []
                     cap_hit = False
                     k = len(sets)
                     deficient = [
@@ -342,10 +348,8 @@ def _branch_set_search(
                         for j in range(i + 1, k)
                         if not nbr[i] & sets[j]
                     ]
-                    inside = comp & ~avail
                     # a non-adjacent pair needs at least one more vertex
-                    floor_size = inside.bit_count() + (t - k) + (1 if deficient else 0)
-                    room = slack - excess
+                    floor_size = (comp & ~avail).bit_count() + (t - k) + (1 if deficient else 0)
                     if floor_size > cap:
                         # a model that does not fit the block fails at every cap
                         cap_hit = floor_size <= comp_size
@@ -361,25 +365,19 @@ def _branch_set_search(
                             key=lambda p: grow[p[0]].bit_count() + grow[p[1]].bit_count(),
                         )
                         for side, other in ((i, j), (j, i)):
-                            # the sets whose pair with this side lacks an edge
-                            lacking = [
-                                sets[x + y - side] for x, y in deficient if side in (x, y)
-                            ]
                             finishing = nbr[other]
+                            surplus = sur[side]
+                            # the most this side's positive surplus may reach
+                            limit = room - over + max(0, surplus)
                             rest = grow[side]
                             while rest:
                                 vb = rest & -rest
                                 rest ^= vb
                                 v = vb.bit_length() - 1
-                                a = adj[v]
-                                cost = (a & inside).bit_count() - 1
-                                for s in lacking:
-                                    if a & s:
-                                        cost -= 1
-                                if cost <= room:
+                                if max(0, surplus + charge[v]) <= limit:
                                     # absorptions that finish the pair at once go first
                                     key = 0 if finishing & vb else 1
-                                    moves.append((key, side, v, cost))
+                                    moves.append((key, side, v))
                     elif k == t:
                         return sets
                     else:
@@ -391,44 +389,42 @@ def _branch_set_search(
                             # sets go first (v is in no set, so it touches
                             # set s when it lies in nbr[s])
                             for v in bits(cands):
-                                touching = sum(b >> v & 1 for b in nbr)
-                                cost = (adj[v] & inside).bit_count() - touching
-                                if cost <= room:
-                                    moves.append((k - touching, k, v, cost))
+                                if max(0, charge[v] + 3 - t) <= room - over:
+                                    touching = sum(b >> v & 1 for b in nbr)
+                                    moves.append((k - touching, k, v))
                     if moves:
                         moves.sort()
-                        path.append([state, sets, nbr, avail, excess, iter(moves), cap_hit])
+                        path.append([state, sets, nbr, sur, avail, over, iter(moves), cap_hit])
                     else:  # a dead end
                         hit = cap_hit
                         _remember(failed_here if hit else failed_perm, state)
                 if hit and path:
-                    path[-1][6] = True
+                    path[-1][7] = True
                 # descend along the next move, closing finished nodes on the way
                 while path:
                     frame = path[-1]
-                    move = next(frame[5], None)
+                    move = next(frame[6], None)
                     if move is not None:
                         break
                     path.pop()
-                    state, hit = frame[0], frame[6]
+                    state, hit = frame[0], frame[7]
                     _remember(failed_here if hit else failed_perm, state)
                     if hit and path:
-                        path[-1][6] = True
+                        path[-1][7] = True
                 else:
                     break
-                _, side, v, cost = move
-                _, sets, nbr, avail, excess, _, _ = frame
+                _, side, v = move
+                _, sets, nbr, sur, avail, over, _, _ = frame
                 vb = 1 << v
                 avail &= ~vb
-                excess += cost
-                if side == len(sets):
-                    sets = sets + [vb]
-                    nbr = nbr + [adj[v]]
+                if side == len(sets):  # a new set: empty, of surplus 3 - t
+                    sets, nbr, sur = sets + [0], nbr + [0], sur + [3 - t]
                 else:
-                    sets = sets.copy()
-                    sets[side] |= vb
-                    nbr = nbr.copy()
-                    nbr[side] |= adj[v]
+                    sets, nbr, sur = sets.copy(), nbr.copy(), sur.copy()
+                sets[side] |= vb
+                nbr[side] |= adj[v]
+                over += max(0, sur[side] + charge[v]) - max(0, sur[side])
+                sur[side] += charge[v]
             # the root closed last: if no node below it hit the cap, no
             # larger cap finds a model either
             if not hit:
@@ -461,9 +457,10 @@ def find_kt_minor_exact(
        min(omega, t) singleton branch sets, proves it free;
     3. greedy contraction: a complete quotient on at least t classes is a
        model, found without spending the budget;
-    4. the branch-set search, which never lets the excess of its sets (the
-       edges a model spends beyond the fewest it needs) pass the slack,
-       and seeds the first set only at the block's least vertex.
+    4. the branch-set search, which never lets the positive surpluses of
+       its sets (each set's degree in the block beyond 2 per vertex, less
+       t - 3) sum past twice the slack, and seeds the first set only at
+       the block's least vertex.
 
     A model found is lifted back onto G and validated.  The verdicts are
     those of the search alone, but the models returned may differ from

@@ -85,20 +85,15 @@ from minorlab.minor import _TRANSPOSITION_CAP
 from minorlab.seeds import derive_seed
 
 
-def has_kt_minor_brute(G: Graph, t: int) -> bool:
-    """Partition enumeration: some subset of V splits into t connected,
-    pairwise adjacent blocks."""
-    n = G.n
-    if t <= 0:
-        return True
-    if t == 1:
-        return n >= 1
-    if n < t:
-        return False
+def _splits(G: Graph, t: int, spanning: bool):
+    """The split enumeration behind the minor oracles: `split(rem, [])`
+    yields every list of t connected, pairwise adjacent blocks inside the
+    mask `rem`, each block holding the least vertex left when it is
+    formed; with `spanning` only those that cover `rem`."""
     adj = G.adj
 
-    connected = [False] * (1 << n)
-    for mask in range(1, 1 << n):
+    connected = [False] * (1 << G.n)
+    for mask in range(1, 1 << G.n):
         low = mask & -mask
         reach = low
         frontier = low
@@ -122,12 +117,14 @@ def has_kt_minor_brute(G: Graph, t: int) -> bool:
             mask ^= b
         return out
 
-    def split(rem: int, blocks: list[int], nbhds: list[int]) -> bool:
+    def split(rem: int, blocks: list[int]):
         if len(blocks) == t:
-            return True
+            if not (spanning and rem):
+                yield blocks
+            return
         need = t - len(blocks)
         if rem.bit_count() < need:
-            return False
+            return
         anchor = rem & -rem
         rest = rem ^ anchor
         # enumerate all subsets of rest, forming the block containing anchor
@@ -137,18 +134,36 @@ def has_kt_minor_brute(G: Graph, t: int) -> bool:
             if connected[block]:
                 nb = nbhd(block)
                 if all(nb & other for other in blocks):
-                    if split(rem & ~block, blocks + [block], nbhds + [nb]):
-                        return True
+                    yield from split(rem & ~block, blocks + [block])
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        return False
 
+    return split
+
+
+def has_kt_minor_brute(G: Graph, t: int) -> bool:
+    """Partition enumeration: some subset of V splits into t connected,
+    pairwise adjacent blocks."""
+    n = G.n
+    if t <= 0:
+        return True
+    if t == 1:
+        return n >= 1
+    if n < t:
+        return False
+    split = _splits(G, t, False)
     full = (1 << n) - 1
     for used in range(full, -1, -1):
-        if used.bit_count() >= t and split(used, [], []):
+        if used.bit_count() >= t and any(split(used, [])):
             return True
     return False
+
+
+def spanning_models_brute(G: Graph, t: int) -> list[list[int]]:
+    """Every partition of all of V into t connected, pairwise adjacent
+    blocks (masks, in order of their least vertex)."""
+    return list(_splits(G, t, True)(G.full_mask, []))
 
 
 def kappa_brute(G: Graph) -> int:
@@ -502,8 +517,8 @@ def branch_set_search_ref(
 ) -> list[int] | None:
     """Recursive branch-set search: the same nodes, order, tables and step
     charges as :func:`minorlab.minor._branch_set_search` without fast paths,
-    where every vertex is a first seed and the slack is the edge count,
-    which no excess exceeds."""
+    where every vertex is a first seed and the slack is the edge count m,
+    so no surplus sum reaches 2m."""
 
     def above(v: int) -> int:
         return -1 << (v + 1)

@@ -21,7 +21,12 @@ from minorlab.minor import (
     _lift,
     _series_parallel_reduce,
 )
-from oracles import branch_set_search_ref, contraction_round_ref, has_kt_minor_brute
+from oracles import (
+    branch_set_search_ref,
+    contraction_round_ref,
+    has_kt_minor_brute,
+    spanning_models_brute,
+)
 
 
 def spoke_model():
@@ -174,11 +179,11 @@ def test_branch_set_search_matches_the_recursive_search(monkeypatch):
     # without fast paths: the same models, verdicts and steps spent per
     # block, deepening included; the K3 model of C_15 needs every vertex, so
     # only the last cap finds it (after 79 614 steps).  With fast paths the
-    # search prunes by the edge slack: wherever the reference decides a
-    # block the verdict is the same, and no block costs more steps.  The
-    # greedy contraction settles nearly every G(n, p) case before the
-    # search, so those reach it mostly without fast paths; the lower-bound
-    # graphs at t = 6 reach it with them
+    # search prunes by the degree surplus of its sets against twice the
+    # edge slack: wherever the reference decides a block the verdict is the
+    # same, and no block costs more steps.  The greedy contraction settles
+    # nearly every G(n, p) case before the search, so those reach it mostly
+    # without fast paths; the lower-bound graphs at t = 6 reach it with them
     loop = minor._branch_set_search
     graphs = [
         ml.gnp_random_graph(9 + i % 12, 0.25 + 0.05 * (i % 9), seed=9000 + i)
@@ -383,9 +388,10 @@ def test_edge_slack_certificate():
 
 
 def test_branch_set_search_root_without_moves_returns_none():
-    # a slack below 0 prunes even the first seed, which adds no excess, so
-    # the root is a dead end: a proof of freeness after one step, in the
-    # single pass of a small block and in the deepening of a larger one
+    # a slack below 0 prunes even the first seed, since no sum of positive
+    # surpluses is below 0, so the root is a dead end: a proof of freeness
+    # after one step, in the single pass of a small block and in the
+    # deepening of a larger one
     for G in (ml.petersen_graph(), subdivided_k5()):
         spent = [0]
         assert _branch_set_search(G, G.full_mask, 5, 100, spent, -1, True) is None
@@ -486,6 +492,45 @@ def test_slack_pruned_search_agrees_with_brute():
     assert searched >= 20 and tight_models >= 12, (searched, tight_models)
 
 
+def test_spanning_models_have_surpluses_summing_to_twice_the_slack():
+    # the identity behind the search's prune, on every model that spans a
+    # small 2-connected block: the surplus of each set (the sum over its
+    # vertices of their degree in the block less 2, less t - 3) is at least
+    # 0, and the surpluses sum to twice the edge slack.  The search, pruned
+    # against twice the slack, finds a model exactly on the blocks that
+    # have one, and many of them have a slack of 1 or more
+    rng = random.Random(9970)
+    blocks = []
+    for i in range(12):
+        n, t = 8 + i % 2, 4 + i // 6
+        m = max(t * (t - 1) // 2 + n - t + i % 3, (3 * n + 1) // 2)
+        blocks.append((tight_block(rng, n, m), t))
+        if t == 5:
+            blocks.append((planted_tight_model(rng, n, t), t))
+    for i in range(30):
+        G = ml.gnp_random_graph(7 + i % 3, 0.4 + 0.05 * (i % 4), seed=9970 + i)
+        for block in biconnected_blocks(G):
+            if block.bit_count() >= 5:
+                blocks += [(induced_subgraph(G, bits(block)), t) for t in (4, 5)]
+    with_models = loose_models = 0
+    for B, t in blocks:
+        spanning = spanning_models_brute(B, t)
+        slack = _edge_slack(B, B.full_mask, t, True)
+        charge = [B.degree(v) - 2 for v in range(B.n)]
+        for sets in spanning:
+            surplus = [sum(charge[v] for v in bits(s)) - (t - 3) for s in sets]
+            assert min(surplus) >= 0 and sum(surplus) == 2 * slack, (B, t, sets)
+        found = slack is not None and _branch_set_search(
+            B, B.full_mask, t, 10**6, [0], slack, True
+        )
+        assert bool(found) == bool(spanning), (B, t, slack)
+        with_models += bool(spanning)
+        loose_models += bool(spanning) and slack > 0
+    assert len(blocks) >= 60 and with_models >= 40 and loose_models >= 30, (
+        len(blocks), with_models, loose_models
+    )
+
+
 def subdivided(rng, G, count):
     """G with `count` random edges subdivided, ids shuffled: each new vertex
     has degree 2, and a 2-connected G stays 2-connected with the same
@@ -549,9 +594,10 @@ def test_first_seed_at_the_least_vertex_agrees_with_brute():
 def test_first_seed_at_the_least_vertex_cuts_the_lower_bound_steps(monkeypatch):
     # the lower-bound graphs that the unpruned search cannot settle within
     # 20 000 steps: the edge slack alone spent 6 882 and 17 120 steps on
-    # them, and seeding the first set only at the block's least vertex
-    # spends 4 364 and 10 380; the models are valid either way
-    for (side, seed), steps in (((60, 2), 4_364), ((80, 17), 10_380)):
+    # them, seeding the first set only at the block's least vertex brought
+    # that to 4 364 and 10 380, and the per-set surplus prune in place of
+    # the edge excess spends 958 and 2 864; the models are valid each time
+    for (side, seed), steps in (((60, 2), 958), ((80, 17), 2_864)):
         G = ml.lower_bound_bipartite(side, side, 6, 0.05, seed=seed)
         model, calls = searched_blocks(
             monkeypatch, minor._branch_set_search, G, 6, True, 20_000
