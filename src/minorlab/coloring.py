@@ -7,8 +7,8 @@ public operation that returns a coloring returns one that passes
 rather than ever emitting an improper coloring, and a search out of budget
 raises :class:`BudgetExceeded`, in the pipelines too (the Hall promise check
 alone takes the promise on faith).  The Hall-ratio levels and the minor-free
-peel layers are vertex masks of the caller's graph, colored with the lists
-at their original ids; no induced copy is built.
+peel layers, like the parts a level extracts, are vertex masks of G colored
+with the lists at their original ids; no induced copy is built.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .graphs import (
     degeneracy,
     find_independent_set,
     mask_of,
+    set_of,
 )
 from .seeds import derive_seed
 
@@ -218,27 +219,28 @@ def multipartite_list_color(
     """
     _check_lists(G, lists)
     _check_counts(trials=trials)
-    return _multipartite_list_color(G, parts, lists, G.full_mask, trials, seed)
-
-
-def _multipartite_list_color(
-    G: Graph, parts: Sequence[AbstractSet[int]], lists, live: int, trials: int, seed: int
-) -> dict[int, int] | None:
-    """:func:`multipartite_list_color` of G[live]: the parts must be disjoint
-    independent sets that cover the live vertices, and `lists` is read at the
-    live ids."""
-    part_of: dict[int, int] = {}
+    masks: list[int] = []
+    seen = 0
     for i, part in enumerate(parts):
         if not part:
             raise InputError(f"part {i} is empty")
         pmask = checked_mask(G, part)
-        if part_of.keys() & part:
+        if seen & pmask:
             raise InputError(f"part {i} overlaps an earlier part")
         if adjacency_mask(G, pmask) & pmask:
             raise InputError(f"part {i} is not independent in the graph")
-        part_of.update(dict.fromkeys(part, i))
-    if mask_of(part_of) != live:
+        masks.append(pmask)
+        seen |= pmask
+    if seen != G.full_mask:
         raise InputError("parts must cover every vertex")
+    return _multipartite_list_color(masks, lists, trials, seed)
+
+
+def _multipartite_list_color(parts: Sequence[int], lists, trials: int, seed: int):
+    """:func:`multipartite_list_color` of the union of `parts`, disjoint
+    independent vertex masks, with `lists` read at their ids."""
+    part_of = {v: i for i, part in enumerate(parts) for v in bits(part)}
+    live = sum(parts)  # the parts are disjoint, so their sum is their union
     pool = sorted(set().union(*(lists[v] for v in bits(live))))
     r = len(parts)
     for trial in range(trials):
@@ -271,12 +273,12 @@ def independent_sets_extract(
     """
     if s < 1 or k < 1:
         raise InputError("both the set size and the count must be at least 1")
-    return _independent_sets_extract(G, s, k, G.full_mask, budget)
+    return [set_of(p) for p in _independent_sets_extract(G, s, k, G.full_mask, budget)]
 
 
 def _independent_sets_extract(G: Graph, s: int, k: int, live: int, budget: int):
-    """:func:`independent_sets_extract` from G[live]."""
-    out: list[frozenset[int]] = []
+    """:func:`independent_sets_extract` from G[live], each set as a mask."""
+    out: list[int] = []
     for i in range(k):
         found = find_independent_set(G, s, budget=budget, within=bits(live))
         if found is None:
@@ -284,9 +286,8 @@ def _independent_sets_extract(G: Graph, s: int, k: int, live: int, budget: int):
                 f"remainder of {live.bit_count()} vertices has no independent "
                 f"set of size {s} (needed {k - i} more)"
             )
-        chosen = frozenset(sorted(found)[:s])
-        out.append(chosen)
-        live &= ~mask_of(chosen)
+        out.append(mask_of(found))  # a target search finds exactly s vertices
+        live &= ~out[-1]
     return out
 
 
@@ -397,10 +398,10 @@ def _hall_ratio_list_color(
         k = math.ceil((1 - 1 / math.e) * n / s)
         sets = _independent_sets_extract(G, s, k, live, budget)
 
-        X = mask_of(v for part in sets for v in part)
+        X = sum(sets)  # disjoint masks: their sum is their union
         for v in bits(live):
             lists[v] = lists[v] & kept if X >> v & 1 else lists[v] - kept
-        phi = _multipartite_list_color(G, sets, lists, X, trials, derive_seed(seed, 0))
+        phi = _multipartite_list_color(sets, lists, trials, derive_seed(seed, 0))
         if phi is None:
             return None
         coloring.update(phi)
@@ -461,8 +462,7 @@ def minor_free_list_color(
     lists = list(lists)  # each piece's lists lose its outside neighbours' colors
     coloring: dict[int, int] = {}
     for level, piece in enumerate(reversed(layers)):
-        live = mask_of(piece)
-        for v in piece:
+        for v in bits(piece):
             outside = {coloring[u] for u in bits(G.adj[v]) if u in coloring}
             L = frozenset(lists[v]) - outside
             if len(L) < len(lists[v]) - d:
@@ -471,11 +471,11 @@ def minor_free_list_color(
                 )
             lists[v] = L
         try:
-            if len(piece) <= inner_threshold:
-                phi = _exact_list_color(G, lists, live, budget)
+            if piece.bit_count() <= inner_threshold:
+                phi = _exact_list_color(G, lists, piece, budget)
             else:
                 phi = _hall_ratio_list_color(
-                    G, lists, live, rho, C=2.0, seed=derive_seed(seed, level),
+                    G, lists, piece, rho, C=2.0, seed=derive_seed(seed, level),
                     trials=trials, budget=budget, max_redraws=64,
                 )
         except HallRatioViolation:

@@ -6,11 +6,10 @@ saturating Y, such that contracting the matching inside G[X | Y] leaves a
 k-connected graph.  :func:`small_coboundary_piece` turns the minimal-piece
 argument into a terminating loop on vertex masks of G and forms each
 contracted piece as one :func:`~minorlab.graphs.quotient` of G.
-:func:`peel_layers` is the peel the coloring pipeline consumes: single
-vertices from :func:`~minorlab.graphs.min_degree_peel` while some live degree
-is at most d, and the same loop on the live mask once every live degree
-exceeds d; no induced copy is built.  :func:`peel_piece` returns its first
-piece.
+:func:`peel_layers` is the peel the coloring pipeline consumes, as vertex
+masks: singletons from :func:`~minorlab.graphs.min_degree_peel` while some
+live degree is at most d, then the same loop on the live mask once every live
+degree exceeds d; no induced copy is built.  :func:`peel_piece` is its first.
 """
 
 from __future__ import annotations
@@ -125,8 +124,8 @@ def _piece(G: Graph, k: int, live: int) -> tuple[int, int, tuple[tuple[int, int]
             raise InvariantViolation("no separation side yields a small coboundary")
 
 
-def peel_layers(G: Graph, d: int, live: int) -> Iterator[list[int]]:
-    """The pieces that peel G[live] apart, in order, each as ascending ids.
+def peel_layers(G: Graph, d: int, live: int) -> Iterator[int]:
+    """The pieces that peel G[live] apart, in order, each as a vertex mask.
 
     A vertex of least degree (lowest id on ties) is a piece on its own while
     that degree is at most d.  Once every live vertex has degree above d >= 6,
@@ -137,11 +136,11 @@ def peel_layers(G: Graph, d: int, live: int) -> Iterator[list[int]]:
     while live:
         for v, _ in min_degree_peel(G, live, d):
             live &= ~(1 << v)
-            yield [v]
+            yield 1 << v
         if live:
             piece = _piece(G, d // 6, live)[0]
             live &= ~piece
-            yield list(bits(piece))
+            yield piece
 
 
 def peel_piece(G: Graph, d: int, within: Iterable[int] | None = None) -> frozenset[int]:
@@ -156,7 +155,7 @@ def peel_piece(G: Graph, d: int, within: Iterable[int] | None = None) -> frozens
         raise PreconditionError("the graph must be non-empty")
     if d < 6:
         raise InputError(f"peel parameter must be at least 6, got {d}")
-    return frozenset(next(peel_layers(G, d, live)))
+    return set_of(next(peel_layers(G, d, live)))
 
 
 def check_decomposition(G: Graph, D: Decomposition) -> list[str]:

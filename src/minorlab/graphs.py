@@ -557,13 +557,14 @@ def _mis_search(
 def max_independent_set(
     G: Graph, budget: int = DEFAULT_BUDGET, within: Iterable[int] | None = None
 ) -> frozenset[int]:
-    """An exact maximum independent set (of the induced subgraph on `within`)."""
+    """An exact maximum independent set (of the induced subgraph on `within`);
+    raises :class:`BudgetExceeded` when the node budget runs out."""
     _, best = _mis_search(G, within_mask(G, within), budget, None)
     return set_of(best)
 
 
 def exact_alpha(G: Graph, budget: int = DEFAULT_BUDGET) -> int:
-    """The exact maximum independent set size."""
+    """The exact independence number; raises :class:`BudgetExceeded` out of budget."""
     size, _ = _mis_search(G, G.full_mask, budget, None)
     return size
 
@@ -574,11 +575,10 @@ def find_independent_set(
     budget: int = DEFAULT_BUDGET,
     within: Iterable[int] | None = None,
 ) -> frozenset[int] | None:
-    """Some independent set of at least `size` vertices, or None if impossible."""
+    """Some independent set of exactly max(size, 0) vertices, or None if none
+    exists; raises :class:`BudgetExceeded` when the node budget runs out."""
     start = within_mask(G, within)
     if size <= 0:
         return frozenset()
     got, best = _mis_search(G, start, budget, size)
-    if got >= size:
-        return set_of(best)
-    return None
+    return set_of(best) if got >= size else None

@@ -56,7 +56,6 @@ from minorlab.connectivity import connectivity_at_least, minimum_separation
 from minorlab.decompose import (
     Decomposition,
     coboundary,
-    peel_layers,
     small_coboundary_piece,
 )
 from minorlab.errors import (
@@ -926,7 +925,7 @@ def minor_free_list_color_ref(
 ) -> dict[int, int] | None:
     """Peel-and-recolor list coloring, each layer on its induced copy.
 
-    The layers of :func:`peel_layers` are coloured last one first, each from
+    The layers of :func:`peel_layers_ref` are coloured last one first, each from
     its lists minus the colours of its coloured outside neighbours: by
     :func:`exact_list_color` on the renumbered copy of a small layer, by
     :func:`hall_ratio_list_color` (rho defaulting to 2d) on that of a large
@@ -942,7 +941,7 @@ def minor_free_list_color_ref(
     if rho is None:
         rho = 2 * d
 
-    layers = list(peel_layers(G, d, G.full_mask))
+    layers = peel_layers_ref(G, d)
     coloring: dict[int, int] = {}
     for level, piece in enumerate(reversed(layers)):
         piece_set = set(piece)

@@ -230,11 +230,23 @@ def test_multipartite_single_part_always_succeeds():
 
 
 def test_multipartite_rejects_bad_partition():
-    G = ml.complete_graph(2)
-    with pytest.raises(ml.InputError):
-        ml.multipartite_list_color(G, [frozenset({0, 1})], ml.uniform_lists(2, 2))
-    with pytest.raises(ml.InputError):
-        ml.multipartite_list_color(G, [frozenset({0})], ml.uniform_lists(2, 2))
+    G = ml.complete_graph(3)
+    cases = [
+        # one case per check, in the order they run
+        ([{0}, set(), {5}], "part 1 is empty"),
+        ([{0}, {1, 3}], "vertex 3 out of range for n=3"),
+        ([{0}, {1}, {1, 2}], "part 2 overlaps an earlier part"),
+        ([{0}, {1, 2}], "part 1 is not independent in the graph"),
+        ([{0}, {1}], "parts must cover every vertex"),
+        # the checks run part by part: a bad id before a later part's
+        # overlap, an edge before a later overlap, a bad id before its own
+        ([{0}, {1, 5}, {0, 2}], "vertex 5 out of range"),
+        ([{0, 1}, {0}], "part 0 is not independent"),
+        ([{0}, {0, 7}], "vertex 7 out of range"),
+    ]
+    for parts, message in cases:
+        with pytest.raises(ml.InputError, match=message):
+            ml.multipartite_list_color(G, [frozenset(p) for p in parts], ml.uniform_lists(3, 2))
 
 
 def test_multipartite_c4_with_two_lists():
@@ -590,7 +602,7 @@ def test_minorfree_peels_the_layers_of_induced_copies(monkeypatch):
 
     def recorded_layers(G, d, live):
         for piece in peel_layers(G, d, live):
-            pieces.append(sorted(piece))
+            pieces.append(list(graphs.bits(piece)))
             yield piece
 
     monkeypatch.setattr(coloring, "peel_layers", recorded_layers)
@@ -690,6 +702,26 @@ def test_colouring_makes_no_induced_copy(monkeypatch):
         lists = ml.random_lists(G.n, size, 2 * size, seed)
         assert ml.hall_ratio_list_color(G, lists, 4, seed=seed) is not None
     assert calls == []
+
+
+def test_hall_levels_recheck_no_part(monkeypatch):
+    # the parts a level extracts are independent by the search and disjoint
+    # by construction, so only a caller's parts are checked
+    calls = 0
+    checked_mask = coloring.checked_mask
+
+    def counted(G, vertices):
+        nonlocal calls
+        calls += 1
+        return checked_mask(G, vertices)
+
+    monkeypatch.setattr(coloring, "checked_mask", counted)
+    for seed in range(3):
+        G = random_multipartite([60] * 4, 0.5, seed)
+        size = math.ceil(2.0 * 4 * math.log(60) ** 2)
+        lists = ml.random_lists(G.n, size, 2 * size, seed)
+        assert ml.hall_ratio_list_color(G, lists, 4, seed=seed) is not None
+    assert calls == 0
 
 
 def test_minorfree_colours_a_large_grid_fast():

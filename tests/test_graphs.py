@@ -504,6 +504,26 @@ def test_find_independent_set_respects_size():
     assert ml.find_independent_set(ml.complete_graph(4), 2) is None
 
 
+def test_find_independent_set_returns_exactly_its_target():
+    # the Hall levels keep each found set whole as a part of size s, with no
+    # truncation, so a target search must never overshoot its target
+    found = missed = 0
+    for i in range(1000):
+        rng = random.Random(9100 + i)
+        n = rng.randint(1, 40)
+        G = ml.gnp_random_graph(n, rng.choice((0.1, 0.2, 0.3, 0.5)), seed=9100 + i)
+        within = rng.sample(range(n), rng.randint(1, n))
+        s = rng.randint(1, len(within))
+        S = ml.find_independent_set(G, s, within=within)
+        if S is None:
+            missed += 1
+            continue
+        found += 1
+        assert len(S) == s, (i, n, s)
+        assert S <= set(within) and not any(G.has_edge(u, v) for u, v in combinations(S, 2))
+    assert found >= 300 and missed >= 300
+
+
 @pytest.mark.parametrize("within", [[40], [-1], [0, 30]])
 def test_find_independent_set_rejects_within_ids_out_of_range(within):
     with pytest.raises(ml.InputError):
