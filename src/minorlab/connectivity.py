@@ -10,21 +10,31 @@ in the manner of Even and Tarjan ("Network flow and testing graph
 connectivity", 1975): a breadth-first search keeps one mask of in-copies and
 one of out-copies per level, and a backward walk from t takes as many
 shortest augmenting paths as the levels allow.  A flow stops as soon as it
-reaches a caller's cap, so "is kappa >= k?" costs at most k paths per pair.
+reaches a caller's cap, so "is kappa >= k?" costs at most k paths per flow.
 
-Global connectivity uses the classical pair coverage: fix a minimum-degree
+"Is kappa(G) >= k?" is decided by growing a set from a pivot's closed
+neighbourhood, after S. Even ("An algorithm for determining whether the
+connectivity of a graph is at least k", 1975): a vertex with k neighbours in
+the set cannot lie beyond a cut of fewer than k vertices that leaves the set
+on one side, so it joins without a flow.  Only when no vertex qualifies does
+one flow, from a hub joined to the whole set, decide the next vertex.  Then
+the pivot is deleted and the test repeats at k - 1; see :func:`_at_least`.
+On dense graphs the set usually covers every vertex with no flow at all.
+
+A minimum separation uses the classical pair coverage: fix a minimum-degree
 vertex v, take flows from v to every non-neighbor, and between every
 non-adjacent pair of neighbors of v.  Any minimum cut either avoids v (first
 family) or contains it (second family), so the minimum over these flows is
 kappa(G).  :func:`separation_below` is the one loop over these pairs, with a
-falling cap; :func:`vertex_connectivity`, :func:`minimum_separation` and the
-piece loop of :mod:`minorlab.decompose` all run it.
+falling cap that stops as soon as the growth test certifies it as kappa;
+:func:`vertex_connectivity`, :func:`minimum_separation` and the piece loop of
+:mod:`minorlab.decompose` all run it.
 """
 
 from __future__ import annotations
 
 from .errors import InputError, PreconditionError
-from .graphs import Graph, bipartition_defect, components, set_of
+from .graphs import Graph, adjacency_mask, bipartition_defect, bits, components, set_of
 
 
 def maximum_flow(
@@ -163,6 +173,75 @@ def _pair_coverage(G: Graph) -> list[tuple[int, int]]:
     return pairs
 
 
+def _at_least(G: Graph, k: int) -> bool:
+    """kappa(G) >= k, for a G of minimum degree at least k.
+
+    For need = k, k - 1, ..., 1 on the live graph (G less the earlier
+    pivots): take the live vertex v0 of largest live degree (lowest id on
+    ties), and grow a set W from N[v0].  A live vertex joins W when it has at
+    least `need` neighbours in W; after each addition only the neighbours of
+    what just joined are recounted.  When none qualifies, one flow capped at
+    `need` runs from a hub joined to all of W to the vertex outside W with
+    most neighbours in W (lowest id on ties), which joins if the flow
+    reaches `need`.  Once W
+    holds every live vertex, v0 is deleted.
+
+    Why this is exact (Even's argument).  Take a cut S of G with |S| < k, and
+    the first level whose pivot v0 is not in S.  That level exists, since S
+    cannot hold k pivots, and S holds every earlier one, so the rest S' of S
+    is a cut of the live graph with |S'| < need.  Let C be the component of
+    v0 once S' is removed.  N[v0] lies in C | S', and W stays there: a
+    vertex beyond S' has all its W-neighbours in S', fewer than `need`, and
+    every path from the hub to it passes through S', so its flow stays below
+    `need` and the test returns False.  W cannot end the level without such
+    a vertex, so a graph with a cut of fewer than k vertices fails.
+    Conversely a hub flow below `need` is a real cut: it separates t from
+    the part of W outside the cut, which is not empty since |W| > deg(v0) >=
+    need.  With the earlier pivots it is a cut of G of fewer than k
+    vertices.
+    """
+    adj, n = G.adj, G.n
+    hub = 1 << n
+    live, m = G.full_mask, G.m
+    degree = [a.bit_count() for a in adj]  # live degrees; -1 once deleted
+    for need in range(k, 0, -1):
+        v0 = max(range(n), key=degree.__getitem__)  # the first, so lowest id
+        grown = fresh = adj[v0] & live | 1 << v0
+        count = [0] * n  # neighbours in W, for the vertices outside W
+        H = None  # the live graph and the hub, built at the level's first flow
+        while grown != live:
+            rest = live & ~grown
+            near = adjacency_mask(G, fresh) & rest
+            fresh = 0
+            while near:
+                low = near & -near
+                u = low.bit_length() - 1
+                count[u] = (adj[u] & grown).bit_count()
+                if count[u] >= need:
+                    fresh |= low
+                near ^= low
+            if fresh:
+                grown |= fresh
+                continue
+            t = max(bits(rest), key=count.__getitem__)
+            if H is None:
+                H = [adj[v] & live if live >> v & 1 else 0 for v in range(n)] + [0]
+            for v in bits(grown & ~H[n]):
+                H[v] |= hub
+            H[n] = grown
+            hub_graph = Graph(n + 1, tuple(H), m + grown.bit_count())
+            if maximum_flow(hub_graph, n, t, need)[0] < need:
+                return False
+            fresh = 1 << t
+            grown |= fresh
+        m -= degree[v0]
+        live &= ~(1 << v0)
+        degree[v0] = -1
+        for u in bits(adj[v0] & live):
+            degree[u] -= 1
+    return True
+
+
 def separation_below(G: Graph, cap: int) -> tuple[int, int, int] | None:
     """(order, A, B) of a minimum separation of G, as masks, if kappa(G) < cap.
 
@@ -172,15 +251,24 @@ def separation_below(G: Graph, cap: int) -> tuple[int, int, int] | None:
     is the vertices with a copy reachable in its residual digraph, the cut
     A & B those reachable only at their in-copy.  None when no pair falls
     below `cap`, as for a complete G, which has no pairs.
+
+    The growth test of :func:`_at_least` runs once before the flows, when
+    cap <= delta, and again at each fall of the cap: when it holds, the cap
+    is kappa and no later pair can fall further.
     """
     comps = components(G)
     if len(comps) > 1:
         return 0, comps[0], G.full_mask & ~comps[0]
+    delta = G.min_degree()
+    if cap <= delta and _at_least(G, cap):
+        return None
     reach = None
     for s, t in _pair_coverage(G):
         val, r = maximum_flow(G, s, t, cap)
         if val < cap:
             cap, reach = val, r
+            if cap <= delta and _at_least(G, cap):
+                break  # kappa(G) = cap
     if reach is None:
         return None
     reach_in, reach_out = reach
@@ -213,8 +301,8 @@ def connectivity_at_least(
     For a bipartite graph with known `parts`, the sufficient certificate is:
     every degree >= k and every same-side pair shares more than k/2 neighbors
     (any cut smaller than k then leaves one side mutually connected and the
-    other side attached to it).  Otherwise each covering pair's flow stops at
-    k paths, and the first pair below k decides.
+    other side attached to it).  Otherwise the growth test of
+    :func:`_at_least` decides, with a flow only where the set stops growing.
     """
     if k <= 0:
         return True
@@ -228,7 +316,7 @@ def connectivity_at_least(
         return False
     if parts is not None and _bipartite_certificate(G, parts, k):
         return True
-    return all(maximum_flow(G, s, t, k)[0] >= k for s, t in _pair_coverage(G))
+    return _at_least(G, k)
 
 
 def _bipartite_certificate(

@@ -6,6 +6,10 @@ enumerates all vertex cuts, and the independence number enumerates subsets.
 They are only feasible on small graphs, which is the point.  The one
 polynomial oracle, :func:`split_flow`, is a textbook augmenting-path max-flow
 on dict residual capacities, with none of the library's bitset machinery.
+The pair-coverage references (:func:`connectivity_at_least_ref`,
+:func:`separation_below_ref`) run a flow for every covering pair, where the
+library first tries to certify its cap by growing a set; they call the
+library's flow through its module, so a patched counter sees their flows.
 
 The subgraph references at the end (induced subgraph, contraction, bipartite
 induced subgraph, one random contraction round) walk the edge list and
@@ -18,8 +22,8 @@ partition reference asks `has_edge` of every member of a part where the CLI
 ANDs a neighbourhood with one mask per part.  The peel references scan every live vertex for the least degree on
 each step, where the library keeps one heap for a whole peel, and peel each
 layer from a fresh induced copy; the piece reference runs two passes of
-flows per round (a k-connectivity verdict, then a minimum separation from
-scratch) where the library runs one, and contracts each piece through the
+flows per round (a pair-coverage k-connectivity verdict, then a minimum
+separation from scratch) where the library runs one, and contracts each piece through the
 edge-walk references.  The three search references at the very
 end are the recursive versions of the library's explicit-stack searches (branch sets, maximum
 independent set, exact list colouring); they must visit the same nodes in
@@ -52,7 +56,7 @@ from minorlab.coloring import (
     multipartite_list_color,
     split_lists_by_colors,
 )
-from minorlab.connectivity import connectivity_at_least, minimum_separation
+from minorlab import connectivity
 from minorlab.decompose import (
     Decomposition,
     coboundary,
@@ -73,6 +77,7 @@ from minorlab.graphs import (
     HallViolator,
     adjacency_mask,
     bits,
+    components,
     exact_alpha,
     from_edge_list,
     induced_subgraph_with_map,
@@ -237,6 +242,52 @@ def split_flow(G: Graph, s: int, t: int) -> tuple[int, set[tuple[int, int]]]:
             res[b][a] += 1
             b = a
         value += 1
+
+
+def covering_pairs(G: Graph) -> list[tuple[int, int]]:
+    """The documented pair order: a minimum-degree vertex v0 (lowest id) with
+    each non-neighbour, then each non-adjacent pair of its neighbours."""
+    v0 = min(range(G.n), key=lambda v: (G.adj[v].bit_count(), v))
+    nbrs = [u for u in range(G.n) if G.adj[v0] >> u & 1]
+    pairs = [(v0, u) for u in range(G.n) if u != v0 and not G.adj[v0] >> u & 1]
+    for i, x in enumerate(nbrs):
+        pairs += [(x, y) for y in nbrs[i + 1 :] if not G.adj[x] >> y & 1]
+    return pairs
+
+
+def connectivity_at_least_ref(G: Graph, k: int) -> bool:
+    """kappa(G) >= k by pair coverage alone: every covering pair's flow,
+    capped at k, must reach k.  The flows go through
+    ``connectivity.maximum_flow``, so a patched counter sees them."""
+    if k <= 0:
+        return True
+    if G.n < 2:
+        raise PreconditionError("vertex connectivity needs at least 2 vertices")
+    if k > G.n - 1:
+        return False
+    if G.is_complete():
+        return True
+    if G.min_degree() < k:
+        return False
+    return all(connectivity.maximum_flow(G, s, t, k)[0] >= k for s, t in covering_pairs(G))
+
+
+def separation_below_ref(G: Graph, cap: int) -> tuple[int, int, int] | None:
+    """:func:`minorlab.connectivity.separation_below` without the growth
+    test: every covering pair's flow runs, capped at the least value so far."""
+    comps = components(G)
+    if len(comps) > 1:
+        return 0, comps[0], G.full_mask & ~comps[0]
+    reach = None
+    for s, t in covering_pairs(G):
+        val, r = connectivity.maximum_flow(G, s, t, cap)
+        if val < cap:
+            cap, reach = val, r
+    if reach is None:
+        return None
+    reach_in, reach_out = reach
+    A = reach_in | reach_out
+    return cap, A, reach_in & ~reach_out | G.full_mask & ~A
 
 
 def alpha_brute(G: Graph) -> int:
@@ -478,9 +529,11 @@ def peel_layers_ref(G: Graph, d: int) -> list[list[int]]:
 
 
 def small_coboundary_piece_ref(G: Graph, k: int) -> Decomposition:
-    """The piece loop with two passes of flows per round: connectivity_at_least
-    decides whether the contracted piece is k-connected, and only when it is
-    not does minimum_separation find the split, from scratch at cap delta + 1.
+    """The piece loop with two passes of flows per round, both by pair
+    coverage: :func:`connectivity_at_least_ref` decides whether the
+    contracted piece is k-connected, and only when it is not does
+    :func:`separation_below_ref` find a minimum separation, from scratch at
+    cap delta + 1.
     Each contracted piece comes from the edge-walk references
     (:func:`induced_subgraph_ref`, then :func:`contract_ref`).  The
     preconditions are the caller's to meet."""
@@ -498,9 +551,12 @@ def small_coboundary_piece_ref(G: Graph, k: int) -> Decomposition:
         classes = [frozenset(old_ids[i] for i in c) for c in classes]
         if Q.n < 2:
             raise InvariantViolation("contracted piece collapsed to a single vertex")
-        if connectivity_at_least(Q, k):
+        if connectivity_at_least_ref(Q, k):
             return Decomposition(X, Y, matching, k)
-        A_new, B_new = minimum_separation(Q)
+        if Q.is_complete():
+            raise InputError("complete graphs have no separation")
+        _, A_new, B_new = separation_below_ref(Q, Q.min_degree() + 1)
+        A_new, B_new = set_of(A_new), set_of(B_new)
         A = frozenset().union(*(classes[i] for i in A_new))
         B = frozenset().union(*(classes[i] for i in B_new))
         for candidate in ((A & X) - B, (B & X) - A):

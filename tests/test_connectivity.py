@@ -8,9 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minorlab as ml
+from minorlab import connectivity
 from minorlab.connectivity import maximum_flow, separation_below
 from minorlab.graphs import set_of
-from oracles import kappa_brute, split_flow
+from oracles import (
+    connectivity_at_least_ref,
+    covering_pairs,
+    kappa_brute,
+    separation_below_ref,
+    split_flow,
+)
 
 
 def test_kappa_complete():
@@ -120,6 +127,113 @@ def test_certificate_on_split_that_is_not_independent_matches_brute_force():
             assert ml.connectivity_at_least(G, k, parts=(A, B)) == (kappa >= k), (seed, k)
 
 
+# -- the growth test against pair coverage ---------------------------------
+
+
+def _glued_clusters(rng):
+    """Two random dense clusters joined through a set of k - 1 glue
+    vertices, each adjacent to every cluster vertex: kappa <= k - 1."""
+    k = rng.randint(1, 4)
+    a, b = rng.randint(2, 6), rng.randint(2, 6)
+    glue = range(a + b, a + b + k - 1)
+    edges = [
+        (u, v) for lo, hi in ((0, a), (a, a + b))
+        for u in range(lo, hi) for v in range(u + 1, hi) if rng.random() < 0.8
+    ]
+    edges += [(u, g) for g in glue for u in range(a + b)]
+    edges += [(g, h) for g in glue for h in glue if g < h and rng.random() < 0.5]
+    return ml.from_edge_list(a + b + k - 1, edges)
+
+
+def _ladder(m):
+    edges = [(i, (i + 1) % m) for i in range(m)]
+    edges += [(m + u, m + v) for u, v in edges] + [(i, m + i) for i in range(m)]
+    return ml.from_edge_list(2 * m, edges)
+
+
+def _disjoint_union(G, H):
+    edges = G.edges() + [(G.n + u, G.n + v) for u, v in H.edges()]
+    return ml.from_edge_list(G.n + H.n, edges)
+
+
+def _differential_graph(i):
+    """The i-th seeded graph of the growth-test sweep, and the sides of a
+    bipartition when the graph has one, else a random split."""
+    rng = random.Random(9100 + i)
+    kind = i % 8
+    if kind == 0 or kind == 1:
+        G = ml.gnp_random_graph(rng.randint(2, 16), rng.choice((0.3, 0.5, 0.7, 0.9)), seed=i)
+    elif kind == 2:
+        G = _glued_clusters(rng)
+    elif kind == 3:
+        n = rng.randint(4, 16)
+        G = ml.random_graph_min_degree(n, rng.randint(1, min(8, n - 1)), seed=i)
+    elif kind == 4:
+        b = rng.randint(2, 8)
+        G = ml.gen_bipartite(ml.BipartiteSpec(b, b, rng.choice((0.5, 0.7, 0.9)), i))
+        return G, (frozenset(range(b)), frozenset(range(b, 2 * b)))
+    elif kind == 5:
+        G = _ladder(rng.randint(3, 8)) if rng.random() < 0.5 else ml.cycle_graph(rng.randint(3, 16))
+    elif kind == 6:
+        G = ml.complete_graph(rng.randint(2, 10))
+    else:
+        G = _disjoint_union(
+            ml.gnp_random_graph(rng.randint(1, 8), 0.6, seed=i),
+            ml.gnp_random_graph(rng.randint(1, 8), 0.6, seed=i + 1),
+        )
+    A = frozenset(v for v in range(G.n) if rng.random() < 0.5)
+    return G, (A, frozenset(range(G.n)) - A)
+
+
+def test_growth_test_matches_pair_coverage_on_seeded_graphs():
+    brute = 0
+    for i in range(1200):
+        G, parts = _differential_graph(i)
+        delta = G.min_degree()
+        for cap in range(delta + 3):
+            assert separation_below(G, cap) == separation_below_ref(G, cap), (i, cap)
+        for k in range(G.n + 1):
+            want = connectivity_at_least_ref(G, k)
+            assert ml.connectivity_at_least(G, k) == want, (i, k)
+            assert ml.connectivity_at_least(G, k, parts=parts) == want, (i, k)
+        if G.is_complete():
+            kappa = G.n - 1
+            with pytest.raises(ml.InputError):
+                ml.minimum_separation(G)
+        else:
+            found = separation_below_ref(G, delta)
+            kappa = delta if found is None else found[0]
+            _, A, B = separation_below_ref(G, delta + 1)
+            assert ml.minimum_separation(G) == (set_of(A), set_of(B)), i
+        assert ml.vertex_connectivity(G) == kappa, i
+        if G.n <= 10:
+            brute += 1
+            assert kappa_brute(G) == kappa, i
+            for k in range(G.n + 1):
+                assert connectivity_at_least_ref(G, k) == (kappa >= k), (i, k)
+    assert brute >= 500
+
+
+def _flows(monkeypatch, call):
+    calls = [0]
+    flow = connectivity.maximum_flow
+
+    def counted(*args):
+        calls[0] += 1
+        return flow(*args)
+
+    monkeypatch.setattr(connectivity, "maximum_flow", counted)
+    result = call()
+    return result, calls[0]
+
+
+@pytest.mark.parametrize("b, k, ours, ref", [(90, 21, 0, 773), (30, 8, 0, 79)])
+def test_dense_bipartite_verdicts_need_no_flow(b, k, ours, ref, monkeypatch):
+    G = ml.gen_bipartite(ml.BipartiteSpec(b, b, 0.5, 7))
+    assert _flows(monkeypatch, lambda: ml.connectivity_at_least(G, k)) == (True, ours)
+    assert _flows(monkeypatch, lambda: connectivity_at_least_ref(G, k)) == (True, ref)
+
+
 # -- differential checks against the dict-based reference flow --------------
 
 
@@ -145,17 +259,6 @@ def _check_flow(G, s, t):
     return value, want
 
 
-def _covering_pairs(G):
-    """The documented pair order: a minimum-degree vertex v0 (lowest id) with
-    each non-neighbour, then each non-adjacent pair of its neighbours."""
-    v0 = min(range(G.n), key=lambda v: (G.adj[v].bit_count(), v))
-    nbrs = [u for u in range(G.n) if G.adj[v0] >> u & 1]
-    pairs = [(v0, u) for u in range(G.n) if u != v0 and not G.adj[v0] >> u & 1]
-    for i, x in enumerate(nbrs):
-        pairs += [(x, y) for y in nbrs[i + 1 :] if not G.adj[x] >> y & 1]
-    return pairs
-
-
 def _check_connectivity(G, flow_pairs=None, seed=0):
     """maximum_flow on `flow_pairs` random non-adjacent pairs (all of them
     when None); kappa, every connectivity_at_least verdict and the
@@ -173,7 +276,7 @@ def _check_connectivity(G, flow_pairs=None, seed=0):
     if G.is_complete():
         assert ml.vertex_connectivity(G) == G.n - 1
         return
-    flows = [split_flow(G, s, t) for s, t in _covering_pairs(G)]
+    flows = [split_flow(G, s, t) for s, t in covering_pairs(G)]
     kappa = min(value for value, _ in flows)
     assert ml.vertex_connectivity(G) == kappa
     for k in range(G.n + 1):

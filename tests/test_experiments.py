@@ -88,6 +88,23 @@ def test_colouring_suite_reports_match_their_golden_digests():
     assert got == want
 
 
+def test_connectivity_suite_reports_match_their_golden_digests():
+    # SHA-256 of each report, pinned before the growth test replaced pair
+    # coverage: the verdicts and pieces behind them must not change by a byte
+    golden = Path(__file__).parent / "golden" / "connectivity_suites.sha256"
+    want = dict(reversed(line.split()) for line in golden.read_text().splitlines())
+    got = {}
+    for suite in ("decompose", "extremal-connectivity"):
+        for max_n, tag in ((60, "n60"), (None, "default")):
+            for seed in range(3):
+                config = ExperimentConfig(suite=suite, trials=4, seed=seed, max_n=max_n)
+                report = run_suite(config)
+                for ext, text in (("json", report.json_text()), ("csv", report.csv_text())):
+                    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+                    got[f"{suite}-{tag}-seed{seed}.{ext}"] = digest
+    assert got == want
+
+
 def test_summary_gives_the_rate_of_every_true_false_column():
     rates = {
         "dense-model": ["success", "validated"],
