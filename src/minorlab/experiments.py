@@ -9,6 +9,7 @@ before being counted a success.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -41,7 +42,7 @@ from .families import (
     random_graph_min_degree,
     turan_parts,
 )
-from .graphs import DEFAULT_BUDGET, from_edge_list
+from .graphs import DEFAULT_BUDGET, Graph, from_edge_list
 from .minor import (
     DenseModelParams,
     contraction_round,
@@ -125,9 +126,19 @@ def _cap(config: ExperimentConfig, default: int, floor: int) -> int:
     return max(floor, min(default, config.max_n))
 
 
+@functools.lru_cache(maxsize=1)
+def _dense_host(n: int, seed: int) -> Graph:
+    """The dense-model suite's host graph, shared by every trial of a call.
+
+    Its seed ignores the trial, so a call builds it once, and a worker pool
+    once per worker.
+    """
+    return gnp_random_graph(n, 0.995, seed)
+
+
 def _trial_dense_model(config: ExperimentConfig, i: int, seed: int) -> dict:
     n = _cap(config, 180, 40)
-    G = gnp_random_graph(n, 0.995, derive_seed(config.seed, 1_000_003))
+    G = _dense_host(n, derive_seed(config.seed, 1_000_003))
     model = dense_random_model(G, DenseModelParams(t=4, trials=1, seed=seed))
     success = model is not None
     validated = bool(model is not None and validate_model(G, model))

@@ -1,4 +1,9 @@
-"""Named graph constructors and seeded random graph generators."""
+"""Named graph constructors and seeded random graph generators.
+
+Where a constructor knows its adjacency rows outright (complete multipartite
+graphs, the top-up of a random graph to a minimum degree) it writes the rows
+as bitmasks directly; the rest list their edges for :func:`from_edge_list`.
+"""
 
 from __future__ import annotations
 
@@ -32,25 +37,31 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return complete_multipartite([a, b])
 
 
+def _check_part_sizes(sizes: Sequence[int]) -> None:
+    if any(s < 0 for s in sizes):
+        raise InputError("part sizes must be non-negative")
+
+
 def complete_multipartite(sizes: Sequence[int]) -> Graph:
-    """Complete multipartite graph; part i occupies a consecutive id block."""
-    offsets = [0]
+    """Complete multipartite graph; part i occupies a consecutive id block.
+
+    Each row is written directly, as the full mask minus the row's own part,
+    so a call costs O(n) mask operations; m = (n^2 - sum of s^2) / 2.
+    """
+    _check_part_sizes(sizes)
+    n = sum(sizes)
+    full = (1 << n) - 1
+    adj = []
+    at = 0
     for s in sizes:
-        if s < 0:
-            raise InputError("part sizes must be non-negative")
-        offsets.append(offsets[-1] + s)
-    n = offsets[-1]
-    edges = []
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            for u in range(offsets[i], offsets[i + 1]):
-                for v in range(offsets[j], offsets[j + 1]):
-                    edges.append((u, v))
-    return from_edge_list(n, edges)
+        adj += [full & ~(((1 << s) - 1) << at)] * s
+        at += s
+    return Graph(n, tuple(adj), (n * n - sum(s * s for s in sizes)) // 2)
 
 
 def turan_parts(sizes: Sequence[int]) -> list[frozenset[int]]:
     """The id blocks matching :func:`complete_multipartite`."""
+    _check_part_sizes(sizes)
     parts = []
     at = 0
     for s in sizes:
@@ -97,8 +108,9 @@ def gnm_random_graph(n: int, m: int, seed: int) -> Graph:
 def random_graph_min_degree(n: int, d: int, seed: int, p: float | None = None) -> Graph:
     """Seeded random graph with every degree forced to at least d.
 
-    Starts from G(n, p) and tops up deficient vertices with edges to random
-    non-neighbors, lowest-degree vertices first.
+    Starts from G(n, p) and tops up each deficient vertex, in id order, with
+    edges to uniformly drawn non-neighbours.  The top-up edits the base
+    graph's rows in place, so no edge list is rebuilt.
     """
     if d >= n:
         raise InputError(f"cannot force min degree {d} on {n} vertices")
@@ -106,12 +118,13 @@ def random_graph_min_degree(n: int, d: int, seed: int, p: float | None = None) -
         p = min(1.0, (d + 2) / max(1, n - 1))
     base = gnp_random_graph(n, p, derive_seed(seed, 0))
     rng = random.Random(derive_seed(seed, 1))
-    adj = [set(base.neighbors(v)) for v in range(n)]
+    adj = list(base.adj)
+    m = base.m
     for v in range(n):
-        while len(adj[v]) < d:
-            candidates = [u for u in range(n) if u != v and u not in adj[v]]
-            u = rng.choice(candidates)
-            adj[v].add(u)
-            adj[u].add(v)
-    edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
-    return from_edge_list(n, edges)
+        while adj[v].bit_count() < d:
+            closed = adj[v] | 1 << v
+            u = rng.choice([u for u in range(n) if not closed >> u & 1])
+            adj[v] |= 1 << u
+            adj[u] |= 1 << v
+            m += 1
+    return Graph(n, tuple(adj), m)

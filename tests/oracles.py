@@ -37,7 +37,11 @@ colourings, where the library colours every layer and level as a vertex mask
 of one graph; both must give the same colouring.  :func:`parse_edge_list_ref`
 is the edge-list parser that checks every line in full, with no token table:
 the library's parser must give the same Graph, or the same `InputError`
-text, on every input.
+text, on every input.  The constructor references
+(:func:`complete_multipartite_ref`, :func:`random_graph_min_degree_ref`) list
+every edge, or top up on neighbour sets, and rebuild through
+:func:`from_edge_list`, where the library writes the adjacency rows directly;
+both must give the same Graph.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from minorlab.errors import (
     InvariantViolation,
     PreconditionError,
 )
-from minorlab.families import complete_multipartite
+from minorlab.families import complete_multipartite, gnp_random_graph
 from minorlab.formats import _content_lines, _ints
 from minorlab.graphs import (
     DEFAULT_BUDGET,
@@ -1064,3 +1068,46 @@ def parse_edge_list_ref(text: str) -> Graph:
             f"header claims {m} edges but the body de-duplicates to {edges}"
         )
     return Graph(n, tuple(adj), edges)
+
+
+# ---------------------------------------------------------------------------
+# Edge-list constructor references
+# ---------------------------------------------------------------------------
+
+
+def complete_multipartite_ref(sizes) -> Graph:
+    """Complete multipartite graph; part i occupies a consecutive id block."""
+    offsets = [0]
+    for s in sizes:
+        if s < 0:
+            raise InputError("part sizes must be non-negative")
+        offsets.append(offsets[-1] + s)
+    n = offsets[-1]
+    edges = []
+    for i in range(len(sizes)):
+        for j in range(i + 1, len(sizes)):
+            for u in range(offsets[i], offsets[i + 1]):
+                for v in range(offsets[j], offsets[j + 1]):
+                    edges.append((u, v))
+    return from_edge_list(n, edges)
+
+
+def random_graph_min_degree_ref(n: int, d: int, seed: int, p: float | None = None) -> Graph:
+    """G(n, p) topped up to minimum degree d on neighbour sets, vertex by
+    vertex in id order, each new neighbour drawn from the ascending list of
+    non-neighbours."""
+    if d >= n:
+        raise InputError(f"cannot force min degree {d} on {n} vertices")
+    if p is None:
+        p = min(1.0, (d + 2) / max(1, n - 1))
+    base = gnp_random_graph(n, p, derive_seed(seed, 0))
+    rng = random.Random(derive_seed(seed, 1))
+    adj = [set(base.neighbors(v)) for v in range(n)]
+    for v in range(n):
+        while len(adj[v]) < d:
+            candidates = [u for u in range(n) if u != v and u not in adj[v]]
+            u = rng.choice(candidates)
+            adj[v].add(u)
+            adj[u].add(v)
+    edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
+    return from_edge_list(n, edges)

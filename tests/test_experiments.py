@@ -6,6 +6,7 @@ import pytest
 
 import minorlab as ml
 from minorlab import ExperimentConfig, run_suite
+from minorlab.experiments import _dense_host
 
 
 def test_unknown_suite_rejected():
@@ -103,6 +104,36 @@ def test_connectivity_suite_reports_match_their_golden_digests():
                     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
                     got[f"{suite}-{tag}-seed{seed}.{ext}"] = digest
     assert got == want
+
+
+def test_graph_suite_reports_match_their_golden_digests():
+    # SHA-256 of each report, pinned while the constructors behind them still
+    # listed every edge: writing their rows directly must not change a byte
+    golden = Path(__file__).parent / "golden" / "graph_suites.sha256"
+    want = dict(reversed(line.split()) for line in golden.read_text().splitlines())
+    got = {}
+    for suite in ("dense-model", "contraction-round", "alon"):
+        for max_n, tag in ((60, "n60"), (None, "default")):
+            for seed in range(3):
+                config = ExperimentConfig(suite=suite, trials=4, seed=seed, max_n=max_n)
+                report = run_suite(config)
+                for ext, text in (("json", report.json_text()), ("csv", report.csv_text())):
+                    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+                    got[f"{suite}-{tag}-seed{seed}.{ext}"] = digest
+    assert got == want
+
+
+def test_dense_model_builds_its_host_graph_once_per_call():
+    _dense_host.cache_clear()
+    base = dict(suite="dense-model", trials=4, seed=3, max_n=60)
+    serial = run_suite(ExperimentConfig(**base))
+    info = _dense_host.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    # each worker builds its own copy; the report must not tell them apart
+    _dense_host.cache_clear()
+    pooled = run_suite(ExperimentConfig(**base, workers=2))
+    assert pooled.json_text() == serial.json_text()
+    assert pooled.csv_text() == serial.csv_text()
 
 
 def test_summary_gives_the_rate_of_every_true_false_column():

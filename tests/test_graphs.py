@@ -25,10 +25,12 @@ from oracles import (
     biconnected_blocks_ref,
     bipartite_induced_ref,
     clique_cover_bound_ref,
+    complete_multipartite_ref,
     contract_ref,
     degeneracy_ref,
     induced_subgraph_ref,
     mis_search_ref,
+    random_graph_min_degree_ref,
     random_multipartite,
     saturating_matching_ref,
     smallest_budget,
@@ -101,6 +103,44 @@ def test_from_edge_list_rejects_bad_edges(bad):
 def test_generators_reject_negative_sizes(make):
     with pytest.raises(ml.InputError):
         make()
+
+
+def test_multipartite_constructors_reject_negative_part_sizes():
+    # a negative size once shifted the next block back, so that vertex 2
+    # sat in two of turan_parts([3, -1, 2])
+    for make in (ml.turan_parts, ml.complete_multipartite, complete_multipartite_ref):
+        with pytest.raises(ml.InputError, match="part sizes must be non-negative"):
+            make([3, -1, 2])
+    assert ml.turan_parts([3, 0, 2]) == [frozenset({0, 1, 2}), frozenset(), frozenset({3, 4})]
+
+
+def test_complete_multipartite_matches_the_edge_list_reference():
+    rng = random.Random(0)
+    cases = [[], [0], [0, 0], [1], [6], [3, 0, 2], [0, 4], [1, 1, 1, 1], [4, 4, 4], [60, 8]]
+    cases += [[rng.randint(0, 7) for _ in range(rng.randint(1, 6))] for _ in range(80)]
+    for sizes in cases:
+        G = ml.complete_multipartite(sizes)
+        assert G == complete_multipartite_ref(sizes), sizes
+        parts = ml.turan_parts(sizes)
+        assert [len(part) for part in parts] == list(sizes)
+        assert ml.mask_of(v for part in parts for v in part) == G.full_mask
+
+
+def test_random_graph_min_degree_matches_the_set_top_up_reference():
+    cases = [(d + 1, d, seed, p) for d in range(6) for seed in range(3) for p in (None, 0.0)]
+    cases += [(n, 4, seed, 1.0) for n in (5, 9) for seed in range(2)]
+    for seed in range(120):
+        rng = random.Random(seed)
+        n = rng.randint(1, 60)
+        p = rng.choice([None, None, 0.0, 0.05, 0.3, 1.0])
+        cases.append((n, rng.randint(0, n - 1), seed, p))
+    for n, d, seed, p in cases:
+        G = ml.random_graph_min_degree(n, d, seed, p)
+        assert G == random_graph_min_degree_ref(n, d, seed, p), (n, d, seed, p)
+        assert G.min_degree() >= d
+    for make in (ml.random_graph_min_degree, random_graph_min_degree_ref):
+        with pytest.raises(ml.InputError, match="cannot force min degree 5 on 5"):
+            make(5, 5, 0)
 
 
 # -- density ----------------------------------------------------------------
