@@ -33,29 +33,84 @@ class BipartiteSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.a, int) and isinstance(self.b, int)):
+            raise InputError("part sizes must be integers")
         if self.a < 0 or self.b < 0:
             raise InputError("part sizes must be non-negative")
         if not 0.0 <= self.p <= 1.0:
             raise InputError(f"edge probability must be in [0, 1], got {self.p}")
 
 
-def _place_bipartite(
-    adj: list[int], left: int, right: int, spec: BipartiteSpec
-) -> int:
-    """Add the edges of `spec` to `adj`, its left part at ids left.., its
-    right part at ids right..; return how many were added.
+#: Draws read per ``getrandbits`` call (but at least one row): a chunk holds
+#: about 18 bytes per draw at once, so a large spec's extra memory stays
+#: near 0.3 MB.  Twice as many raised decompose-connect's peak RSS by 4%.
+_CHUNK_DRAWS = 1 << 14
 
-    Bernoulli draws come from ``random.Random(spec.seed)`` in row-major order
-    (left index, then right index).
+
+def _cut(p: float) -> tuple[int, bytes, bytes]:
+    """What `_place_bipartite` needs of p: the threshold T = ceil(p 2^53), a
+    ``translate`` table sending a top byte below T >> 45 to ``b"1"`` and any
+    other to ``b"0"``, and the one byte value whose draws need all their bits
+    (at p = 1 there is none: byte 255 is settled again, the same way)."""
+    T = math.ceil(p * 9007199254740992.0)
+    top = T >> 45
+    return T, b"1" * top + b"0" * (256 - top), bytes([min(top, 255)])
+
+
+def _place_bipartite(
+    adj: list[int], left: int, right: int, a: int, b: int, seed: int,
+    cut: tuple[int, bytes, bytes],
+) -> int:
+    """Add the edges of ``BipartiteSpec(a, b, p, seed)`` to `adj`, its left
+    part at ids left.., its right part at ids right..; return how many were
+    added.  `cut` is ``_cut(p)``.
+
+    Edge (i, j) is present when the Bernoulli draw ``random() < p`` holds,
+    drawn from ``random.Random(seed)`` in row-major order (left index, then
+    right index).  The draws are read in bulk, and exactly:
+    ``random()`` is N / 2^53 with N = (x >> 5) 2^26 + (y >> 6), where x and
+    y are the next two 32-bit Mersenne Twister words, and ``getrandbits(64
+    n)`` lays out the same 2n words from the low end up, so byte 8k + 3 of
+    its little-endian bytes is the top byte of draw k's x, which is N >> 45.
+    Since N and T = ceil(p 2^53) are integers (p 2^53 is exact for a float
+    p), ``random() < p`` holds exactly when N < T.  A top byte below
+    T >> 45 makes N < T, one above makes N >= T, and only a top byte equal to
+    it (one draw in 256) needs N in full.  Python guarantees the stream of
+    ``random()`` values for a given seed; the ``getrandbits`` layout is
+    pinned by the tests against the one-draw-per-pair loop
+    (``tests/oracles.py::place_bipartite_ref``).
+
+    Each chunk of rows marks its draws in one ``translate`` of the top bytes,
+    reversed so that bit order reads as ``int(..., 2)`` wants, and each row
+    mask and each column mask of the chunk is one ``int`` over a slice.
     """
-    draw = random.Random(spec.seed).random
+    if not a or not b:
+        return 0
+    T, table, tie = cut
+    getrandbits = random.Random(seed).getrandbits
+    rows = _CHUNK_DRAWS // b or 1
     m = 0
-    for i in range(left, left + spec.a):
-        row = [j for j in range(right, right + spec.b) if draw() < spec.p]
-        m += len(row)
-        for j in row:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+    for r0 in range(0, a, rows):
+        n = min(rows, a - r0) * b
+        data = getrandbits(64 * n).to_bytes(8 * n, "little")
+        tops = data[3::8]
+        marks = bytearray(tops.translate(table))
+        k = tops.find(tie)
+        while k >= 0:
+            w = int.from_bytes(data[8 * k : 8 * k + 8], "little")  # x + y 2^32
+            if ((w & 0xFFFFFFFF) >> 5 << 26 | w >> 38) < T:
+                marks[k] = 49  # b"1"
+            k = tops.find(tie, k + 1)
+        marks.reverse()  # draw k of the chunk now sits at n - 1 - k
+        m += marks.count(49)
+        i = left + r0 + n // b
+        for s in range(0, n, b):
+            i -= 1
+            adj[i] |= int(marks[s : s + b], 2) << right
+        j = right + b
+        for s in range(b):
+            j -= 1
+            adj[j] |= int(marks[s::b], 2) << left + r0
     return m
 
 
@@ -68,7 +123,7 @@ def gen_bipartite(spec: BipartiteSpec) -> Graph:
     identical specs.
     """
     adj = [0] * (spec.a + spec.b)
-    m = _place_bipartite(adj, 0, spec.a, spec)
+    m = _place_bipartite(adj, 0, spec.a, spec.a, spec.b, spec.seed, _cut(spec.p))
     return Graph(spec.a + spec.b, tuple(adj), m)
 
 
@@ -150,9 +205,11 @@ def lower_bound_bipartite(a: int, b: int, t: int, eps: float, seed: int = 0) -> 
         )
     adj = [0] * (a + b)
     m = 0
+    cut = _cut(p)
     for i in range(k):
-        spec = BipartiteSpec(a_blk, b_blk, p, derive_seed(seed, i))
-        m += _place_bipartite(adj, i * a_blk, a + i * b_blk, spec)
+        m += _place_bipartite(
+            adj, i * a_blk, a + i * b_blk, a_blk, b_blk, derive_seed(seed, i), cut
+        )
     return Graph(a + b, tuple(adj), m)
 
 

@@ -41,7 +41,10 @@ text, on every input.  The constructor references
 (:func:`complete_multipartite_ref`, :func:`random_graph_min_degree_ref`) list
 every edge, or top up on neighbour sets, and rebuild through
 :func:`from_edge_list`, where the library writes the adjacency rows directly;
-both must give the same Graph.
+both must give the same Graph.  :func:`place_bipartite_ref` draws one
+``random()`` per vertex pair, where the library reads the same Mersenne
+Twister words in bulk through ``getrandbits``; both must place the same
+edges.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ from minorlab.errors import (
     InvariantViolation,
     PreconditionError,
 )
+from minorlab.extremal import BipartiteSpec
 from minorlab.families import complete_multipartite, gnp_random_graph
 from minorlab.formats import _content_lines, _ints
 from minorlab.graphs import (
@@ -1111,3 +1115,23 @@ def random_graph_min_degree_ref(n: int, d: int, seed: int, p: float | None = Non
             adj[u].add(v)
     edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
     return from_edge_list(n, edges)
+
+
+def place_bipartite_ref(
+    adj: list[int], left: int, right: int, spec: BipartiteSpec
+) -> int:
+    """Add the edges of `spec` to `adj`, its left part at ids left.., its
+    right part at ids right..; return how many were added.
+
+    Bernoulli draws come from ``random.Random(spec.seed)`` in row-major order
+    (left index, then right index).
+    """
+    draw = random.Random(spec.seed).random
+    m = 0
+    for i in range(left, left + spec.a):
+        row = [j for j in range(right, right + spec.b) if draw() < spec.p]
+        m += len(row)
+        for j in row:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return m

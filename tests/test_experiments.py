@@ -123,6 +123,22 @@ def test_graph_suite_reports_match_their_golden_digests():
     assert got == want
 
 
+def test_extremal_bipartite_suite_reports_match_their_golden_digests():
+    # SHA-256 of each report, pinned while every block drew one random() per
+    # vertex pair: reading the same draws in bulk must not change a byte
+    golden = Path(__file__).parent / "golden" / "extremal_suites.sha256"
+    want = dict(reversed(line.split()) for line in golden.read_text().splitlines())
+    got = {}
+    for max_n, tag in ((60, "n60"), (None, "default")):
+        for seed in range(3):
+            config = ExperimentConfig(suite="extremal-bipartite", trials=4, seed=seed, max_n=max_n)
+            report = run_suite(config)
+            for ext, text in (("json", report.json_text()), ("csv", report.csv_text())):
+                digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+                got[f"extremal-bipartite-{tag}-seed{seed}.{ext}"] = digest
+    assert got == want
+
+
 def test_dense_model_builds_its_host_graph_once_per_call():
     _dense_host.cache_clear()
     base = dict(suite="dense-model", trials=4, seed=3, max_n=60)

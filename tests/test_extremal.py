@@ -1,9 +1,12 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 import minorlab as ml
+from minorlab import extremal
+from oracles import place_bipartite_ref
 
 
 # -- generator ----------------------------------------------------------------
@@ -55,6 +58,73 @@ def test_gen_bipartite_matches_edge_list_construction():
 def test_gen_bipartite_rejects_bad_probability():
     with pytest.raises(ml.InputError):
         ml.BipartiteSpec(3, 3, 1.5, 0)
+
+
+def test_gen_bipartite_rejects_non_integer_sides():
+    for a, b in ((2.0, 3), (3, 2.5), ("3", 3), (None, 0)):
+        with pytest.raises(ml.InputError, match="part sizes must be integers"):
+            ml.BipartiteSpec(a, b, 0.5)
+
+
+def _lower_bound_p():
+    _, x_star = ml.lambda_constant(1e-9)
+    return 1.0 - math.exp(-x_star)
+
+
+def _tie_draws(spec):
+    """Draws of `spec` whose top 8 of 53 bits equal those of ceil(p 2^53),
+    read from the ``random()`` stream: the ones a top byte cannot settle."""
+    top = math.ceil(spec.p * 2.0**53) >> 45
+    draw = random.Random(spec.seed).random
+    return sum(int(draw() * 2.0**53) >> 45 == top for _ in range(spec.a * spec.b))
+
+
+def _assert_places_as_ref(spec):
+    got = [0] * (spec.a + spec.b)
+    m = extremal._place_bipartite(
+        got, 0, spec.a, spec.a, spec.b, spec.seed, extremal._cut(spec.p)
+    )
+    want = [0] * (spec.a + spec.b)
+    assert (m, got) == (place_bipartite_ref(want, 0, spec.a, spec), want), spec
+
+
+def test_bulk_draws_place_the_same_edges_as_one_random_call_per_pair(monkeypatch):
+    # p values at the ends of [0, 1], at the smallest and largest steps of
+    # random(), just past a power of two, and the lower bound's p, whose
+    # threshold's top byte is 183
+    assert math.ceil(_lower_bound_p() * 2.0**53) >> 45 == 183
+    rng = random.Random(2024)
+    ps = [0.0, 1.0, 5e-324, 2.0**-53, 1 - 2.0**-53, 0.5, 0.5 + 2.0**-40, _lower_bound_p()]
+    ps += [rng.random() for _ in range(200)]
+    ties = 0
+    for p in ps:
+        for a, b in ((0, 5), (5, 0), (1, 1), (2, 2), (3, 7), (150, 150)):
+            spec = ml.BipartiteSpec(a, b, p, rng.getrandbits(64))
+            _assert_places_as_ref(spec)
+            ties += _tie_draws(spec)
+    assert ties >= 50
+    # several chunks: of 2, 2 and 1 rows
+    for p in ps[:8]:
+        _assert_places_as_ref(
+            ml.BipartiteSpec(5, extremal._CHUNK_DRAWS // 3 + 1, p, rng.getrandbits(64))
+        )
+    # chunks cut small: of 3, 3 and 1 rows, and rows longer than a chunk
+    monkeypatch.setattr(extremal, "_CHUNK_DRAWS", 64)
+    for p in ps[:8]:
+        for a, b in ((7, 20), (3, 100)):
+            _assert_places_as_ref(ml.BipartiteSpec(a, b, p, rng.getrandbits(64)))
+
+
+def test_gen_bipartite_memory_stays_bounded_on_a_large_spec():
+    spec = ml.BipartiteSpec(1000, 1000, 0.5, 1)
+    tracemalloc.start()
+    try:
+        G = ml.gen_bipartite(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
+    assert abs(G.m - 500_000) <= 2_000  # Binomial(10^6, 1/2): sigma 500
 
 
 # -- the density constant -------------------------------------------------------
@@ -114,17 +184,21 @@ def test_lower_bound_outputs_are_minor_free_small_t():
 
 
 def lower_bound_edge_list_ref(a, b, t, eps, seed):
-    """The construction as first written: each block from gen_bipartite,
-    shifted into place as an edge list, then from_edge_list."""
+    """The construction as first written, with no library sampler: block i
+    draws ``random() < p`` from ``random.Random(derive_seed(seed, i))`` in
+    row-major order, shifted into place as an edge list, then
+    from_edge_list."""
     _, x_star = ml.lambda_constant(1e-9)
     p = 1.0 - math.exp(-x_star)
     k = math.ceil(math.sqrt((1 - eps / 4) * 2 * x_star * a * b / (t * t * math.log(t))))
     a_blk, b_blk = a // k, b // k
     edges = []
     for i in range(k):
-        block = ml.gen_bipartite(ml.BipartiteSpec(a_blk, b_blk, p, ml.derive_seed(seed, i)))
-        for u, w in block.edges():
-            edges.append((i * a_blk + u, a + i * b_blk + (w - a_blk)))
+        draws = random.Random(ml.derive_seed(seed, i))
+        for u in range(a_blk):
+            for w in range(b_blk):
+                if draws.random() < p:
+                    edges.append((i * a_blk + u, a + i * b_blk + w))
     return ml.from_edge_list(a + b, edges)
 
 
