@@ -185,6 +185,10 @@ def lower_bound_bipartite(a: int, b: int, t: int, eps: float, seed: int = 0) -> 
     every seed and a = b = 30 at t = 6 a K_6 minor on 6 of them, while
     a = b = 30 and 60 at t = 4 were K_4-minor-free on every seed.
     """
+    if not isinstance(t, int):
+        raise InputError(f"t must be an integer, got {t!r}")
+    if not (isinstance(a, int) and isinstance(b, int)):
+        raise InputError("part sizes must be integers")
     if t < 3:
         raise InputError(f"t must be at least 3, got {t}")
     if a < t or b < t:

@@ -202,31 +202,36 @@ def _edge_slack(G: Graph, block: int, t: int, fast_paths: bool) -> int | None:
     that holds a model therefore has m >= C(t, 2) + (n - t) + excess, and
     a negative slack m - C(t, 2) - (n - t) proves it free.
 
-    Singleton branch sets are pairwise adjacent, so a model has at most
-    w = min(omega, t) of them; each other set has at least two vertices,
-    so the block has at least 2t - w of them.  Any edge gives w >= 2, so
-    omega is looked at only when the count demands w > 2, and then only
-    for a clique of the least size it admits, as an independent set of the
-    complement.  That search gives up, and the block stays, after
-    |block|^2 nodes.  Without `fast_paths` only n >= t and m >= C(t, 2)
-    are asked, and the slack returned is m, which no excess exceeds.
+    Each other set has at least two vertices, so a model with w singleton
+    branch sets needs 2t - w vertices, and w >= w_least = 2t - n.  A
+    singleton {v} touches the other t - 1 sets, so v has block degree at
+    least t - 1, and singletons are pairwise adjacent: w is at most the
+    clique number of the block's vertices of degree >= t - 1 (`high`).
+    When w_least = 1 it is enough that `high` is not empty; from 2 on a
+    clique of w_least vertices of `high` is looked for, as an independent
+    set of the complement on `high`.  That search gives up, and the block
+    stays, after |block|^2 nodes.  Without `fast_paths` only n >= t and
+    m >= C(t, 2) are asked, and the slack returned is m, which no excess
+    exceeds.
     """
     size = block.bit_count()
-    edges = sum((G.adj[v] & block).bit_count() for v in bits(block)) // 2
+    degree = {v: (G.adj[v] & block).bit_count() for v in bits(block)}
+    edges = sum(degree.values()) // 2
     if not fast_paths:
         return edges if size >= t and edges >= t * (t - 1) // 2 else None
     slack = edges - t * (t - 1) // 2 - (size - t)
     w_least = 2 * t - size
     if slack < 0 or w_least > t:
         return None
-    if w_least <= 2:
-        return slack
+    high = mask_of(v for v, d in degree.items() if d >= t - 1)
+    if w_least <= 1:
+        return slack if w_least <= 0 or high else None
     comp = [0] * G.n
-    for v in bits(block):
-        comp[v] = block & ~G.adj[v] & ~(1 << v)
+    for v in bits(high):
+        comp[v] = high & ~G.adj[v] & ~(1 << v)
     Gc = Graph(G.n, tuple(comp), sum(c.bit_count() for c in comp) // 2)
     try:
-        found = find_independent_set(Gc, w_least, size * size, bits(block))
+        found = find_independent_set(Gc, w_least, size * size, bits(high))
     except BudgetExceeded:
         return slack
     return None if found is None else slack
@@ -240,22 +245,41 @@ def _greedy_contraction(G: Graph, block: int, t: int) -> list[int] | None:
     the neighbour sharing the fewest neighbours with it (lowest id on ties),
     the order of the minor-min-width treewidth bound, until the quotient is
     complete; any t of its classes are then a K_t model.  A class keeps the
-    id of the neighbour it was contracted into.  O(|block|^2) bitset
-    operations.
+    id of the neighbour it was contracted into.  The degrees are kept in a
+    table next to the rows, in ascending id order like them, so the first
+    least degree is at the lowest id.  O(|block|^2) bitset operations.
     """
     adj = {v: G.adj[v] & block for v in bits(block)}
+    deg = {v: a.bit_count() for v, a in adj.items()}
     members = {v: 1 << v for v in adj}
     while len(adj) >= t:
-        v = min(adj, key=lambda c: (adj[c].bit_count(), c))
+        v = min(deg, key=deg.__getitem__)
         nbrs = adj.pop(v)
-        if nbrs.bit_count() == len(adj):  # least degree k - 1: complete
-            return [members[c] for c in sorted(members)]
-        u = min(bits(nbrs), key=lambda c: ((adj[c] & nbrs).bit_count(), c))
+        if deg.pop(v) == len(adj):  # least degree k - 1: complete
+            return list(members.values())
+        u, shared = -1, len(adj)
+        rest = nbrs
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = low.bit_length() - 1
+            common = (adj[c] & nbrs).bit_count()
+            if common < shared:
+                u, shared = c, common
         members[u] |= members.pop(v)
         ub, vb = 1 << u, 1 << v
-        for w in bits(nbrs):
-            adj[w] = adj[w] & ~vb | ub
-        adj[u] = (adj[u] | nbrs) & ~ub
+        rest = nbrs ^ ub
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            row = adj[w]
+            if row & ub:  # v and u merge into one neighbour of w
+                deg[w] -= 1
+            adj[w] = row & ~vb | ub
+        row = (adj[u] | nbrs) & ~(ub | vb)
+        adj[u] = row
+        deg[u] = row.bit_count()
     return None
 
 
@@ -453,8 +477,9 @@ def find_kt_minor_exact(
        proves the block free (treewidth never grows under minors and
        tw(K_t) = t-1);
     2. the counting certificate: a negative edge slack
-       m - C(t, 2) - (n - t), or too few vertices for a model with at most
-       min(omega, t) singleton branch sets, proves it free;
+       m - C(t, 2) - (n - t), or too few vertices for a model whose
+       singleton branch sets form a clique of vertices of block degree
+       >= t - 1, proves it free;
     3. greedy contraction: a complete quotient on at least t classes is a
        model, found without spending the budget;
     4. the branch-set search, which never lets the positive surpluses of

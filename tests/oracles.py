@@ -44,7 +44,9 @@ every edge, or top up on neighbour sets, and rebuild through
 both must give the same Graph.  :func:`place_bipartite_ref` draws one
 ``random()`` per vertex pair, where the library reads the same Mersenne
 Twister words in bulk through ``getrandbits``; both must place the same
-edges.
+edges.  :func:`greedy_contraction_ref` recounts every degree with a key
+tuple per class at each contraction, where the library keeps a degree
+table; both must return the same classes.
 """
 
 from __future__ import annotations
@@ -1135,3 +1137,29 @@ def place_bipartite_ref(
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return m
+
+
+def greedy_contraction_ref(G: Graph, block: int, t: int) -> list[int] | None:
+    """The classes, by id, of a complete quotient of the connected `block`
+    on at least t classes found by contraction alone, or None.
+
+    Repeatedly contract the class of least degree (lowest id on ties) into
+    the neighbour sharing the fewest neighbours with it (lowest id on ties),
+    recounting every class's degree and every candidate's shared neighbours
+    with a key tuple at each step, where the library keeps a degree table
+    and walks the candidates in id order; both must return the same classes.
+    """
+    adj = {v: G.adj[v] & block for v in bits(block)}
+    members = {v: 1 << v for v in adj}
+    while len(adj) >= t:
+        v = min(adj, key=lambda c: (adj[c].bit_count(), c))
+        nbrs = adj.pop(v)
+        if nbrs.bit_count() == len(adj):  # least degree k - 1: complete
+            return [members[c] for c in sorted(members)]
+        u = min(bits(nbrs), key=lambda c: ((adj[c] & nbrs).bit_count(), c))
+        members[u] |= members.pop(v)
+        ub, vb = 1 << u, 1 << v
+        for w in bits(nbrs):
+            adj[w] = adj[w] & ~vb | ub
+        adj[u] = (adj[u] | nbrs) & ~ub
+    return None

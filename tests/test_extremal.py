@@ -224,6 +224,17 @@ def test_lower_bound_validates_inputs():
         ml.lower_bound_bipartite(30, 30, 2, 0.5)
 
 
+def test_lower_bound_rejects_non_integer_sides_and_order():
+    # as BipartiteSpec does: a float side used to raise a bare TypeError
+    # from the adjacency list, and a float t was taken as its integer
+    for a, b in ((30.0, 30), (30, 30.0), ("30", 30)):
+        with pytest.raises(ml.InputError, match="part sizes must be integers"):
+            ml.lower_bound_bipartite(a, b, 4, 0.05)
+    for t in (4.0, "4"):
+        with pytest.raises(ml.InputError, match="t must be an integer"):
+            ml.lower_bound_bipartite(30, 30, t, 0.05)
+
+
 # -- connectivity construction -------------------------------------------------------
 
 

@@ -24,6 +24,7 @@ from minorlab.minor import (
 from oracles import (
     branch_set_search_ref,
     contraction_round_ref,
+    greedy_contraction_ref,
     has_kt_minor_brute,
     spanning_models_brute,
 )
@@ -338,6 +339,41 @@ def test_greedy_contraction_models_are_valid():
     assert found >= 300, found
 
 
+def test_greedy_contraction_matches_the_key_tuple_reference(monkeypatch):
+    # the degree table picks the same classes in the same order as the
+    # reference, which recounts every degree at each contraction: equal class
+    # lists (or None) on every block of the graphs above, of reduced
+    # lower-bound graphs and of random G(n, p), reduced or not, at every t;
+    # and the Hadwiger numbers, which start from the quotient, are unchanged
+    graphs = [
+        ml.gnp_random_graph(6 + i % 30, 0.1 + 0.05 * (i % 12), seed=9800 + i)
+        for i in range(150)
+    ]
+    graphs += [ml.gnp_random_graph(8 + i % 25, 0.3, seed=9850 + i) for i in range(50)]
+    graphs += [subdivided_k5(), ml.petersen_graph(), triangulated_strip(4, 6)]
+    graphs += [ml.complete_graph(7), ml.complete_bipartite(4, 6), ml.cycle_graph(9)]
+    graphs += [
+        ml.lower_bound_bipartite(s, s, t, 0.05, seed=seed)
+        for s, t in ((20, 5), (40, 5), (60, 6), (80, 6))
+        for seed in range(3)
+    ]
+    compared = found = 0
+    for G in graphs:
+        for F in (G, _series_parallel_reduce(G)[0]):
+            for block in biconnected_blocks(F):
+                for t in (1, 3, 4, 5, 6, 7):
+                    masks = _greedy_contraction(F, block, t)
+                    assert masks == greedy_contraction_ref(F, block, t), (F, block, t)
+                    compared += 1
+                    found += masks is not None
+    assert compared >= 5_000 and found >= 2_000, (compared, found)
+    small = [G for G in graphs if G.n <= 12]
+    want = [ml.hadwiger_number(G) for G in small]
+    monkeypatch.setattr(minor, "_greedy_contraction", greedy_contraction_ref)
+    assert [ml.hadwiger_number(G) for G in small] == want
+    assert len(small) >= 20, len(small)
+
+
 def test_counting_certificate_never_skips_a_block_with_a_model():
     # blocks of the reduced lower-bound graphs that only the clique number
     # proves too small: the recursive search, run to the end, finds no
@@ -385,6 +421,74 @@ def test_edge_slack_certificate():
     # K_6 has slack C(6,2) - C(6,2) - 0 = 0 at t = 6 and 15 - 10 - 1 = 4 at t = 5
     K = ml.complete_graph(6)
     assert [_edge_slack(K, K.full_mask, t, True) for t in (5, 6, 7)] == [4, 0, None]
+
+
+def counting_certificate_brute(B, t, by_degree):
+    """The counting certificate on the whole of B by enumeration: None when
+    the edge slack is negative or no 2t - n vertices, of block degree
+    >= t - 1 if `by_degree`, are pairwise adjacent; otherwise the slack."""
+    slack = B.m - t * (t - 1) // 2 - (B.n - t)
+    w_least = max(2 * t - B.n, 0)
+    among = [v for v in range(B.n) if not by_degree or B.degree(v) >= t - 1]
+    cliques = (
+        c for c in combinations(among, w_least)
+        if all(B.has_edge(u, v) for u, v in combinations(c, 2))
+    )
+    if slack < 0 or w_least > t or next(cliques, None) is None:
+        return None
+    return slack
+
+
+def test_singleton_degree_bound_settles_only_free_blocks():
+    # singleton branch sets need block degree >= t - 1, so only those
+    # vertices can hold the 2t - n singletons a model on n vertices needs.
+    # On lower-bound blocks at t = 5 and 6, random tight and planted blocks
+    # and Petersen, the certificate is the enumerated one, every block it
+    # settles is free by the partition oracle, and many of them the clique
+    # number of the whole block did not settle; without fast paths it
+    # still asks only n >= t and m >= C(t, 2)
+    cases = []
+    for t, sides in ((5, (40, 60)), (6, (60, 80))):
+        for side in sides:
+            for seed in range(4):
+                G = ml.lower_bound_bipartite(side, side, t, 0.05, seed=seed)
+                H, _ = _series_parallel_reduce(G)
+                cases += [(H, block, t) for block in biconnected_blocks(H)]
+    rng = random.Random(9930)
+    for i in range(12):
+        n, t = 8 + i % 3, 5 + i // 3 % 2
+        B = tight_block(rng, n, t * (t - 1) // 2 + n - t + i // 6)
+        cases += [(B, B.full_mask, t), (planted_tight_model(rng, n, t), None, t)]
+    P = ml.petersen_graph()
+    cases += [(P, P.full_mask, 5), (P, P.full_mask, 6)]
+    settled = newly = 0
+    for H, block, t in cases:
+        block = H.full_mask if block is None else block
+        B = induced_subgraph(H, bits(block))
+        plain = B.m if B.n >= t and B.m >= t * (t - 1) // 2 else None
+        assert _edge_slack(H, block, t, False) == plain
+        slack = _edge_slack(H, block, t, True)
+        assert slack == counting_certificate_brute(B, t, True), (B, t)
+        if slack is None and plain is not None:
+            settled += 1
+            assert not has_kt_minor_brute(B, t), (B, t)
+            newly += counting_certificate_brute(B, t, False) is not None
+    assert settled >= 40 and newly >= 20, (settled, newly)
+
+
+def test_singleton_degree_bound_on_hand_made_blocks():
+    # K_{3,5} at t = 5: slack 15 - C(5,2) - 3 = 2, and a model on 8
+    # vertices needs 2 singletons, which an edge allows; but only the three
+    # vertices of degree 5 can be singletons, and they are pairwise apart
+    G = ml.complete_bipartite(3, 5)
+    assert counting_certificate_brute(G, 5, False) == 2
+    assert _edge_slack(G, G.full_mask, 5, True) is None
+    # the 4-regular circulant C_11(1, 2) at t = 6: slack 22 - C(6,2) - 5 = 2,
+    # and a model on 11 vertices needs a singleton, of degree 5: none has it
+    C = ml.from_edge_list(11, [(i, (i + d) % 11) for i in range(11) for d in (1, 2)])
+    assert counting_certificate_brute(C, 6, False) == 2
+    assert _edge_slack(C, C.full_mask, 6, True) is None
+    assert not has_kt_minor_brute(G, 5) and not has_kt_minor_brute(C, 6)
 
 
 def test_branch_set_search_root_without_moves_returns_none():
@@ -452,11 +556,14 @@ def test_slack_pruned_search_agrees_with_brute():
     # 2-connected blocks of minimum degree 3 on 8-10 vertices with slack 0
     # or 1; the certificate and the pruned search agree with the partition
     # oracle on each.  Slack-0 blocks with a model, such as Petersen at
-    # t = 5 and the planted ones, fail here if the slack is one too tight
+    # t = 5 and the planted ones, fail here if the slack is one too tight.
+    # Since the singleton bound counts only vertices of block degree >= t - 1,
+    # fewer blocks reach the search (11 over seeds 0-5, where there were
+    # 25), so 14 seeds are taken (21 blocks)
     blocks = {}
     for t, sides in ((5, (40, 50, 60)), (6, (60, 70, 80))):
         for side in sides:
-            for seed in range(6):
+            for seed in range(14):
                 G = ml.lower_bound_bipartite(side, side, t, 0.05, seed=seed)
                 H, _ = _series_parallel_reduce(G)
                 for block in biconnected_blocks(H):
@@ -595,9 +702,12 @@ def test_first_seed_at_the_least_vertex_cuts_the_lower_bound_steps(monkeypatch):
     # the lower-bound graphs that the unpruned search cannot settle within
     # 20 000 steps: the edge slack alone spent 6 882 and 17 120 steps on
     # them, seeding the first set only at the block's least vertex brought
-    # that to 4 364 and 10 380, and the per-set surplus prune in place of
-    # the edge excess spends 958 and 2 864; the models are valid each time
-    for (side, seed), steps in (((60, 2), 958), ((80, 17), 2_864)):
+    # that to 4 364 and 10 380, the per-set surplus prune in place of the
+    # edge excess to 958 and 2 864, and bounding the singleton sets by the
+    # clique number of the vertices of block degree >= t - 1 alone, which
+    # proves more blocks free before the search, spends 123 and 1 814; the
+    # models are valid each time
+    for (side, seed), steps in (((60, 2), 123), ((80, 17), 1_814)):
         G = ml.lower_bound_bipartite(side, side, 6, 0.05, seed=seed)
         model, calls = searched_blocks(
             monkeypatch, minor._branch_set_search, G, 6, True, 20_000
