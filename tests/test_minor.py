@@ -458,12 +458,12 @@ def test_singleton_degree_bound_settles_only_free_blocks():
     for i in range(12):
         n, t = 8 + i % 3, 5 + i // 3 % 2
         B = tight_block(rng, n, t * (t - 1) // 2 + n - t + i // 6)
-        cases += [(B, B.full_mask, t), (planted_tight_model(rng, n, t), None, t)]
+        M = planted_tight_model(rng, n, t)
+        cases += [(B, B.full_mask, t), (M, M.full_mask, t)]
     P = ml.petersen_graph()
     cases += [(P, P.full_mask, 5), (P, P.full_mask, 6)]
     settled = newly = 0
     for H, block, t in cases:
-        block = H.full_mask if block is None else block
         B = induced_subgraph(H, bits(block))
         plain = B.m if B.n >= t and B.m >= t * (t - 1) // 2 else None
         assert _edge_slack(H, block, t, False) == plain
