@@ -138,8 +138,14 @@ def exact_list_color(
 
 
 def _exact_list_color(G: Graph, lists, live: int, budget: int) -> dict[int, int] | None:
-    """:func:`exact_list_color` of G[live]; `lists` is read at the live ids."""
+    """:func:`exact_list_color` of G[live]; `lists` is read at the live ids.
+
+    One live vertex with a budget of at least 2 returns at once: its least
+    colour, or None for an empty list, as the search does in its 2 steps."""
     n = live.bit_count()
+    if n == 1 and budget >= 2:
+        v = live.bit_length() - 1
+        return {v: min(lists[v])} if lists[v] else None
     effective = {v: sorted(lists[v]) for v in bits(live)}
     coloring: dict[int, int] = {}
     # the uncoloured vertices bucketed by list length, ids ascending within
@@ -238,17 +244,23 @@ def multipartite_list_color(
 
 def _multipartite_list_color(parts: Sequence[int], lists, trials: int, seed: int):
     """:func:`multipartite_list_color` of the union of `parts`, disjoint
-    independent vertex masks, with `lists` read at their ids."""
+    independent vertex masks, with `lists` read at their ids.
+
+    Each trial deals the colours to the parts once, one draw per colour in
+    ascending order, into one colour set per part; a vertex takes the least
+    colour of its part's set that is on its list."""
     part_of = {v: i for i, part in enumerate(parts) for v in bits(part)}
     live = sum(parts)  # the parts are disjoint, so their sum is their union
     pool = sorted(set().union(*(lists[v] for v in bits(live))))
     r = len(parts)
     for trial in range(trials):
         rng = random.Random(derive_seed(seed, trial))
-        owner = {c: rng.randrange(r) for c in pool}
+        owned: list[set[int]] = [set() for _ in range(r)]
+        for c in pool:
+            owned[rng.randrange(r)].add(c)
         coloring: dict[int, int] = {}
         for v in bits(live):
-            mine = min((c for c in lists[v] if owner[c] == part_of[v]), default=None)
+            mine = min(owned[part_of[v]].intersection(lists[v]), default=None)
             if mine is None:
                 break
             coloring[v] = mine

@@ -46,7 +46,12 @@ both must give the same Graph.  :func:`place_bipartite_ref` draws one
 Twister words in bulk through ``getrandbits``; both must place the same
 edges.  :func:`greedy_contraction_ref` recounts every degree with a key
 tuple per class at each contraction, where the library keeps a degree
-table; both must return the same classes.
+table; both must return the same classes.  :func:`bits_ref` pops the lowest
+set bit in a generator for every mask, where the library walks dense masks'
+binary digits through ``compress``; both must yield the same indices.
+:func:`multipartite_list_color_ref` keeps an owner dict per trial and scans
+each vertex's whole list, where the library deals the colours into one set
+per part and intersects; both must return the same colouring.
 """
 
 from __future__ import annotations
@@ -1162,4 +1167,33 @@ def greedy_contraction_ref(G: Graph, block: int, t: int) -> list[int] | None:
         for w in bits(nbrs):
             adj[w] = adj[w] & ~vb | ub
         adj[u] = (adj[u] | nbrs) & ~ub
+    return None
+
+
+def bits_ref(mask: int):
+    """Indices of set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def multipartite_list_color_ref(parts, lists, trials: int, seed: int):
+    """The randomized colouring of disjoint independent masks `parts`, with
+    one owner dict per trial and a scan of each vertex's whole list."""
+    part_of = {v: i for i, part in enumerate(parts) for v in bits_ref(part)}
+    live = sum(parts)  # the parts are disjoint, so their sum is their union
+    pool = sorted(set().union(*(lists[v] for v in bits_ref(live))))
+    r = len(parts)
+    for trial in range(trials):
+        rng = random.Random(derive_seed(seed, trial))
+        owner = {c: rng.randrange(r) for c in pool}
+        coloring: dict[int, int] = {}
+        for v in bits_ref(live):
+            mine = min((c for c in lists[v] if owner[c] == part_of[v]), default=None)
+            if mine is None:
+                break
+            coloring[v] = mine
+        else:
+            return coloring
     return None

@@ -15,6 +15,7 @@ from oracles import (
     exact_list_color_ref,
     hall_ratio_list_color_ref,
     minor_free_list_color_ref,
+    multipartite_list_color_ref,
     peel_layers_ref,
     random_multipartite,
     smallest_budget,
@@ -209,6 +210,38 @@ def test_exact_list_color_keeps_the_choice_through_deep_backtracking():
             ), (i, budget)
 
 
+def test_one_vertex_exact_search_matches_the_reference():
+    # one live vertex returns its least colour at once when the budget
+    # covers the search's 2 steps; budgets 0 and 1 still search and raise
+    def outcome(search, budget):
+        try:
+            found = search(budget)
+        except ml.BudgetExceeded:
+            return "budget"
+        return found if found is None else list(found.values())
+
+    rng = random.Random(3)
+    lone = ml.empty_graph(1)
+    P = ml.petersen_graph()
+    for size in range(4):
+        for _ in range(6):
+            L = frozenset(rng.sample(range(-3, 9), size))
+            ref = lambda b: exact_list_color_ref(lone, [L], b)
+            lone_search = lambda b: ml.exact_list_color(lone, [L], budget=b)
+            steps = 2 if L else 1
+            assert smallest_budget(ref) == (steps, L and {0: min(L)} or None)
+            assert smallest_budget(lone_search) == smallest_budget(ref)
+            for budget in range(4):
+                assert outcome(lone_search, budget) == outcome(ref, budget)
+            for v in range(10):
+                lists = [frozenset(rng.sample(range(-3, 9), 3)) for _ in range(10)]
+                lists[v] = L
+                masked = lambda b: coloring._exact_list_color(P, lists, 1 << v, b)
+                assert smallest_budget(masked) == (steps, L and {v: min(L)} or None)
+                for budget in range(4):
+                    assert outcome(masked, budget) == outcome(ref, budget)
+
+
 def test_c4_is_two_choosable_by_brute_force():
     C4 = ml.cycle_graph(4)
     assignments = canonical_list_assignments(4, 2)
@@ -260,6 +293,37 @@ def test_multipartite_c4_with_two_lists():
             assert ml.verify_list_coloring(C4, lists, c)
             successes += 1
     assert successes >= 30
+
+
+def test_multipartite_matches_the_owner_dict_reference():
+    # each trial deals the colours into one set per part where the reference
+    # keeps an owner dict and scans each whole list: the same draws, so the
+    # same colouring or None, on unequal, empty and tuple lists and on
+    # negative and large colour ids
+    universe = list(range(-6, 14)) + [2**40, 2**40 + 3, 10**18]
+    found = failed = 0
+    for i in range(240):
+        rng = random.Random(i)
+        r, trials, seed = 1 + i % 5, 1 + i % 8, rng.choice((0, 1, 7, 2**31 + i))
+        sizes = [rng.randint(1, 6) for _ in range(r)]
+        G = random_multipartite(sizes, 0.7, seed=i)
+        parts = ml.turan_parts(sizes)
+        lists = []
+        for v in range(G.n):
+            L = rng.sample(universe, rng.randint(0 if i % 4 == 0 else 1, 2 + r))
+            lists.append(tuple(L) if v % 3 == 0 else frozenset(L))
+        masks = [ml.mask_of(p) for p in parts]
+        want = multipartite_list_color_ref(masks, lists, trials, seed)
+        got = coloring._multipartite_list_color(masks, lists, trials, seed)
+        public = ml.multipartite_list_color(G, parts, lists, trials=trials, seed=seed)
+        if want is None:
+            assert got is None and public is None, i
+            failed += 1
+        else:
+            assert list(got.items()) == list(public.items()) == list(want.items()), i
+            assert ml.verify_list_coloring(G, lists, got), i
+            found += 1
+    assert found > 40 and failed > 40
 
 
 def test_multipartite_turan_rate():

@@ -3,7 +3,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, islice
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +17,14 @@ from minorlab.graphs import (
     _clique_cover_bound,
     _mis_search,
     biconnected_blocks,
+    bits,
     bipartition_defect,
     mask_components,
 )
 from oracles import (
     alpha_brute,
     biconnected_blocks_ref,
+    bits_ref,
     bipartite_induced_ref,
     clique_cover_bound_ref,
     complete_multipartite_ref,
@@ -49,6 +51,64 @@ def small_graphs(max_n=9):
         return ml.from_edge_list(n, sorted(picked))
 
     return build()
+
+
+# -- bit masks --------------------------------------------------------------
+
+
+def _mask_with(rng, length, ones):
+    """A mask of bit length `length` with `ones` set bits, the top one set."""
+    return 1 << length - 1 | sum(1 << b for b in rng.sample(range(length - 1), ones - 1))
+
+
+def test_bits_matches_the_lowest_bit_reference():
+    # dense masks (>= 8 set bits, >= 1 per 8 bits of length) walk their digits
+    # through compress, every other one pops its lowest bit: both must yield
+    # what the reference does, on each side of both thresholds
+    rng = random.Random(5)
+    masks = [0]
+    for length in range(1, 301):
+        masks.append((1 << length) - 1)  # density 1
+        masks.append(rng.getrandbits(length) | 1 << length - 1)  # about 1/2
+        sparse = sum(1 << b for b in range(length) if rng.random() < 1 / 64)
+        masks.append(sparse | 1 << length - 1)  # about 1/64
+        for ones in (7, 8):
+            if ones <= length:
+                masks.append(_mask_with(rng, length, ones))
+        if length % 8 == 0 and length >= 16:  # ones * 8 == length, and one fewer
+            masks.append(_mask_with(rng, length, length // 8))
+            masks.append(_mask_with(rng, length, length // 8 - 1))
+        if length % 8 == 1 and length > 64:  # one bit too long for its ones
+            masks.append(_mask_with(rng, length, length // 8))
+    dense = 0
+    for mask in masks:
+        ones = mask.bit_count()
+        assert list(bits(mask)) == list(bits_ref(mask)), mask
+        fast = ones >= 8 and ones * 8 >= mask.bit_length()
+        assert isinstance(bits(mask), compress) == fast, mask
+        dense += fast
+    assert 600 < dense < len(masks) - 600
+
+
+def test_bits_serves_partial_and_repeated_reads():
+    # a dense and a sparse mask each, so both paths are read in part
+    for mask in ((1 << 64) - 1, random.Random(1).getrandbits(200), 0b1011 << 100):
+        want = list(bits_ref(mask))
+        it = bits(mask)
+        assert next(it) == want[0]
+        assert list(islice(it, 2)) == want[1:3]
+        assert list(it) == want[3:]
+        seen = []
+        for v in bits(mask):
+            if v > want[1]:
+                break
+            seen.append(v)
+        assert seen == want[:2]
+        # two calls on one mask are two iterators
+        a, b = bits(mask), bits(mask)
+        assert [next(a), next(a)] == want[:2]
+        assert list(b) == want
+        assert list(a) == want[2:]
 
 
 # -- construction -----------------------------------------------------------
