@@ -7,10 +7,14 @@ v_in -> v_out of capacity one and every edge {u, v} gives the arcs
 u_out -> v_in and v_out -> u_in.  The flow works on the adjacency bitmasks
 directly.  It starts from the common neighbours of s and t, then runs phases
 in the manner of Even and Tarjan ("Network flow and testing graph
-connectivity", 1975): a breadth-first search keeps one mask of in-copies and
-one of out-copies per level, and a backward walk from t takes as many
-shortest augmenting paths as the levels allow.  A flow stops as soon as it
-reaches a caller's cap, so "is kappa >= k?" costs at most k paths per flow.
+connectivity", 1975): a breadth-first search keeps one mask of out-copies
+per level, and shortest augmenting paths are walked straight back from t,
+one after another, with no backtracking.  An in-copy steps to its own
+out-copy or its least neighbour in the level below, and an out-copy has only
+one possible predecessor, so a walk can stop only at a node that an earlier
+path of the phase took; the phase then ends and a new search runs.  A flow
+stops as soon as it reaches a caller's cap, so "is kappa >= k?" costs at
+most k paths per flow.
 
 "Is kappa(G) >= k?" is decided by growing a set from a pivot's closed
 neighbourhood, after S. Even ("An algorithm for determining whether the
@@ -50,6 +54,8 @@ def maximum_flow(
     depend on which paths were found.  At the cap the second item is None.
     """
     adj = G.adj
+    if not (isinstance(s, int) and isinstance(t, int) and isinstance(cap, int)):
+        raise InputError(f"flow endpoints and cap must be integers, got {s!r}, {t!r}, {cap!r}")
     if not (0 <= s < G.n and 0 <= t < G.n) or s == t or adj[s] >> t & 1:
         raise InputError(f"flow endpoints {s} and {t} must be distinct non-adjacent vertices")
     sbit, tbit = 1 << s, 1 << t
@@ -60,96 +66,77 @@ def maximum_flow(
     out = [-1] * G.n
     used = 0
     value = 0
-    common = adj[s] & adj[t]
-    while common and value < cap:
-        low = common & -common
-        c = low.bit_length() - 1
+    for c in bits(adj[s] & adj[t]):
+        if value >= cap:
+            break
         into[c], out[c] = s, t
-        used |= low
-        common ^= low
+        used |= 1 << c
         value += 1
 
     while value < cap:
         # Breadth-first levels of the residual split digraph from s_out.
         # Arcs: x_out -> w_in (edges), v_in -> v_out (free v), and for used v
-        # the reverses v_out -> v_in and v_in -> into[v]_out.
-        lin, lout = [0], [sbit]
+        # the reverses v_out -> v_in and v_in -> into[v]_out.  The levels
+        # alternate: the in-copies reached from the last out-copies, then the
+        # out-copies reached from those; `levels` keeps the out-copies after
+        # s_out's level.
+        levels = []
         seen_in, seen_out = 0, sbit
-        fin, fout = 0, sbit
+        fout = sbit
         while True:
-            nin = fout & used
-            m = fout
-            while m:
-                low = m & -m
-                nin |= adj[low.bit_length() - 1]
-                m ^= low
-            nout = fin & ~used
-            m = fin & used
-            while m:
-                low = m & -m
-                nout |= 1 << into[low.bit_length() - 1]
-                m ^= low
-            nin &= ~seen_in
-            nout &= ~seen_out
+            nin = (fout & used | adjacency_mask(G, fout)) & ~seen_in
             if nin & tbit:
                 break
-            if not (nin or nout):
-                return value, (seen_in, seen_out)
             seen_in |= nin
+            nout = nin & ~used
+            for v in bits(nin & used):
+                nout |= 1 << into[v]
+            nout &= ~seen_out
+            if not nout:
+                return value, (seen_in, seen_out)
             seen_out |= nout
-            lin.append(nin)
-            lout.append(nout)
-            fin, fout = nin, nout
+            levels.append(nout)
+            fout = nout
 
-        # Walk back from t_in one level at a time.  A node is 2v (in-copy) or
-        # 2v+1 (out-copy); a node that leads nowhere, or lies on a path taken
-        # in this phase, is dead for the rest of the phase.
-        top = len(lin)  # the level of t_in
-        dead_in = dead_out = 0
+        # Walk each path straight back from t_in.  A node is 2v (in-copy) or
+        # 2v+1 (out-copy).  An in-copy steps to its own out-copy if v carries
+        # flow and that copy is untaken in the level below, else to its least
+        # untaken neighbour there.  An out-copy steps to its one predecessor,
+        # the in-copy of out[v] if v carries flow, else its own; that in-copy
+        # is untaken, as its one successor is this out-copy.  So a walk stops
+        # only where this phase's paths took every out-copy it could step to,
+        # and then a new search runs.
+        taken = 0  # out-copies on the walks of this phase
         while value < cap:
             path = [2 * t]
-            while path:
-                level = top - len(path) + 1
-                node = path[-1]
-                v = node >> 1
-                if node & 1:
-                    if level == 0:  # reached s_out
-                        break
-                    w = out[v] if used >> v & 1 else v
-                    if (lin[level - 1] & ~dead_in) >> w & 1:
-                        path.append(2 * w)
-                        continue
-                    dead_out |= 1 << v
-                else:
-                    live = lout[level - 1] & ~dead_out
-                    if used >> v & 1 and live >> v & 1:
-                        path.append(2 * v + 1)
-                        continue
+            v = t
+            for level in reversed(levels):
+                live = level & ~taken
+                if not (used >> v & 1 and live >> v & 1):
                     live &= adj[v]
-                    if live:
-                        path.append(2 * ((live & -live).bit_length() - 1) + 1)
-                        continue
-                    dead_in |= 1 << v
-                path.pop()
-            if not path:
-                break  # t_in is dead: the phase's paths are all taken
-            path.reverse()
-            for a, b in zip(path, path[1:]):
+                    if not live:
+                        break
+                    v = (live & -live).bit_length() - 1
+                taken |= 1 << v
+                path.append(2 * v + 1)
+                if used >> v & 1:
+                    v = out[v]
+                path.append(2 * v)
+            if not live:
+                break  # blocked: a new search runs
+            path.append(2 * s + 1)  # the first in-level is N(s)
+            for b, a in zip(path, path[1:]):  # the arc a -> b, from t_in back
                 x, y = a >> 1, b >> 1
                 if x == y:
                     continue  # along or against the arc inside one vertex
                 if a & 1:  # x_out -> y_in along an edge
                     out[x], into[y] = y, x
-                elif into[x] == y:
-                    # x_in -> y_out cancels the flow y -> x; unless an edge
-                    # arc just replaced it, x carries no flow any more
+                else:
+                    # x_in -> y_out cancels the flow y -> x; an edge arc
+                    # into x_in, met next, gives x new flow
                     into[x] = -1
             for node in path[1:-1]:
                 v = node >> 1
-                if node & 1:
-                    dead_out |= 1 << v
-                else:
-                    dead_in |= 1 << v
                 if into[v] < 0:
                     used &= ~(1 << v)
                 else:
@@ -304,6 +291,8 @@ def connectivity_at_least(
     other side attached to it).  Otherwise the growth test of
     :func:`_at_least` decides, with a flow only where the set stops growing.
     """
+    if not isinstance(k, int):
+        raise InputError(f"k must be an integer, got {k!r}")
     if k <= 0:
         return True
     if G.n < 2:

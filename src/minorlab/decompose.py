@@ -69,6 +69,8 @@ def small_coboundary_piece(G: Graph, k: int) -> Decomposition:
     an implementation bug, reported as :class:`InvariantViolation`.  One
     :func:`~minorlab.connectivity.separation_below` at cap k decides a round.
     """
+    if not isinstance(k, int):
+        raise InputError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise InputError(f"k must be at least 1, got {k}")
     if G.n == 0:
@@ -153,6 +155,8 @@ def peel_piece(G: Graph, d: int, within: Iterable[int] | None = None) -> frozens
     live = within_mask(G, within)
     if live == 0:
         raise PreconditionError("the graph must be non-empty")
+    if not isinstance(d, int):
+        raise InputError(f"peel parameter must be an integer, got {d!r}")
     if d < 6:
         raise InputError(f"peel parameter must be at least 6, got {d}")
     return set_of(next(peel_layers(G, d, live)))

@@ -315,6 +315,34 @@ def test_flow_reroutes_back_through_a_used_vertex():
     assert _check_flow(G, 0, 4)[0] == 2
 
 
+def _hypercube(d):
+    edges = [(v, v | 1 << i) for v in range(1 << d) for i in range(d) if not v >> i & 1]
+    return ml.from_edge_list(1 << d, edges)
+
+
+def _grid(w):
+    edges = [(v, v + 1) for v in range(w * w) if (v + 1) % w]
+    return ml.from_edge_list(w * w, edges + [(v, v + w) for v in range(w * w - w)])
+
+
+@pytest.mark.parametrize(
+    "G, s, t",
+    [
+        (_hypercube(6), 0, 63),
+        (_grid(8), 9, 54),
+        (ml.gen_bipartite(ml.BipartiteSpec(40, 40, 0.5, 40)), 0, 1),
+        (_ladder(10), 0, 5),
+        (_ladder(10), 0, 15),
+    ],
+)
+def test_flows_match_reference_where_a_walk_is_blocked(G, s, t):
+    # Each walk back from t_in steps to the least untaken neighbour, so a
+    # later walk of the same phase can find every out-copy it could step to
+    # taken, which ends the phase.  On these pairs one or two walks per flow
+    # end that way.
+    _check_flow(G, s, t)
+
+
 def test_flows_match_reference_on_sparse_graphs_at_every_pair():
     # sparse graphs route flow around low-degree vertices, where the
     # reverse arcs of the split digraph decide reachability
@@ -352,6 +380,15 @@ def test_maximum_flow_rejects_adjacent_endpoints():
         maximum_flow(G, 0, 1, 2)
     with pytest.raises(ml.InputError):
         maximum_flow(G, 3, 3, 2)
+
+
+def test_non_integer_arguments_are_input_errors():
+    G = ml.cycle_graph(6)
+    with pytest.raises(ml.InputError):
+        ml.connectivity_at_least(G, 2.0)
+    for s, t, cap in ((0.0, 3, 2), (0, 3.0, 2), (0, 3, 2.0)):
+        with pytest.raises(ml.InputError):
+            maximum_flow(G, s, t, cap)
 
 
 def test_import_pulls_in_neither_numpy_nor_scipy():

@@ -315,3 +315,36 @@ def test_checker_flags_unsaturated_matching():
     assert D.matching  # the descent fixture has a non-trivial matching
     bad = ml.Decomposition(X=D.X, Y=D.Y, matching=(), k=D.k)
     assert "matching-does-not-saturate" in ml.check_decomposition(G, bad)
+
+
+def _broken(G, X, Y, matching, k, verdict):
+    D = ml.Decomposition(frozenset(X), frozenset(Y), tuple(matching), k)
+    return pytest.param(G, D, verdict, id=verdict.split(":")[0])
+
+
+_K8 = ml.complete_graph(8)
+
+
+@pytest.mark.parametrize(
+    "G, D, verdict",
+    [
+        _broken(_K8, (), (), (), 1, "piece-empty"),
+        _broken(_K8, range(4), range(4, 8), [(4, 0), (5, 1), (6, 2), (7, 3)], 1, "coboundary-too-big:4>3"),
+        _broken(_K8, range(6), (6, 7), [(6, 0), (7, 0)], 1, "matching-reuses-piece-vertex"),
+        _broken(
+            ml.from_edge_list(8, [e for e in _K8.edges() if e != (0, 6)]),
+            range(6), (6, 7), [(6, 0), (7, 1)], 1, "matching-pair-not-an-edge:6-0",
+        ),
+        _broken(two_cliques_bridged(13, 1), range(26), (), (), 2, "contracted-piece-connectivity:1<2"),
+        _broken(ml.complete_graph(2), (0,), (1,), [(1, 0)], 1, "contracted-piece-trivial"),
+    ],
+)
+def test_checker_names_each_broken_invariant(G, D, verdict):
+    assert ml.check_decomposition(G, D) == [verdict]
+
+
+def test_non_integer_k_and_d_are_input_errors():
+    with pytest.raises(ml.InputError):
+        ml.small_coboundary_piece(ml.complete_graph(8), 1.0)
+    with pytest.raises(ml.InputError):
+        ml.peel_piece(ml.complete_graph(8), 6.0)
