@@ -38,7 +38,7 @@ falling cap that stops as soon as the growth test certifies it as kappa;
 from __future__ import annotations
 
 from .errors import InputError, PreconditionError
-from .graphs import Graph, adjacency_mask, bipartition_defect, bits, components, set_of
+from .graphs import Graph, adjacency_mask, bipartition_defect, bits, components, from_rows, set_of
 
 
 def maximum_flow(
@@ -189,7 +189,7 @@ def _at_least(G: Graph, k: int) -> bool:
     """
     adj, n = G.adj, G.n
     hub = 1 << n
-    live, m = G.full_mask, G.m
+    live = G.full_mask
     degree = [a.bit_count() for a in adj]  # live degrees; -1 once deleted
     for need in range(k, 0, -1):
         v0 = max(range(n), key=degree.__getitem__)  # the first, so lowest id
@@ -216,12 +216,10 @@ def _at_least(G: Graph, k: int) -> bool:
             for v in bits(grown & ~H[n]):
                 H[v] |= hub
             H[n] = grown
-            hub_graph = Graph(n + 1, tuple(H), m + grown.bit_count())
-            if maximum_flow(hub_graph, n, t, need)[0] < need:
+            if maximum_flow(from_rows(H), n, t, need)[0] < need:
                 return False
             fresh = 1 << t
             grown |= fresh
-        m -= degree[v0]
         live &= ~(1 << v0)
         degree[v0] = -1
         for u in bits(adj[v0] & live):
@@ -243,6 +241,8 @@ def separation_below(G: Graph, cap: int) -> tuple[int, int, int] | None:
     cap <= delta, and again at each fall of the cap: when it holds, the cap
     is kappa and no later pair can fall further.
     """
+    if not isinstance(cap, int):
+        raise InputError(f"cap must be an integer, got {cap!r}")
     comps = components(G)
     if len(comps) > 1:
         return 0, comps[0], G.full_mask & ~comps[0]

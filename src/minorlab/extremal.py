@@ -16,7 +16,7 @@ from typing import Any
 
 from .errors import ConstructionError, InputError
 from .families import complete_bipartite
-from .graphs import Graph
+from .graphs import Graph, from_rows
 from .seeds import derive_seed
 
 #: Bracket for the density-constant maximisation.
@@ -60,10 +60,9 @@ def _cut(p: float) -> tuple[int, bytes, bytes]:
 def _place_bipartite(
     adj: list[int], left: int, right: int, a: int, b: int, seed: int,
     cut: tuple[int, bytes, bytes],
-) -> int:
+) -> None:
     """Add the edges of ``BipartiteSpec(a, b, p, seed)`` to `adj`, its left
-    part at ids left.., its right part at ids right..; return how many were
-    added.  `cut` is ``_cut(p)``.
+    part at ids left.., its right part at ids right..; `cut` is ``_cut(p)``.
 
     Edge (i, j) is present when the Bernoulli draw ``random() < p`` holds,
     drawn from ``random.Random(seed)`` in row-major order (left index, then
@@ -85,11 +84,10 @@ def _place_bipartite(
     mask and each column mask of the chunk is one ``int`` over a slice.
     """
     if not a or not b:
-        return 0
+        return
     T, table, tie = cut
     getrandbits = random.Random(seed).getrandbits
     rows = _CHUNK_DRAWS // b or 1
-    m = 0
     for r0 in range(0, a, rows):
         n = min(rows, a - r0) * b
         data = getrandbits(64 * n).to_bytes(8 * n, "little")
@@ -102,7 +100,6 @@ def _place_bipartite(
                 marks[k] = 49  # b"1"
             k = tops.find(tie, k + 1)
         marks.reverse()  # draw k of the chunk now sits at n - 1 - k
-        m += marks.count(49)
         i = left + r0 + n // b
         for s in range(0, n, b):
             i -= 1
@@ -111,7 +108,6 @@ def _place_bipartite(
         for s in range(b):
             j -= 1
             adj[j] |= int(marks[s::b], 2) << left + r0
-    return m
 
 
 def gen_bipartite(spec: BipartiteSpec) -> Graph:
@@ -123,8 +119,8 @@ def gen_bipartite(spec: BipartiteSpec) -> Graph:
     identical specs.
     """
     adj = [0] * (spec.a + spec.b)
-    m = _place_bipartite(adj, 0, spec.a, spec.a, spec.b, spec.seed, _cut(spec.p))
-    return Graph(spec.a + spec.b, tuple(adj), m)
+    _place_bipartite(adj, 0, spec.a, spec.a, spec.b, spec.seed, _cut(spec.p))
+    return from_rows(adj)
 
 
 def lambda_constant(tol: float = 1e-6) -> tuple[float, float]:
@@ -208,13 +204,10 @@ def lower_bound_bipartite(a: int, b: int, t: int, eps: float, seed: int = 0) -> 
             f"the sides a={a}, b={b} are too small for t={t}, eps={eps}"
         )
     adj = [0] * (a + b)
-    m = 0
     cut = _cut(p)
     for i in range(k):
-        m += _place_bipartite(
-            adj, i * a_blk, a + i * b_blk, a_blk, b_blk, derive_seed(seed, i), cut
-        )
-    return Graph(a + b, tuple(adj), m)
+        _place_bipartite(adj, i * a_blk, a + i * b_blk, a_blk, b_blk, derive_seed(seed, i), cut)
+    return from_rows(adj)
 
 
 def connectivity_extremal(t: int, k: int, seed: int = 0) -> Graph:

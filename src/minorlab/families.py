@@ -11,7 +11,7 @@ import random
 from typing import Sequence
 
 from .errors import InputError
-from .graphs import Graph, from_edge_list
+from .graphs import Graph, from_edge_list, from_rows
 from .seeds import derive_seed
 
 
@@ -46,7 +46,7 @@ def complete_multipartite(sizes: Sequence[int]) -> Graph:
     """Complete multipartite graph; part i occupies a consecutive id block.
 
     Each row is written directly, as the full mask minus the row's own part,
-    so a call costs O(n) mask operations; m = (n^2 - sum of s^2) / 2.
+    so a call costs O(n) mask operations.
     """
     _check_part_sizes(sizes)
     n = sum(sizes)
@@ -56,7 +56,7 @@ def complete_multipartite(sizes: Sequence[int]) -> Graph:
     for s in sizes:
         adj += [full & ~(((1 << s) - 1) << at)] * s
         at += s
-    return Graph(n, tuple(adj), (n * n - sum(s * s for s in sizes)) // 2)
+    return from_rows(adj)
 
 
 def turan_parts(sizes: Sequence[int]) -> list[frozenset[int]]:
@@ -119,12 +119,10 @@ def random_graph_min_degree(n: int, d: int, seed: int, p: float | None = None) -
     base = gnp_random_graph(n, p, derive_seed(seed, 0))
     rng = random.Random(derive_seed(seed, 1))
     adj = list(base.adj)
-    m = base.m
     for v in range(n):
         while adj[v].bit_count() < d:
             closed = adj[v] | 1 << v
             u = rng.choice([u for u in range(n) if not closed >> u & 1])
             adj[v] |= 1 << u
             adj[u] |= 1 << v
-            m += 1
-    return Graph(n, tuple(adj), m)
+    return from_rows(adj)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .coloring import Coloring, ListAssignment
 from .decompose import Decomposition
 from .errors import InputError
-from .graphs import Graph
+from .graphs import Graph, from_rows
 from .minor import MinorModel, validate_model
 
 
@@ -84,12 +84,10 @@ def parse_edge_list(text: str) -> Graph:
         raise InputError("line 1: missing 'p <n> <m>' header")
     if n < 0:
         raise InputError(f"vertex count must be non-negative, got {n}")
-    edges = sum(a.bit_count() for a in adj) // 2
-    if edges != m:
-        raise InputError(
-            f"header claims {m} edges but the body de-duplicates to {edges}"
-        )
-    return Graph(n, tuple(adj), edges)
+    G = from_rows(adj)
+    if G.m != m:
+        raise InputError(f"header claims {m} edges but the body de-duplicates to {G.m}")
+    return G
 
 
 def write_edge_list(G: Graph, path) -> None:

@@ -70,7 +70,8 @@ class Graph:
     """Simple undirected graph: no loops, no parallel edges, symmetric adjacency.
 
     `adj[v]` is the neighborhood of `v` as a bitmask; `m` caches the number of
-    unordered adjacent pairs.
+    unordered adjacent pairs.  Every graph is built by :func:`from_rows`,
+    which reads n and m off the rows.
     """
 
     n: int
@@ -116,6 +117,13 @@ class Graph:
         return self.m == self.n * (self.n - 1) // 2
 
 
+def from_rows(rows: Sequence[int]) -> Graph:
+    """The graph whose vertex v has the neighbourhood mask `rows[v]`: n is
+    len(rows) and m half the rows' popcount sum.  The rows must already be
+    symmetric and loop-free."""
+    return Graph(len(rows), tuple(rows), sum(map(int.bit_count, rows)) // 2)
+
+
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list, de-duplicating repeated pairs.
 
@@ -132,8 +140,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise InputError(f"edge ({u}, {v}) out of range for n={n}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    m = sum(a.bit_count() for a in adj) // 2
-    return Graph(n, tuple(adj), m)
+    return from_rows(adj)
 
 
 def adjacency_mask(G: Graph, mask: int) -> int:
@@ -334,7 +341,7 @@ def quotient(G: Graph, classes: Sequence[int]) -> Graph:
             row |= class_bit[low.bit_length() - 1]
             out ^= low
         rows.append(row)
-    return Graph(len(rows), tuple(rows), sum(a.bit_count() for a in rows) // 2)
+    return from_rows(rows)
 
 
 def contract(G: Graph, F: Iterable[tuple[int, int]]) -> Graph:
@@ -421,8 +428,7 @@ def bipartite_induced(G: Graph, A: Iterable[int], B: Iterable[int]) -> Graph:
         raise InputError(f"parts overlap: {sorted(sa & sb)}")
     H, old_ids = induced_subgraph_with_map(G, sa | sb)
     side = mask_of(i for i, v in enumerate(old_ids) if v in sa)
-    adj = tuple(row & (~side if side >> i & 1 else side) for i, row in enumerate(H.adj))
-    return Graph(H.n, adj, sum(a.bit_count() for a in adj) // 2)
+    return from_rows([row & (~side if side >> i & 1 else side) for i, row in enumerate(H.adj)])
 
 
 # ---------------------------------------------------------------------------

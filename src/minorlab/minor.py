@@ -26,6 +26,7 @@ from .graphs import (
     bits,
     closure_mask,
     find_independent_set,
+    from_rows,
     is_connected_mask,
     mask_components,
     mask_of,
@@ -123,8 +124,7 @@ def _series_parallel_reduce(G: Graph) -> tuple[Graph, list[tuple[int, int, int]]
                 suppressed.append((v, u, w))
                 continue
         stack.extend(u for u in ends if adj[u].bit_count() <= 2)
-    m = sum(a.bit_count() for a in adj) // 2
-    return Graph(G.n, tuple(adj), m), suppressed
+    return from_rows(adj), suppressed
 
 
 def _lift(masks: list[int], suppressed: list[tuple[int, int, int]]) -> list[int]:
@@ -229,9 +229,8 @@ def _edge_slack(G: Graph, block: int, t: int, fast_paths: bool) -> int | None:
     comp = [0] * G.n
     for v in bits(high):
         comp[v] = high & ~G.adj[v] & ~(1 << v)
-    Gc = Graph(G.n, tuple(comp), sum(c.bit_count() for c in comp) // 2)
     try:
-        found = find_independent_set(Gc, w_least, size * size, bits(high))
+        found = find_independent_set(from_rows(comp), w_least, size * size, bits(high))
     except BudgetExceeded:
         return slack
     return None if found is None else slack
@@ -494,6 +493,8 @@ def find_kt_minor_exact(
     the search, unpruned, so its models and steps spent are the search's
     own.
     """
+    if not isinstance(t, int):
+        raise InputError(f"t must be an integer, got {t!r}")
     if t < 1:
         raise InputError(f"clique order must be at least 1, got {t}")
     if t == 1:

@@ -6,6 +6,7 @@ import pytest
 
 import minorlab as ml
 from minorlab import extremal
+from minorlab.graphs import from_rows
 from oracles import place_bipartite_ref
 
 
@@ -81,11 +82,10 @@ def _tie_draws(spec):
 
 def _assert_places_as_ref(spec):
     got = [0] * (spec.a + spec.b)
-    m = extremal._place_bipartite(
-        got, 0, spec.a, spec.a, spec.b, spec.seed, extremal._cut(spec.p)
-    )
+    extremal._place_bipartite(got, 0, spec.a, spec.a, spec.b, spec.seed, extremal._cut(spec.p))
     want = [0] * (spec.a + spec.b)
-    assert (m, got) == (place_bipartite_ref(want, 0, spec.a, spec), want), spec
+    m = place_bipartite_ref(want, 0, spec.a, spec)
+    assert (from_rows(got).m, got) == (m, want), spec
 
 
 def test_bulk_draws_place_the_same_edges_as_one_random_call_per_pair(monkeypatch):
