@@ -313,12 +313,12 @@ def _bipartite_certificate(
 ) -> bool:
     if bipartition_defect(G, *parts) is not None:
         return False
+    half = k // 2  # 2c <= k exactly when c <= k // 2
     for side in parts:
-        vs = sorted(side)
-        for i, x in enumerate(vs):
-            ax = G.adj[x]
-            for y in vs[i + 1 :]:
-                if 2 * (ax & G.adj[y]).bit_count() <= k:
+        rows = [G.adj[v] for v in sorted(side)]
+        for i, ax in enumerate(rows):
+            for ay in rows[i + 1 :]:
+                if (ax & ay).bit_count() <= half:
                     return False
     return True
 

@@ -52,10 +52,13 @@ def coboundary(G: Graph, X) -> frozenset[int]:
 
 def _contracted_piece(G: Graph, X: int, matching):
     """contract(G[X | Y], M) for M saturating Y, plus the class mask of each new vertex."""
-    classes = {x: 1 << x for x in bits(X)}
-    for y, x in matching:
-        classes[x] |= 1 << y
-    masks = sorted(classes.values(), key=lambda c: c & -c)
+    if not matching:
+        masks = [1 << x for x in bits(X)]
+    else:
+        classes = {x: 1 << x for x in bits(X)}
+        for y, x in matching:
+            classes[x] |= 1 << y
+        masks = sorted(classes.values(), key=lambda c: c & -c)
     return quotient(G, masks), masks
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import ConstructionError, InputError
-from .families import complete_bipartite
+from .families import _CHUNK_DRAWS, _bernoulli_marks, _cut, _place_block, complete_bipartite
 from .graphs import Graph, from_rows
 from .seeds import derive_seed
 
@@ -41,22 +41,6 @@ class BipartiteSpec:
             raise InputError(f"edge probability must be in [0, 1], got {self.p}")
 
 
-#: Draws read per ``getrandbits`` call (but at least one row): a chunk holds
-#: about 18 bytes per draw at once, so a large spec's extra memory stays
-#: near 0.3 MB.  Twice as many raised decompose-connect's peak RSS by 4%.
-_CHUNK_DRAWS = 1 << 14
-
-
-def _cut(p: float) -> tuple[int, bytes, bytes]:
-    """What `_place_bipartite` needs of p: the threshold T = ceil(p 2^53), a
-    ``translate`` table sending a top byte below T >> 45 to ``b"1"`` and any
-    other to ``b"0"``, and the one byte value whose draws need all their bits
-    (at p = 1 there is none: byte 255 is settled again, the same way)."""
-    T = math.ceil(p * 9007199254740992.0)
-    top = T >> 45
-    return T, b"1" * top + b"0" * (256 - top), bytes([min(top, 255)])
-
-
 def _place_bipartite(
     adj: list[int], left: int, right: int, a: int, b: int, seed: int,
     cut: tuple[int, bytes, bytes],
@@ -66,48 +50,16 @@ def _place_bipartite(
 
     Edge (i, j) is present when the Bernoulli draw ``random() < p`` holds,
     drawn from ``random.Random(seed)`` in row-major order (left index, then
-    right index).  The draws are read in bulk, and exactly:
-    ``random()`` is N / 2^53 with N = (x >> 5) 2^26 + (y >> 6), where x and
-    y are the next two 32-bit Mersenne Twister words, and ``getrandbits(64
-    n)`` lays out the same 2n words from the low end up, so byte 8k + 3 of
-    its little-endian bytes is the top byte of draw k's x, which is N >> 45.
-    Since N and T = ceil(p 2^53) are integers (p 2^53 is exact for a float
-    p), ``random() < p`` holds exactly when N < T.  A top byte below
-    T >> 45 makes N < T, one above makes N >= T, and only a top byte equal to
-    it (one draw in 256) needs N in full.  Python guarantees the stream of
-    ``random()`` values for a given seed; the ``getrandbits`` layout is
-    pinned by the tests against the one-draw-per-pair loop
-    (``tests/oracles.py::place_bipartite_ref``).
-
-    Each chunk of rows marks its draws in one ``translate`` of the top bytes,
-    reversed so that bit order reads as ``int(..., 2)`` wants, and each row
-    mask and each column mask of the chunk is one ``int`` over a slice.
+    right index) and read in bulk, exactly (see
+    :func:`~minorlab.families._bernoulli_marks`), in chunks of rows.
     """
     if not a or not b:
         return
-    T, table, tie = cut
     getrandbits = random.Random(seed).getrandbits
     rows = _CHUNK_DRAWS // b or 1
     for r0 in range(0, a, rows):
         n = min(rows, a - r0) * b
-        data = getrandbits(64 * n).to_bytes(8 * n, "little")
-        tops = data[3::8]
-        marks = bytearray(tops.translate(table))
-        k = tops.find(tie)
-        while k >= 0:
-            w = int.from_bytes(data[8 * k : 8 * k + 8], "little")  # x + y 2^32
-            if ((w & 0xFFFFFFFF) >> 5 << 26 | w >> 38) < T:
-                marks[k] = 49  # b"1"
-            k = tops.find(tie, k + 1)
-        marks.reverse()  # draw k of the chunk now sits at n - 1 - k
-        i = left + r0 + n // b
-        for s in range(0, n, b):
-            i -= 1
-            adj[i] |= int(marks[s : s + b], 2) << right
-        j = right + b
-        for s in range(b):
-            j -= 1
-            adj[j] |= int(marks[s::b], 2) << left + r0
+        _place_block(adj, _bernoulli_marks(getrandbits, n, cut), b, left + r0, right)
 
 
 def gen_bipartite(spec: BipartiteSpec) -> Graph:

@@ -1,17 +1,19 @@
 """Named graph constructors and seeded random graph generators.
 
 Where a constructor knows its adjacency rows outright (complete multipartite
-graphs, the top-up of a random graph to a minimum degree) it writes the rows
-as bitmasks directly; the rest list their edges for :func:`from_edge_list`.
+graphs, G(n, p), the top-up of a random graph to a minimum degree) it writes
+the rows as bitmasks directly; the rest list their edges for
+:func:`from_edge_list`.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InputError
-from .graphs import Graph, from_edge_list, from_rows
+from .graphs import Graph, bits, from_edge_list, from_rows
 from .seeds import derive_seed
 
 
@@ -78,22 +80,97 @@ def petersen_graph() -> Graph:
     return from_edge_list(10, edges)
 
 
+#: Draws read per ``getrandbits`` call (but at least one row): a chunk holds
+#: about 18 bytes per draw at once, so a large graph's extra memory stays
+#: near 0.3 MB.  Twice as many raised decompose-connect's peak RSS by 4%.
+_CHUNK_DRAWS = 1 << 14
+
+
+def _cut(p: float) -> tuple[int, bytes, bytes]:
+    """What `_bernoulli_marks` needs of p: the threshold T = ceil(p 2^53), a
+    ``translate`` table sending a top byte below T >> 45 to ``b"1"`` and any
+    other to ``b"0"``, and the one byte value whose draws need all their bits
+    (at p = 1 there is none: byte 255 is settled again, the same way)."""
+    T = math.ceil(p * 9007199254740992.0)
+    top = T >> 45
+    return T, b"1" * top + b"0" * (256 - top), bytes([min(top, 255)])
+
+
+def _bernoulli_marks(
+    getrandbits: Callable[[int], int], n: int, cut: tuple[int, bytes, bytes]
+) -> bytearray:
+    """The next n Bernoulli draws ``random() < p`` of a ``random.Random``,
+    read in bulk through its `getrandbits` and `cut` = ``_cut(p)``: one
+    digit per draw, ``b"1"`` where the draw holds, reversed so that
+    ``int(marks, 2)`` has draw k at bit k.
+
+    The draws are read exactly: ``random()`` is N / 2^53 with N = (x >> 5)
+    2^26 + (y >> 6), where x and y are the next two 32-bit Mersenne Twister
+    words, and ``getrandbits(64 n)`` lays out the same 2n words from the low
+    end up, so byte 8k + 3 of its little-endian bytes is the top byte of draw
+    k's x, which is N >> 45.  Since N and T = ceil(p 2^53) are integers
+    (p 2^53 is exact for a float p), ``random() < p`` holds exactly when
+    N < T.  A top byte below T >> 45 makes N < T, one above makes N >= T, and
+    only a top byte equal to it (one draw in 256) needs N in full.  Python
+    guarantees the stream of ``random()`` values for a given seed; the
+    ``getrandbits`` layout is pinned by the tests against the one-draw-per-pair
+    loops (``tests/oracles.py``).  All n draws are marked in one
+    ``translate`` of their top bytes.
+    """
+    T, table, tie = cut
+    data = getrandbits(64 * n).to_bytes(8 * n, "little")
+    tops = data[3::8]
+    marks = bytearray(tops.translate(table))
+    k = tops.find(tie)
+    while k >= 0:
+        w = int.from_bytes(data[8 * k : 8 * k + 8], "little")  # x + y 2^32
+        if ((w & 0xFFFFFFFF) >> 5 << 26 | w >> 38) < T:
+            marks[k] = 49  # b"1"
+        k = tops.find(tie, k + 1)
+    marks.reverse()  # draw k now sits at n - 1 - k
+    return marks
+
+
+def _place_block(adj: list[int], block: bytearray, width: int, top: int, left: int) -> None:
+    """OR into `adj` a block of digits, `width` to a row and reversed like
+    the marks of :func:`_bernoulli_marks`: digit c of row r joins vertex
+    top + r to vertex left + c.  Each row mask and each column mask is one
+    ``int`` over a slice."""
+    i = top + len(block) // width
+    for s in range(0, len(block), width):
+        i -= 1
+        adj[i] |= int(block[s : s + width], 2) << left
+    j = left + width
+    for s in range(width):
+        j -= 1
+        adj[j] |= int(block[s::width], 2) << top
+
+
 def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
     """Each of the C(n, 2) pairs is an edge independently with probability p.
 
     Pairs are drawn in lexicographic order from ``random.Random(seed)``, so
-    the output is a pure function of (n, p, seed).
+    the output is a pure function of (n, p, seed).  The draws are read in
+    bulk, exactly (see :func:`_bernoulli_marks`), in chunks of rows, each
+    laid out as n digits per row, zero on and below the diagonal.
     """
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability must be in [0, 1], got {p}")
-    rng = random.Random(seed)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return from_edge_list(n, edges)
+    getrandbits = random.Random(seed).getrandbits
+    cut = _cut(p)
+    adj = [0] * n
+    zeros = b"0" * n
+    rows = _CHUNK_DRAWS // max(n, 1) or 1
+    for u0 in range(0, n, rows):
+        u1 = min(u0 + rows, n)  # rows u0..u1-1 hold n - 1 - u draws each
+        marks = _bernoulli_marks(getrandbits, (u1 - u0) * (2 * n - 1 - u0 - u1) // 2, cut)
+        block = bytearray()
+        at = 0
+        for u in range(u1 - 1, u0 - 1, -1):
+            block += marks[at : at + n - 1 - u] + zeros[: u + 1]
+            at += n - 1 - u
+        _place_block(adj, block, n, u0, 0)
+    return from_rows(adj)
 
 
 def gnm_random_graph(n: int, m: int, seed: int) -> Graph:
@@ -119,10 +196,11 @@ def random_graph_min_degree(n: int, d: int, seed: int, p: float | None = None) -
     base = gnp_random_graph(n, p, derive_seed(seed, 0))
     rng = random.Random(derive_seed(seed, 1))
     adj = list(base.adj)
+    full = (1 << n) - 1
     for v in range(n):
         while adj[v].bit_count() < d:
             closed = adj[v] | 1 << v
-            u = rng.choice([u for u in range(n) if not closed >> u & 1])
+            u = rng.choice(list(bits(full & ~closed)))
             adj[v] |= 1 << u
             adj[u] |= 1 << v
     return from_rows(adj)

@@ -308,12 +308,16 @@ def quotient(G: Graph, classes: Sequence[int]) -> Graph:
     The classes must be disjoint and non-empty; i ~ j exactly when an edge of
     G joins classes[i] to classes[j].  Vertices in no class are dropped, so
     singleton classes give an induced subgraph and a partition a contraction.
+    The identity partition, ``[1 << 0, ..., 1 << (n - 1)]``, returns G
+    itself (graphs are immutable, so it is safe to share).
 
     Each kept vertex of G records the bit of its class.  A row costs one OR
     per member of its class, to gather the class's neighbourhood, and one
     list lookup per kept neighbour: O(n + sum of |N(classes[i])|) operations
     on n-bit masks in all.
     """
+    if len(classes) == G.n and all(c == 1 << i for i, c in enumerate(classes)):
+        return G
     adj = G.adj
     class_bit = [0] * G.n
     keep = 0

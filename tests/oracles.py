@@ -41,10 +41,12 @@ text, on every input.  The constructor references
 (:func:`complete_multipartite_ref`, :func:`random_graph_min_degree_ref`) list
 every edge, or top up on neighbour sets, and rebuild through
 :func:`from_edge_list`, where the library writes the adjacency rows directly;
-both must give the same Graph.  :func:`place_bipartite_ref` draws one
-``random()`` per vertex pair, where the library reads the same Mersenne
-Twister words in bulk through ``getrandbits``; both must place the same
-edges.  :func:`greedy_contraction_ref` recounts every degree with a key
+both must give the same Graph.  :func:`place_bipartite_ref` and
+:func:`gnp_random_graph_ref` draw one ``random()`` per vertex pair, where the
+library reads the same Mersenne Twister words in bulk through
+``getrandbits``; both must place the same edges.  The min-degree reference
+builds its base graph through :func:`gnp_random_graph_ref`, so it calls no
+library sampler.  :func:`greedy_contraction_ref` recounts every degree with a key
 tuple per class at each contraction, where the library keeps a degree
 table; both must return the same classes.  :func:`bits_ref` pops the lowest
 set bit in a generator for every mask, where the library walks dense masks'
@@ -84,7 +86,7 @@ from minorlab.errors import (
     PreconditionError,
 )
 from minorlab.extremal import BipartiteSpec
-from minorlab.families import complete_multipartite, gnp_random_graph
+from minorlab.families import complete_multipartite
 from minorlab.formats import _content_lines, _ints
 from minorlab.graphs import (
     DEFAULT_BUDGET,
@@ -1103,6 +1105,20 @@ def complete_multipartite_ref(sizes) -> Graph:
     return from_edge_list(n, edges)
 
 
+def gnp_random_graph_ref(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) with one ``random() < p`` per pair, in lexicographic order."""
+    if not 0.0 <= p <= 1.0:
+        raise InputError(f"edge probability must be in [0, 1], got {p}")
+    rng = random.Random(seed)
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < p
+    ]
+    return from_edge_list(n, edges)
+
+
 def random_graph_min_degree_ref(n: int, d: int, seed: int, p: float | None = None) -> Graph:
     """G(n, p) topped up to minimum degree d on neighbour sets, vertex by
     vertex in id order, each new neighbour drawn from the ascending list of
@@ -1111,7 +1127,7 @@ def random_graph_min_degree_ref(n: int, d: int, seed: int, p: float | None = Non
         raise InputError(f"cannot force min degree {d} on {n} vertices")
     if p is None:
         p = min(1.0, (d + 2) / max(1, n - 1))
-    base = gnp_random_graph(n, p, derive_seed(seed, 0))
+    base = gnp_random_graph_ref(n, p, derive_seed(seed, 0))
     rng = random.Random(derive_seed(seed, 1))
     adj = [set(base.neighbors(v)) for v in range(n)]
     for v in range(n):

@@ -111,6 +111,28 @@ def test_connectivity_certificate_bipartite():
     assert not ml.connectivity_at_least(G, want + 1, parts=parts)
 
 
+def test_bipartite_certificate_holds_when_every_same_side_pair_shares_over_half_k():
+    boundary = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        a, b = rng.randint(2, 12), rng.randint(2, 12)
+        G = ml.gen_bipartite(ml.BipartiteSpec(a, b, rng.choice((0.5, 0.7, 0.9)), seed))
+        parts = (frozenset(range(a)), frozenset(range(a, a + b)))
+        common = [
+            len(set(G.neighbors(x)) & set(G.neighbors(y)))
+            for side in parts
+            for x in side
+            for y in side
+            if x < y
+        ]
+        for k in range(a + b + 1):
+            want = all(2 * c > k for c in common)
+            assert connectivity._bipartite_certificate(G, parts, k) == want, (seed, k)
+            assert connectivity._bipartite_certificate(G, parts[::-1], k) == want, (seed, k)
+            boundary += 2 * min(common) == k
+    assert boundary >= 10
+
+
 def test_certificate_on_split_that_is_not_independent_matches_brute_force():
     # the certificate proves nothing when a side holds an edge, so such a
     # split must leave the verdict to the flows

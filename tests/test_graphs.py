@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, compress, islice
 
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 import minorlab as ml
 from minorlab import HallViolator
-from minorlab import connectivity
+from minorlab import connectivity, families
 from minorlab.connectivity import maximum_flow
+from minorlab.decompose import _contracted_piece
 from minorlab.graphs import (
     _clique_cover_bound,
     _mis_search,
@@ -30,6 +32,7 @@ from oracles import (
     complete_multipartite_ref,
     contract_ref,
     degeneracy_ref,
+    gnp_random_graph_ref,
     induced_subgraph_ref,
     mis_search_ref,
     random_graph_min_degree_ref,
@@ -38,6 +41,7 @@ from oracles import (
     smallest_budget,
     triangulated_grid,
 )
+from test_extremal import _tie_draws
 
 
 def small_graphs(max_n=9):
@@ -186,9 +190,53 @@ def test_complete_multipartite_matches_the_edge_list_reference():
         assert ml.mask_of(v for part in parts for v in part) == G.full_mask
 
 
+def test_gnp_random_graph_matches_one_random_call_per_pair(monkeypatch):
+    # p at the ends of [0, 1], at the smallest and largest steps of random(),
+    # just past a power of two, the dense-model suite's 0.995, and seeded
+    rng = random.Random(2027)
+    ps = [0.0, 1.0, 5e-324, 2.0**-53, 1 - 2.0**-53, 0.5 + 2.0**-40, 0.995]
+    ps += [rng.random() for _ in range(40)]
+    ties = 0
+    for p in ps:
+        for n in [*range(10), 60, 61, 100]:
+            seed = rng.getrandbits(64)
+            assert ml.gnp_random_graph(n, p, seed) == gnp_random_graph_ref(n, p, seed), (n, p)
+            # a 1 x C(n, 2) spec reads the same draws
+            ties += _tie_draws(ml.BipartiteSpec(1, n * (n - 1) // 2, p, seed))
+    assert ties >= 50
+    # p equal to a draw: random() < p fails on that pair, not only near it
+    for seed in range(20):
+        p = random.Random(seed).random()
+        G = ml.gnp_random_graph(10, p, seed)
+        assert not G.has_edge(0, 1) and G == gnp_random_graph_ref(10, p, seed), seed
+    # several chunks: 16 384 // 200 = 81 rows to a chunk, so n = 200 takes three
+    for p in ps[:7]:
+        seed = rng.getrandbits(64)
+        assert ml.gnp_random_graph(200, p, seed) == gnp_random_graph_ref(200, p, seed), p
+    # chunks cut small: of 2 and of 1 row, and rows longer than a chunk
+    monkeypatch.setattr(families, "_CHUNK_DRAWS", 64)
+    for p in ps[:10]:
+        for n in (2, 3, 31, 32, 33, 64, 65, 100):
+            seed = rng.getrandbits(64)
+            assert ml.gnp_random_graph(n, p, seed) == gnp_random_graph_ref(n, p, seed), (n, p)
+
+
+def test_gnp_random_graph_memory_stays_bounded_at_n_2000():
+    tracemalloc.start()
+    try:
+        G = ml.gnp_random_graph(2000, 0.5, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_500_000, peak
+    assert abs(G.m - 999_500) <= 2_500  # Binomial(1 999 000, 1/2): sigma 707
+
+
 def test_random_graph_min_degree_matches_the_set_top_up_reference():
     cases = [(d + 1, d, seed, p) for d in range(6) for seed in range(3) for p in (None, 0.0)]
     cases += [(n, 4, seed, 1.0) for n in (5, 9) for seed in range(2)]
+    cases += [(n, d, seed, p) for n in (60, 61, 100) for d in (1, 18, n // 2, n - 1)
+              for seed in range(2) for p in (None, 0.0)]
     for seed in range(120):
         rng = random.Random(seed)
         n = rng.randint(1, 60)
@@ -439,6 +487,42 @@ def test_quotient_joins_classes_an_edge_joins():
 def test_quotient_rejects_bad_classes(classes):
     with pytest.raises(ml.InputError):
         ml.quotient(ml.path_graph(3), classes)
+
+
+def test_quotient_of_the_identity_partition_is_the_graph_itself():
+    for seed in range(60):
+        G, rng = seeded_gnp(seed)
+        n = G.n
+        singletons = [1 << v for v in range(n)]
+        assert ml.quotient(G, singletons) is G
+        assert ml.quotient(G, tuple(singletons)) is G
+        assert ml.induced_subgraph(G, range(n)) is G
+        assert ml.induced_subgraph_with_map(G, reversed(range(n))) == (G, list(range(n)))
+        assert as_tuple(ml.induced_subgraph(G, range(n))) == as_tuple(
+            induced_subgraph_ref(G, range(n))[0]
+        )
+        assert _contracted_piece(G, G.full_mask, ())[0] is G
+        if n < 2:
+            continue
+        # reversed singletons, and two of them swapped, relabel G
+        i = rng.randrange(n - 1)
+        swapped = list(range(n))
+        swapped[i : i + 2] = [i + 1, i]
+        for order in (list(range(n - 1, -1, -1)), swapped):
+            Q = ml.quotient(G, [1 << v for v in order])
+            assert Q is not G and Q.m == G.m
+            assert all(
+                Q.has_edge(j, l) == G.has_edge(u, v)
+                for j, u in enumerate(order)
+                for l, v in enumerate(order)
+            ), (seed, order)
+        # all but one vertex: the induced subgraph
+        drop = rng.randrange(n)
+        S = [v for v in range(n) if v != drop]
+        H = ml.quotient(G, [1 << v for v in S])
+        assert as_tuple(H) == as_tuple(induced_subgraph_ref(G, S)[0]), seed
+    with pytest.raises(ml.InputError):
+        ml.quotient(ml.path_graph(3), [0b1, 0b10, 0b1000])
 
 
 def test_induced_subgraph_matches_edge_walk():
