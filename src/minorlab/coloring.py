@@ -29,13 +29,12 @@ from .errors import (
 from .graphs import (
     DEFAULT_BUDGET,
     Graph,
+    _mis_search,
     adjacency_mask,
     bits,
     checked_mask,
     checked_vertices,
     degeneracy,
-    find_independent_set,
-    mask_of,
     set_of,
 )
 from .seeds import derive_seed
@@ -138,14 +137,8 @@ def exact_list_color(
 
 
 def _exact_list_color(G: Graph, lists, live: int, budget: int) -> dict[int, int] | None:
-    """:func:`exact_list_color` of G[live]; `lists` is read at the live ids.
-
-    One live vertex with a budget of at least 2 returns at once: its least
-    colour, or None for an empty list, as the search does in its 2 steps."""
+    """:func:`exact_list_color` of G[live]; `lists` is read at the live ids."""
     n = live.bit_count()
-    if n == 1 and budget >= 2:
-        v = live.bit_length() - 1
-        return {v: min(lists[v])} if lists[v] else None
     effective = {v: sorted(lists[v]) for v in bits(live)}
     coloring: dict[int, int] = {}
     # the uncoloured vertices bucketed by list length, ids ascending within
@@ -292,14 +285,14 @@ def _independent_sets_extract(G: Graph, s: int, k: int, live: int, budget: int):
     """:func:`independent_sets_extract` from G[live], each set as a mask."""
     out: list[int] = []
     for i in range(k):
-        found = find_independent_set(G, s, budget=budget, within=bits(live))
-        if found is None:
+        size, found = _mis_search(G, live, budget, s)
+        if size < s:
             raise HallRatioViolation(
                 f"remainder of {live.bit_count()} vertices has no independent "
                 f"set of size {s} (needed {k - i} more)"
             )
-        out.append(mask_of(found))  # a target search finds exactly s vertices
-        live &= ~out[-1]
+        out.append(found)  # a target search finds exactly s vertices
+        live &= ~found
     return out
 
 
@@ -374,7 +367,7 @@ def _hall_ratio_list_color(
         n = live.bit_count()
         need = -(-n // math.floor(min(rho, n)))
         try:
-            broken = find_independent_set(G, need, budget=budget, within=bits(live)) is None
+            broken = _mis_search(G, live, budget, need)[0] < need
         except BudgetExceeded:
             broken = False  # promise taken on faith when too big to check
         if broken:
@@ -446,8 +439,9 @@ def minor_free_list_color(
     the rest first, then color G[X] from the lists minus the colors of X's
     outside neighbors; the boundary costs at most d colors per list, so
     |L(v)| >= 2d leaves at least d usable colors for the inner stage, which
-    colors the piece as a vertex mask of G: exact search for small pieces and
-    :func:`hall_ratio_list_color` beyond `inner_threshold` (with rho
+    colors the piece as a vertex mask of G: a single vertex takes its least
+    color left, other small pieces go to exact search, and pieces beyond
+    `inner_threshold` to :func:`hall_ratio_list_color` (with rho
     defaulting to 2d: a graph peelable at d is minor-free for a clique order
     at most d, whose independence ratio bounds the Hall ratio by 2d).
 
@@ -473,15 +467,21 @@ def minor_free_list_color(
     layers = list(peel_layers(G, d, G.full_mask))
     lists = list(lists)  # each piece's lists lose its outside neighbours' colors
     coloring: dict[int, int] = {}
+    done = 0  # the coloured vertices
     for level, piece in enumerate(reversed(layers)):
         for v in bits(piece):
-            outside = {coloring[u] for u in bits(G.adj[v]) if u in coloring}
-            L = frozenset(lists[v]) - outside
+            L = frozenset(lists[v]).difference([coloring[u] for u in bits(G.adj[v] & done)])
             if len(L) < len(lists[v]) - d:
                 raise InvariantViolation(
                     f"boundary consumed more than d = {d} colors at vertex {v}"
                 )
             lists[v] = L
+        done |= piece
+        if piece & (piece - 1) == 0 and budget >= 2:
+            # one vertex, v: its least colour left, as the exact search finds
+            # in 2 steps; the check above leaves L at least d colours
+            coloring[v] = min(L)
+            continue
         try:
             if piece.bit_count() <= inner_threshold:
                 phi = _exact_list_color(G, lists, piece, budget)

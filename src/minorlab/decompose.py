@@ -7,9 +7,10 @@ k-connected graph.  :func:`small_coboundary_piece` turns the minimal-piece
 argument into a terminating loop on vertex masks of G and forms each
 contracted piece as one :func:`~minorlab.graphs.quotient` of G.
 :func:`peel_layers` is the peel the coloring pipeline consumes, as vertex
-masks: singletons from :func:`~minorlab.graphs.min_degree_peel` while some
-live degree is at most d, then the same loop on the live mask once every live
-degree exceeds d; no induced copy is built.  :func:`peel_piece` is its first.
+masks: singletons from :func:`~minorlab.graphs.min_degree_peel`, which keeps
+one vertex mask per live degree, while some live degree is at most d, then
+the same loop on the live mask once every live degree exceeds d; no induced
+copy is built.  :func:`peel_piece` is its first.
 """
 
 from __future__ import annotations

@@ -20,12 +20,12 @@ from .errors import BudgetExceeded, InputError, InvariantViolation, Precondition
 from .graphs import (
     DEFAULT_BUDGET,
     Graph,
+    _mis_search,
     adjacency_mask,
     biconnected_blocks,
     bipartition_defect,
     bits,
     closure_mask,
-    find_independent_set,
     from_rows,
     is_connected_mask,
     mask_components,
@@ -230,10 +230,10 @@ def _edge_slack(G: Graph, block: int, t: int, fast_paths: bool) -> int | None:
     for v in bits(high):
         comp[v] = high & ~G.adj[v] & ~(1 << v)
     try:
-        found = find_independent_set(from_rows(comp), w_least, size * size, bits(high))
+        found = _mis_search(from_rows(comp), high, size * size, w_least)[0]
     except BudgetExceeded:
         return slack
-    return None if found is None else slack
+    return None if found < w_least else slack
 
 
 def _greedy_contraction(G: Graph, block: int, t: int) -> list[int] | None:

@@ -20,7 +20,7 @@ keeps a vertex stack, and the colouring check walks every edge where the
 library ANDs each neighbourhood with one mask per colour; the first-fit
 partition reference asks `has_edge` of every member of a part where the CLI
 ANDs a neighbourhood with one mask per part.  The peel references scan every live vertex for the least degree on
-each step, where the library keeps one heap for a whole peel, and peel each
+each step, where the library keeps one vertex mask per degree for a whole peel, and peel each
 layer from a fresh induced copy; the piece reference runs two passes of
 flows per round (a pair-coverage k-connectivity verdict, then a minimum
 separation from scratch) where the library runs one, and contracts each piece through the
@@ -513,7 +513,7 @@ def triangulated_grid(w):
 
 def degeneracy_ref(G: Graph) -> tuple[int, list[int]]:
     """Minimum-degree elimination by a full scan of the live vertices per
-    step (lowest id on ties): O(n^2) bitset operations, no heap."""
+    step (lowest id on ties): O(n^2) bitset operations, no degree masks."""
     live = G.full_mask
     order: list[int] = []
     d = 0

@@ -6,6 +6,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minorlab as ml
 from minorlab import coloring, graphs
@@ -22,6 +24,7 @@ from oracles import (
     triangulated_grid,
     verify_list_coloring_ref,
 )
+from test_graphs import cored_graphs
 
 
 PETERSEN_3COLORING = {0: 0, 1: 1, 2: 0, 3: 1, 4: 2, 5: 1, 6: 2, 7: 2, 8: 0, 9: 0}
@@ -211,8 +214,8 @@ def test_exact_list_color_keeps_the_choice_through_deep_backtracking():
 
 
 def test_one_vertex_exact_search_matches_the_reference():
-    # one live vertex returns its least colour at once when the budget
-    # covers the search's 2 steps; budgets 0 and 1 still search and raise
+    # one live vertex takes its least colour in the search's 2 steps, or
+    # gives None in 1 for an empty list; smaller budgets raise
     def outcome(search, budget):
         try:
             found = search(budget)
@@ -462,13 +465,12 @@ def test_hall_ratio_reaches_later_levels(monkeypatch):
     sizes = []
     level_start = True
 
-    def counted(G, size, budget, within):
+    def counted(G, start, budget, target):
         nonlocal level_start
-        within = list(within)
         if level_start:
-            sizes.append(len(within))
+            sizes.append(start.bit_count())
             level_start = False
-        return ml.find_independent_set(G, size, budget=budget, within=within)
+        return graphs._mis_search(G, start, budget, target)
 
     def extract(*args):
         nonlocal level_start
@@ -480,7 +482,7 @@ def test_hall_ratio_reaches_later_levels(monkeypatch):
     # extracts its sets last, so the masks the first search of each level
     # sees are the levels
     extract_sets = coloring._independent_sets_extract
-    monkeypatch.setattr(coloring, "find_independent_set", counted)
+    monkeypatch.setattr(coloring, "_mis_search", counted)
     monkeypatch.setattr(coloring, "_independent_sets_extract", extract)
     size = math.ceil(2.0 * 4 * math.log(60) ** 2)
     for seed in range(3):
@@ -720,6 +722,40 @@ def test_minorfree_masks_match_the_induced_copies():
     assert sum(r is not None for r in results) >= 20
 
 
+def test_minorfree_colourings_of_triangulated_grids_match_their_pinned_digest():
+    # one SHA-256 over w = 10..15 of "w<w>" and the colouring's text, each
+    # line ended by a newline; taken when the peel kept a heap and every
+    # layer ran the exact search.  The grids peel into single vertices.
+    digest = hashlib.sha256()
+    for w in range(10, 16):
+        G = triangulated_grid(w)
+        lists = ml.random_lists(G.n, 12, 16, seed=w)
+        phi = ml.minor_free_list_color(G, lists, d=6, seed=w)
+        assert phi is not None and len(phi) == G.n
+        digest.update(f"w{w}\n{coloring_to_str(phi)}\n".encode("ascii"))
+    want = "0d79b944967c284396730fdcc0b0a3d2c6c6cd94bc8ea695427ce1e7ca741038"
+    assert digest.hexdigest() == want
+
+
+@given(
+    cored_graphs(),
+    st.sampled_from((12, 13, 16)),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from((0, 1, 2, ml.DEFAULT_BUDGET)),
+)
+@settings(max_examples=120, deadline=None)
+def test_minorfree_matches_the_reference_on_single_vertices_and_pieces(G, universe, seed, budget):
+    # single vertices colour in place from budget 2 on; a piece of several
+    # vertices runs the exact search, which needs more than 2 steps
+    lists = ml.random_lists(G.n, 12, universe, seed)
+    got = outcome(ml.minor_free_list_color, G, lists, d=6, seed=seed, budget=budget)
+    assert got == outcome(minor_free_list_color_ref, G, lists, d=6, seed=seed, budget=budget)
+    if budget < 2:
+        assert got is ml.BudgetExceeded
+    elif budget == ml.DEFAULT_BUDGET:
+        assert ml.verify_list_coloring(G, lists, dict(got)) and len(got) == G.n
+
+
 def test_masked_exact_search_matches_the_induced_copy():
     # the same colouring, mapped back, and the same steps to find it
     found = failed = 0
@@ -790,8 +826,8 @@ def test_hall_levels_recheck_no_part(monkeypatch):
 
 def test_minorfree_colours_a_large_grid_fast():
     # a min over every live vertex per layer made the peel quadratic: 1.6 s
-    # for this call on a 2-core VM, against about 0.04 s with one heap for
-    # the whole peel
+    # for this call on a 2-core VM, against about 0.01 s with one vertex
+    # mask per degree for the whole peel
     G = triangulated_grid(40)
     lists = ml.random_lists(G.n, 12, 16, 0)
     t0 = time.perf_counter()

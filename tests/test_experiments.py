@@ -174,15 +174,34 @@ def test_summary_gives_the_rate_of_every_true_false_column():
 
 
 def test_budget_reaches_every_colouring_search(monkeypatch):
-    exact = ml.coloring._exact_list_color
+    # the suite hands its budget to the minor-free colouring; the Petersen
+    # graph peels into single vertices, which take their least colour with
+    # no search once the budget covers the search's 2 steps
+    colour = ml.experiments.minor_free_list_color
     budgets = []
 
-    def recorded(G, lists, live, budget):
-        budgets.append(budget)
-        return exact(G, lists, live, budget)
+    def recorded(*args, **kwargs):
+        budgets.append(kwargs["budget"])
+        return colour(*args, **kwargs)
 
-    monkeypatch.setattr(ml.coloring, "_exact_list_color", recorded)
+    monkeypatch.setattr(ml.experiments, "minor_free_list_color", recorded)
     run_suite(ExperimentConfig(suite="minorfree", trials=4, seed=5, budget=50))
-    assert budgets and set(budgets) == {50}
+    assert budgets == [50] * 4
+    # below 2 steps a one-vertex layer still runs the exact search, which runs out
     with pytest.raises(ml.BudgetExceeded):
         run_suite(ExperimentConfig(suite="minorfree", trials=2, seed=5, budget=1))
+    # the colouring hands the budget on to the exact search of a layer of
+    # several vertices: K8 has every degree above d = 6, so it is one piece
+    exact = ml.coloring._exact_list_color
+    searched = []
+
+    def recorded_exact(G, lists, live, budget):
+        searched.append((live.bit_count(), budget))
+        return exact(G, lists, live, budget)
+
+    monkeypatch.setattr(ml.coloring, "_exact_list_color", recorded_exact)
+    G, lists = ml.complete_graph(8), ml.uniform_lists(8, 12)
+    assert ml.minor_free_list_color(G, lists, d=6, budget=50) is not None
+    assert searched == [(8, 50)]
+    with pytest.raises(ml.BudgetExceeded):
+        ml.minor_free_list_color(G, lists, d=6, budget=5)

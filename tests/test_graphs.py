@@ -4,7 +4,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, compress, islice
+from itertools import combinations, compress, islice, takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +22,7 @@ from minorlab.graphs import (
     bits,
     bipartition_defect,
     mask_components,
+    min_degree_peel,
 )
 from oracles import (
     alpha_brute,
@@ -35,6 +36,7 @@ from oracles import (
     gnp_random_graph_ref,
     induced_subgraph_ref,
     mis_search_ref,
+    peel_layers_ref,
     random_graph_min_degree_ref,
     random_multipartite,
     saturating_matching_ref,
@@ -53,6 +55,28 @@ def small_graphs(max_n=9):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         picked = draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
         return ml.from_edge_list(n, sorted(picked))
+
+    return build()
+
+
+def cored_graphs(max_core=12, max_hung=8):
+    """Hypothesis strategy: a clique on c = 8..max_core vertices less some
+    of the pairs (0, 1), (2, 3), ..., so each core degree is c - 1 or c - 2,
+    then up to `max_hung` more vertices, each joined to at most 6 earlier
+    ones.  At d = 6 such a graph peels into single vertices and, from
+    c = 9 on, a coboundary piece."""
+
+    @st.composite
+    def build(draw):
+        c = draw(st.integers(min_value=8, max_value=max_core))
+        pairs = [(u, u + 1) for u in range(0, c - 1, 2)]
+        dropped = draw(st.sets(st.sampled_from(pairs)))
+        edges = [(u, v) for u, v in combinations(range(c), 2) if (u, v) not in dropped]
+        n = c + draw(st.integers(min_value=0, max_value=max_hung))
+        for v in range(c, n):
+            ends = draw(st.sets(st.integers(min_value=0, max_value=v - 1), max_size=6))
+            edges += [(u, v) for u in sorted(ends)]
+        return ml.from_edge_list(n, edges)
 
     return build()
 
@@ -327,9 +351,48 @@ def test_degeneracy_matches_the_scan_reference_on_grids_and_dense_graphs():
         assert ml.degeneracy(G) == degeneracy_ref(G), G.n
 
 
+def capped_peel_ref(G, live, cap):
+    """The (vertex, degree) steps of the scanning degeneracy reference on
+    G[live], each degree counted among the vertices still live, up to the
+    first degree above `cap`."""
+    H, old_ids = ml.induced_subgraph_with_map(G, bits(live))
+    steps = []
+    later = H.full_mask
+    for v in degeneracy_ref(H)[1] if H.n else []:
+        later &= ~(1 << v)
+        dv = (H.adj[v] & later).bit_count()
+        if dv > cap:
+            break
+        steps.append((old_ids[v], dv))
+    return steps
+
+
+@given(small_graphs(max_n=14), st.integers(0, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_min_degree_peel_matches_the_scan_reference_on_live_masks(G, isolated, data):
+    # isolated vertices added at the top ids peel first, at degree 0
+    G = ml.from_edge_list(G.n + isolated, G.edges())
+    live = data.draw(st.sampled_from([G.full_mask, 0]) | st.integers(0, G.full_mask))
+    whole = capped_peel_ref(G, live, G.n)
+    d = max((dv for _, dv in whole), default=0)
+    assert sorted(v for v, _ in whole) == list(bits(live))
+    for cap in (0, d - 1, d, G.n):
+        assert list(min_degree_peel(G, live, cap)) == capped_peel_ref(G, live, cap), cap
+    if live == G.full_mask:
+        assert ml.degeneracy(G) == degeneracy_ref(G)
+
+
+@given(small_graphs() | cored_graphs(), st.sampled_from((6, 7)))
+@settings(max_examples=100, deadline=None)
+def test_min_degree_peel_at_d_gives_the_leading_singleton_layers(G, d):
+    layers = peel_layers_ref(G, d)
+    singles = list(takewhile(lambda layer: len(layer) == 1, layers))
+    assert [[v] for v, _ in min_degree_peel(G, G.full_mask, d)] == singles
+
+
 def test_degeneracy_of_a_long_path_is_fast():
     # a scan of every live vertex per step took 3.7 s on a 2-core VM; one
-    # heap for the whole peel takes about 0.02 s
+    # vertex mask per degree for the whole peel takes about 0.004 s
     t0 = time.perf_counter()
     d, order = ml.degeneracy(ml.path_graph(3000))
     assert time.perf_counter() - t0 < 1.0

@@ -741,11 +741,11 @@ def test_counting_certificate_gives_up_on_a_long_clique_search(monkeypatch):
     # and the budgeted search decides
     caps = []
 
-    def gives_up(H, size, budget, within):
+    def gives_up(H, start, budget, target):
         caps.append(budget)
         raise ml.BudgetExceeded("independent-set search", budget, H.n)
 
-    monkeypatch.setattr(minor, "find_independent_set", gives_up)
+    monkeypatch.setattr(minor, "_mis_search", gives_up)
     with pytest.raises(ml.BudgetExceeded):
         ml.find_kt_minor_exact(G, 27, budget=1)
     assert caps == [39 * 39]
