@@ -68,6 +68,10 @@ class ExperimentConfig:
             raise InputError(
                 f"unknown suite {self.suite!r}; choose one of {', '.join(SUITES)}"
             )
+        for name in ("trials", "seed", "max_n", "budget", "workers"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) or name == "max_n" and value is None):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise InputError("trials must be at least 1")
         if self.budget < 1:

@@ -3,7 +3,6 @@ import math
 import random
 import time
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -495,11 +494,11 @@ def test_hall_ratio_reaches_later_levels(monkeypatch):
         assert len(set(sizes)) == 3 and sizes[0] == G.n
 
 
-def test_hall_ratio_colourings_past_a_level_match_their_golden_digests(monkeypatch):
-    # SHA-256 of each colouring's text (or of "None"), one line per case in
-    # `sha256sum` format; every case extracts at least one level's sets
-    golden = Path(__file__).parent / "golden" / "hall_levels.sha256"
-    want = dict(reversed(line.split()) for line in golden.read_text().splitlines())
+def test_hall_ratio_colourings_past_a_level_match_their_golden_digests(
+    monkeypatch, golden_digests
+):
+    # each colouring's text (or "None"); every case extracts at least one
+    # level's sets
     extract_sets = coloring._independent_sets_extract
     calls = 0
 
@@ -509,7 +508,7 @@ def test_hall_ratio_colourings_past_a_level_match_their_golden_digests(monkeypat
         return extract_sets(*args)
 
     monkeypatch.setattr(coloring, "_independent_sets_extract", counted)
-    got = {}
+    texts = {}
     for r, part in ((3, 60), (3, 80), (4, 60)):
         n = r * part
         size = math.ceil(2 * r * math.log(n / r) ** 2)
@@ -519,9 +518,8 @@ def test_hall_ratio_colourings_past_a_level_match_their_golden_digests(monkeypat
             calls = 0
             phi = ml.hall_ratio_list_color(G, lists, rho=r, C=2.0, seed=s)
             assert calls >= 1, (r, part, s)
-            text = "None" if phi is None else coloring_to_str(phi)
-            got[f"r{r}-part{part}-seed{s}"] = hashlib.sha256(text.encode("ascii")).hexdigest()
-    assert got == want
+            texts[f"r{r}-part{part}-seed{s}"] = "None" if phi is None else coloring_to_str(phi)
+    golden_digests("hall_levels.sha256", texts)
 
 
 @pytest.mark.parametrize("rho", [1, 1.5, 2, 2.7, 3, 4, 5.5, 7])

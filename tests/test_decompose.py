@@ -1,11 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minorlab as ml
-from minorlab import connectivity
+from minorlab import connectivity, decompose
 from minorlab.decompose import _contracted_piece, peel_layers
 from oracles import (
     contract_ref,
@@ -146,6 +147,80 @@ def test_piece_equals_the_two_pass_reference(G, k):
     D = ml.small_coboundary_piece(G, k)
     R = small_coboundary_piece_ref(G, k)
     assert (D.X, D.Y, D.matching) == (R.X, R.Y, R.matching)
+
+
+def cliques_with_a_hall_violator():
+    """Three K_19 on 0-18, 19-37 and 38-56.  The second meets the others
+    only at 19 and 20, both joined to 0 and to 38 (and 19 to 39); the third
+    meets the first at 38 and 40, through the edges 38-1 and 40-2."""
+    edges = [e for base in (0, 19, 38) for e in combinations(range(base, base + 19), 2)]
+    joins = [(19, 0), (20, 0), (19, 38), (19, 39), (20, 38), (38, 1), (40, 2)]
+    return ml.from_edge_list(57, edges + joins)
+
+
+def test_the_piece_loop_repairs_a_hall_violator(monkeypatch):
+    # k = 3: the first round splits off the second clique at {19, 20} and
+    # matches 19-38 and 20-0; the next split keeps the first clique, where
+    # 19 and 20 see only 0, so the repair drops 0 from the piece
+    violators = []
+    match = decompose.saturating_matching
+
+    def recorded(G, Y, X):
+        result = match(G, Y, X)
+        if isinstance(result, ml.HallViolator):
+            violators.append(result.witness)
+        return result
+
+    monkeypatch.setattr(decompose, "saturating_matching", recorded)
+    G = cliques_with_a_hall_violator()
+    D = ml.small_coboundary_piece(G, 3)
+    assert violators == [frozenset({19, 20})]
+    assert ml.check_decomposition(G, D) == []
+    assert (D.X, D.Y) == (frozenset(range(3, 19)) | {1}, frozenset({0, 2, 38}))
+    R = small_coboundary_piece_ref(G, 3)
+    assert (D.X, D.Y, D.matching) == (R.X, R.Y, R.matching)
+
+
+@st.composite
+def clustered_graphs(draw):
+    """(G, k): 2-4 clusters of minimum degree >= 6k, each joined to an
+    earlier one through a separator of fewer than k of that one's vertices,
+    which it either shares or joins by edges to its own; ids shuffled."""
+    k = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(6 * k + 1, 6 * k + 5), min_size=2, max_size=4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    clusters, edges, n = [], [], 0
+    for size in sizes:
+        cut, shared = [], []
+        if clusters:
+            cut = rng.sample(rng.choice(clusters), rng.randrange(k))
+            if rng.random() < 0.5:
+                shared = cut
+        fresh = list(range(n, n + size - len(shared)))
+        n += len(fresh)
+        if not shared:
+            for v in cut:
+                edges += [(v, u) for u in rng.sample(fresh, rng.randint(1, len(fresh)))]
+        # a clique less the edges whose ends keep degree >= 6k without them
+        members = shared + fresh
+        degree = dict.fromkeys(members, len(members) - 1)
+        for u, v in combinations(members, 2):
+            if min(degree[u], degree[v]) > 6 * k and rng.random() < 0.3:
+                degree[u] -= 1
+                degree[v] -= 1
+            else:
+                edges.append((u, v))
+        clusters.append(members)
+    ids = rng.sample(range(n), n)
+    return ml.from_edge_list(n, [(ids[u], ids[v]) for u, v in edges]), k
+
+
+@given(clustered_graphs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_pieces_of_clustered_graphs_verify(case):
+    G, k = case
+    assert G.min_degree() >= 6 * k
+    assert ml.check_decomposition(G, ml.small_coboundary_piece(G, k)) == []
 
 
 @pytest.mark.parametrize("G, k", MUST_SPLIT)

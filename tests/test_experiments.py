@@ -1,6 +1,4 @@
-import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
@@ -75,68 +73,48 @@ def test_every_suite_runs_small():
         assert report.columns[0] == "trial"
 
 
-def test_colouring_suite_reports_match_their_golden_digests():
-    # SHA-256 of each report, one line per file in `sha256sum` format: the
-    # colourings behind them must not change by a byte
-    golden = Path(__file__).parent / "golden" / "colour_suites.sha256"
-    want = dict(reversed(line.split()) for line in golden.read_text().splitlines())
-    got = {}
-    for suite in ("hallratio", "minorfree"):
-        for seed in range(4):
-            report = run_suite(ExperimentConfig(suite=suite, trials=4, seed=seed, max_n=60))
-            for ext, text in (("json", report.json_text()), ("csv", report.csv_text())):
-                got[f"{suite}-seed{seed}.{ext}"] = hashlib.sha256(text.encode("ascii")).hexdigest()
-    assert got == want
+def _report_texts(suites, sizes, seeds):
+    """The JSON and CSV text of each suite's 4-trial report, named
+    `<suite><tag>-seed<seed>.<ext>` for each (max_n, tag) of `sizes`."""
+    texts = {}
+    for suite in suites:
+        for max_n, tag in sizes:
+            for seed in seeds:
+                report = run_suite(ExperimentConfig(suite=suite, trials=4, seed=seed, max_n=max_n))
+                name = f"{suite}{tag}-seed{seed}"
+                texts[f"{name}.json"] = report.json_text()
+                texts[f"{name}.csv"] = report.csv_text()
+    return texts
 
 
-def test_connectivity_suite_reports_match_their_golden_digests():
-    # SHA-256 of each report, pinned before the growth test replaced pair
-    # coverage: the verdicts and pieces behind them must not change by a byte
-    golden = Path(__file__).parent / "golden" / "connectivity_suites.sha256"
-    want = dict(reversed(line.split()) for line in golden.read_text().splitlines())
-    got = {}
-    for suite in ("decompose", "extremal-connectivity"):
-        for max_n, tag in ((60, "n60"), (None, "default")):
-            for seed in range(3):
-                config = ExperimentConfig(suite=suite, trials=4, seed=seed, max_n=max_n)
-                report = run_suite(config)
-                for ext, text in (("json", report.json_text()), ("csv", report.csv_text())):
-                    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
-                    got[f"{suite}-{tag}-seed{seed}.{ext}"] = digest
-    assert got == want
+SIZES = ((60, "-n60"), (None, "-default"))
 
 
-def test_graph_suite_reports_match_their_golden_digests():
-    # SHA-256 of each report, pinned while the constructors behind them still
-    # listed every edge: writing their rows directly must not change a byte
-    golden = Path(__file__).parent / "golden" / "graph_suites.sha256"
-    want = dict(reversed(line.split()) for line in golden.read_text().splitlines())
-    got = {}
-    for suite in ("dense-model", "contraction-round", "alon"):
-        for max_n, tag in ((60, "n60"), (None, "default")):
-            for seed in range(3):
-                config = ExperimentConfig(suite=suite, trials=4, seed=seed, max_n=max_n)
-                report = run_suite(config)
-                for ext, text in (("json", report.json_text()), ("csv", report.csv_text())):
-                    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
-                    got[f"{suite}-{tag}-seed{seed}.{ext}"] = digest
-    assert got == want
+def test_colouring_suite_reports_match_their_golden_digests(golden_digests):
+    # the colourings behind them must not change by a byte
+    texts = _report_texts(("hallratio", "minorfree"), ((60, ""),), range(4))
+    golden_digests("colour_suites.sha256", texts)
 
 
-def test_extremal_bipartite_suite_reports_match_their_golden_digests():
-    # SHA-256 of each report, pinned while every block drew one random() per
-    # vertex pair: reading the same draws in bulk must not change a byte
-    golden = Path(__file__).parent / "golden" / "extremal_suites.sha256"
-    want = dict(reversed(line.split()) for line in golden.read_text().splitlines())
-    got = {}
-    for max_n, tag in ((60, "n60"), (None, "default")):
-        for seed in range(3):
-            config = ExperimentConfig(suite="extremal-bipartite", trials=4, seed=seed, max_n=max_n)
-            report = run_suite(config)
-            for ext, text in (("json", report.json_text()), ("csv", report.csv_text())):
-                digest = hashlib.sha256(text.encode("ascii")).hexdigest()
-                got[f"extremal-bipartite-{tag}-seed{seed}.{ext}"] = digest
-    assert got == want
+def test_connectivity_suite_reports_match_their_golden_digests(golden_digests):
+    # pinned before the growth test replaced pair coverage: the verdicts and
+    # pieces behind them must not change by a byte
+    texts = _report_texts(("decompose", "extremal-connectivity"), SIZES, range(3))
+    golden_digests("connectivity_suites.sha256", texts)
+
+
+def test_graph_suite_reports_match_their_golden_digests(golden_digests):
+    # pinned while the constructors behind them still listed every edge:
+    # writing their rows directly must not change a byte
+    texts = _report_texts(("dense-model", "contraction-round", "alon"), SIZES, range(3))
+    golden_digests("graph_suites.sha256", texts)
+
+
+def test_extremal_bipartite_suite_reports_match_their_golden_digests(golden_digests):
+    # pinned while every block drew one random() per vertex pair: reading
+    # the same draws in bulk must not change a byte
+    texts = _report_texts(("extremal-bipartite",), SIZES, range(3))
+    golden_digests("extremal_suites.sha256", texts)
 
 
 def test_dense_model_builds_its_host_graph_once_per_call():

@@ -95,6 +95,16 @@ CASES = [
     # experiments and families
     ("experiment-budget-zero", lambda: ml.ExperimentConfig(suite="minorfree", budget=0),
      ml.InputError, "budget must be positive"),
+    ("experiment-float-trials", lambda: ml.ExperimentConfig(suite="bounds", trials=2.5),
+     ml.InputError, "trials must be an integer, got 2.5"),
+    ("experiment-float-seed", lambda: ml.ExperimentConfig(suite="bounds", seed=1.5),
+     ml.InputError, "seed must be an integer, got 1.5"),
+    ("experiment-float-max-n", lambda: ml.ExperimentConfig(suite="bounds", max_n=40.5),
+     ml.InputError, "max_n must be an integer, got 40.5"),
+    ("experiment-float-budget", lambda: ml.ExperimentConfig(suite="minorfree", budget=1e6),
+     ml.InputError, "budget must be an integer, got 1000000.0"),
+    ("experiment-float-workers", lambda: ml.ExperimentConfig(suite="bounds", workers=1.0),
+     ml.InputError, "workers must be an integer, got 1.0"),
     ("cycle-of-two", lambda: ml.cycle_graph(2),
      ml.InputError, "a cycle needs at least 3 vertices, got 2"),
     ("gnp-p-above-one", lambda: ml.gnp_random_graph(5, 1.5, 0),
