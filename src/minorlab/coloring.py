@@ -25,6 +25,7 @@ from .errors import (
     InputError,
     InvariantViolation,
     PreconditionError,
+    check_integers,
 )
 from .graphs import (
     DEFAULT_BUDGET,
@@ -59,6 +60,7 @@ def _check_counts(**counts: int) -> None:
 
 def uniform_lists(n: int, k: int) -> list[frozenset[int]]:
     """The same list {0, .., k-1} for every vertex."""
+    check_integers(n=n, k=k)
     if n < 0 or k < 0:
         raise InputError(f"vertex count and list size must be non-negative, got {n}, {k}")
     base = frozenset(range(k))
@@ -67,6 +69,7 @@ def uniform_lists(n: int, k: int) -> list[frozenset[int]]:
 
 def random_lists(n: int, size: int, universe: int, seed: int) -> list[frozenset[int]]:
     """Seeded per-vertex lists: `size` distinct colors drawn from range(universe)."""
+    check_integers(n=n, size=size, universe=universe)
     if n < 0:
         raise InputError(f"vertex count must be non-negative, got {n}")
     if not 0 <= size <= universe:

@@ -37,7 +37,7 @@ falling cap that stops as soon as the growth test certifies it as kappa;
 
 from __future__ import annotations
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, check_integers
 from .graphs import Graph, adjacency_mask, bipartition_defect, bits, components, from_rows, set_of
 
 
@@ -241,8 +241,7 @@ def separation_below(G: Graph, cap: int) -> tuple[int, int, int] | None:
     cap <= delta, and again at each fall of the cap: when it holds, the cap
     is kappa and no later pair can fall further.
     """
-    if not isinstance(cap, int):
-        raise InputError(f"cap must be an integer, got {cap!r}")
+    check_integers(cap=cap)
     comps = components(G)
     if len(comps) > 1:
         return 0, comps[0], G.full_mask & ~comps[0]
@@ -291,8 +290,7 @@ def connectivity_at_least(
     other side attached to it).  Otherwise the growth test of
     :func:`_at_least` decides, with a flow only where the set stops growing.
     """
-    if not isinstance(k, int):
-        raise InputError(f"k must be an integer, got {k!r}")
+    check_integers(k=k)
     if k <= 0:
         return True
     if G.n < 2:

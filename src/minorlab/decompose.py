@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .connectivity import connectivity_at_least, separation_below, vertex_connectivity
-from .errors import InputError, InvariantViolation, PreconditionError
+from .errors import InputError, InvariantViolation, PreconditionError, check_integers
 from .graphs import (
     Graph,
     HallViolator,
@@ -73,8 +73,7 @@ def small_coboundary_piece(G: Graph, k: int) -> Decomposition:
     an implementation bug, reported as :class:`InvariantViolation`.  One
     :func:`~minorlab.connectivity.separation_below` at cap k decides a round.
     """
-    if not isinstance(k, int):
-        raise InputError(f"k must be an integer, got {k!r}")
+    check_integers(k=k)
     if k < 1:
         raise InputError(f"k must be at least 1, got {k}")
     if G.n == 0:

@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the integer check that
+raises one."""
 
 
 class InputError(ValueError):
@@ -39,3 +40,12 @@ class InvariantViolation(RuntimeError):
 
 class ConstructionError(RuntimeError):
     """A randomized construction degenerated (for example zero-width blocks)."""
+
+
+def check_integers(**values: object) -> None:
+    """Raise InputError("<name> must be an integer, got <value>") for the
+    first keyword whose value is not an int; callers run it before a count
+    reaches ``range`` or ``[0] * n``, which would raise a bare TypeError."""
+    for name, value in values.items():
+        if not isinstance(value, int):
+            raise InputError(f"{name} must be an integer, got {value!r}")

@@ -14,8 +14,15 @@ import random
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import ConstructionError, InputError
-from .families import _CHUNK_DRAWS, _bernoulli_marks, _cut, _place_block, complete_bipartite
+from .errors import ConstructionError, InputError, check_integers
+from .families import (
+    _CHUNK_DRAWS,
+    _bernoulli_marks,
+    _check_part_sizes,
+    _cut,
+    _place_block,
+    complete_bipartite,
+)
 from .graphs import Graph, from_rows
 from .seeds import derive_seed
 
@@ -33,10 +40,7 @@ class BipartiteSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.a, int) and isinstance(self.b, int)):
-            raise InputError("part sizes must be integers")
-        if self.a < 0 or self.b < 0:
-            raise InputError("part sizes must be non-negative")
+        _check_part_sizes((self.a, self.b))
         if not 0.0 <= self.p <= 1.0:
             raise InputError(f"edge probability must be in [0, 1], got {self.p}")
 
@@ -133,8 +137,7 @@ def lower_bound_bipartite(a: int, b: int, t: int, eps: float, seed: int = 0) -> 
     every seed and a = b = 30 at t = 6 a K_6 minor on 6 of them, while
     a = b = 30 and 60 at t = 4 were K_4-minor-free on every seed.
     """
-    if not isinstance(t, int):
-        raise InputError(f"t must be an integer, got {t!r}")
+    check_integers(t=t)
     if not (isinstance(a, int) and isinstance(b, int)):
         raise InputError("part sizes must be integers")
     if t < 3:

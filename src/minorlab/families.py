@@ -12,7 +12,7 @@ import math
 import random
 from typing import Callable, Sequence
 
-from .errors import InputError
+from .errors import InputError, check_integers
 from .graphs import Graph, bits, from_edge_list, from_rows
 from .seeds import derive_seed
 
@@ -22,14 +22,17 @@ def empty_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    check_integers(n=n)
     return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def path_graph(n: int) -> Graph:
+    check_integers(n=n)
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
+    check_integers(n=n)
     if n < 3:
         raise InputError(f"a cycle needs at least 3 vertices, got {n}")
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
@@ -40,6 +43,8 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 
 def _check_part_sizes(sizes: Sequence[int]) -> None:
+    if not all(isinstance(s, int) for s in sizes):
+        raise InputError("part sizes must be integers")
     if any(s < 0 for s in sizes):
         raise InputError("part sizes must be non-negative")
 
@@ -154,6 +159,7 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
     bulk, exactly (see :func:`_bernoulli_marks`), in chunks of rows, each
     laid out as n digits per row, zero on and below the diagonal.
     """
+    check_integers(n=n)
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability must be in [0, 1], got {p}")
     getrandbits = random.Random(seed).getrandbits
@@ -175,6 +181,7 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
 
 def gnm_random_graph(n: int, m: int, seed: int) -> Graph:
     """Uniform graph with exactly m edges (sampled without replacement)."""
+    check_integers(n=n, m=m)
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if not 0 <= m <= len(all_pairs):
         raise InputError(f"m must lie in [0, {len(all_pairs)}], got {m}")

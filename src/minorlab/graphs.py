@@ -14,11 +14,13 @@ augmenting paths) is lowest-index-first for reproducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, count
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import BudgetExceeded, InputError, PreconditionError
+from .errors import BudgetExceeded, InputError, PreconditionError, check_integers
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Default node budget for exact searches (number of branch-extension steps).
 DEFAULT_BUDGET = 10_000_000
@@ -129,6 +131,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     The result is deterministic regardless of input order.  Loops and
     out-of-range ids are rejected.
     """
+    check_integers(n=n)
     if n < 0:
         raise InputError(f"vertex count must be non-negative, got {n}")
     adj = [0] * n
@@ -249,6 +252,8 @@ def biconnected_blocks(G: Graph) -> list[int]:
 
 def density(G: Graph) -> Fraction:
     """Edge count over vertex count, as an exact rational."""
+    from fractions import Fraction  # imported here: fractions loads decimal
+
     if G.n == 0:
         raise PreconditionError("density of the null graph is undefined")
     return Fraction(G.m, G.n)
@@ -256,6 +261,8 @@ def density(G: Graph) -> Fraction:
 
 def nonedge_fraction(G: Graph) -> Fraction:
     """1 - e(G) / C(n, 2), exactly; the missing-edge fraction of the graph."""
+    from fractions import Fraction
+
     if G.n < 2:
         return Fraction(1)
     return 1 - Fraction(G.m, G.n * (G.n - 1) // 2)

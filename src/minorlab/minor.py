@@ -16,7 +16,13 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, InputError, InvariantViolation, PreconditionError
+from .errors import (
+    BudgetExceeded,
+    InputError,
+    InvariantViolation,
+    PreconditionError,
+    check_integers,
+)
 from .graphs import (
     DEFAULT_BUDGET,
     Graph,
@@ -493,8 +499,7 @@ def find_kt_minor_exact(
     the search, unpruned, so its models and steps spent are the search's
     own.
     """
-    if not isinstance(t, int):
-        raise InputError(f"t must be an integer, got {t!r}")
+    check_integers(t=t)
     if t < 1:
         raise InputError(f"clique order must be at least 1, got {t}")
     if t == 1:

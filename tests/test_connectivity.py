@@ -1,7 +1,4 @@
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -412,21 +409,3 @@ def test_non_integer_arguments_are_input_errors():
         with pytest.raises(ml.InputError):
             maximum_flow(G, s, t, cap)
 
-
-def test_import_pulls_in_neither_numpy_nor_scipy():
-    code = (
-        "import sys\n"
-        "import minorlab\n"
-        "assert minorlab.vertex_connectivity(minorlab.cycle_graph(6)) == 2\n"
-        # the process pool, and the logging it pulls in, load only when
-        # run_suite starts a pool
-        "modules = ('numpy', 'scipy', 'multiprocessing', 'concurrent.futures', 'logging')\n"
-        "print(sorted(m for m in modules if m in sys.modules))\n"
-    )
-    src = str(Path(ml.__file__).resolve().parent.parent)
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": src},
-    )
-    assert out.stdout.strip() == "[]"

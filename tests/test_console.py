@@ -96,8 +96,9 @@ CASES = [
     # a lower-bound graph whose blocks the unpruned search could not settle
     # within 20 000 steps: the edge slack lets it find the model
     ("lb-20000", "check lb.el --t 6 --budget 20000", 0, ("k6_minor=Found",), ()),
-    # seeding the first set only at the block's least vertex found the same
-    # model in 4 364 steps, where the edge slack alone ran out of 5 000
+    # the same model, found within 5 000 steps; the search still finds it
+    # there with the least-vertex seeding of the first set removed, so only
+    # [lb-150] below catches that seeding's loss
     ("lb-5000", "check lb.el --t 6 --budget 5000", 0, ("k6_minor=Found",), ()),
     # pruning by each branch set's degree surplus finds it in 958 steps,
     # where the edge-excess prune alone ran out of 1 000

@@ -14,6 +14,9 @@ CASES = [
     # graphs
     ("from-edge-list-negative-n", lambda: ml.from_edge_list(-1, []),
      ml.InputError, "vertex count must be non-negative, got -1"),
+    # a float count is rejected before it reaches a range() or a [0] * n
+    ("from-edge-list-float-n", lambda: ml.from_edge_list(3.0, []),
+     ml.InputError, "n must be an integer, got 3.0"),
     ("min-degree-null", NULL.min_degree,
      ml.PreconditionError, "min_degree of a null graph is undefined"),
     ("max-degree-null", NULL.max_degree,
@@ -54,6 +57,16 @@ CASES = [
      ml.InputError, "peel parameter must be at least 6, got 5"),
     ("list-count", lambda: ml.exact_list_color(K4, ml.uniform_lists(3, 4)),
      ml.InputError, "expected one color list per vertex (4), got 3"),
+    ("uniform-lists-float-n", lambda: ml.uniform_lists(4.0, 3),
+     ml.InputError, "n must be an integer, got 4.0"),
+    ("uniform-lists-float-k", lambda: ml.uniform_lists(4, 3.0),
+     ml.InputError, "k must be an integer, got 3.0"),
+    ("random-lists-float-n", lambda: ml.random_lists(4.0, 2, 5, 0),
+     ml.InputError, "n must be an integer, got 4.0"),
+    ("random-lists-float-size", lambda: ml.random_lists(4, 2.0, 5, 0),
+     ml.InputError, "size must be an integer, got 2.0"),
+    ("random-lists-float-universe", lambda: ml.random_lists(4, 2, 5.0, 0),
+     ml.InputError, "universe must be an integer, got 5.0"),
     # extremal
     ("spec-negative-side", lambda: ml.BipartiteSpec(-1, 2, 0.5),
      ml.InputError, "part sizes must be non-negative"),
@@ -109,6 +122,28 @@ CASES = [
      ml.InputError, "a cycle needs at least 3 vertices, got 2"),
     ("gnp-p-above-one", lambda: ml.gnp_random_graph(5, 1.5, 0),
      ml.InputError, "edge probability must be in [0, 1], got 1.5"),
+    ("empty-float-n", lambda: ml.empty_graph(3.0),
+     ml.InputError, "n must be an integer, got 3.0"),
+    ("complete-float-n", lambda: ml.complete_graph(4.0),
+     ml.InputError, "n must be an integer, got 4.0"),
+    ("path-float-n", lambda: ml.path_graph(4.0),
+     ml.InputError, "n must be an integer, got 4.0"),
+    ("cycle-float-n", lambda: ml.cycle_graph(5.0),
+     ml.InputError, "n must be an integer, got 5.0"),
+    ("multipartite-float-part", lambda: ml.complete_multipartite([2, 1.5]),
+     ml.InputError, "part sizes must be integers"),
+    ("bipartite-float-side", lambda: ml.complete_bipartite(2.0, 3),
+     ml.InputError, "part sizes must be integers"),
+    ("turan-float-part", lambda: ml.turan_parts([3.0]),
+     ml.InputError, "part sizes must be integers"),
+    ("gnp-float-n", lambda: ml.gnp_random_graph(5.0, 0.5, 0),
+     ml.InputError, "n must be an integer, got 5.0"),
+    ("gnm-float-n", lambda: ml.gnm_random_graph(5.0, 3, 0),
+     ml.InputError, "n must be an integer, got 5.0"),
+    ("gnm-float-m", lambda: ml.gnm_random_graph(5, 3.0, 0),
+     ml.InputError, "m must be an integer, got 3.0"),
+    ("min-degree-float-n", lambda: ml.random_graph_min_degree(10.0, 2, 0),
+     ml.InputError, "n must be an integer, got 10.0"),
 ]
 
 
