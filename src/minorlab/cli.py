@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 negative verdict (a requested find failed),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -211,8 +210,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    names = (f.name for f in dataclasses.fields(ExperimentConfig))
-    config = ExperimentConfig(**{name: getattr(args, name) for name in names})
+    config = ExperimentConfig(**{name: getattr(args, name) for name in ExperimentConfig._fields})
     report = run_suite(config, out_dir=args.out_dir)
     sys.stdout.write(report.json_text())
     return EXIT_OK
@@ -279,11 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("experiment", help="run a seeded experiment suite")
-    for f in dataclasses.fields(ExperimentConfig):  # --suite, then one int option per field
-        if f.default is dataclasses.MISSING:
-            p.add_argument("--" + f.name, required=True)
-        else:
-            p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
+    p.add_argument("--suite", required=True)
+    for name, default in ExperimentConfig._field_defaults.items():  # one int option per field
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=default)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=_cmd_experiment)
 

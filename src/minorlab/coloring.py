@@ -18,7 +18,7 @@ import math
 import random
 from typing import AbstractSet, Mapping, Sequence
 
-from .decompose import peel_layers
+from .decompose import check_peel_parameter, peel_layers
 from .errors import (
     BudgetExceeded,
     HallRatioViolation,
@@ -52,7 +52,8 @@ def _check_lists(G: Graph, lists: ListAssignment) -> None:
 
 
 def _check_counts(**counts: int) -> None:
-    """Reject a trial or redraw count below 1, which would fail untried."""
+    """Reject a non-integer count, or one below 1, which would fail untried."""
+    check_integers(**counts)
     for name, count in counts.items():
         if count < 1:
             raise InputError(f"{name} must be at least 1, got {count}")
@@ -97,9 +98,10 @@ def greedy_list_color(G: Graph, lists: ListAssignment, order=None) -> dict[int, 
     neighbors; returns None as soon as some vertex has no candidate.
     """
     _check_lists(G, lists)
+    adj = G.adj
     coloring: dict[int, int] = {}
     for v in range(G.n) if order is None else checked_vertices(G, order):
-        taken = {coloring[u] for u in bits(G.adj[v]) if u in coloring}
+        taken = {coloring[u] for u in bits(adj[v]) if u in coloring}
         free = sorted(set(lists[v]) - taken)
         if not free:
             return None
@@ -141,7 +143,7 @@ def exact_list_color(
 
 def _exact_list_color(G: Graph, lists, live: int, budget: int) -> dict[int, int] | None:
     """:func:`exact_list_color` of G[live]; `lists` is read at the live ids."""
-    n = live.bit_count()
+    adj, n = G.adj, live.bit_count()
     effective = {v: sorted(lists[v]) for v in bits(live)}
     coloring: dict[int, int] = {}
     # the uncoloured vertices bucketed by list length, ids ascending within
@@ -183,7 +185,7 @@ def _exact_list_color(G: Graph, lists, live: int, budget: int) -> dict[int, int]
             # coloured before the check, so a failed try is undone like any other
             coloring[v] = c
             struck = frame[3] = []
-            for u in bits(G.adj[v] & live):
+            for u in bits(adj[v] & live):
                 if u in coloring:
                     if coloring[u] == c:
                         break
@@ -453,8 +455,7 @@ def minor_free_list_color(
     :class:`BudgetExceeded`.
     """
     _check_lists(G, lists)
-    if d < 6:
-        raise InputError(f"peel parameter must be at least 6, got {d}")
+    check_peel_parameter(d)
     if rho is None:
         rho = 2 * d
     if not rho >= 1:

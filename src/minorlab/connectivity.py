@@ -147,15 +147,13 @@ def maximum_flow(
 
 def _pair_coverage(G: Graph) -> list[tuple[int, int]]:
     """Pairs whose local connectivities cover some minimum cut."""
-    v0 = min(range(G.n), key=lambda v: (G.degree(v), v))
-    nonneighbors = [
-        u for u in range(G.n) if u != v0 and not G.has_edge(v0, u)
-    ]
-    pairs = [(v0, u) for u in nonneighbors]
-    nbrs = sorted(G.neighbors(v0))
+    adj, n = G.adj, G.n
+    v0 = min(range(n), key=lambda v: adj[v].bit_count())  # the first, so lowest id
+    pairs = [(v0, u) for u in range(n) if u != v0 and not adj[v0] >> u & 1]
+    nbrs = list(bits(adj[v0]))
     for i, x in enumerate(nbrs):
         for y in nbrs[i + 1 :]:
-            if not G.has_edge(x, y):
+            if not adj[x] >> y & 1:
                 pairs.append((x, y))
     return pairs
 

@@ -15,8 +15,7 @@ copy is built.  :func:`peel_piece` is its first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .connectivity import connectivity_at_least, separation_below, vertex_connectivity
 from .errors import InputError, InvariantViolation, PreconditionError, check_integers
@@ -35,8 +34,7 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A piece X, its coboundary Y, a matching from Y into X, and the target k."""
 
     X: frozenset[int]
@@ -148,6 +146,14 @@ def peel_layers(G: Graph, d: int, live: int) -> Iterator[int]:
             yield piece
 
 
+def check_peel_parameter(d: int) -> None:
+    """Reject a peel parameter that is not an integer of at least 6."""
+    if not isinstance(d, int):
+        raise InputError(f"peel parameter must be an integer, got {d!r}")
+    if d < 6:
+        raise InputError(f"peel parameter must be at least 6, got {d}")
+
+
 def peel_piece(G: Graph, d: int, within: Iterable[int] | None = None) -> frozenset[int]:
     """A non-empty piece of G[within] whose coboundary there has at most d vertices.
 
@@ -158,10 +164,7 @@ def peel_piece(G: Graph, d: int, within: Iterable[int] | None = None) -> frozens
     live = within_mask(G, within)
     if live == 0:
         raise PreconditionError("the graph must be non-empty")
-    if not isinstance(d, int):
-        raise InputError(f"peel parameter must be an integer, got {d!r}")
-    if d < 6:
-        raise InputError(f"peel parameter must be at least 6, got {d}")
+    check_peel_parameter(d)
     return set_of(next(peel_layers(G, d, live)))
 
 

@@ -13,8 +13,8 @@ import functools
 import json
 import math
 import random
-from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .coloring import (
     hall_ratio_list_color,
@@ -25,7 +25,7 @@ from .coloring import (
 )
 from .connectivity import connectivity_at_least
 from .decompose import check_decomposition, small_coboundary_piece
-from .errors import InputError
+from .errors import InputError, check_integers
 from .extremal import (
     BipartiteSpec,
     connectivity_extremal,
@@ -54,8 +54,7 @@ from .seeds import derive_seed
 
 SCHEMA_VERSION = 1
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class _ExperimentConfig(NamedTuple):  # the fields; a NamedTuple body may not define __new__
     suite: str
     trials: int = 20
     seed: int = 0
@@ -63,25 +62,30 @@ class ExperimentConfig:
     budget: int = DEFAULT_BUDGET
     workers: int = 1
 
-    def __post_init__(self) -> None:
+
+class ExperimentConfig(_ExperimentConfig):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs) -> ExperimentConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.suite not in SUITES:
             raise InputError(
                 f"unknown suite {self.suite!r}; choose one of {', '.join(SUITES)}"
             )
-        for name in ("trials", "seed", "max_n", "budget", "workers"):
-            value = getattr(self, name)
-            if not (isinstance(value, int) or name == "max_n" and value is None):
-                raise InputError(f"{name} must be an integer, got {value!r}")
+        check_integers(trials=self.trials, seed=self.seed,
+                       max_n=0 if self.max_n is None else self.max_n,
+                       budget=self.budget, workers=self.workers)
         if self.trials < 1:
             raise InputError("trials must be at least 1")
         if self.budget < 1:
             raise InputError("budget must be positive")
         if self.workers < 1:
             raise InputError("workers must be at least 1")
+        return self
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     config: ExperimentConfig
     columns: tuple[str, ...]
     records: tuple[dict, ...]
@@ -89,7 +93,7 @@ class ExperimentReport:
 
     def json_text(self) -> str:
         # the worker count never changes a report, so the report omits it
-        doc = {"schema": SCHEMA_VERSION, **asdict(self.config), "summary": self.summary}
+        doc = {"schema": SCHEMA_VERSION, **self.config._asdict(), "summary": self.summary}
         del doc["workers"]
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import ConstructionError, InputError, check_integers
 from .families import (
@@ -30,19 +29,25 @@ from .seeds import derive_seed
 _LAMBDA_BRACKET = (1e-9, 10.0)
 
 
-@dataclass(frozen=True)
-class BipartiteSpec:
-    """Seeded random bipartite graph: parts of sizes a and b, i.i.d. edges."""
-
+class _BipartiteSpec(NamedTuple):  # the fields; a NamedTuple body may not define __new__
     a: int
     b: int
     p: float
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class BipartiteSpec(_BipartiteSpec):
+    """Seeded random bipartite graph: parts of sizes a and b, i.i.d. edges."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs) -> BipartiteSpec:
+        self = super().__new__(cls, *args, **kwargs)
         _check_part_sizes((self.a, self.b))
         if not 0.0 <= self.p <= 1.0:
             raise InputError(f"edge probability must be in [0, 1], got {self.p}")
+        return self
 
 
 def _place_bipartite(
@@ -188,8 +193,7 @@ def connectivity_extremal(t: int, k: int, seed: int = 0) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Closed-form bound values and verdicts, all pure functions of `inputs`."""
 
     inputs: dict[str, Any]
@@ -197,11 +201,7 @@ class BoundReport:
     verdicts: dict[str, bool]
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "inputs": dict(self.inputs),
-            "values": dict(self.values),
-            "verdicts": dict(self.verdicts),
-        }
+        return {name: dict(table) for name, table in self._asdict().items()}
 
 
 def eval_bounds(

@@ -13,9 +13,8 @@ augmenting paths) is lowest-index-first for reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InputError, PreconditionError, check_integers
 
@@ -66,8 +65,7 @@ def set_of(mask: int) -> frozenset[int]:
     return frozenset(bits(mask))
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected graph: no loops, no parallel edges, symmetric adjacency.
 
     `adj[v]` is the neighborhood of `v` as a bitmask; `m` caches the number of
@@ -458,8 +456,7 @@ def bipartite_induced(G: Graph, A: Iterable[int], B: Iterable[int]) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HallViolator:
+class HallViolator(NamedTuple):
     """A set S on the side to saturate with |N(S) & X| < |S|."""
 
     witness: frozenset[int]
@@ -475,6 +472,7 @@ def saturating_matching(
     harvested from the final failed augmenting-path search: the Y-vertices
     reachable by alternating paths from the unmatched vertex.
     """
+    adj = G.adj
     ymask, xmask = checked_mask(G, Y), checked_mask(G, X)
     if ymask & xmask:
         raise InputError("Y and X must be disjoint")
@@ -490,7 +488,7 @@ def saturating_matching(
         seen = 0
         stack = [(-1, y0)]
         while stack:
-            untried = G.adj[stack[-1][1]] & xmask & ~seen
+            untried = adj[stack[-1][1]] & xmask & ~seen
             if not untried:
                 stack.pop()
                 continue

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BudgetExceeded,
@@ -43,8 +43,7 @@ from .graphs import (
 from .seeds import derive_seed
 
 
-@dataclass(frozen=True)
-class MinorModel:
+class MinorModel(NamedTuple):
     """Branch sets witnessing a K_t minor; t is the number of sets."""
 
     branch_sets: tuple[frozenset[int], ...]
@@ -577,26 +576,34 @@ def hadwiger_number(G: Graph, budget: int = DEFAULT_BUDGET) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DenseModelParams:
+class _DenseModelParams(NamedTuple):  # the fields; a NamedTuple body may not define __new__
+    t: int
+    l: int | None = None
+    trials: int = 32
+    seed: int = 0
+
+
+class DenseModelParams(_DenseModelParams):
     """Parameters for :func:`dense_random_model`.
 
     `l` is the block size; when None it defaults to floor(n / 9t).  `trials`
     bounds the number of independent sampling rounds.
     """
 
-    t: int
-    l: int | None = None
-    trials: int = 32
-    seed: int = 0
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> DenseModelParams:
+        self = super().__new__(cls, *args, **kwargs)
+        check_integers(t=self.t, l=1 if self.l is None else self.l, trials=self.trials,
+                       seed=self.seed)
         if self.t < 1:
             raise InputError(f"t must be at least 1, got {self.t}")
         if self.l is not None and self.l < 1:
             raise InputError(f"block size must be at least 1, got {self.l}")
         if self.trials < 1:
             raise InputError(f"trials must be at least 1, got {self.trials}")
+        return self
 
 
 def dense_random_model(G: Graph, params: DenseModelParams) -> MinorModel | None:

@@ -79,17 +79,19 @@ def test_benchmark_setup_loads_only_what_it_calls():
         "minorlab", "minorlab.errors", "minorlab.graphs", "minorlab.seeds",
         "minorlab.families", "minorlab.connectivity", "minorlab.extremal",
     }
-    assert not loaded & {"json", "heapq", "fractions"}
+    assert not loaded & {"json", "heapq", "fractions", "dataclasses", "inspect"}
 
 
 def test_import_pulls_in_neither_numpy_nor_scipy():
     # minorlab.cli imports every module; the process pool, and the logging it
-    # pulls in, load only when run_suite starts a pool
+    # pulls in, load only when run_suite starts a pool; the records are named
+    # tuples, so nothing loads dataclasses
     code = (
         "import sys\n"
         "import minorlab.cli\n"
         "assert minorlab.vertex_connectivity(minorlab.cycle_graph(6)) == 2\n"
-        "modules = ('numpy', 'scipy', 'multiprocessing', 'concurrent.futures', 'logging')\n"
+        "modules = ('numpy', 'scipy', 'multiprocessing', 'concurrent.futures', 'logging',\n"
+        "           'dataclasses')\n"
         "print(sorted(m for m in modules if m in sys.modules))\n"
     )
     assert run_fresh(code).strip() == "[]"

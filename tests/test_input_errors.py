@@ -44,6 +44,14 @@ CASES = [
      ml.InputError, "block size must be at least 1, got 0"),
     ("dense-params-trials", lambda: ml.DenseModelParams(t=2, trials=0),
      ml.InputError, "trials must be at least 1, got 0"),
+    ("dense-params-float-t", lambda: ml.DenseModelParams(t=4.0),
+     ml.InputError, "t must be an integer, got 4.0"),
+    ("dense-params-float-l", lambda: ml.DenseModelParams(t=2, l=2.5),
+     ml.InputError, "l must be an integer, got 2.5"),
+    ("dense-params-float-trials", lambda: ml.DenseModelParams(t=2, trials=2.5),
+     ml.InputError, "trials must be an integer, got 2.5"),
+    ("dense-params-float-seed", lambda: ml.DenseModelParams(t=2, seed=1.5),
+     ml.InputError, "seed must be an integer, got 1.5"),
     ("dense-blocks-do-not-fit",
      lambda: ml.dense_random_model(ml.complete_graph(18), ml.DenseModelParams(t=2, l=2)),
      ml.InputError, "3*t*l = 12 blocks do not fit in the core of 6 vertices"),
@@ -55,6 +63,23 @@ CASES = [
      ml.InputError, "both the set size and the count must be at least 1"),
     ("minor-free-d-5", lambda: ml.minor_free_list_color(K4, ml.uniform_lists(4, 12), d=5),
      ml.InputError, "peel parameter must be at least 6, got 5"),
+    ("minor-free-float-d",
+     lambda: ml.minor_free_list_color(K4, ml.uniform_lists(4, 12), d=6.0),
+     ml.InputError, "peel parameter must be an integer, got 6.0"),
+    ("multipartite-float-trials",
+     lambda: ml.multipartite_list_color(K4, [{0}, {1}, {2}, {3}], ml.uniform_lists(4, 4),
+                                        trials=2.5),
+     ml.InputError, "trials must be an integer, got 2.5"),
+    ("hall-ratio-float-redraws",
+     lambda: ml.hall_ratio_list_color(K4, ml.uniform_lists(4, 8), rho=4, max_redraws=2.5),
+     ml.InputError, "max_redraws must be an integer, got 2.5"),
+    # a float seed is rejected where every batch derives its trial seeds
+    ("derive-seed-float", lambda: ml.derive_seed(1.5, 0),
+     ml.InputError, "seed must be an integer, got 1.5"),
+    ("multipartite-float-seed",
+     lambda: ml.multipartite_list_color(K4, [{0}, {1}, {2}, {3}], ml.uniform_lists(4, 4),
+                                        seed=1.5),
+     ml.InputError, "seed must be an integer, got 1.5"),
     ("list-count", lambda: ml.exact_list_color(K4, ml.uniform_lists(3, 4)),
      ml.InputError, "expected one color list per vertex (4), got 3"),
     ("uniform-lists-float-n", lambda: ml.uniform_lists(4.0, 3),
@@ -108,6 +133,14 @@ CASES = [
     # experiments and families
     ("experiment-budget-zero", lambda: ml.ExperimentConfig(suite="minorfree", budget=0),
      ml.InputError, "budget must be positive"),
+    # _replace builds through _make, which checks like the constructor
+    ("experiment-replace-float-trials",
+     lambda: ml.ExperimentConfig(suite="bounds")._replace(trials=2.5),
+     ml.InputError, "trials must be an integer, got 2.5"),
+    ("dense-params-replace-t", lambda: ml.DenseModelParams(t=2)._replace(t=0),
+     ml.InputError, "t must be at least 1, got 0"),
+    ("bipartite-spec-replace-p", lambda: ml.BipartiteSpec(2, 2, 0.5)._replace(p=1.5),
+     ml.InputError, "edge probability must be in [0, 1], got 1.5"),
     ("experiment-float-trials", lambda: ml.ExperimentConfig(suite="bounds", trials=2.5),
      ml.InputError, "trials must be an integer, got 2.5"),
     ("experiment-float-seed", lambda: ml.ExperimentConfig(suite="bounds", seed=1.5),
