@@ -210,7 +210,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = ExperimentConfig(**{name: getattr(args, name) for name in ExperimentConfig._fields})
+    config = ExperimentConfig._make(getattr(args, name) for name in ExperimentConfig._fields)
     report = run_suite(config, out_dir=args.out_dir)
     sys.stdout.write(report.json_text())
     return EXIT_OK
@@ -277,9 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("experiment", help="run a seeded experiment suite")
-    p.add_argument("--suite", required=True)
-    for name, default in ExperimentConfig._field_defaults.items():  # one int option per field
-        p.add_argument("--" + name.replace("_", "-"), type=int, default=default)
+    defaults = ExperimentConfig._field_defaults
+    for name in ExperimentConfig._fields:  # --suite, then one int option per field
+        p.add_argument("--" + name.replace("_", "-"), required=name not in defaults,
+                       type=int if name in defaults else str, default=defaults.get(name))
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=_cmd_experiment)
 

@@ -1,5 +1,4 @@
-"""Exception types shared across the library, and the integer check that
-raises one."""
+"""Exception types shared across the library, and the checks that raise them."""
 
 
 class InputError(ValueError):
@@ -49,3 +48,19 @@ def check_integers(**values: object) -> None:
     for name, value in values.items():
         if not isinstance(value, int):
             raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def checked_record(record: type) -> type:
+    """Class decorator: the NamedTuple runs its `_check` on every record built,
+    by `_make` and `_replace` too (a NamedTuple body may not set either)."""
+    new = record.__new__
+
+    def __new__(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    __new__.__wrapped__ = new  # so inspect.signature and help show the fields
+    record.__new__ = staticmethod(__new__)
+    record._make = classmethod(lambda cls, fields: cls(*fields))
+    return record

@@ -25,7 +25,7 @@ from .coloring import (
 )
 from .connectivity import connectivity_at_least
 from .decompose import check_decomposition, small_coboundary_piece
-from .errors import InputError, check_integers
+from .errors import InputError, check_integers, checked_record
 from .extremal import (
     BipartiteSpec,
     connectivity_extremal,
@@ -54,7 +54,8 @@ from .seeds import derive_seed
 
 SCHEMA_VERSION = 1
 
-class _ExperimentConfig(NamedTuple):  # the fields; a NamedTuple body may not define __new__
+@checked_record
+class ExperimentConfig(NamedTuple):
     suite: str
     trials: int = 20
     seed: int = 0
@@ -62,13 +63,7 @@ class _ExperimentConfig(NamedTuple):  # the fields; a NamedTuple body may not de
     budget: int = DEFAULT_BUDGET
     workers: int = 1
 
-
-class ExperimentConfig(_ExperimentConfig):
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
-    def __new__(cls, *args, **kwargs) -> ExperimentConfig:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.suite not in SUITES:
             raise InputError(
                 f"unknown suite {self.suite!r}; choose one of {', '.join(SUITES)}"
@@ -82,7 +77,6 @@ class ExperimentConfig(_ExperimentConfig):
             raise InputError("budget must be positive")
         if self.workers < 1:
             raise InputError("workers must be at least 1")
-        return self
 
 
 class ExperimentReport(NamedTuple):

@@ -13,7 +13,7 @@ import math
 import random
 from typing import Any, NamedTuple
 
-from .errors import ConstructionError, InputError, check_integers
+from .errors import ConstructionError, InputError, check_integers, checked_record
 from .families import (
     _CHUNK_DRAWS,
     _bernoulli_marks,
@@ -29,25 +29,19 @@ from .seeds import derive_seed
 _LAMBDA_BRACKET = (1e-9, 10.0)
 
 
-class _BipartiteSpec(NamedTuple):  # the fields; a NamedTuple body may not define __new__
+@checked_record
+class BipartiteSpec(NamedTuple):
+    """Seeded random bipartite graph: parts of sizes a and b, i.i.d. edges."""
+
     a: int
     b: int
     p: float
     seed: int = 0
 
-
-class BipartiteSpec(_BipartiteSpec):
-    """Seeded random bipartite graph: parts of sizes a and b, i.i.d. edges."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
-    def __new__(cls, *args, **kwargs) -> BipartiteSpec:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         _check_part_sizes((self.a, self.b))
         if not 0.0 <= self.p <= 1.0:
             raise InputError(f"edge probability must be in [0, 1], got {self.p}")
-        return self
 
 
 def _place_bipartite(

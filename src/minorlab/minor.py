@@ -22,6 +22,7 @@ from .errors import (
     InvariantViolation,
     PreconditionError,
     check_integers,
+    checked_record,
 )
 from .graphs import (
     DEFAULT_BUDGET,
@@ -576,25 +577,20 @@ def hadwiger_number(G: Graph, budget: int = DEFAULT_BUDGET) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _DenseModelParams(NamedTuple):  # the fields; a NamedTuple body may not define __new__
-    t: int
-    l: int | None = None
-    trials: int = 32
-    seed: int = 0
-
-
-class DenseModelParams(_DenseModelParams):
+@checked_record
+class DenseModelParams(NamedTuple):
     """Parameters for :func:`dense_random_model`.
 
     `l` is the block size; when None it defaults to floor(n / 9t).  `trials`
     bounds the number of independent sampling rounds.
     """
 
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+    t: int
+    l: int | None = None
+    trials: int = 32
+    seed: int = 0
 
-    def __new__(cls, *args, **kwargs) -> DenseModelParams:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         check_integers(t=self.t, l=1 if self.l is None else self.l, trials=self.trials,
                        seed=self.seed)
         if self.t < 1:
@@ -603,7 +599,6 @@ class DenseModelParams(_DenseModelParams):
             raise InputError(f"block size must be at least 1, got {self.l}")
         if self.trials < 1:
             raise InputError(f"trials must be at least 1, got {self.trials}")
-        return self
 
 
 def dense_random_model(G: Graph, params: DenseModelParams) -> MinorModel | None:
