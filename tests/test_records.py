@@ -1,5 +1,6 @@
 """The library's records: immutable, and sent to pool workers by pickle."""
 
+import inspect
 import pickle
 
 import pytest
@@ -30,3 +31,11 @@ def test_record_fields_are_read_only_and_survive_pickling(record):
     assert type(copy) is type(record)
     assert copy == record
     assert repr(copy) == repr(record)
+
+
+@pytest.mark.parametrize("record", [ml.DenseModelParams, ml.BipartiteSpec, ml.ExperimentConfig])
+def test_checking_records_show_their_fields_in_their_signature(record):
+    params = inspect.signature(record).parameters
+    assert tuple(params) == record._fields
+    defaults = {name: p.default for name, p in params.items() if p.default is not p.empty}
+    assert defaults == record._field_defaults
