@@ -344,6 +344,7 @@ def hall_ratio_list_color(
     exact search, which, like the extraction, raises :class:`BudgetExceeded`
     out of budget.
     """
+    check_integers(seed=seed)
     _check_lists(G, lists)
     if not rho >= 1:
         raise InputError(f"the Hall ratio bound must be at least 1, got {rho}")
@@ -454,6 +455,7 @@ def minor_free_list_color(
     never an improper coloring; an inner search out of budget raises
     :class:`BudgetExceeded`.
     """
+    check_integers(seed=seed)
     _check_lists(G, lists)
     check_peel_parameter(d)
     if rho is None:

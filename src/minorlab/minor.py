@@ -4,8 +4,10 @@ A model of K_t in G is a family of t pairwise disjoint vertex sets, each
 inducing a connected subgraph, with an edge of G between every pair of sets.
 The exact search reduces the graph series-parallel, then settles each block
 in turn: an elimination width or a vertex and edge count proves it free, a
-greedy contraction finds a model, and only what is left goes to a search
-that grows branch sets by backtracking with canonical-seed symmetry pruning.
+greedy contraction finds a model, a block of fewer than 2t vertices is
+decided by the clique its singleton branch sets form, and only what is left
+goes to a search that grows branch sets by backtracking with canonical-seed
+symmetry pruning.
 The two randomized procedures build models in dense graphs and in one
 random-contraction round of a bipartite graph.
 """
@@ -206,40 +208,14 @@ def _edge_slack(G: Graph, block: int, t: int, fast_paths: bool) -> int | None:
     model has degree at least 2 there, so those vertices touch at least as
     many edges as there are of them.  A block with n vertices and m edges
     that holds a model therefore has m >= C(t, 2) + (n - t) + excess, and
-    a negative slack m - C(t, 2) - (n - t) proves it free.
-
-    Each other set has at least two vertices, so a model with w singleton
-    branch sets needs 2t - w vertices, and w >= w_least = 2t - n.  A
-    singleton {v} touches the other t - 1 sets, so v has block degree at
-    least t - 1, and singletons are pairwise adjacent: w is at most the
-    clique number of the block's vertices of degree >= t - 1 (`high`).
-    When w_least = 1 it is enough that `high` is not empty; from 2 on a
-    clique of w_least vertices of `high` is looked for, as an independent
-    set of the complement on `high`.  That search gives up, and the block
-    stays, after |block|^2 nodes.  Without `fast_paths` only n >= t and
-    m >= C(t, 2) are asked, and the slack returned is m, which no excess
-    exceeds.
+    a negative slack m - C(t, 2) - (n - t) proves it free.  Without
+    `fast_paths` only n >= t and m >= C(t, 2) are asked, and the slack
+    returned is m, which no excess exceeds.
     """
     size = block.bit_count()
-    degree = {v: (G.adj[v] & block).bit_count() for v in bits(block)}
-    edges = sum(degree.values()) // 2
-    if not fast_paths:
-        return edges if size >= t and edges >= t * (t - 1) // 2 else None
-    slack = edges - t * (t - 1) // 2 - (size - t)
-    w_least = 2 * t - size
-    if slack < 0 or w_least > t:
-        return None
-    high = mask_of(v for v, d in degree.items() if d >= t - 1)
-    if w_least <= 1:
-        return slack if w_least <= 0 or high else None
-    comp = [0] * G.n
-    for v in bits(high):
-        comp[v] = high & ~G.adj[v] & ~(1 << v)
-    try:
-        found = _mis_search(from_rows(comp), high, size * size, w_least)[0]
-    except BudgetExceeded:
-        return slack
-    return None if found < w_least else slack
+    edges = sum((G.adj[v] & block).bit_count() for v in bits(block)) // 2
+    slack = edges - t * (t - 1) // 2 - (size - t) if fast_paths else edges
+    return slack if size >= t and edges >= t * (t - 1) // 2 and slack >= 0 else None
 
 
 def _greedy_contraction(G: Graph, block: int, t: int) -> list[int] | None:
@@ -285,6 +261,86 @@ def _greedy_contraction(G: Graph, block: int, t: int) -> list[int] | None:
         row = (adj[u] | nbrs) & ~(ub | vb)
         adj[u] = row
         deg[u] = row.bit_count()
+    return None
+
+
+def _small_block_search(
+    G: Graph, block: int, t: int, budget: int, spent: list[int]
+) -> list[int] | None:
+    """Exact search of a connected `block` of t <= n < 2t vertices: the
+    sets of a model spanning it, singletons first, or None as a proof of
+    freeness.
+
+    A model of a connected block grows into one that spans it (add each
+    unused vertex to a set it touches), whose sets but its w singletons
+    have two vertices or more, so w >= w_least = 2t - n.  The singletons
+    are pairwise adjacent, of block degree >= t - 1 (`high`): an empty
+    `high` proves the block free, and so, when w_least >= 2, does finding
+    no clique of w_least vertices of `high`, looked for as an independent
+    set of the complement (the block stays if that search gives up after
+    |block|^2 nodes).  Then the cliques of `high` are enumerated by
+    extension (the candidates are the common neighbours above the last
+    member), and for each of w_least vertices or more the rest is split
+    into the t - w other sets: each takes the least unplaced vertex, grows
+    one neighbour at a time (none it passed over, so no set is grown
+    twice) while two vertices are left for each later set, and closes once
+    it touches every singleton and every earlier set; the last takes all
+    that is left.  Both searches share one stack, a clique's split above
+    its extensions, and each node costs one budget step and O(|block|)
+    bitset operations.
+    """
+    adj = G.adj
+    size = block.bit_count()
+    w_least = 2 * t - size
+    high = mask_of(v for v in bits(block) if (adj[v] & block).bit_count() >= t - 1)
+    if not high:
+        return None
+    if w_least > 1:
+        comp = [high & ~adj[v] & ~(1 << v) if high >> v & 1 else 0 for v in range(G.n)]
+        try:
+            if _mis_search(from_rows(comp), high, size * size, w_least)[0] < w_least:
+                return None
+        except BudgetExceeded:
+            pass
+    # a clique frame is (singletons, candidates); a split frame is
+    # (singletons, closed sets, unplaced vertices, open set or 0 for a new
+    # one, vertices it passed over, its neighbourhood)
+    stack: list[tuple] = [(0, high)]
+    while stack:
+        spent[0] += 1
+        if spent[0] > budget:
+            raise BudgetExceeded("minor search", budget, size)
+        frame = stack.pop()
+        if len(frame) == 2:
+            clique, cand = frame
+            w = clique.bit_count()
+            if w < t:
+                for v in sorted(bits(cand), reverse=True):
+                    above = cand & adj[v] & -(2 << v)
+                    if w + 1 + above.bit_count() >= w_least:
+                        stack.append((clique | 1 << v, above))
+            rest = block & ~clique
+            if not rest:  # K_t itself
+                return [1 << v for v in bits(clique)]
+            if w_least <= w < t:
+                stack.append((clique, (), rest, 0, 0, 0))
+            continue
+        clique, closed, rest, part, passed, reach = frame
+        left = t - clique.bit_count() - len(closed)
+        if not part:  # a new set at the least unplaced vertex; the last takes all
+            part = rest if left == 1 else rest & -rest
+            if not is_connected_mask(G, part):
+                continue
+            reach = adjacency_mask(G, part)
+        if part.bit_count() < rest.bit_count() - 2 * (left - 1):
+            grow = reach & rest & ~part & ~passed
+            for v in sorted(bits(grow), reverse=True):
+                below = grow & (1 << v) - 1
+                stack.append((clique, closed, rest, part | 1 << v, passed | below, reach | adj[v]))
+        if part & part - 1 and not clique & ~reach and all(reach & s for s in closed):
+            if part == rest:
+                return [1 << v for v in bits(clique)] + [*closed, part]
+            stack.append((clique, closed + (part,), rest & ~part, 0, 0, 0))
     return None
 
 
@@ -482,19 +538,20 @@ def find_kt_minor_exact(
        proves the block free (treewidth never grows under minors and
        tw(K_t) = t-1);
     2. the counting certificate: a negative edge slack
-       m - C(t, 2) - (n - t), or too few vertices for a model whose
-       singleton branch sets form a clique of vertices of block degree
-       >= t - 1, proves it free;
+       m - C(t, 2) - (n - t) proves it free;
     3. greedy contraction: a complete quotient on at least t classes is a
        model, found without spending the budget;
-    4. the branch-set search, which never lets the positive surpluses of
-       its sets (each set's degree in the block beyond 2 per vertex, less
-       t - 3) sum past twice the slack, and seeds the first set only at
-       the block's least vertex.
+    4. a block of n < 2t vertices goes to the small-block stage, which
+       tries as singleton sets each clique of 2t - n or more vertices of
+       block degree >= t - 1, and splits the rest into the other sets;
+    5. any other block goes to the branch-set search, which never lets the
+       positive surpluses of its sets (each set's degree in the block
+       beyond 2 per vertex, less t - 3) sum past twice the slack, and seeds
+       the first set only at the block's least vertex.
 
     A model found is lifted back onto G and validated.  The verdicts are
     those of the search alone, but the models returned may differ from
-    those of versions without steps 2 and 3.  Without `fast_paths` every
+    those of versions without steps 2 to 4.  Without `fast_paths` every
     block of G with at least t vertices and C(t, 2) edges goes straight to
     the search, unpruned, so its models and steps spent are the search's
     own.
@@ -536,11 +593,13 @@ def find_kt_minor_exact(
         slack = _edge_slack(H, block, t, fast_paths)
         if slack is None:
             continue
-        masks = _greedy_contraction(H, block, t) if fast_paths else None
-        if masks is None:
+        masks, source = _greedy_contraction(H, block, t) if fast_paths else None, "search"
+        if masks is None and fast_paths and block.bit_count() < 2 * t:
+            masks, source = _small_block_search(H, block, t, budget, spent), "small-block"
+        elif masks is None:
             masks = _branch_set_search(H, block, t, budget, spent, slack, fast_paths)
         if masks is not None:
-            return _verified_model(G, _lift(masks[:t], suppressed), "search")
+            return _verified_model(G, _lift(masks[:t], suppressed), source)
     return None
 
 

@@ -16,6 +16,7 @@ GENERATED = {
     "p3.el": "connectivity --t 3 --k 1",
     "k33.el": "connectivity --t 5 --k 3",
     "lb.el": "lower-bound --a 60 --b 60 --t 6 --eps 0.05 --seed 2",
+    "lb17.el": "lower-bound --a 60 --b 60 --t 6 --eps 0.05 --seed 17",
     "b150.el": "bipartite --a 150 --b 150 --p 0.5 --seed 7",
     "b60.el": "bipartite --a 60 --b 60 --p 0.5 --seed 7",
     "k2020.el": "bipartite --a 20 --b 20 --p 1.0",
@@ -96,18 +97,23 @@ CASES = [
     # a lower-bound graph whose blocks the unpruned search could not settle
     # within 20 000 steps: the edge slack lets it find the model
     ("lb-20000", "check lb.el --t 6 --budget 20000", 0, ("k6_minor=Found",), ()),
-    # the same model, found within 5 000 steps; the search still finds it
-    # there with the least-vertex seeding of the first set removed, so only
-    # [lb-150] below catches that seeding's loss
+    # the same model, found within 5 000 steps
     ("lb-5000", "check lb.el --t 6 --budget 5000", 0, ("k6_minor=Found",), ()),
     # pruning by each branch set's degree surplus finds it in 958 steps,
     # where the edge-excess prune alone ran out of 1 000
     ("lb-1000", "check lb.el --t 6 --budget 1000", 0, ("k6_minor=Found",), ()),
     # only vertices of block degree >= t - 1 can be singleton sets, and the
-    # clique number among them proves the 9-vertex blocks free before the
-    # search: the model in 123 steps, where the clique number of the whole
-    # block let the search run out of 150 on one
+    # clique number among them proves the 9-vertex blocks free before any
+    # step; the small-block stage proves the 10-vertex one free in 28 steps
+    # (the branch-set search spent 123 there, and ran out of 150 on a
+    # 9-vertex one when the clique number of the whole block bounded the
+    # singletons), and the greedy contraction then finds the model
     ("lb-150", "check lb.el --t 6 --budget 150", 0, ("k6_minor=Found",), ()),
+    # every block that reaches the last stage has fewer than 2t vertices,
+    # and the small-block stage proves all of them K6-minor-free within 300
+    # steps, where the branch-set search ran out on a 10-vertex block
+    ("lb17-300", "check lb17.el --t 6 --budget 300", 1,
+     ("k6_minor=NotFound", "hadwiger=5"), ()),
     # a kappa the flows decide: delta = 22 here, and the growth test runs 38
     # hub flows that walk 43 paths beyond the common neighbours
     ("b60-kappa", "check b60.el --t 3 --budget 20000", 0, ("kappa=22",), ()),
@@ -165,7 +171,7 @@ def test_console_outputs_match_their_golden_digests(inputs, monkeypatch, capsys,
     # multipartite trial deals its colours once: these digests were taken
     # before each of those changes, so the outputs must match them byte for byte
     monkeypatch.chdir(inputs)
-    files = ["b150.el", "lb.el", "gnp.el", "mindeg.el"]
+    files = ["b150.el", "lb.el", "gnp.el", "mindeg.el", "lb17.el"]
     for suite, out_dir in (("decompose", "dec"), ("dense-model", "dm60")):
         argv = f"experiment --suite {suite} --trials 4 --seed 3 --max-n 60 --out-dir {out_dir}"
         assert main(argv.split()) == 0

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 import minorlab as ml
 from minorlab import DenseModelParams, MinorModel, minor
-from minorlab.graphs import biconnected_blocks, bits, induced_subgraph, set_of
+from minorlab.graphs import (
+    biconnected_blocks,
+    bits,
+    induced_subgraph,
+    is_connected_mask,
+    set_of,
+)
 from minorlab.minor import (
     _branch_set_search,
     _edge_slack,
@@ -20,6 +26,7 @@ from minorlab.minor import (
     _greedy_contraction,
     _lift,
     _series_parallel_reduce,
+    _small_block_search,
 )
 from oracles import (
     branch_set_search_ref,
@@ -176,6 +183,35 @@ def unpruned_ref(H, block, t, budget, spent, slack, fast_paths):
     return branch_set_search_ref(H, block, t, budget, spent)
 
 
+def clique_bound_settles(H, block, t):
+    """Whether the small-block stage proves `block` (of fewer than 2t
+    vertices) free by its singleton clique bound, before its first step."""
+    try:
+        return _small_block_search(H, block, t, 0, [0]) is None
+    except ml.BudgetExceeded:
+        return False
+
+
+def certified_free(H, block, t):
+    """Whether the counting certificate, or for a block of fewer than 2t
+    vertices the singleton clique bound, proves `block` free."""
+    if _edge_slack(H, block, t, True) is None:
+        return True
+    return block.bit_count() < 2 * t and clique_bound_settles(H, block, t)
+
+
+def last_stage_blocks(G, t):
+    """The reduced graph of G and the blocks of it that neither
+    certificate nor the greedy contraction settles."""
+    H, _ = _series_parallel_reduce(G)
+    return H, [
+        block for block in biconnected_blocks(H)
+        if _elimination_width(H, block, t - 1) == t - 1
+        and not certified_free(H, block, t)
+        and _greedy_contraction(H, block, t) is None
+    ]
+
+
 def test_branch_set_search_matches_the_recursive_search(monkeypatch):
     # without fast paths: the same models, verdicts and steps spent per
     # block, deepening included; the K3 model of C_15 needs every vertex, so
@@ -183,22 +219,22 @@ def test_branch_set_search_matches_the_recursive_search(monkeypatch):
     # search prunes by the degree surplus of its sets against twice the
     # edge slack: wherever the reference decides a block the verdict is the
     # same, and no block costs more steps.  The greedy contraction settles
-    # nearly every G(n, p) case before the search, so those reach it mostly
-    # without fast paths; the lower-bound graphs at t = 6 reach it with them
+    # nearly every G(n, p) case before the search, and the small-block stage
+    # every block of fewer than 2t vertices, so through find_kt_minor_exact
+    # they reach it mostly without fast paths; the pruned search is also
+    # driven directly on the lower-bound blocks that reach the last stage
     loop = minor._branch_set_search
     graphs = [
         ml.gnp_random_graph(9 + i % 12, 0.25 + 0.05 * (i % 9), seed=9000 + i)
         for i in range(100)
         if i % 5 < 2
     ]
-    graphs += [
-        ml.petersen_graph(),
-        ml.complete_bipartite(4, 6),
+    lower_bound = [
         ml.lower_bound_bipartite(12, 12, 5, 0.05, seed=0),
         ml.lower_bound_bipartite(20, 20, 6, 0.05, seed=0),
         ml.lower_bound_bipartite(20, 20, 6, 0.05, seed=2),
-        subdivided_k5(),
     ]
+    graphs += [ml.petersen_graph(), ml.complete_bipartite(4, 6), *lower_bound, subdivided_k5()]
     cases = [
         (G, t, fast_paths, 20_000)
         for G in graphs
@@ -222,7 +258,6 @@ def test_branch_set_search_matches_the_recursive_search(monkeypatch):
         if not case[2]:
             assert got == want
             continue
-        searched_fast += bool(got[1])
         (verdict, calls), (ref_verdict, ref_calls) = got, want
         if ref_verdict is None or isinstance(ref_verdict, MinorModel):  # decided
             assert (verdict is None) == (ref_verdict is None)
@@ -234,8 +269,22 @@ def test_branch_set_search_matches_the_recursive_search(monkeypatch):
     for G, t, _, budget in exhausting:
         model = ml.find_kt_minor_exact(G, t, budget=budget)
         assert model is not None and model.t == t and ml.validate_model(G, model)
+    for G, t in [(G, t) for G in lower_bound for t in (5, 6)] + [c[:2] for c in exhausting]:
+        H, blocks = last_stage_blocks(G, t)
+        for block in blocks:
+            slack = _edge_slack(H, block, t, True)
+            spent, ref_spent = [0], [0]
+            found = loop(H, block, t, 20_000, spent, slack, True)
+            try:
+                ref = branch_set_search_ref(H, block, t, 20_000, ref_spent)
+            except ml.BudgetExceeded:
+                ref = "budget"
+            assert spent[0] <= ref_spent[0]
+            if ref != "budget":
+                assert (found is None) == (ref is None)
+            searched_fast += 1
     assert searched >= 100
-    assert searched_fast >= 5
+    assert searched_fast >= 5, searched_fast
 
 
 def test_without_fast_paths_models_and_steps_are_unchanged(monkeypatch):
@@ -271,13 +320,14 @@ def test_without_fast_paths_models_and_steps_are_unchanged(monkeypatch):
 
 
 def test_fast_paths_agree_with_brute_and_settle_blocks_first(monkeypatch):
-    # the counting certificate and the greedy contraction both decide
-    # blocks here, and every verdict is the partition oracle's
+    # the counting certificate (with the small-block stage's singleton
+    # clique bound) and the greedy contraction both decide blocks here, and
+    # every verdict is the partition oracle's
     settled = {"counting": 0, "contraction": 0}
 
     def counting(H, block, t, fast_paths):
         slack = _edge_slack(H, block, t, fast_paths)
-        if slack is None and _edge_slack(H, block, t, False) is not None:
+        if _edge_slack(H, block, t, False) is not None and certified_free(H, block, t):
             settled["counting"] += 1
         return slack
 
@@ -375,9 +425,9 @@ def test_greedy_contraction_matches_the_key_tuple_reference(monkeypatch):
 
 
 def test_counting_certificate_never_skips_a_block_with_a_model():
-    # blocks of the reduced lower-bound graphs that only the clique number
-    # proves too small: the recursive search, run to the end, finds no
-    # model in any of them
+    # blocks of the reduced lower-bound graphs that the edge slack or the
+    # clique number proves too small: the recursive search, run to the end,
+    # finds no model in any of them
     skipped = 0
     for s in (12, 16, 20, 24):
         for t in (5, 6):
@@ -387,7 +437,7 @@ def test_counting_certificate_never_skips_a_block_with_a_model():
                 for block in biconnected_blocks(H):
                     if _edge_slack(H, block, t, False) is None:
                         continue
-                    if _edge_slack(H, block, t, True) is None:
+                    if certified_free(H, block, t):
                         skipped += 1
                         assert branch_set_search_ref(H, block, t, 10**6, [0]) is None
     assert skipped >= 40, skipped
@@ -398,12 +448,13 @@ def test_counting_certificate_with_clique_number_two():
     # 12 - C(5,2) - 2 = 0, but it has no triangle, so a model needs
     # 2t - 2 = 8 vertices
     G = ml.complete_bipartite(3, 4)
-    assert _edge_slack(G, G.full_mask, 5, False) is not None
-    assert _edge_slack(G, G.full_mask, 5, True) is None
+    assert _edge_slack(G, G.full_mask, 5, True) == 0
+    assert clique_bound_settles(G, G.full_mask, 5)
     # K_{3,3,2} at t = 6 has a slack of 21 - C(6,2) - 2 = 4 and triangles,
     # but no K_4, so a model needs 2*6 - 3 = 9 vertices
     G = ml.complete_multipartite([3, 3, 2])
-    assert _edge_slack(G, G.full_mask, 6, True) is None
+    assert _edge_slack(G, G.full_mask, 6, True) == 4
+    assert clique_bound_settles(G, G.full_mask, 6)
     # K_{3,3} plus an edge: 10 edges fall short of C(5,2) + (6 - 5)
     G = ml.from_edge_list(6, [(u, v) for u in range(3) for v in range(3, 6)] + [(0, 1)])
     assert _edge_slack(G, G.full_mask, 5, True) is None
@@ -467,7 +518,7 @@ def test_singleton_degree_bound_settles_only_free_blocks():
         B = induced_subgraph(H, bits(block))
         plain = B.m if B.n >= t and B.m >= t * (t - 1) // 2 else None
         assert _edge_slack(H, block, t, False) == plain
-        slack = _edge_slack(H, block, t, True)
+        slack = None if certified_free(H, block, t) else _edge_slack(H, block, t, True)
         assert slack == counting_certificate_brute(B, t, True), (B, t)
         if slack is None and plain is not None:
             settled += 1
@@ -482,12 +533,14 @@ def test_singleton_degree_bound_on_hand_made_blocks():
     # vertices of degree 5 can be singletons, and they are pairwise apart
     G = ml.complete_bipartite(3, 5)
     assert counting_certificate_brute(G, 5, False) == 2
-    assert _edge_slack(G, G.full_mask, 5, True) is None
+    assert _edge_slack(G, G.full_mask, 5, True) == 2
+    assert clique_bound_settles(G, G.full_mask, 5)
     # the 4-regular circulant C_11(1, 2) at t = 6: slack 22 - C(6,2) - 5 = 2,
     # and a model on 11 vertices needs a singleton, of degree 5: none has it
     C = ml.from_edge_list(11, [(i, (i + d) % 11) for i in range(11) for d in (1, 2)])
     assert counting_certificate_brute(C, 6, False) == 2
-    assert _edge_slack(C, C.full_mask, 6, True) is None
+    assert _edge_slack(C, C.full_mask, 6, True) == 2
+    assert clique_bound_settles(C, C.full_mask, 6)
     assert not has_kt_minor_brute(G, 5) and not has_kt_minor_brute(C, 6)
 
 
@@ -551,7 +604,7 @@ def planted_tight_model(rng, n, t):
 
 
 def test_slack_pruned_search_agrees_with_brute():
-    # every distinct block that reaches the search from the lower-bound
+    # every distinct block that reaches the last stage from the lower-bound
     # graphs at t = 5 (sides 40-60) and t = 6 (sides 60-80), and random
     # 2-connected blocks of minimum degree 3 on 8-10 vertices with slack 0
     # or 1; the certificate and the pruned search agree with the partition
@@ -565,15 +618,10 @@ def test_slack_pruned_search_agrees_with_brute():
         for side in sides:
             for seed in range(14):
                 G = ml.lower_bound_bipartite(side, side, t, 0.05, seed=seed)
-                H, _ = _series_parallel_reduce(G)
-                for block in biconnected_blocks(H):
-                    if (
-                        _elimination_width(H, block, t - 1) == t - 1
-                        and _edge_slack(H, block, t, True) is not None
-                        and _greedy_contraction(H, block, t) is None
-                    ):
-                        B = induced_subgraph(H, bits(block))
-                        blocks.setdefault((B.adj, t), (H, block))
+                H, last = last_stage_blocks(G, t)
+                for block in last:
+                    B = induced_subgraph(H, bits(block))
+                    blocks.setdefault((B.adj, t), (H, block))
     searched = len(blocks)
     P = ml.petersen_graph()
     blocks[P.adj, 5] = (P, P.full_mask)
@@ -587,10 +635,10 @@ def test_slack_pruned_search_agrees_with_brute():
     tight_models = 0
     for (_, t), (H, block) in blocks.items():
         want = has_kt_minor_brute(induced_subgraph(H, bits(block)), t)
-        slack = _edge_slack(H, block, t, True)
-        if slack is None:
+        if certified_free(H, block, t):
             assert not want
             continue
+        slack = _edge_slack(H, block, t, True)
         found = _branch_set_search(H, block, t, 10**6, [0], slack, True)
         assert (found is not None) == want, (H, block, t, slack)
         if found is not None:
@@ -705,15 +753,35 @@ def test_first_seed_at_the_least_vertex_cuts_the_lower_bound_steps(monkeypatch):
     # that to 4 364 and 10 380, the per-set surplus prune in place of the
     # edge excess to 958 and 2 864, and bounding the singleton sets by the
     # clique number of the vertices of block degree >= t - 1 alone, which
-    # proves more blocks free before the search, spends 123 and 1 814; the
+    # proves more blocks free before the search, spends 123 and 1 814 (the
+    # search run on the blocks that reach the last stage, in order, until
+    # one holds a model; the greedy contraction finds the first graph's in
+    # a later block).  Every such block has fewer than 2t vertices, so
+    # find_kt_minor_exact now gives them to the small-block stage, which
+    # decides them in 28 and 152 steps and never calls the search; the
     # models are valid each time
-    for (side, seed), steps in (((60, 2), 123), ((80, 17), 1_814)):
+    for (side, seed), steps, find_steps in (((60, 2), 123, 28), ((80, 17), 1_814, 152)):
         G = ml.lower_bound_bipartite(side, side, 6, 0.05, seed=seed)
-        model, calls = searched_blocks(
-            monkeypatch, minor._branch_set_search, G, 6, True, 20_000
-        )
+        H, blocks = last_stage_blocks(G, 6)
+        spent = [0]
+        for block in blocks:
+            assert block.bit_count() < 12
+            slack = _edge_slack(H, block, 6, True)
+            if _branch_set_search(H, block, 6, 20_000, spent, slack, True) is not None:
+                break
+        assert spent[0] == steps
+        stage_spent = []
+
+        def recorded(H, block, t, budget, spent):
+            try:
+                return _small_block_search(H, block, t, budget, spent)
+            finally:
+                stage_spent.append(spent[0])
+
+        monkeypatch.setattr(minor, "_small_block_search", recorded)
+        model, calls = searched_blocks(monkeypatch, _branch_set_search, G, 6, True, 20_000)
+        assert calls == [] and stage_spent[-1] == find_steps, stage_spent
         assert isinstance(model, MinorModel) and ml.validate_model(G, model)
-        assert calls[-1][2] == steps
 
 
 def test_hadwiger_starts_at_the_greedy_quotient(monkeypatch):
@@ -749,6 +817,78 @@ def test_counting_certificate_gives_up_on_a_long_clique_search(monkeypatch):
     with pytest.raises(ml.BudgetExceeded):
         ml.find_kt_minor_exact(G, 27, budget=1)
     assert caps == [39 * 39]
+
+
+def test_small_block_stage_agrees_with_brute():
+    # connected G(n, p) with t <= n < 2t, t = 3..7: the stage's verdict is
+    # the partition oracle's, every model spans the graph as singletons
+    # then parts, each part holds the least vertex that no singleton or
+    # earlier part holds, and up to 8 vertices the model is one of the
+    # oracle's spanning models
+    checked = models = 0
+    for i in range(400):
+        rng = random.Random(10_100 + i)
+        t = rng.randint(3, 7)
+        n = rng.randint(t, min(2 * t - 1, 9))
+        G = ml.gnp_random_graph(n, rng.uniform(0.3, 0.95), seed=10_100 + i)
+        if not is_connected_mask(G, G.full_mask):
+            continue
+        checked += 1
+        found = _small_block_search(G, G.full_mask, t, 10**6, [0])
+        assert (found is not None) == has_kt_minor_brute(G, t), (G, t)
+        if found is None:
+            continue
+        models += 1
+        assert len(found) == t and sum(found) == G.full_mask
+        assert ml.validate_model(G, MinorModel(tuple(map(set_of, found))))
+        placed = sum(m for m in found if not m & m - 1)
+        for part in [m for m in found if m & m - 1]:
+            unplaced = G.full_mask & ~placed
+            assert part & -part == unplaced & -unplaced, (G, t, found)
+            placed |= part
+        if n <= 8:
+            assert sorted(found) in map(sorted, spanning_models_brute(G, t)), (G, t)
+    assert checked >= 300 and models >= 100, (checked, models)
+
+
+def test_small_block_stage_matches_the_search_on_lower_bound_blocks():
+    # every block of fewer than 2t vertices that the counting certificate
+    # and the greedy contraction leave in the reduced lower-bound graphs at
+    # t = 5 and 6: the stage (its clique bound included) decides each one
+    # as the recursive reference search does, within 20 000 steps each
+    compared = free = 0
+    for t, sides in ((5, (40, 60)), (6, (60, 80))):
+        for side in sides:
+            for seed in range(3):
+                G = ml.lower_bound_bipartite(side, side, t, 0.05, seed=seed)
+                H, _ = _series_parallel_reduce(G)
+                for block in biconnected_blocks(H):
+                    if (block.bit_count() >= 2 * t
+                            or _edge_slack(H, block, t, True) is None
+                            or _greedy_contraction(H, block, t) is not None):
+                        continue
+                    found = _small_block_search(H, block, t, 20_000, [0])
+                    ref = branch_set_search_ref(H, block, t, 10**6, [0])
+                    assert (found is None) == (ref is None), (H, block, t)
+                    compared += 1
+                    free += ref is None
+    assert compared >= 30 and free >= 25, (compared, free)
+
+
+def test_small_block_budget_bounds_the_clique_enumeration(monkeypatch):
+    # K_{3,...,3} with 13 parts at t = 27: with the clique bound giving up,
+    # the stage enumerates the cliques of a block with about 4^13 of them;
+    # one step per clique or split node keeps 2 000 steps well under 0.5 s
+    def gives_up(H, start, budget, target):
+        raise ml.BudgetExceeded("independent-set search", budget, H.n)
+
+    monkeypatch.setattr(minor, "_mis_search", gives_up)
+    G = ml.complete_multipartite([3] * 13)
+    t0 = time.perf_counter()
+    with pytest.raises(ml.BudgetExceeded) as info:
+        ml.find_kt_minor_exact(G, 27, budget=2000)
+    assert time.perf_counter() - t0 < 0.5
+    assert (info.value.steps, info.value.n) == (2000, 39)
 
 
 def test_width_certificate_decides_petersen_at_six():
