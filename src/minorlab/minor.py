@@ -4,10 +4,11 @@ A model of K_t in G is a family of t pairwise disjoint vertex sets, each
 inducing a connected subgraph, with an edge of G between every pair of sets.
 The exact search reduces the graph series-parallel, then settles each block
 in turn: an elimination width or a vertex and edge count proves it free, a
-greedy contraction finds a model, a block of fewer than 2t vertices is
-decided by the clique its singleton branch sets form, and only what is left
-goes to a search that grows branch sets by backtracking with canonical-seed
-symmetry pruning.
+greedy contraction finds a model, and what is left is decided by searching
+the models that span the block, singleton sets first, with each set's
+degree surplus bounded by the edge count.  Without these fast paths every
+block goes to a search that grows branch sets by backtracking with
+canonical-seed symmetry pruning.
 The two randomized procedures build models in dense graphs and in one
 random-contraction round of a bipartite graph.
 """
@@ -209,8 +210,7 @@ def _edge_slack(G: Graph, block: int, t: int, fast_paths: bool) -> int | None:
     many edges as there are of them.  A block with n vertices and m edges
     that holds a model therefore has m >= C(t, 2) + (n - t) + excess, and
     a negative slack m - C(t, 2) - (n - t) proves it free.  Without
-    `fast_paths` only n >= t and m >= C(t, 2) are asked, and the slack
-    returned is m, which no excess exceeds.
+    `fast_paths` only n >= t and m >= C(t, 2) are asked, and m is returned.
     """
     size = block.bit_count()
     edges = sum((G.adj[v] & block).bit_count() for v in bits(block)) // 2
@@ -264,36 +264,50 @@ def _greedy_contraction(G: Graph, block: int, t: int) -> list[int] | None:
     return None
 
 
-def _small_block_search(
+def _spanning_model_search(
     G: Graph, block: int, t: int, budget: int, spent: list[int]
 ) -> list[int] | None:
-    """Exact search of a connected `block` of t <= n < 2t vertices: the
-    sets of a model spanning it, singletons first, or None as a proof of
+    """Exact search of a 2-connected `block` of n >= t vertices: the sets
+    of a model spanning it, singletons first, or None as a proof of
     freeness.
 
     A model of a connected block grows into one that spans it (add each
     unused vertex to a set it touches), whose sets but its w singletons
     have two vertices or more, so w >= w_least = 2t - n.  The singletons
-    are pairwise adjacent, of block degree >= t - 1 (`high`): an empty
-    `high` proves the block free, and so, when w_least >= 2, does finding
-    no clique of w_least vertices of `high`, looked for as an independent
-    set of the complement (the block stays if that search gives up after
-    |block|^2 nodes).  Then the cliques of `high` are enumerated by
-    extension (the candidates are the common neighbours above the last
-    member), and for each of w_least vertices or more the rest is split
-    into the t - w other sets: each takes the least unplaced vertex, grows
-    one neighbour at a time (none it passed over, so no set is grown
-    twice) while two vertices are left for each later set, and closes once
-    it touches every singleton and every earlier set; the last takes all
-    that is left.  Both searches share one stack, a clique's split above
-    its extensions, and each node costs one budget step and O(|block|)
-    bitset operations.
+    are pairwise adjacent, of block degree >= t - 1 (`high`): when
+    w_least > 0 an empty `high` proves the block free, and so, when
+    w_least >= 2, does finding no clique of w_least vertices of `high`,
+    looked for as an independent set of the complement (the block stays
+    if that search gives up after |block|^2 nodes).  Then the cliques of
+    `high` are enumerated by extension from the empty one (the candidates
+    are the common neighbours above the last member), and for each of
+    w_least vertices or more the rest is split into the t - w other sets:
+    each takes the least unplaced vertex, grows one neighbour at a time
+    (none it passed over, so no set is grown twice) while two vertices
+    are left for each later set, and closes once it touches every
+    singleton and every earlier set; the last takes all that is left.
+
+    The surplus of a set is the sum over its vertices of their block
+    degree less 2, less t - 3, so a singleton's is deg - t + 1.  A set of
+    a model spans a tree and has an edge to each of the t - 1 others, so
+    its surplus is at least 0, and the surpluses of a model that spans the
+    block sum to exactly 2m - 2n - t(t - 3), twice the edge slack (see
+    `_edge_slack`).  No vertex of a 2-connected block has degree below 2,
+    so a surplus never falls as its set grows.  So a set may not close
+    with a negative surplus, and no move may push the surplus of the
+    singletons, plus the closed sets, plus the open set (taken at 0 while
+    negative) past twice the slack; the last set's surplus is what is
+    left of it.  Both searches share one stack, a clique's split above its
+    extensions, and each node costs one budget step and O(|block|) bitset
+    operations.
     """
     adj = G.adj
     size = block.bit_count()
     w_least = 2 * t - size
-    high = mask_of(v for v in bits(block) if (adj[v] & block).bit_count() >= t - 1)
-    if not high:
+    charge = {v: (adj[v] & block).bit_count() - 2 for v in bits(block)}
+    room = sum(charge.values()) - t * (t - 3)
+    high = mask_of(v for v, c in charge.items() if c >= t - 3)
+    if w_least > 0 and not high:
         return None
     if w_least > 1:
         comp = [high & ~adj[v] & ~(1 << v) if high >> v & 1 else 0 for v in range(G.n)]
@@ -302,33 +316,39 @@ def _small_block_search(
                 return None
         except BudgetExceeded:
             pass
-    # a clique frame is (singletons, candidates); a split frame is
-    # (singletons, closed sets, unplaced vertices, open set or 0 for a new
-    # one, vertices it passed over, its neighbourhood)
-    stack: list[tuple] = [(0, high)]
+    # a clique frame is (singletons, their surplus, candidates); a split
+    # frame is (singletons, closed sets, unplaced vertices, surplus of the
+    # singletons and closed sets, open set or 0 for a new one, its surplus,
+    # vertices it passed over, its neighbourhood)
+    stack: list[tuple] = [(0, 0, high)]
     while stack:
         spent[0] += 1
         if spent[0] > budget:
             raise BudgetExceeded("minor search", budget, size)
         frame = stack.pop()
-        if len(frame) == 2:
-            clique, cand = frame
+        if len(frame) == 3:
+            clique, fixed, cand = frame
             w = clique.bit_count()
             if w < t:
                 for v in sorted(bits(cand), reverse=True):
                     above = cand & adj[v] & -(2 << v)
-                    if w + 1 + above.bit_count() >= w_least:
-                        stack.append((clique | 1 << v, above))
+                    gain = charge[v] + 3 - t
+                    if w + 1 + above.bit_count() >= w_least and fixed + gain <= room:
+                        stack.append((clique | 1 << v, fixed + gain, above))
             rest = block & ~clique
             if not rest:  # K_t itself
                 return [1 << v for v in bits(clique)]
             if w_least <= w < t:
-                stack.append((clique, (), rest, 0, 0, 0))
+                stack.append((clique, (), rest, fixed, 0, 0, 0, 0))
             continue
-        clique, closed, rest, part, passed, reach = frame
+        clique, closed, rest, fixed, part, sur, passed, reach = frame
         left = t - clique.bit_count() - len(closed)
         if not part:  # a new set at the least unplaced vertex; the last takes all
-            part = rest if left == 1 else rest & -rest
+            if left == 1:
+                part, sur = rest, room - fixed
+            else:
+                part = rest & -rest
+                sur = charge[part.bit_length() - 1] + 3 - t
             if not is_connected_mask(G, part):
                 continue
             reach = adjacency_mask(G, part)
@@ -336,11 +356,17 @@ def _small_block_search(
             grow = reach & rest & ~part & ~passed
             for v in sorted(bits(grow), reverse=True):
                 below = grow & (1 << v) - 1
-                stack.append((clique, closed, rest, part | 1 << v, passed | below, reach | adj[v]))
-        if part & part - 1 and not clique & ~reach and all(reach & s for s in closed):
+                more = sur + charge[v]
+                if fixed + max(0, more) <= room:
+                    stack.append(
+                        (clique, closed, rest, fixed, part | 1 << v, more, passed | below,
+                         reach | adj[v])
+                    )
+        if (sur >= 0 and part & part - 1 and not clique & ~reach
+                and all(reach & s for s in closed)):
             if part == rest:
                 return [1 << v for v in bits(clique)] + [*closed, part]
-            stack.append((clique, closed + (part,), rest & ~part, 0, 0, 0))
+            stack.append((clique, closed + (part,), rest & ~part, fixed + sur, 0, 0, 0, 0))
     return None
 
 
@@ -354,8 +380,7 @@ def _remember(table: set[tuple[int, ...]], state: tuple[int, ...]) -> None:
 
 
 def _branch_set_search(
-    G: Graph, comp: int, t: int, budget: int, spent: list[int], slack: int,
-    fast_paths: bool,
+    G: Graph, comp: int, t: int, budget: int, spent: list[int]
 ) -> list[int] | None:
     """Backtracking over branch-set growth inside one block.
 
@@ -370,23 +395,6 @@ def _branch_set_search(
     absorption and seed moves) plus sorting its moves, and walks no path,
     so the node budget bounds the wall time.
 
-    Each node also carries the surplus of each set: the sum over its
-    vertices of their degree in the block less 2, less t - 3.  In a model
-    that spans the block every set has at least |B| - 1 edges inside and
-    t - 1 edges to the other sets, so its surplus is at least 0, and the
-    surpluses sum to exactly twice the excess (see `_edge_slack`), at most
-    2 * `slack`.  No vertex of a 2-connected block has degree below 2, so
-    a surplus never falls as its set grows, and any model grows into a
-    spanning one; a move that would push the sum of the positive surpluses
-    past 2 * `slack` cannot lead to a model and is never generated.  The
-    slack without `fast_paths` is the edge count m, and no surplus sum
-    reaches 2m, so that search is never pruned.
-
-    With `fast_paths` the first set is seeded only at the block's least
-    vertex: a model of a connected block grows into one that spans it (add
-    each unused vertex to a set it touches), and the first set of that
-    model holds the least vertex.
-
     The outer loop deepens a cap on the total number of used vertices, so
     small models are found quickly and a level that never hits the cap is a
     complete proof that no model exists.  The cap is checked against the
@@ -397,8 +405,6 @@ def _branch_set_search(
     """
     comp_size = comp.bit_count()
     adj = G.adj
-    charge = {v: (adj[v] & comp).bit_count() - 2 for v in bits(comp)}
-    room = 2 * slack
     failed_perm: set[tuple[int, ...]] = set()
     failed_here: set[tuple[int, ...]] = set()
     # a raised BudgetExceeded keeps this frame, and with it both tables,
@@ -409,12 +415,11 @@ def _branch_set_search(
         for cap in [comp_size] if comp_size <= 14 else range(t, comp_size + 1):
             failed_here.clear()
             # one frame per node on the search path:
-            # [state, sets, nbr, sur, avail, over, moves left, cap_hit];
-            # nbr[i] is the neighborhood mask of sets[i] and sur[i] its
-            # surplus, over is the sum of the positive surpluses, and a move
-            # copies the lists, so a frame's own lists never change
+            # [state, sets, nbr, avail, moves left, cap_hit]; nbr[i] is the
+            # neighborhood mask of sets[i], and a move copies both lists, so
+            # a frame's own lists never change
             path: list[list] = []
-            sets, nbr, sur, avail, over = [], [], [], comp, 0
+            sets, nbr, avail = [], [], comp
             while True:
                 spent[0] += 1
                 if spent[0] > budget:
@@ -451,65 +456,55 @@ def _branch_set_search(
                         )
                         for side, other in ((i, j), (j, i)):
                             finishing = nbr[other]
-                            surplus = sur[side]
-                            # the most this side's positive surplus may reach
-                            limit = room - over + max(0, surplus)
                             rest = grow[side]
                             while rest:
                                 vb = rest & -rest
                                 rest ^= vb
-                                v = vb.bit_length() - 1
-                                if max(0, surplus + charge[v]) <= limit:
-                                    # absorptions that finish the pair at once go first
-                                    key = 0 if finishing & vb else 1
-                                    moves.append((key, side, v))
+                                # absorptions that finish the pair at once go first
+                                key = 0 if finishing & vb else 1
+                                moves.append((key, side, vb.bit_length() - 1))
                     elif k == t:
                         return sets
                     else:
                         cands = avail & -(sets[-1] & -sets[-1]) << 1 if sets else avail
                         if cands.bit_count() >= t - k:
-                            if fast_paths and not k:
-                                cands &= -cands  # the least vertex only
                             # seeds already adjacent to more of the current
                             # sets go first (v is in no set, so it touches
                             # set s when it lies in nbr[s])
                             for v in bits(cands):
-                                if max(0, charge[v] + 3 - t) <= room - over:
-                                    touching = sum(b >> v & 1 for b in nbr)
-                                    moves.append((k - touching, k, v))
+                                touching = sum(b >> v & 1 for b in nbr)
+                                moves.append((k - touching, k, v))
                     if moves:
                         moves.sort()
-                        path.append([state, sets, nbr, sur, avail, over, iter(moves), cap_hit])
+                        path.append([state, sets, nbr, avail, iter(moves), cap_hit])
                     else:  # a dead end
                         hit = cap_hit
                         _remember(failed_here if hit else failed_perm, state)
                 if hit and path:
-                    path[-1][7] = True
+                    path[-1][5] = True
                 # descend along the next move, closing finished nodes on the way
                 while path:
                     frame = path[-1]
-                    move = next(frame[6], None)
+                    move = next(frame[4], None)
                     if move is not None:
                         break
                     path.pop()
-                    state, hit = frame[0], frame[7]
+                    state, hit = frame[0], frame[5]
                     _remember(failed_here if hit else failed_perm, state)
                     if hit and path:
-                        path[-1][7] = True
+                        path[-1][5] = True
                 else:
                     break
                 _, side, v = move
-                _, sets, nbr, sur, avail, over, _, _ = frame
+                _, sets, nbr, avail, _, _ = frame
                 vb = 1 << v
                 avail &= ~vb
-                if side == len(sets):  # a new set: empty, of surplus 3 - t
-                    sets, nbr, sur = sets + [0], nbr + [0], sur + [3 - t]
+                if side == len(sets):  # a new set
+                    sets, nbr = sets + [0], nbr + [0]
                 else:
-                    sets, nbr, sur = sets.copy(), nbr.copy(), sur.copy()
+                    sets, nbr = sets.copy(), nbr.copy()
                 sets[side] |= vb
                 nbr[side] |= adj[v]
-                over += max(0, sur[side] + charge[v]) - max(0, sur[side])
-                sur[side] += charge[v]
             # the root closed last: if no node below it hit the cap, no
             # larger cap finds a model either
             if not hit:
@@ -541,22 +536,19 @@ def find_kt_minor_exact(
        m - C(t, 2) - (n - t) proves it free;
     3. greedy contraction: a complete quotient on at least t classes is a
        model, found without spending the budget;
-    4. a block of n < 2t vertices goes to the small-block stage, which
-       tries as singleton sets each clique of 2t - n or more vertices of
-       block degree >= t - 1, and splits the rest into the other sets;
-    5. any other block goes to the branch-set search, which never lets the
-       positive surpluses of its sets (each set's degree in the block
-       beyond 2 per vertex, less t - 3) sum past twice the slack, and seeds
-       the first set only at the block's least vertex.
+    4. the spanning-model stage: it tries as singleton sets each clique of
+       max(0, 2t - n) or more vertices of block degree >= t - 1, and
+       splits the rest into the other sets, never letting the surpluses of
+       the sets (each set's degree in the block beyond 2 per vertex, less
+       t - 3) sum past twice the slack.
 
     A model found is lifted back onto G and validated.  The verdicts are
-    those of the search alone, but the models returned may differ from
-    those of versions without steps 2 to 4.  Without `fast_paths` every
-    block of G with at least t vertices and C(t, 2) edges goes straight to
-    the search, unpruned, so its models and steps spent are the search's
-    own.
+    those of the branch-set search, but the models returned may differ.
+    Without `fast_paths` every block of G with at least t vertices and
+    C(t, 2) edges goes straight to the branch-set search, so its models and
+    steps spent are the search's own.
     """
-    check_integers(t=t)
+    check_integers(t=t, budget=budget)
     if t < 1:
         raise InputError(f"clique order must be at least 1, got {t}")
     if t == 1:
@@ -590,14 +582,15 @@ def find_kt_minor_exact(
     for block in biconnected_blocks(H):
         if fast_paths and _elimination_width(H, block, t - 1) < t - 1:
             continue
-        slack = _edge_slack(H, block, t, fast_paths)
-        if slack is None:
+        if _edge_slack(H, block, t, fast_paths) is None:
             continue
-        masks, source = _greedy_contraction(H, block, t) if fast_paths else None, "search"
-        if masks is None and fast_paths and block.bit_count() < 2 * t:
-            masks, source = _small_block_search(H, block, t, budget, spent), "small-block"
-        elif masks is None:
-            masks = _branch_set_search(H, block, t, budget, spent, slack, fast_paths)
+        if not fast_paths:
+            masks, source = _branch_set_search(H, block, t, budget, spent), "search"
+        else:
+            masks, source = _greedy_contraction(H, block, t), "greedy contraction"
+            if masks is None:
+                masks = _spanning_model_search(H, block, t, budget, spent)
+                source = "spanning-model stage"
         if masks is not None:
             return _verified_model(G, _lift(masks[:t], suppressed), source)
     return None
@@ -611,6 +604,7 @@ def hadwiger_number(G: Graph, budget: int = DEFAULT_BUDGET) -> int:
     largest t with C(t, 2) <= m, and the min-degree elimination width plus
     one.
     """
+    check_integers(budget=budget)
     if G.n == 0:
         return 0
     lo = max(

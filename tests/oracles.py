@@ -588,9 +588,7 @@ def branch_set_search_ref(
     G: Graph, comp: int, t: int, budget: int, spent: list[int]
 ) -> list[int] | None:
     """Recursive branch-set search: the same nodes, order, tables and step
-    charges as :func:`minorlab.minor._branch_set_search` without fast paths,
-    where every vertex is a first seed and the slack is the edge count m,
-    so no surplus sum reaches 2m."""
+    charges as :func:`minorlab.minor._branch_set_search`."""
 
     def above(v: int) -> int:
         return -1 << (v + 1)

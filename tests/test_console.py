@@ -104,13 +104,13 @@ CASES = [
     ("lb-1000", "check lb.el --t 6 --budget 1000", 0, ("k6_minor=Found",), ()),
     # only vertices of block degree >= t - 1 can be singleton sets, and the
     # clique number among them proves the 9-vertex blocks free before any
-    # step; the small-block stage proves the 10-vertex one free in 28 steps
+    # step; the spanning-model stage proves the 10-vertex one free in 7 steps
     # (the branch-set search spent 123 there, and ran out of 150 on a
     # 9-vertex one when the clique number of the whole block bounded the
     # singletons), and the greedy contraction then finds the model
     ("lb-150", "check lb.el --t 6 --budget 150", 0, ("k6_minor=Found",), ()),
     # every block that reaches the last stage has fewer than 2t vertices,
-    # and the small-block stage proves all of them K6-minor-free within 300
+    # and the spanning-model stage proves all of them K6-minor-free within 300
     # steps, where the branch-set search ran out on a 10-vertex block
     ("lb17-300", "check lb17.el --t 6 --budget 300", 1,
      ("k6_minor=NotFound", "hadwiger=5"), ()),

@@ -16,17 +16,15 @@ from minorlab.graphs import (
     biconnected_blocks,
     bits,
     induced_subgraph,
-    is_connected_mask,
     set_of,
 )
 from minorlab.minor import (
-    _branch_set_search,
     _edge_slack,
     _elimination_width,
     _greedy_contraction,
     _lift,
     _series_parallel_reduce,
-    _small_block_search,
+    _spanning_model_search,
 )
 from oracles import (
     branch_set_search_ref,
@@ -157,20 +155,23 @@ def test_exhausted_search_frees_its_tables():
 
 
 def searched_blocks(monkeypatch, search, G, t, fast_paths, budget):
-    """The verdict of find_kt_minor_exact with `search` as its branch-set
-    search, and (block, outcome, steps spent so far) for each block searched."""
+    """The verdict of find_kt_minor_exact with `search` in place of its last
+    stage (the spanning-model stage with fast paths, the branch-set search
+    without), and (block, outcome, steps spent so far) for each block
+    searched."""
     calls = []
 
-    def recorded(H, block, t, budget, spent, slack, fast_paths):
+    def recorded(H, block, t, budget, spent):
         try:
-            found = search(H, block, t, budget, spent, slack, fast_paths)
+            found = search(H, block, t, budget, spent)
         except ml.BudgetExceeded:
             calls.append((block, "budget", spent[0]))
             raise
         calls.append((block, found, spent[0]))
         return found
 
-    monkeypatch.setattr(minor, "_branch_set_search", recorded)
+    stage = "_spanning_model_search" if fast_paths else "_branch_set_search"
+    monkeypatch.setattr(minor, stage, recorded)
     try:
         verdict = ml.find_kt_minor_exact(G, t, budget=budget, fast_paths=fast_paths)
     except ml.BudgetExceeded as exc:
@@ -178,16 +179,11 @@ def searched_blocks(monkeypatch, search, G, t, fast_paths, budget):
     return verdict, calls
 
 
-def unpruned_ref(H, block, t, budget, spent, slack, fast_paths):
-    """The recursive reference search, which never prunes by the slack."""
-    return branch_set_search_ref(H, block, t, budget, spent)
-
-
 def clique_bound_settles(H, block, t):
-    """Whether the small-block stage proves `block` (of fewer than 2t
+    """Whether the spanning-model stage proves `block` (of fewer than 2t
     vertices) free by its singleton clique bound, before its first step."""
     try:
-        return _small_block_search(H, block, t, 0, [0]) is None
+        return _spanning_model_search(H, block, t, 0, [0]) is None
     except ml.BudgetExceeded:
         return False
 
@@ -216,13 +212,12 @@ def test_branch_set_search_matches_the_recursive_search(monkeypatch):
     # without fast paths: the same models, verdicts and steps spent per
     # block, deepening included; the K3 model of C_15 needs every vertex, so
     # only the last cap finds it (after 79 614 steps).  With fast paths the
-    # search prunes by the degree surplus of its sets against twice the
-    # edge slack: wherever the reference decides a block the verdict is the
-    # same, and no block costs more steps.  The greedy contraction settles
-    # nearly every G(n, p) case before the search, and the small-block stage
-    # every block of fewer than 2t vertices, so through find_kt_minor_exact
-    # they reach it mostly without fast paths; the pruned search is also
-    # driven directly on the lower-bound blocks that reach the last stage
+    # spanning-model stage, which bounds the degree surplus of its sets by
+    # twice the edge slack, takes the search's place: wherever the reference
+    # search decides a block the verdict is the same, and no block costs
+    # more steps.  The greedy contraction settles nearly every G(n, p) case
+    # before the last stage, so the stage is also driven directly on the
+    # lower-bound blocks that reach it
     loop = minor._branch_set_search
     graphs = [
         ml.gnp_random_graph(9 + i % 12, 0.25 + 0.05 * (i % 9), seed=9000 + i)
@@ -252,8 +247,9 @@ def test_branch_set_search_matches_the_recursive_search(monkeypatch):
     ]
     searched = searched_fast = 0
     for case in cases + exhausting:
-        got = searched_blocks(monkeypatch, loop, *case)
-        want = searched_blocks(monkeypatch, unpruned_ref, *case)
+        last = _spanning_model_search if case[2] else loop
+        got = searched_blocks(monkeypatch, last, *case)
+        want = searched_blocks(monkeypatch, branch_set_search_ref, *case)
         searched += bool(got[1])
         if not case[2]:
             assert got == want
@@ -272,9 +268,8 @@ def test_branch_set_search_matches_the_recursive_search(monkeypatch):
     for G, t in [(G, t) for G in lower_bound for t in (5, 6)] + [c[:2] for c in exhausting]:
         H, blocks = last_stage_blocks(G, t)
         for block in blocks:
-            slack = _edge_slack(H, block, t, True)
             spent, ref_spent = [0], [0]
-            found = loop(H, block, t, 20_000, spent, slack, True)
+            found = _spanning_model_search(H, block, t, 20_000, spent)
             try:
                 ref = branch_set_search_ref(H, block, t, 20_000, ref_spent)
             except ml.BudgetExceeded:
@@ -320,7 +315,7 @@ def test_without_fast_paths_models_and_steps_are_unchanged(monkeypatch):
 
 
 def test_fast_paths_agree_with_brute_and_settle_blocks_first(monkeypatch):
-    # the counting certificate (with the small-block stage's singleton
+    # the counting certificate (with the spanning-model stage's singleton
     # clique bound) and the greedy contraction both decide blocks here, and
     # every verdict is the partition oracle's
     settled = {"counting": 0, "contraction": 0}
@@ -545,14 +540,28 @@ def test_singleton_degree_bound_on_hand_made_blocks():
 
 
 def test_branch_set_search_root_without_moves_returns_none():
-    # a slack below 0 prunes even the first seed, since no sum of positive
-    # surpluses is below 0, so the root is a dead end: a proof of freeness
-    # after one step, in the single pass of a small block and in the
-    # deepening of a larger one
-    for G in (ml.petersen_graph(), subdivided_k5()):
+    # a slack below 0 leaves the spanning-model stage no move, since no
+    # surplus that counts is below 0: no vertex of block degree >= t - 1
+    # starts a clique, and the empty clique's first set can neither grow
+    # nor close, so the stage proves freeness after two steps.  The
+    # subdivided K5 at t = 6 and the 8-cycle at t = 4 have 2t <= n and a
+    # slack of -4 and -2
+    for G, t in ((subdivided_k5(), 6), (ml.cycle_graph(8), 4)):
         spent = [0]
-        assert _branch_set_search(G, G.full_mask, 5, 100, spent, -1, True) is None
-        assert spent == [1]
+        assert _spanning_model_search(G, G.full_mask, t, 100, spent) is None
+        assert spent == [2]
+    # singletons count too: this 9-vertex block at t = 6 has a slack of 0
+    # and needs 2t - n = 3 singletons, and its only triangle of vertices of
+    # degree >= 5, {0, 2, 3}, holds vertex 0 of degree 6, whose surplus of
+    # 1 is past 2 * 0, so the root has no move (without that check: 5 steps)
+    G = ml.from_edge_list(9, [
+        (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (1, 5),
+        (1, 6), (2, 3), (2, 4), (2, 5), (3, 7), (3, 8), (4, 8), (5, 7), (6, 8),
+    ])
+    assert _edge_slack(G, G.full_mask, 6, True) == 0 and not has_kt_minor_brute(G, 6)
+    spent = [0]
+    assert _spanning_model_search(G, G.full_mask, 6, 100, spent) is None
+    assert spent == [1]
 
 
 def tight_block(rng, n, m):
@@ -609,7 +618,8 @@ def test_slack_pruned_search_agrees_with_brute():
     # 2-connected blocks of minimum degree 3 on 8-10 vertices with slack 0
     # or 1; the certificate and the pruned search agree with the partition
     # oracle on each.  Slack-0 blocks with a model, such as Petersen at
-    # t = 5 and the planted ones, fail here if the slack is one too tight.
+    # t = 5 and the planted ones, fail here if the spanning-model stage's
+    # surplus bound is one too tight.
     # Since the singleton bound counts only vertices of block degree >= t - 1,
     # fewer blocks reach the search (11 over seeds 0-5, where there were
     # 25), so 14 seeds are taken (21 blocks)
@@ -639,7 +649,7 @@ def test_slack_pruned_search_agrees_with_brute():
             assert not want
             continue
         slack = _edge_slack(H, block, t, True)
-        found = _branch_set_search(H, block, t, 10**6, [0], slack, True)
+        found = _spanning_model_search(H, block, t, 10**6, [0])
         assert (found is not None) == want, (H, block, t, slack)
         if found is not None:
             assert ml.validate_model(H, MinorModel(tuple(map(set_of, found))))
@@ -648,12 +658,13 @@ def test_slack_pruned_search_agrees_with_brute():
 
 
 def test_spanning_models_have_surpluses_summing_to_twice_the_slack():
-    # the identity behind the search's prune, on every model that spans a
-    # small 2-connected block: the surplus of each set (the sum over its
-    # vertices of their degree in the block less 2, less t - 3) is at least
-    # 0, and the surpluses sum to twice the edge slack.  The search, pruned
-    # against twice the slack, finds a model exactly on the blocks that
-    # have one, and many of them have a slack of 1 or more
+    # the identity behind the spanning-model stage's surplus bound, on
+    # every model that spans a small 2-connected block: the surplus of each
+    # set (the sum over its vertices of their degree in the block less 2,
+    # less t - 3) is at least 0, and the surpluses sum to twice the edge
+    # slack.  The stage, bounded by twice the slack, finds a model exactly
+    # on the blocks that have one, and many of them have a slack of 1 or
+    # more
     rng = random.Random(9970)
     blocks = []
     for i in range(12):
@@ -675,9 +686,7 @@ def test_spanning_models_have_surpluses_summing_to_twice_the_slack():
         for sets in spanning:
             surplus = [sum(charge[v] for v in bits(s)) - (t - 3) for s in sets]
             assert min(surplus) >= 0 and sum(surplus) == 2 * slack, (B, t, sets)
-        found = slack is not None and _branch_set_search(
-            B, B.full_mask, t, 10**6, [0], slack, True
-        )
+        found = slack is not None and _spanning_model_search(B, B.full_mask, t, 10**6, [0])
         assert bool(found) == bool(spanning), (B, t, slack)
         with_models += bool(spanning)
         loose_models += bool(spanning) and slack > 0
@@ -705,13 +714,14 @@ def subdivided(rng, G, count):
 
 
 def test_first_seed_at_the_least_vertex_agrees_with_brute():
-    # unreduced 2-connected blocks with degree-2 vertices, searched with the
-    # real edge slack and the first set seeded only at the block's least
-    # vertex.  Planted slack-0 models with subdivided edges fail here if a
-    # later seed is charged, or if a model needs its first set elsewhere;
-    # every verdict is the partition oracle's, and every model found holds
-    # the least vertex in its first set.  A model of a connected block grows
-    # into a spanning one, whose first set holds the least vertex, so the
+    # unreduced 2-connected blocks with degree-2 vertices, decided by the
+    # spanning-model stage, whose surplus bound counts a degree-2 vertex at
+    # 0 and whose first set of two or more vertices opens at the least
+    # vertex that no singleton holds.  Planted slack-0 models with
+    # subdivided edges fail here if a degree-2 vertex is charged, or if a
+    # model needs that set elsewhere; every verdict is the partition
+    # oracle's, and every model found holds that vertex in its first such
+    # set.  A model of a connected block grows into a spanning one, so the
     # rule cannot change a verdict; the next test pins its steps
     rng = random.Random(9950)
     blocks = []
@@ -734,11 +744,12 @@ def test_first_seed_at_the_least_vertex_agrees_with_brute():
                 assert not want
                 continue
             searched += 1
-            found = _branch_set_search(G, block, t, 10**6, [0], slack, True)
+            found = _spanning_model_search(G, block, t, 10**6, [0])
             assert (found is not None) == want, (G, block, t, slack)
             if found is not None:
                 assert ml.validate_model(G, MinorModel(tuple(map(set_of, found))))
-                assert found[0] & block & -block
+                unplaced = block & ~sum(m for m in found if not m & m - 1)
+                assert next(m for m in found if m & m - 1) & unplaced & -unplaced
                 models += 1
                 tight_models += slack == 0
     assert searched >= 50 and models >= 30 and tight_models >= 8, (
@@ -752,36 +763,72 @@ def test_first_seed_at_the_least_vertex_cuts_the_lower_bound_steps(monkeypatch):
     # them, seeding the first set only at the block's least vertex brought
     # that to 4 364 and 10 380, the per-set surplus prune in place of the
     # edge excess to 958 and 2 864, and bounding the singleton sets by the
-    # clique number of the vertices of block degree >= t - 1 alone, which
-    # proves more blocks free before the search, spends 123 and 1 814 (the
-    # search run on the blocks that reach the last stage, in order, until
-    # one holds a model; the greedy contraction finds the first graph's in
-    # a later block).  Every such block has fewer than 2t vertices, so
-    # find_kt_minor_exact now gives them to the small-block stage, which
-    # decides them in 28 and 152 steps and never calls the search; the
-    # models are valid each time
-    for (side, seed), steps, find_steps in (((60, 2), 123, 28), ((80, 17), 1_814, 152)):
+    # clique number of the vertices of block degree >= t - 1 alone 123 and
+    # 1 814.  Every block that reaches the last stage has fewer than 2t
+    # vertices; the spanning-model stage decided them in 28 and 152 steps,
+    # and with the surplus bound it spends 7 and 108, never calling the
+    # branch-set search; the models are valid each time
+    for (side, seed), find_steps in (((60, 2), 7), ((80, 17), 108)):
         G = ml.lower_bound_bipartite(side, side, 6, 0.05, seed=seed)
         H, blocks = last_stage_blocks(G, 6)
-        spent = [0]
-        for block in blocks:
-            assert block.bit_count() < 12
-            slack = _edge_slack(H, block, 6, True)
-            if _branch_set_search(H, block, 6, 20_000, spent, slack, True) is not None:
-                break
-        assert spent[0] == steps
-        stage_spent = []
-
-        def recorded(H, block, t, budget, spent):
-            try:
-                return _small_block_search(H, block, t, budget, spent)
-            finally:
-                stage_spent.append(spent[0])
-
-        monkeypatch.setattr(minor, "_small_block_search", recorded)
-        model, calls = searched_blocks(monkeypatch, _branch_set_search, G, 6, True, 20_000)
-        assert calls == [] and stage_spent[-1] == find_steps, stage_spent
+        assert blocks and all(block.bit_count() < 12 for block in blocks)
+        searched = []
+        monkeypatch.setattr(minor, "_branch_set_search", lambda *args: searched.append(args))
+        model, calls = searched_blocks(monkeypatch, _spanning_model_search, G, 6, True, 20_000)
+        assert searched == [] and calls[-1][2] == find_steps, calls
         assert isinstance(model, MinorModel) and ml.validate_model(G, model)
+
+
+def probe_block():
+    """A 2-connected block of minimum degree 3 on 20 vertices and 47 edges:
+    at t = 9 its slack is 47 - C(9, 2) - 11 = 0, and it has no K_9 minor."""
+    edges = (
+        "0-5 0-9 0-12 0-14 0-19 1-9 1-10 1-16 1-19 2-3 2-5 2-7 2-9 2-11 2-13 2-14 "
+        "3-12 3-16 3-17 4-8 4-12 4-14 4-15 5-6 5-8 5-13 5-14 6-9 6-10 7-8 7-11 7-17 "
+        "8-18 8-19 9-13 9-14 9-15 10-18 10-19 11-15 12-16 12-18 13-15 13-19 14-17 "
+        "14-18 16-19"
+    )
+    return ml.from_edge_list(20, [tuple(map(int, e.split("-"))) for e in edges.split()])
+
+
+def test_surplus_bound_decides_a_block_of_2t_or_more_vertices(monkeypatch):
+    # n = 20 >= 2t, so no singleton is needed and the stage starts from the
+    # empty clique; with a slack of 0 every set of a model must have a
+    # surplus of exactly 0, and the stage proves the block K9-minor-free in
+    # 19 steps.  The surplus-pruned branch-set search spent 13 812 steps on
+    # it, and the stage without the surplus bound ran out of 20 000
+    G = probe_block()
+    assert _edge_slack(G, G.full_mask, 9, True) == 0
+    assert min(map(G.degree, range(G.n))) == 3 and biconnected_blocks(G) == [G.full_mask]
+    verdict, calls = searched_blocks(monkeypatch, _spanning_model_search, G, 9, True, 20_000)
+    assert verdict is None and calls == [(G.full_mask, None, 19)]
+
+
+def test_no_fast_path_block_reaches_the_branch_set_search(monkeypatch):
+    # with fast paths the spanning-model stage takes every block that the
+    # certificates and the greedy contraction leave, of any size: the
+    # Petersen graph under hadwiger_number (a block of 2t = 10 vertices at
+    # t = 5, where the branch-set search spent 11 steps and the stage
+    # spends 10) and the lower-bound graphs at t = 5 and 6
+    searched, stage_calls = [], []
+
+    def recorded(H, block, t, budget, spent):
+        try:
+            return _spanning_model_search(H, block, t, budget, spent)
+        finally:
+            stage_calls.append((block.bit_count(), t, spent[0]))
+
+    monkeypatch.setattr(minor, "_branch_set_search", lambda *args: searched.append(args))
+    monkeypatch.setattr(minor, "_spanning_model_search", recorded)
+    assert ml.hadwiger_number(ml.petersen_graph()) == 5
+    assert stage_calls == [(10, 5, 10)]
+    for t, sides in ((5, (40, 60)), (6, (60, 80))):
+        for side in sides:
+            for seed in range(3):
+                G = ml.lower_bound_bipartite(side, side, t, 0.05, seed=seed)
+                model = ml.find_kt_minor_exact(G, t, budget=20_000)
+                assert model is None or ml.validate_model(G, model)
+    assert searched == [] and len(stage_calls) >= 10, (searched, len(stage_calls))
 
 
 def test_hadwiger_starts_at_the_greedy_quotient(monkeypatch):
@@ -820,23 +867,40 @@ def test_counting_certificate_gives_up_on_a_long_clique_search(monkeypatch):
 
 
 def test_small_block_stage_agrees_with_brute():
-    # connected G(n, p) with t <= n < 2t, t = 3..7: the stage's verdict is
-    # the partition oracle's, every model spans the graph as singletons
-    # then parts, each part holds the least vertex that no singleton or
-    # earlier part holds, and up to 8 vertices the model is one of the
-    # oracle's spanning models
-    checked = models = 0
-    for i in range(400):
+    # 2-connected G(n, p) with t <= n < 2t, t = 3..7, and with 2t <= n <= 10,
+    # t = 3..5, and random tight and planted 2-connected blocks of minimum
+    # degree 3 with n = 2t = 10: the spanning-model stage's verdict is the
+    # partition oracle's, every model spans the graph as singletons then
+    # parts, each part holds the least vertex that no singleton or earlier
+    # part holds, and up to 8 vertices the model is one of the oracle's
+    # spanning models.  The stage's surplus bound needs a 2-connected
+    # block: on a connected graph with a cut vertex a set's surplus may
+    # fall as it grows (7 vertices at t = 3 were one such case)
+    cases = []
+    for i in range(600):
         rng = random.Random(10_100 + i)
         t = rng.randint(3, 7)
         n = rng.randint(t, min(2 * t - 1, 9))
-        G = ml.gnp_random_graph(n, rng.uniform(0.3, 0.95), seed=10_100 + i)
-        if not is_connected_mask(G, G.full_mask):
+        cases.append((ml.gnp_random_graph(n, rng.uniform(0.3, 0.95), seed=10_100 + i), t))
+    for i in range(400):
+        rng = random.Random(10_700 + i)
+        t = rng.randint(3, 5)
+        n = rng.randint(2 * t, 10)
+        cases.append((ml.gnp_random_graph(n, rng.uniform(0.2, 0.6), seed=10_700 + i), t))
+    rng = random.Random(10_650)
+    for i in range(16):
+        cases += [(tight_block(rng, 10, 15 + i % 3), 5), (planted_tight_model(rng, 10, 5), 5)]
+    checked = models = large = large_free = 0
+    for G, t in cases:
+        n = G.n
+        if biconnected_blocks(G) != [G.full_mask]:
             continue
         checked += 1
-        found = _small_block_search(G, G.full_mask, t, 10**6, [0])
+        large += n >= 2 * t
+        found = _spanning_model_search(G, G.full_mask, t, 10**6, [0])
         assert (found is not None) == has_kt_minor_brute(G, t), (G, t)
         if found is None:
+            large_free += n >= 2 * t
             continue
         models += 1
         assert len(found) == t and sum(found) == G.full_mask
@@ -848,7 +912,8 @@ def test_small_block_stage_agrees_with_brute():
             placed |= part
         if n <= 8:
             assert sorted(found) in map(sorted, spanning_models_brute(G, t)), (G, t)
-    assert checked >= 300 and models >= 100, (checked, models)
+    assert checked >= 500 and models >= 300, (checked, models)
+    assert large >= 150 and large_free >= 10, (large, large_free)
 
 
 def test_small_block_stage_matches_the_search_on_lower_bound_blocks():
@@ -867,7 +932,7 @@ def test_small_block_stage_matches_the_search_on_lower_bound_blocks():
                             or _edge_slack(H, block, t, True) is None
                             or _greedy_contraction(H, block, t) is not None):
                         continue
-                    found = _small_block_search(H, block, t, 20_000, [0])
+                    found = _spanning_model_search(H, block, t, 20_000, [0])
                     ref = branch_set_search_ref(H, block, t, 10**6, [0])
                     assert (found is None) == (ref is None), (H, block, t)
                     compared += 1
