@@ -9,6 +9,12 @@ raises :class:`BudgetExceeded`, in the pipelines too (the Hall promise check
 alone takes the promise on faith).  The Hall-ratio levels and the minor-free
 peel layers, like the parts a level extracts, are vertex masks of G colored
 with the lists at their original ids; no induced copy is built.
+
+Colour lists are sets at the API and masks inside: a public function numbers
+the colours of the lists it receives by their rank in the sorted palette,
+turns each list into an ``int`` with bit i for palette[i], works on those
+masks (a least colour is a lowest bit, a split is ``&`` and ``& ~``), and
+turns ranks back into colours only in what it returns.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from functools import reduce
+from operator import or_
 from typing import AbstractSet, Mapping, Sequence
 
 from .decompose import check_peel_parameter, peel_layers
@@ -27,6 +35,7 @@ from .errors import (
     PreconditionError,
     check_integers,
 )
+from .families import _bernoulli_marks, _cut
 from .graphs import (
     DEFAULT_BUDGET,
     Graph,
@@ -49,6 +58,20 @@ def _check_lists(G: Graph, lists: ListAssignment) -> None:
         raise InputError(
             f"expected one color list per vertex ({G.n}), got {len(lists)}"
         )
+
+
+def _palette_masks(lists: ListAssignment) -> tuple[list, list[int]]:
+    """The palette, the sorted union of `lists`, and each list as a mask
+    with bit i set for palette[i]; a list that repeats a colour counts it
+    once (``frozenset`` of a frozenset is the set itself, at no cost)."""
+    palette = sorted(set().union(*lists))
+    bit = {c: 1 << i for i, c in enumerate(palette)}
+    return palette, [sum(map(bit.__getitem__, frozenset(L))) for L in lists]
+
+
+def _colours(phi: dict[int, int] | None, palette: list) -> dict[int, int] | None:
+    """A colouring by palette rank as one by colour; None stays None."""
+    return None if phi is None else {v: palette[i] for v, i in phi.items()}
 
 
 def _check_counts(**counts: int) -> None:
@@ -102,10 +125,26 @@ def greedy_list_color(G: Graph, lists: ListAssignment, order=None) -> dict[int, 
     coloring: dict[int, int] = {}
     for v in range(G.n) if order is None else checked_vertices(G, order):
         taken = {coloring[u] for u in bits(adj[v]) if u in coloring}
-        free = sorted(set(lists[v]) - taken)
+        c = min((c for c in lists[v] if c not in taken), default=None)
+        if c is None:
+            return None
+        coloring[v] = c
+    return coloring
+
+
+def _greedy_list_color(G: Graph, masks: list[int], live: int) -> dict[int, int] | None:
+    """:func:`greedy_list_color` of G[live] in id order, on rank `masks`."""
+    adj = G.adj
+    coloring: dict[int, int] = {}
+    done = 0  # the coloured vertices
+    for v in bits(live):
+        free = masks[v]
+        for u in bits(adj[v] & done):
+            free &= ~(1 << coloring[u])
         if not free:
             return None
-        coloring[v] = free[0]
+        coloring[v] = (free & -free).bit_length() - 1
+        done |= 1 << v
     return coloring
 
 
@@ -138,50 +177,53 @@ def exact_list_color(
     :class:`BudgetExceeded` when the node budget runs out.
     """
     _check_lists(G, lists)
-    return _exact_list_color(G, lists, G.full_mask, budget)
+    palette, masks = _palette_masks(lists)
+    return _colours(_exact_list_color(G, masks, G.full_mask, budget), palette)
 
 
-def _exact_list_color(G: Graph, lists, live: int, budget: int) -> dict[int, int] | None:
-    """:func:`exact_list_color` of G[live]; `lists` is read at the live ids."""
+def _exact_list_color(G: Graph, masks, live: int, budget: int) -> dict[int, int] | None:
+    """:func:`exact_list_color` of G[live], on rank `masks` read at the live
+    ids; the colouring is by rank."""
     adj, n = G.adj, live.bit_count()
-    effective = {v: sorted(lists[v]) for v in bits(live)}
-    coloring: dict[int, int] = {}
+    effective = {v: masks[v] for v in bits(live)}
+    coloring: dict[int, int] = {}  # vertex -> the bit of its colour
     # the uncoloured vertices bucketed by list length, ids ascending within
     # a bucket, as one heap of (length, id): a vertex gets a new entry when
     # its list shrinks or grows and when it is uncoloured, and an entry is
     # current while its vertex is uncoloured and its list has that length
-    queue = [(len(L), v) for v, L in effective.items()]
+    queue = [(L.bit_count(), v) for v, L in effective.items()]
     heapq.heapify(queue)
     steps = budget
     # one frame per coloured vertex on the search path:
-    # [v, colours left, colour tried, neighbours it was struck from]
+    # [v, colours left to try, colour tried, neighbours it was struck from]
     path: list[list] = []
     while True:
         steps -= 1
         if steps < 0:
             raise BudgetExceeded("exact list coloring", budget, n)
         if len(coloring) == n:
-            return dict(coloring)
+            return {v: c.bit_length() - 1 for v, c in coloring.items()}
         if len(queue) > 2 * n + 64:  # drop the stale entries
-            queue = [(len(L), u) for u, L in effective.items() if u not in coloring]
+            queue = [(L.bit_count(), u) for u, L in effective.items() if u not in coloring]
             heapq.heapify(queue)
-        while queue[0][1] in coloring or len(effective[queue[0][1]]) != queue[0][0]:
+        while queue[0][1] in coloring or effective[queue[0][1]].bit_count() != queue[0][0]:
             heapq.heappop(queue)
         v = heapq.heappop(queue)[1]  # least (length, id)
-        path.append([v, iter(effective[v]), None, []])
+        path.append([v, effective[v], None, []])
         while path:
             frame = path[-1]
-            v, colours, c, struck = frame
+            v, left, c, struck = frame
             if c is not None:
                 del coloring[v]
                 for u in struck:
-                    effective[u] = sorted(effective[u] + [c])
-                    heapq.heappush(queue, (len(effective[u]), u))
-            c = frame[2] = next(colours, None)
-            if c is None:
+                    effective[u] |= c
+                    heapq.heappush(queue, (effective[u].bit_count(), u))
+            if not left:
                 path.pop()
-                heapq.heappush(queue, (len(effective[v]), v))
+                heapq.heappush(queue, (effective[v].bit_count(), v))
                 continue
+            c = frame[2] = left & -left  # the least colour left
+            frame[1] = left ^ c
             # coloured before the check, so a failed try is undone like any other
             coloring[v] = c
             struck = frame[3] = []
@@ -189,9 +231,9 @@ def _exact_list_color(G: Graph, lists, live: int, budget: int) -> dict[int, int]
                 if u in coloring:
                     if coloring[u] == c:
                         break
-                elif c in effective[u]:
-                    effective[u] = [x for x in effective[u] if x != c]
-                    heapq.heappush(queue, (len(effective[u]), u))
+                elif effective[u] & c:
+                    effective[u] ^= c
+                    heapq.heappush(queue, (effective[u].bit_count(), u))
                     struck.append(u)
                     if not effective[u]:
                         break
@@ -237,31 +279,34 @@ def multipartite_list_color(
         seen |= pmask
     if seen != G.full_mask:
         raise InputError("parts must cover every vertex")
-    return _multipartite_list_color(masks, lists, trials, seed)
+    palette, colours = _palette_masks(lists)
+    return _colours(_multipartite_list_color(masks, colours, trials, seed), palette)
 
 
-def _multipartite_list_color(parts: Sequence[int], lists, trials: int, seed: int):
+def _multipartite_list_color(parts: Sequence[int], masks, trials: int, seed: int):
     """:func:`multipartite_list_color` of the union of `parts`, disjoint
-    independent vertex masks, with `lists` read at their ids.
+    independent vertex masks, with rank `masks` read at their ids; the
+    colouring is by rank.
 
-    Each trial deals the colours to the parts once, one draw per colour in
-    ascending order, into one colour set per part; a vertex takes the least
-    colour of its part's set that is on its list."""
+    Each trial deals the colours of the lists to the parts once, one draw
+    per colour in ascending order, into one owned mask per part; a vertex
+    takes the lowest bit of its list that its part owns."""
     part_of = {v: i for i, part in enumerate(parts) for v in bits(part)}
     live = sum(parts)  # the parts are disjoint, so their sum is their union
-    pool = sorted(set().union(*(lists[v] for v in bits(live))))
+    pool = reduce(or_, (masks[v] for v in bits(live)), 0)
+    deal = [1 << c for c in bits(pool)]
     r = len(parts)
     for trial in range(trials):
-        rng = random.Random(derive_seed(seed, trial))
-        owned: list[set[int]] = [set() for _ in range(r)]
-        for c in pool:
-            owned[rng.randrange(r)].add(c)
+        randrange = random.Random(derive_seed(seed, trial)).randrange
+        owned = [0] * r
+        for c in deal:
+            owned[randrange(r)] |= c
         coloring: dict[int, int] = {}
         for v in bits(live):
-            mine = min(owned[part_of[v]].intersection(lists[v]), default=None)
-            if mine is None:
+            mine = owned[part_of[v]] & masks[v]
+            if not mine:
                 break
-            coloring[v] = mine
+            coloring[v] = (mine & -mine).bit_length() - 1
         else:
             return coloring
     return None
@@ -351,19 +396,49 @@ def hall_ratio_list_color(
     if not C > 0:
         raise InputError(f"the list-size constant C must be positive, got {C}")
     _check_counts(trials=trials, max_redraws=max_redraws)
-    lists = [frozenset(L) for L in lists]  # the levels overwrite them
-    return _hall_ratio_list_color(
-        G, lists, G.full_mask, rho, C, seed, trials, budget, max_redraws
+    if G.n and _hall_base_case(G.n, rho, C, min(len(frozenset(L)) for L in lists)):
+        # the first level is the last: colour the lists as they are
+        _check_hall_promise(G, G.full_mask, rho, budget)
+        phi = greedy_list_color(G, lists)
+        return phi if phi is not None else exact_list_color(G, lists, budget)
+    palette, masks = _palette_masks(lists)  # the levels overwrite the masks
+    phi = _hall_ratio_list_color(
+        G, masks, G.full_mask, rho, C, seed, trials, budget, max_redraws
     )
+    return _colours(phi, palette)
+
+
+def _hall_base_case(n: int, rho: float, C: float, min_list: int) -> bool:
+    """Whether a level of n vertices whose shortest list has `min_list`
+    colours is the last: small, or with lists too short for the window."""
+    return n <= 3 * math.e * rho or not min_list >= C * rho * math.log(n / rho) ** 2
+
+
+def _check_hall_promise(G: Graph, live: int, rho: float, budget: int) -> None:
+    """Raise :class:`HallRatioViolation` unless G[live] has an independent
+    set of ceil(n / floor(rho)) vertices, or the search for one runs out of
+    budget."""
+    n = live.bit_count()
+    need = -(-n // math.floor(min(rho, n)))
+    try:
+        broken = _mis_search(G, live, budget, need)[0] < need
+    except BudgetExceeded:
+        broken = False  # promise taken on faith when too big to check
+    if broken:
+        raise HallRatioViolation(
+            f"graph of {n} vertices has no independent set of {need}, "
+            f"so ceil(n / alpha) > {rho}"
+        )
 
 
 def _hall_ratio_list_color(
-    G: Graph, lists: list, live: int, rho: float, C: float, seed: int, trials: int,
+    G: Graph, masks: list[int], live: int, rho: float, C: float, seed: int, trials: int,
     budget: int, max_redraws: int,
 ) -> dict[int, int] | None:
-    """:func:`hall_ratio_list_color` of G[live], on frozenset `lists` indexed
-    by vertex id.  Each level overwrites the lists of its vertices in place:
-    the split-off colors for the vertices it colors, the rest for the others."""
+    """:func:`hall_ratio_list_color` of G[live], on rank `masks` indexed by
+    vertex id; the colouring is by rank.  Each level overwrites the masks of
+    its vertices in place: the kept colours for the vertices it colours, the
+    rest for the others."""
     if not live:
         return {}
     n = live.bit_count()
@@ -371,36 +446,30 @@ def _hall_ratio_list_color(
     coloring: dict[int, int] = {}
     for _ in range(limit + 1):
         n = live.bit_count()
-        need = -(-n // math.floor(min(rho, n)))
-        try:
-            broken = _mis_search(G, live, budget, need)[0] < need
-        except BudgetExceeded:
-            broken = False  # promise taken on faith when too big to check
-        if broken:
-            raise HallRatioViolation(
-                f"graph of {n} vertices has no independent set of {need}, "
-                f"so ceil(n / alpha) > {rho}"
-            )
-
-        min_list = min(len(lists[v]) for v in bits(live))
-        if n <= 3 * math.e * rho or not min_list >= C * rho * math.log(n / rho) ** 2:
-            phi = greedy_list_color(G, lists, order=bits(live))
+        _check_hall_promise(G, live, rho, budget)
+        if _hall_base_case(n, rho, C, min(masks[v].bit_count() for v in bits(live))):
+            phi = _greedy_list_color(G, masks, live)
             if phi is None:
-                phi = _exact_list_color(G, lists, live, budget)
+                phi = _exact_list_color(G, masks, live, budget)
             if phi is None:
                 return None
             coloring.update(phi)
             return coloring
 
         log_ratio = math.log(n / rho)
-        keep_p = 1.0 / log_ratio
         lo = C / 2 * rho * log_ratio
         hi = 3 * C / 2 * rho * log_ratio
-        pool = sorted(set().union(*(lists[v] for v in bits(live))))
+        pool = reduce(or_, (masks[v] for v in bits(live)), 0)
+        # a redraw makes one draw random() < 1 / log_ratio per colour of the
+        # pool, in ascending order, in bulk; each 1 of the pool's binary
+        # digits is a slot for its draw's digit, and the digits read back
+        # as the kept colours
+        slots = format(pool, "b").replace("1", "%c")
+        size, cut = pool.bit_count(), _cut(1.0 / log_ratio)
         for redraw in range(max_redraws):
             rng = random.Random(derive_seed(seed, 3 + redraw))
-            kept = {c for c in pool if rng.random() < keep_p}
-            if all(lo <= len(kept.intersection(lists[v])) <= hi for v in bits(live)):
+            kept = int(slots % tuple(_bernoulli_marks(rng.getrandbits, size, cut)), 2)
+            if all(lo <= (kept & masks[v]).bit_count() <= hi for v in bits(live)):
                 break
         else:
             return None
@@ -410,14 +479,16 @@ def _hall_ratio_list_color(
         sets = _independent_sets_extract(G, s, k, live, budget)
 
         X = sum(sets)  # disjoint masks: their sum is their union
+        for v in bits(X):
+            masks[v] &= kept
+        live &= ~X
         for v in bits(live):
-            lists[v] = lists[v] & kept if X >> v & 1 else lists[v] - kept
-        phi = _multipartite_list_color(sets, lists, trials, derive_seed(seed, 0))
+            masks[v] &= ~kept
+        phi = _multipartite_list_color(sets, masks, trials, derive_seed(seed, 0))
         if phi is None:
             return None
         coloring.update(phi)
 
-        live &= ~X
         if not live:
             return coloring
         seed = derive_seed(seed, 2)
@@ -471,29 +542,32 @@ def minor_free_list_color(
         )
 
     layers = list(peel_layers(G, d, G.full_mask))
-    lists = list(lists)  # each piece's lists lose its outside neighbours' colors
-    coloring: dict[int, int] = {}
+    # each piece's masks lose its outside neighbours' colours
+    palette, masks = _palette_masks(lists)
+    coloring: dict[int, int] = {}  # by rank
     done = 0  # the coloured vertices
     for level, piece in enumerate(reversed(layers)):
         for v in bits(piece):
-            L = frozenset(lists[v]).difference([coloring[u] for u in bits(G.adj[v] & done)])
-            if len(L) < len(lists[v]) - d:
+            L = masks[v]
+            for u in bits(G.adj[v] & done):
+                L &= ~(1 << coloring[u])
+            if L.bit_count() < masks[v].bit_count() - d:
                 raise InvariantViolation(
                     f"boundary consumed more than d = {d} colors at vertex {v}"
                 )
-            lists[v] = L
+            masks[v] = L
         done |= piece
         if piece & (piece - 1) == 0 and budget >= 2:
             # one vertex, v: its least colour left, as the exact search finds
             # in 2 steps; the check above leaves L at least d colours
-            coloring[v] = min(L)
+            coloring[v] = (L & -L).bit_length() - 1
             continue
         try:
             if piece.bit_count() <= inner_threshold:
-                phi = _exact_list_color(G, lists, piece, budget)
+                phi = _exact_list_color(G, masks, piece, budget)
             else:
                 phi = _hall_ratio_list_color(
-                    G, lists, piece, rho, C=2.0, seed=derive_seed(seed, level),
+                    G, masks, piece, rho, C=2.0, seed=derive_seed(seed, level),
                     trials=trials, budget=budget, max_redraws=64,
                 )
         except HallRatioViolation:
@@ -501,4 +575,4 @@ def minor_free_list_color(
         if phi is None:
             return None
         coloring.update(phi)
-    return coloring
+    return _colours(coloring, palette)

@@ -8,6 +8,8 @@ write/read/write round trip is bit-exact.
 
 from __future__ import annotations
 
+import math
+
 from .coloring import Coloring, ListAssignment
 from .decompose import Decomposition
 from .errors import InputError
@@ -39,11 +41,21 @@ def _ints(lineno: int, body: str, tokens) -> list[int]:
 
 
 def parse_edge_list(text: str) -> Graph:
-    # `ids` maps each token of an edge line that passed every check to its
-    # in-range vertex id.  A line of two known tokens with distinct ids,
-    # split by one space, would pass every check again, so it goes straight
-    # into the masks; any other line runs the checks in full, in order.
+    """The graph of an edge-list text, or an :class:`InputError` naming the
+    first line at fault.
+
+    Memory: the header's n sizes the row list before any edge is read, so a
+    header alone costs O(n), about 16 bytes per vertex with the row tuple.
+    The lookup tables below hold k = min(n, isqrt(16 len(text))) ids, so
+    they grow with the text, not with n: k entries, and bits of about
+    k^2 / 16 bytes in all, no more than the text.
+    """
+    # `ids` maps the decimal token of each id below k to the id, and bit[i]
+    # is 1 << i.  A line of two such tokens with distinct ids, split by one
+    # space, would pass every check, so it goes straight into the rows; any
+    # other line runs the checks in full, in order.
     ids: dict[str, int] = {}
+    bit: list[int] = []
     adj: list[int] = []
     n = m = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -51,8 +63,8 @@ def parse_edge_list(text: str) -> Graph:
         u = ids.get(a)
         v = ids.get(b)
         if u is not None and v is not None and u != v:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            adj[u] |= bit[v]
+            adj[v] |= bit[u]
             continue
         body = raw.split("#", 1)[0].strip()
         if not body:
@@ -65,6 +77,9 @@ def parse_edge_list(text: str) -> Graph:
             # with a negative n every edge line fails its range check
             # first, so only an edgeless body reports the count itself
             adj = [0] * n
+            k = min(n, math.isqrt(16 * len(text)))
+            ids = {str(i): i for i in range(k)}
+            bit = [1 << i for i in range(k)]
             continue
         if len(fields) != 2:
             raise InputError(f"line {lineno}: expected 'u v', got {body!r}")
@@ -76,8 +91,6 @@ def parse_edge_list(text: str) -> Graph:
             raise InputError(f"line {lineno}: loop edge {u} {v}")
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"line {lineno}: vertex id out of range in {body!r}")
-        ids[fields[0]] = u
-        ids[fields[1]] = v
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     if n is None:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minorlab as ml
-from minorlab import coloring, graphs
+from minorlab import coloring, families, graphs
 from minorlab.decompose import peel_layers
 from minorlab.formats import coloring_to_str
 from oracles import (
@@ -27,6 +27,13 @@ from test_graphs import cored_graphs
 
 
 PETERSEN_3COLORING = {0: 0, 1: 1, 2: 0, 3: 1, 4: 2, 5: 1, 6: 2, 7: 2, 8: 0, 9: 0}
+
+
+def in_colours(search, lists):
+    """`search` run on the rank masks of `lists`, the private routines' form,
+    with its colouring turned back into colours."""
+    palette, masks = coloring._palette_masks(lists)
+    return coloring._colours(search(masks), palette)
 
 
 def disjoint_triangles(count):
@@ -238,7 +245,9 @@ def test_one_vertex_exact_search_matches_the_reference():
             for v in range(10):
                 lists = [frozenset(rng.sample(range(-3, 9), 3)) for _ in range(10)]
                 lists[v] = L
-                masked = lambda b: coloring._exact_list_color(P, lists, 1 << v, b)
+                masked = lambda b: in_colours(
+                    lambda masks: coloring._exact_list_color(P, masks, 1 << v, b), lists
+                )
                 assert smallest_budget(masked) == (steps, L and {v: min(L)} or None)
                 for budget in range(4):
                     assert outcome(masked, budget) == outcome(ref, budget)
@@ -316,7 +325,9 @@ def test_multipartite_matches_the_owner_dict_reference():
             lists.append(tuple(L) if v % 3 == 0 else frozenset(L))
         masks = [ml.mask_of(p) for p in parts]
         want = multipartite_list_color_ref(masks, lists, trials, seed)
-        got = coloring._multipartite_list_color(masks, lists, trials, seed)
+        got = in_colours(
+            lambda colours: coloring._multipartite_list_color(masks, colours, trials, seed), lists
+        )
         public = ml.multipartite_list_color(G, parts, lists, trials=trials, seed=seed)
         if want is None:
             assert got is None and public is None, i
@@ -595,6 +606,139 @@ def test_hall_ratio_infinite_rho_colours_as_before():
         assert ml.verify_list_coloring(G, lists, dict(got)) and len(got) == G.n
 
 
+# -- the rank masks inside against the set references ----------------------------
+
+
+def spread_lists(n, size, count, rng):
+    """n lists of `size` colours out of `count` that run from negative ids
+    through small ones to two above 10 000, which no workload uses."""
+    universe = list(range(-(count // 2), count - count // 2 - 2)) + [10_007, 2**40 + 1]
+    return [frozenset(rng.sample(universe, size)) for _ in range(n)]
+
+
+def budget_outcome(search, budget):
+    """A colouring as its items in order, None, or the budget and the vertex
+    count of the BudgetExceeded it raised."""
+    try:
+        found = search(budget)
+    except ml.BudgetExceeded as exc:
+        return ("budget", exc.steps, exc.n)
+    return found if found is None else list(found.items())
+
+
+def test_masked_exact_search_matches_the_set_reference_on_spread_colours():
+    found = failed = 0
+    for i in range(120):
+        rng = random.Random(i)
+        n = 4 + i % 11
+        G = ml.gnp_random_graph(n, 0.3 + 0.1 * (i % 6), seed=9000 + i)
+        lists = spread_lists(n, 2 + i % 3, 4 + i % 4, rng)
+        b, want = smallest_budget(lambda b: exact_list_color_ref(G, lists, b))
+        search = lambda b: in_colours(
+            lambda masks: coloring._exact_list_color(G, masks, G.full_mask, b), lists
+        )
+        for budget in (b - 1, b, b + 5):
+            assert budget_outcome(search, budget) == budget_outcome(
+                lambda b: exact_list_color_ref(G, lists, b), budget
+            ), (i, budget)
+        found += want is not None
+        failed += want is None
+    assert found > 20 and failed > 20
+
+
+def test_masked_multipartite_matches_the_set_reference_on_spread_colours():
+    found = failed = 0
+    for i in range(160):
+        rng = random.Random(i)
+        r = 1 + i % 4
+        sizes = [rng.randint(1, 7) for _ in range(r)]
+        parts = [ml.mask_of(p) for p in ml.turan_parts(sizes)]
+        lists = spread_lists(sum(sizes), 1 + i % (r + 3), 3 * r + 2, rng)
+        trials, seed = 1 + i % 5, rng.getrandbits(32)
+        want = multipartite_list_color_ref(parts, lists, trials, seed)
+        got = in_colours(
+            lambda masks: coloring._multipartite_list_color(parts, masks, trials, seed), lists
+        )
+        assert got == want and (got is None or list(got.items()) == list(want.items())), i
+        found += want is not None
+        failed += want is None
+    assert found > 30 and failed > 30
+
+
+def test_masked_hall_levels_match_the_set_reference_on_spread_colours():
+    # every first level's lists are long enough for the window; few redraws
+    # and trials make some cases fail honestly, and small budgets run out in
+    # the extraction or the last level's exact search (the promise check
+    # takes the promise on faith), at the same step as the reference
+    seen = set()
+    for i in range(24):
+        rng = random.Random(i)
+        r, part = (3, 12) if i % 2 else (2, 14)
+        n = r * part
+        size = math.ceil(2.0 * r * math.log(n / r) ** 2)
+        G = random_multipartite([part] * r, 0.3 + 0.1 * (i % 4), seed=i)
+        lists = spread_lists(n, size, 2 * size, rng)
+        trials, redraws = 1 + i % 3, 1 + i % 4
+        for budget in (3, 12, 40, ml.DEFAULT_BUDGET):
+            masked = lambda b: in_colours(
+                lambda masks: coloring._hall_ratio_list_color(
+                    G, masks, G.full_mask, r, 2.0, i, trials, b, redraws
+                ),
+                lists,
+            )
+            ref = lambda b: hall_ratio_list_color_ref(
+                G, lists, r, C=2.0, seed=i, trials=trials, budget=b, max_redraws=redraws
+            )
+            got = budget_outcome(masked, budget)
+            assert got == budget_outcome(ref, budget), (i, budget)
+            seen.add("budget" if isinstance(got, tuple) else type(got))
+    assert seen == {"budget", list, type(None)}
+
+
+def test_bernoulli_marks_are_the_hall_keep_draws():
+    # a level keeps colour k of its pool when the k-th random() is below
+    # keep_p = 1 / log(n / rho); the bulk reader gives the same digits, and
+    # a draw whose top byte ties the threshold's is settled on all its bits
+    keeps = [1 / math.log(n / rho) for n, rho in ((36, 2), (42, 3), (180, 3), (240, 3), (240, 4))]
+    keeps.append(0.25)  # T = 2^51: a tied top byte is never below it
+    tied = set()
+    for p in keeps:
+        cut = families._cut(p)
+        T, _, tie = cut
+        for seed in range(3):
+            draws = random.Random(seed)
+            values = [draws.random() for _ in range(3000)]
+            rng = random.Random(seed)
+            marks = families._bernoulli_marks(rng.getrandbits, len(values), cut)
+            assert [m == ord("1") for m in reversed(marks)] == [x < p for x in values], p
+            assert rng.random() == draws.random()  # the stream goes on in step
+            for x in values:
+                if int(x * 2**53) >> 45 == tie[0]:
+                    tied.add((p == 0.25, x < p))
+    assert tied == {(False, True), (False, False), (True, False)}
+
+
+def test_greedy_takes_the_least_free_colour():
+    for i in range(200):
+        rng = random.Random(i)
+        n = rng.randint(1, 12)
+        G = ml.gnp_random_graph(n, rng.random(), seed=i)
+        lists = spread_lists(n, rng.randint(1, 4), 6, rng)
+        want: dict[int, int] | None = {}
+        for v in range(n):
+            taken = {want[u] for u in graphs.bits(G.adj[v]) if u in want}
+            free = sorted(set(lists[v]) - taken)
+            if not free:
+                want = None
+                break
+            want[v] = free[0]
+        assert ml.greedy_list_color(G, lists) == want, i
+        if want is not None:
+            assert in_colours(
+                lambda masks: coloring._greedy_list_color(G, masks, G.full_mask), lists
+            ) == want
+
+
 @pytest.mark.parametrize("order", [[0, 40], [-1], [1, 30]])
 def test_greedy_rejects_order_ids_out_of_range(order):
     with pytest.raises(ml.InputError):
@@ -768,7 +912,9 @@ def test_masked_exact_search_matches_the_induced_copy():
         want_steps, phi = smallest_budget(
             lambda b: ml.exact_list_color(H, copy_lists, budget=b)
         )
-        steps, got = smallest_budget(lambda b: coloring._exact_list_color(G, lists, live, b))
+        steps, got = smallest_budget(lambda b: in_colours(
+            lambda masks: coloring._exact_list_color(G, masks, live, b), lists
+        ))
         assert steps == want_steps, i
         if phi is None:
             assert got is None, i

@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 
 import pytest
 from oracles import parse_edge_list_ref
@@ -119,6 +121,59 @@ def test_edge_list_parser_agrees_with_reference_on_fuzzed_texts():
         parsed += isinstance(want, ml.Graph)
     # both outcomes are common, so the comparison covers both
     assert 1000 < parsed < 5000
+
+
+#: texts on the border of the parser's fast path, where a line of two
+#: decimal tokens of ids below k = min(n, isqrt(16 len(text))) skips the
+#: line checks; each must give what the reference gives
+BORDER_TEXTS = {
+    "no newline at the end": "p 3 2\n0 1\n1 2",
+    "a blank line": "p 3 2\n0 1\n\n1 2\n",
+    "a third token": "p 3 2\n0 1\n1 2 0\n",
+    "a tab separator": "p 3 2\n0\t1\n1 2\n",
+    "CRLF line ends": "p 3 2\r\n0 1\r\n1 2\r\n",
+    "a comment after an edge": "p 3 2\n0 1 # c\n1 2#c\n",
+    "the tokens 007, +3 and -0": "p 8 3\n007 1\n+3 -0\n7 0\n",
+    "the token n": "p 3 1\nn 1\n",
+    "a loop after known tokens": "p 3 2\n0 1\n1 2\n2 2\n",
+    "an edge line before the header": "0 1\np 3 1\n0 1\n",
+}
+
+
+@pytest.mark.parametrize("text", BORDER_TEXTS.values(), ids=BORDER_TEXTS.keys())
+def test_edge_list_border_texts_parse_as_the_reference(text):
+    want = _parse_outcome(parse_edge_list_ref, text)
+    assert _parse_outcome(formats.parse_edge_list, text) == want
+
+
+def test_edge_list_ids_at_and_above_the_prebuilt_table_parse_as_the_reference():
+    # ids 27..32 around k = 30, and 999 with n = 1000 far above k, each
+    # first seen on an edge line
+    body = [f"{u} 3" for u in range(27, 33)] + ["999 32", "4 999", "999 4"]
+    text = "\n".join(["p 1000 8"] + body) + "\n"
+    assert min(1000, math.isqrt(16 * len(text))) == 30
+    G = formats.parse_edge_list(text)
+    assert G == parse_edge_list_ref(text)
+    assert G.m == 8 and G.adj[999] == 1 << 4 | 1 << 32
+    for bad in ("p 1000 1\n999 1000\n", "p 1000 1\n999 999\n", "p 1000 1\n0999 1 2\n"):
+        assert _parse_outcome(formats.parse_edge_list, bad) == _parse_outcome(
+            parse_edge_list_ref, bad
+        )
+
+
+def test_a_header_alone_costs_only_the_rows():
+    # the header's n sizes the row list before any edge is read: that list
+    # and the graph's row tuple take 8 bytes a vertex each, and nothing else
+    # may grow with n (a prebuilt table of n ids or bits would add 8 or more)
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        G = formats.parse_edge_list(f"p {n} 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (G.n, G.m) == (n, 0)
+    assert peak <= 16 * n + 2**16
 
 
 def test_edge_list_file_round_trip(tmp_path):

@@ -82,6 +82,16 @@ def test_benchmark_setup_loads_only_what_it_calls():
     assert not loaded & {"json", "heapq", "fractions", "dataclasses", "inspect"}
 
 
+def test_coloring_loads_its_module_closure():
+    # the Hall level's bulk draws come from families' sampler
+    loaded = modules_loaded_by("import minorlab.coloring")
+    assert {m for m in loaded if m.startswith("minorlab")} == {
+        "minorlab", "minorlab.errors", "minorlab.graphs", "minorlab.seeds",
+        "minorlab.families", "minorlab.connectivity", "minorlab.decompose",
+        "minorlab.coloring",
+    }
+
+
 def test_import_pulls_in_neither_numpy_nor_scipy():
     # minorlab.cli imports every module; the process pool, and the logging it
     # pulls in, load only when run_suite starts a pool; the records are named
