@@ -4,11 +4,12 @@ A model of K_t in G is a family of t pairwise disjoint vertex sets, each
 inducing a connected subgraph, with an edge of G between every pair of sets.
 The exact search reduces the graph series-parallel, then settles each block
 in turn: an elimination width or a vertex and edge count proves it free, a
-greedy contraction finds a model, and what is left is decided by searching
-the models that span the block, singleton sets first, with each set's
-degree surplus bounded by the edge count.  Without these fast paths every
-block goes to a search that grows branch sets by backtracking with
-canonical-seed symmetry pruning.
+greedy contraction finds a model, and what is left is decided by the one
+exact search, the spanning-model stage, which searches the models that span
+the block, singleton sets first, with each set's degree surplus bounded by
+the edge count.  Without fast paths the K_3 shortcut, the reduction, the
+width certificate and the greedy contraction are skipped, and every block
+that the count leaves goes to the same stage.
 The two randomized procedures build models in dense graphs and in one
 random-contraction round of a bipartite graph.
 """
@@ -199,7 +200,7 @@ def _elimination_width(G: Graph, live: int, stop: int) -> int:
     return width
 
 
-def _edge_slack(G: Graph, block: int, t: int, fast_paths: bool) -> int | None:
+def _edge_slack(G: Graph, block: int, t: int) -> int | None:
     """Counting certificate: None when `block` has too few vertices or edges
     to hold a K_t model, otherwise the most excess such a model can have.
 
@@ -210,11 +211,13 @@ def _edge_slack(G: Graph, block: int, t: int, fast_paths: bool) -> int | None:
     many edges as there are of them.  A block with n vertices and m edges
     that holds a model therefore has m >= C(t, 2) + (n - t) + excess, and
     a negative slack m - C(t, 2) - (n - t) proves it free.  Without
-    `fast_paths` only n >= t and m >= C(t, 2) are asked, and m is returned.
+    `fast_paths` the other certificates are skipped but not this one: the
+    spanning-model stage, the one exact search, bounds the surpluses of its
+    sets by twice the slack, so a negative slack leaves it no move anyway.
     """
     size = block.bit_count()
     edges = sum((G.adj[v] & block).bit_count() for v in bits(block)) // 2
-    slack = edges - t * (t - 1) // 2 - (size - t) if fast_paths else edges
+    slack = edges - t * (t - 1) // 2 - (size - t)
     return slack if size >= t and edges >= t * (t - 1) // 2 and slack >= 0 else None
 
 
@@ -321,198 +324,59 @@ def _spanning_model_search(
     # singletons and closed sets, open set or 0 for a new one, its surplus,
     # vertices it passed over, its neighbourhood)
     stack: list[tuple] = [(0, 0, high)]
-    while stack:
-        spent[0] += 1
-        if spent[0] > budget:
-            raise BudgetExceeded("minor search", budget, size)
-        frame = stack.pop()
-        if len(frame) == 3:
-            clique, fixed, cand = frame
-            w = clique.bit_count()
-            if w < t:
-                for v in sorted(bits(cand), reverse=True):
-                    above = cand & adj[v] & -(2 << v)
-                    gain = charge[v] + 3 - t
-                    if w + 1 + above.bit_count() >= w_least and fixed + gain <= room:
-                        stack.append((clique | 1 << v, fixed + gain, above))
-            rest = block & ~clique
-            if not rest:  # K_t itself
-                return [1 << v for v in bits(clique)]
-            if w_least <= w < t:
-                stack.append((clique, (), rest, fixed, 0, 0, 0, 0))
-            continue
-        clique, closed, rest, fixed, part, sur, passed, reach = frame
-        left = t - clique.bit_count() - len(closed)
-        if not part:  # a new set at the least unplaced vertex; the last takes all
-            if left == 1:
-                part, sur = rest, room - fixed
-            else:
-                part = rest & -rest
-                sur = charge[part.bit_length() - 1] + 3 - t
-            if not is_connected_mask(G, part):
-                continue
-            reach = adjacency_mask(G, part)
-        if part.bit_count() < rest.bit_count() - 2 * (left - 1):
-            grow = reach & rest & ~part & ~passed
-            for v in sorted(bits(grow), reverse=True):
-                below = grow & (1 << v) - 1
-                more = sur + charge[v]
-                if fixed + max(0, more) <= room:
-                    stack.append(
-                        (clique, closed, rest, fixed, part | 1 << v, more, passed | below,
-                         reach | adj[v])
-                    )
-        if (sur >= 0 and part & part - 1 and not clique & ~reach
-                and all(reach & s for s in closed)):
-            if part == rest:
-                return [1 << v for v in bits(clique)] + [*closed, part]
-            stack.append((clique, closed + (part,), rest & ~part, fixed + sur, 0, 0, 0, 0))
-    return None
-
-
-_TRANSPOSITION_CAP = 1_000_000
-
-
-def _remember(table: set[tuple[int, ...]], state: tuple[int, ...]) -> None:
-    """Record a failed search state unless the table is full."""
-    if len(table) < _TRANSPOSITION_CAP:
-        table.add(state)
-
-
-def _branch_set_search(
-    G: Graph, comp: int, t: int, budget: int, spent: list[int]
-) -> list[int] | None:
-    """Backtracking over branch-set growth inside one block.
-
-    Canonical form: branch sets are ordered by their minimum vertex (the
-    seed), and a set only ever absorbs vertices larger than its own seed,
-    so a set's seed is its lowest bit.  At each node the most constrained
-    non-adjacent pair is repaired by absorbing one available neighbor into
-    either side; when all current pairs are adjacent, the next set is
-    seeded.  Each set's neighborhood mask is stored next to it and updated
-    by the move that grows the set, so no step rebuilds the neighborhoods.
-    A step costs O(|block| * t) bitset operations (the keys of the
-    absorption and seed moves) plus sorting its moves, and walks no path,
-    so the node budget bounds the wall time.
-
-    The outer loop deepens a cap on the total number of used vertices, so
-    small models are found quickly and a level that never hits the cap is a
-    complete proof that no model exists.  The cap is checked against the
-    used vertices, one per missing set and one more while a pair is not
-    adjacent; a node whose pair has no vertex left to absorb fails at every
-    cap.  A transposition table collapses states reached through different
-    absorption orders.
-    """
-    comp_size = comp.bit_count()
-    adj = G.adj
-    failed_perm: set[tuple[int, ...]] = set()
-    failed_here: set[tuple[int, ...]] = set()
-    # a raised BudgetExceeded keeps this frame, and with it both tables,
-    # alive in its traceback for as long as the exception is held; empty
-    # them on the way out
+    # a raised BudgetExceeded keeps this frame, and with it the stack, alive
+    # in its traceback for as long as the exception is held; empty it on the
+    # way out
     try:
-        # a block of at most 14 vertices gets one pass, capped at its size
-        for cap in [comp_size] if comp_size <= 14 else range(t, comp_size + 1):
-            failed_here.clear()
-            # one frame per node on the search path:
-            # [state, sets, nbr, avail, moves left, cap_hit]; nbr[i] is the
-            # neighborhood mask of sets[i], and a move copies both lists, so
-            # a frame's own lists never change
-            path: list[list] = []
-            sets, nbr, avail = [], [], comp
-            while True:
-                spent[0] += 1
-                if spent[0] > budget:
-                    raise BudgetExceeded("minor search", budget, comp_size)
-                state = tuple(sets)
-                # hit: the node just closed failed at this cap only
-                hit = state in failed_here
-                if not hit and state not in failed_perm:
-                    # a move is (order key, side, v), and side k is a new set
-                    moves: list[tuple[int, int, int]] = []
-                    cap_hit = False
-                    k = len(sets)
-                    deficient = [
-                        (i, j)
-                        for i in range(k)
-                        for j in range(i + 1, k)
-                        if not nbr[i] & sets[j]
-                    ]
-                    # a non-adjacent pair needs at least one more vertex
-                    floor_size = (comp & ~avail).bit_count() + (t - k) + (1 if deficient else 0)
-                    if floor_size > cap:
-                        # a model that does not fit the block fails at every cap
-                        cap_hit = floor_size <= comp_size
-                    elif deficient:
-                        grow = {}
-                        for i in {x for pair in deficient for x in pair}:
-                            # -(s & -s) << 1 is the mask of the vertices
-                            # above the seed of s
-                            s = sets[i]
-                            grow[i] = avail & nbr[i] & -(s & -s) << 1
-                        i, j = min(
-                            deficient,
-                            key=lambda p: grow[p[0]].bit_count() + grow[p[1]].bit_count(),
+        while stack:
+            spent[0] += 1
+            if spent[0] > budget:
+                raise BudgetExceeded("minor search", budget, size)
+            frame = stack.pop()
+            if len(frame) == 3:
+                clique, fixed, cand = frame
+                w = clique.bit_count()
+                if w < t:
+                    for v in sorted(bits(cand), reverse=True):
+                        above = cand & adj[v] & -(2 << v)
+                        gain = charge[v] + 3 - t
+                        if w + 1 + above.bit_count() >= w_least and fixed + gain <= room:
+                            stack.append((clique | 1 << v, fixed + gain, above))
+                rest = block & ~clique
+                if not rest:  # K_t itself
+                    return [1 << v for v in bits(clique)]
+                if w_least <= w < t:
+                    stack.append((clique, (), rest, fixed, 0, 0, 0, 0))
+                continue
+            clique, closed, rest, fixed, part, sur, passed, reach = frame
+            left = t - clique.bit_count() - len(closed)
+            if not part:  # a new set at the least unplaced vertex; the last takes all
+                if left == 1:
+                    part, sur = rest, room - fixed
+                else:
+                    part = rest & -rest
+                    sur = charge[part.bit_length() - 1] + 3 - t
+                if not is_connected_mask(G, part):
+                    continue
+                reach = adjacency_mask(G, part)
+            if part.bit_count() < rest.bit_count() - 2 * (left - 1):
+                grow = reach & rest & ~part & ~passed
+                for v in sorted(bits(grow), reverse=True):
+                    below = grow & (1 << v) - 1
+                    more = sur + charge[v]
+                    if fixed + max(0, more) <= room:
+                        stack.append(
+                            (clique, closed, rest, fixed, part | 1 << v, more,
+                             passed | below, reach | adj[v])
                         )
-                        for side, other in ((i, j), (j, i)):
-                            finishing = nbr[other]
-                            rest = grow[side]
-                            while rest:
-                                vb = rest & -rest
-                                rest ^= vb
-                                # absorptions that finish the pair at once go first
-                                key = 0 if finishing & vb else 1
-                                moves.append((key, side, vb.bit_length() - 1))
-                    elif k == t:
-                        return sets
-                    else:
-                        cands = avail & -(sets[-1] & -sets[-1]) << 1 if sets else avail
-                        if cands.bit_count() >= t - k:
-                            # seeds already adjacent to more of the current
-                            # sets go first (v is in no set, so it touches
-                            # set s when it lies in nbr[s])
-                            for v in bits(cands):
-                                touching = sum(b >> v & 1 for b in nbr)
-                                moves.append((k - touching, k, v))
-                    if moves:
-                        moves.sort()
-                        path.append([state, sets, nbr, avail, iter(moves), cap_hit])
-                    else:  # a dead end
-                        hit = cap_hit
-                        _remember(failed_here if hit else failed_perm, state)
-                if hit and path:
-                    path[-1][5] = True
-                # descend along the next move, closing finished nodes on the way
-                while path:
-                    frame = path[-1]
-                    move = next(frame[4], None)
-                    if move is not None:
-                        break
-                    path.pop()
-                    state, hit = frame[0], frame[5]
-                    _remember(failed_here if hit else failed_perm, state)
-                    if hit and path:
-                        path[-1][5] = True
-                else:
-                    break
-                _, side, v = move
-                _, sets, nbr, avail, _, _ = frame
-                vb = 1 << v
-                avail &= ~vb
-                if side == len(sets):  # a new set
-                    sets, nbr = sets + [0], nbr + [0]
-                else:
-                    sets, nbr = sets.copy(), nbr.copy()
-                sets[side] |= vb
-                nbr[side] |= adj[v]
-            # the root closed last: if no node below it hit the cap, no
-            # larger cap finds a model either
-            if not hit:
-                return None
+            if (sur >= 0 and part & part - 1 and not clique & ~reach
+                    and all(reach & s for s in closed)):
+                if part == rest:
+                    return [1 << v for v in bits(clique)] + [*closed, part]
+                stack.append((clique, closed + (part,), rest & ~part, fixed + sur, 0, 0, 0, 0))
         return None
     finally:
-        failed_here.clear()
-        failed_perm.clear()
+        stack.clear()
 
 
 def find_kt_minor_exact(
@@ -542,11 +406,12 @@ def find_kt_minor_exact(
        the sets (each set's degree in the block beyond 2 per vertex, less
        t - 3) sum past twice the slack.
 
-    A model found is lifted back onto G and validated.  The verdicts are
-    those of the branch-set search, but the models returned may differ.
-    Without `fast_paths` every block of G with at least t vertices and
-    C(t, 2) edges goes straight to the branch-set search, so its models and
-    steps spent are the search's own.
+    A model found is lifted back onto G and validated.  Without
+    `fast_paths` the K_3 shortcut, the reduction, the width certificate and
+    the greedy contraction are skipped: every block of G that the counting
+    certificate leaves goes straight to the spanning-model stage, so the
+    verdicts are the same and the models and steps spent are the stage's
+    own.
     """
     check_integers(t=t, budget=budget)
     if t < 1:
@@ -582,15 +447,13 @@ def find_kt_minor_exact(
     for block in biconnected_blocks(H):
         if fast_paths and _elimination_width(H, block, t - 1) < t - 1:
             continue
-        if _edge_slack(H, block, t, fast_paths) is None:
+        if _edge_slack(H, block, t) is None:
             continue
-        if not fast_paths:
-            masks, source = _branch_set_search(H, block, t, budget, spent), "search"
-        else:
-            masks, source = _greedy_contraction(H, block, t), "greedy contraction"
-            if masks is None:
-                masks = _spanning_model_search(H, block, t, budget, spent)
-                source = "spanning-model stage"
+        masks = _greedy_contraction(H, block, t) if fast_paths else None
+        source = "greedy contraction"
+        if masks is None:
+            masks = _spanning_model_search(H, block, t, budget, spent)
+            source = "spanning-model stage"
         if masks is not None:
             return _verified_model(G, _lift(masks[:t], suppressed), source)
     return None

@@ -102,7 +102,6 @@ from minorlab.graphs import (
     saturating_matching,
     set_of,
 )
-from minorlab.minor import _TRANSPOSITION_CAP
 from minorlab.seeds import derive_seed
 
 
@@ -584,11 +583,19 @@ def small_coboundary_piece_ref(G: Graph, k: int) -> Decomposition:
             raise InvariantViolation("no separation side yields a small coboundary")
 
 
+# the most failed states each transposition table of branch_set_search_ref
+# records
+_TRANSPOSITION_CAP = 1_000_000
+
+
 def branch_set_search_ref(
     G: Graph, comp: int, t: int, budget: int, spent: list[int]
 ) -> list[int] | None:
-    """Recursive branch-set search: the same nodes, order, tables and step
-    charges as :func:`minorlab.minor._branch_set_search`."""
+    """Recursive branch-set search, the reference search kept as an
+    independent oracle for the spanning-model stage: branch sets grow by
+    backtracking with canonical-seed symmetry pruning under a deepening cap
+    on the used vertices, with transposition tables of failed states; one
+    budget step per node."""
 
     def above(v: int) -> int:
         return -1 << (v + 1)
