@@ -19,7 +19,6 @@ turns ranks back into colours only in what it returns.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from functools import reduce
@@ -93,7 +92,7 @@ def uniform_lists(n: int, k: int) -> list[frozenset[int]]:
 
 def random_lists(n: int, size: int, universe: int, seed: int) -> list[frozenset[int]]:
     """Seeded per-vertex lists: `size` distinct colors drawn from range(universe)."""
-    check_integers(n=n, size=size, universe=universe)
+    check_integers(n=n, size=size, universe=universe, seed=seed)
     if n < 0:
         raise InputError(f"vertex count must be non-negative, got {n}")
     if not 0 <= size <= universe:
@@ -118,26 +117,22 @@ def greedy_list_color(G: Graph, lists: ListAssignment, order=None) -> dict[int, 
     """Sequential greedy over `order` (vertex id order by default).
 
     Each vertex takes the smallest list color unused by its colored
-    neighbors; returns None as soon as some vertex has no candidate.
+    neighbors, the lowest bit of its rank mask left free; returns None as
+    soon as some vertex has no candidate.
     """
     _check_lists(G, lists)
-    adj = G.adj
-    coloring: dict[int, int] = {}
-    for v in range(G.n) if order is None else checked_vertices(G, order):
-        taken = {coloring[u] for u in bits(adj[v]) if u in coloring}
-        c = min((c for c in lists[v] if c not in taken), default=None)
-        if c is None:
-            return None
-        coloring[v] = c
-    return coloring
+    order = range(G.n) if order is None else checked_vertices(G, order)
+    palette, masks = _palette_masks(lists)
+    return _colours(_greedy_list_color(G, masks, order), palette)
 
 
-def _greedy_list_color(G: Graph, masks: list[int], live: int) -> dict[int, int] | None:
-    """:func:`greedy_list_color` of G[live] in id order, on rank `masks`."""
+def _greedy_list_color(G: Graph, masks: list[int], order) -> dict[int, int] | None:
+    """:func:`greedy_list_color` over the vertices of `order`, on rank
+    `masks`; the colouring is by rank."""
     adj = G.adj
     coloring: dict[int, int] = {}
     done = 0  # the coloured vertices
-    for v in bits(live):
+    for v in order:
         free = masks[v]
         for u in bits(adj[v] & done):
             free &= ~(1 << coloring[u])
@@ -176,6 +171,7 @@ def exact_list_color(
     Returns a proper list coloring or None if none exists.  Raises
     :class:`BudgetExceeded` when the node budget runs out.
     """
+    check_integers(budget=budget)
     _check_lists(G, lists)
     palette, masks = _palette_masks(lists)
     return _colours(_exact_list_color(G, masks, G.full_mask, budget), palette)
@@ -183,16 +179,15 @@ def exact_list_color(
 
 def _exact_list_color(G: Graph, masks, live: int, budget: int) -> dict[int, int] | None:
     """:func:`exact_list_color` of G[live], on rank `masks` read at the live
-    ids; the colouring is by rank."""
+    ids; the colouring is by rank.  The uncoloured vertices sit in one mask
+    per list length (a strike moves a vertex one mask down, a restore one
+    up), and the next vertex is the lowest bit of the least non-empty mask."""
     adj, n = G.adj, live.bit_count()
     effective = {v: masks[v] for v in bits(live)}
     coloring: dict[int, int] = {}  # vertex -> the bit of its colour
-    # the uncoloured vertices bucketed by list length, ids ascending within
-    # a bucket, as one heap of (length, id): a vertex gets a new entry when
-    # its list shrinks or grows and when it is uncoloured, and an entry is
-    # current while its vertex is uncoloured and its list has that length
-    queue = [(L.bit_count(), v) for v, L in effective.items()]
-    heapq.heapify(queue)
+    by_length = [0] * (max(map(int.bit_count, effective.values()), default=0) + 1)
+    for v, L in effective.items():
+        by_length[L.bit_count()] |= 1 << v
     steps = budget
     # one frame per coloured vertex on the search path:
     # [v, colours left to try, colour tried, neighbours it was struck from]
@@ -203,12 +198,12 @@ def _exact_list_color(G: Graph, masks, live: int, budget: int) -> dict[int, int]
             raise BudgetExceeded("exact list coloring", budget, n)
         if len(coloring) == n:
             return {v: c.bit_length() - 1 for v, c in coloring.items()}
-        if len(queue) > 2 * n + 64:  # drop the stale entries
-            queue = [(L.bit_count(), u) for u, L in effective.items() if u not in coloring]
-            heapq.heapify(queue)
-        while queue[0][1] in coloring or effective[queue[0][1]].bit_count() != queue[0][0]:
-            heapq.heappop(queue)
-        v = heapq.heappop(queue)[1]  # least (length, id)
+        k = 0
+        while not by_length[k]:
+            k += 1
+        low = by_length[k] & -by_length[k]
+        by_length[k] ^= low
+        v = low.bit_length() - 1
         path.append([v, effective[v], None, []])
         while path:
             frame = path[-1]
@@ -216,11 +211,13 @@ def _exact_list_color(G: Graph, masks, live: int, budget: int) -> dict[int, int]
             if c is not None:
                 del coloring[v]
                 for u in struck:
+                    k = effective[u].bit_count()
+                    by_length[k] ^= 1 << u
+                    by_length[k + 1] |= 1 << u
                     effective[u] |= c
-                    heapq.heappush(queue, (effective[u].bit_count(), u))
             if not left:
                 path.pop()
-                heapq.heappush(queue, (effective[v].bit_count(), v))
+                by_length[effective[v].bit_count()] |= 1 << v
                 continue
             c = frame[2] = left & -left  # the least colour left
             frame[1] = left ^ c
@@ -233,9 +230,11 @@ def _exact_list_color(G: Graph, masks, live: int, budget: int) -> dict[int, int]
                         break
                 elif effective[u] & c:
                     effective[u] ^= c
-                    heapq.heappush(queue, (effective[u].bit_count(), u))
+                    k = effective[u].bit_count()
+                    by_length[k + 1] ^= 1 << u
+                    by_length[k] |= 1 << u
                     struck.append(u)
-                    if not effective[u]:
+                    if not k:
                         break
             else:
                 break  # every neighbour keeps a colour: go one vertex deeper
@@ -326,6 +325,7 @@ def independent_sets_extract(
     if some remainder has no independent set of size s the promised Hall
     ratio was wrong, reported as :class:`HallRatioViolation`.
     """
+    check_integers(s=s, k=k, budget=budget)
     if s < 1 or k < 1:
         raise InputError("both the set size and the count must be at least 1")
     return [set_of(p) for p in _independent_sets_extract(G, s, k, G.full_mask, budget)]
@@ -389,29 +389,18 @@ def hall_ratio_list_color(
     exact search, which, like the extraction, raises :class:`BudgetExceeded`
     out of budget.
     """
-    check_integers(seed=seed)
+    check_integers(seed=seed, budget=budget)
     _check_lists(G, lists)
     if not rho >= 1:
         raise InputError(f"the Hall ratio bound must be at least 1, got {rho}")
     if not C > 0:
         raise InputError(f"the list-size constant C must be positive, got {C}")
     _check_counts(trials=trials, max_redraws=max_redraws)
-    if G.n and _hall_base_case(G.n, rho, C, min(len(frozenset(L)) for L in lists)):
-        # the first level is the last: colour the lists as they are
-        _check_hall_promise(G, G.full_mask, rho, budget)
-        phi = greedy_list_color(G, lists)
-        return phi if phi is not None else exact_list_color(G, lists, budget)
     palette, masks = _palette_masks(lists)  # the levels overwrite the masks
     phi = _hall_ratio_list_color(
         G, masks, G.full_mask, rho, C, seed, trials, budget, max_redraws
     )
     return _colours(phi, palette)
-
-
-def _hall_base_case(n: int, rho: float, C: float, min_list: int) -> bool:
-    """Whether a level of n vertices whose shortest list has `min_list`
-    colours is the last: small, or with lists too short for the window."""
-    return n <= 3 * math.e * rho or not min_list >= C * rho * math.log(n / rho) ** 2
 
 
 def _check_hall_promise(G: Graph, live: int, rho: float, budget: int) -> None:
@@ -447,14 +436,13 @@ def _hall_ratio_list_color(
     for _ in range(limit + 1):
         n = live.bit_count()
         _check_hall_promise(G, live, rho, budget)
-        if _hall_base_case(n, rho, C, min(masks[v].bit_count() for v in bits(live))):
-            phi = _greedy_list_color(G, masks, live)
+        shortest = min(masks[v].bit_count() for v in bits(live))
+        # the last level: small, or with lists too short for the window
+        if n <= 3 * math.e * rho or not shortest >= C * rho * math.log(n / rho) ** 2:
+            phi = _greedy_list_color(G, masks, bits(live))
             if phi is None:
                 phi = _exact_list_color(G, masks, live, budget)
-            if phi is None:
-                return None
-            coloring.update(phi)
-            return coloring
+            return None if phi is None else coloring | phi
 
         log_ratio = math.log(n / rho)
         lo = C / 2 * rho * log_ratio
@@ -526,7 +514,7 @@ def minor_free_list_color(
     never an improper coloring; an inner search out of budget raises
     :class:`BudgetExceeded`.
     """
-    check_integers(seed=seed)
+    check_integers(seed=seed, budget=budget)
     _check_lists(G, lists)
     check_peel_parameter(d)
     if rho is None:

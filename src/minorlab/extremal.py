@@ -40,6 +40,7 @@ class BipartiteSpec(NamedTuple):
 
     def _check(self) -> None:
         _check_part_sizes((self.a, self.b))
+        check_integers(seed=self.seed)
         if not 0.0 <= self.p <= 1.0:
             raise InputError(f"edge probability must be in [0, 1], got {self.p}")
 
@@ -171,6 +172,7 @@ def connectivity_extremal(t: int, k: int, seed: int = 0) -> Graph:
     otherwise sample the random bipartite graph with sides a = ceil(t^2 log t
     / 6k) and b = 3k at edge probability 1/2.
     """
+    check_integers(seed=seed)
     if t < 3:
         raise InputError(f"t must be at least 3, got {t}")
     if k < 1:

@@ -159,7 +159,7 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
     bulk, exactly (see :func:`_bernoulli_marks`), in chunks of rows, each
     laid out as n digits per row, zero on and below the diagonal.
     """
-    check_integers(n=n)
+    check_integers(n=n, seed=seed)
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability must be in [0, 1], got {p}")
     getrandbits = random.Random(seed).getrandbits
@@ -181,7 +181,7 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
 
 def gnm_random_graph(n: int, m: int, seed: int) -> Graph:
     """Uniform graph with exactly m edges (sampled without replacement)."""
-    check_integers(n=n, m=m)
+    check_integers(n=n, m=m, seed=seed)
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if not 0 <= m <= len(all_pairs):
         raise InputError(f"m must lie in [0, {len(all_pairs)}], got {m}")

@@ -390,19 +390,21 @@ def checked_vertices(G: Graph, vertices: Iterable[int]) -> list[int]:
     """`vertices` as a list, in their order; raises InputError on an id that
     is not a vertex of G."""
     out = list(vertices)
-    for v in out:
-        if not 0 <= v < G.n:
-            raise InputError(f"vertex {v} out of range for n={G.n}")
+    checked_mask(G, out)
     return out
 
 
 def checked_mask(G: Graph, vertices: Iterable[int]) -> int:
-    """mask_of(vertices); raises InputError on an id that is not a vertex of G."""
+    """mask_of(vertices); raises InputError on an id that is not a vertex of
+    G, catching the TypeError of a non-integer id rather than testing types."""
     mask = 0
     for v in vertices:
-        if not 0 <= v < G.n:
-            raise InputError(f"vertex {v} out of range for n={G.n}")
-        mask |= 1 << v
+        try:
+            if not 0 <= v < G.n:
+                raise InputError(f"vertex {v} out of range for n={G.n}")
+            mask |= 1 << v
+        except TypeError:
+            raise InputError(f"vertex must be an integer, got {v!r}") from None
     return mask
 
 
@@ -624,12 +626,14 @@ def max_independent_set(
 ) -> frozenset[int]:
     """An exact maximum independent set (of the induced subgraph on `within`);
     raises :class:`BudgetExceeded` when the node budget runs out."""
+    check_integers(budget=budget)
     _, best = _mis_search(G, within_mask(G, within), budget, None)
     return set_of(best)
 
 
 def exact_alpha(G: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """The exact independence number; raises :class:`BudgetExceeded` out of budget."""
+    check_integers(budget=budget)
     size, _ = _mis_search(G, G.full_mask, budget, None)
     return size
 
@@ -642,6 +646,7 @@ def find_independent_set(
 ) -> frozenset[int] | None:
     """Some independent set of exactly max(size, 0) vertices, or None if none
     exists; raises :class:`BudgetExceeded` when the node budget runs out."""
+    check_integers(size=size, budget=budget)
     start = within_mask(G, within)
     if size <= 0:
         return frozenset()

@@ -614,6 +614,7 @@ def contraction_round(
     random such neighbor; return the graph induced on X afterwards.  Vertex i
     of the result is the i-th smallest element of X.
     """
+    check_integers(seed=seed)
     A, B, X = frozenset(A), frozenset(B), frozenset(X)
     defect = bipartition_defect(G, A, B)
     if defect is not None:

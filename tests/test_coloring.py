@@ -735,7 +735,7 @@ def test_greedy_takes_the_least_free_colour():
         assert ml.greedy_list_color(G, lists) == want, i
         if want is not None:
             assert in_colours(
-                lambda masks: coloring._greedy_list_color(G, masks, G.full_mask), lists
+                lambda masks: coloring._greedy_list_color(G, masks, range(G.n)), lists
             ) == want
 
 

@@ -90,6 +90,7 @@ def test_coloring_loads_its_module_closure():
         "minorlab.families", "minorlab.connectivity", "minorlab.decompose",
         "minorlab.coloring",
     }
+    assert "heapq" not in loaded
 
 
 def test_import_pulls_in_neither_numpy_nor_scipy():
