@@ -514,7 +514,7 @@ def minor_free_list_color(
     never an improper coloring; an inner search out of budget raises
     :class:`BudgetExceeded`.
     """
-    check_integers(seed=seed, budget=budget)
+    check_integers(seed=seed, budget=budget, inner_threshold=inner_threshold)
     _check_lists(G, lists)
     check_peel_parameter(d)
     if rho is None:

@@ -283,9 +283,12 @@ def connectivity_at_least(
     """Exact verdict for kappa(G) >= k, with cheap certificates tried first.
 
     For a bipartite graph with known `parts`, the sufficient certificate is:
-    every degree >= k and every same-side pair shares more than k/2 neighbors
-    (any cut smaller than k then leaves one side mutually connected and the
-    other side attached to it).  Otherwise the growth test of
+    every degree >= k and, with each side listed in ascending id order as
+    x_0, ..., x_{s-1}, every pair (x_i, x_{(i+j) mod s}) with
+    1 <= j <= ceil(k/2) shares more than k/2 neighbors (those pairs form a
+    circulant that no cut smaller than k disconnects, so such a cut leaves
+    one side mutually connected and the other side attached to it; see
+    :func:`_bipartite_certificate`).  Otherwise the growth test of
     :func:`_at_least` decides, with a flow only where the set stops growing.
     """
     check_integers(k=k)
@@ -307,13 +310,36 @@ def connectivity_at_least(
 def _bipartite_certificate(
     G: Graph, parts: tuple[frozenset[int], frozenset[int]], k: int
 ) -> bool:
+    """True only if kappa(G) >= k, for G of minimum degree at least k that
+    `parts` split into two independent sets: list each side in ascending id
+    order as x_0, ..., x_{s-1}, let r = ceil(k/2), and require every pair
+    (x_i, x_{(i+j) mod s}) with 1 <= j <= r to share more than k/2
+    neighbors.  That is r*s pairs per side instead of all s(s-1)/2.
+
+    Proof.  The checked pairs of a side form the r-th power of the cycle C_s,
+    the graph H_{2r,s} of Harary ("The maximum connectivity of a graph",
+    PNAS 1962), which is min(2r, s - 1)-connected and is K_s once
+    2r >= s - 1.  Every vertex has at least k neighbors on the other side, so
+    s >= k on each side.  Take any S with |S| < k, a = |S & L| and
+    c = |S & R| for the sides L and R.  Then a + c <= k - 1, so
+    min(a, c) < k/2; say c < k/2, else swap the sides.  L - S is non-empty
+    (a < k <= |L|) and stays connected in H_{2r,|L|} (a < k <= 2r, or the
+    circulant is complete); each of its pairs shares more than k/2 > c
+    neighbors, one of them outside S, so L - S lies in one component of
+    G - S.  Each vertex of R - S has at least k > a neighbors in L, one in
+    L - S.  So G - S is connected, and n >= 2k > k, hence kappa(G) >= k.
+
+    The checked pairs are among all same-side pairs, so wherever every
+    same-side pair shares more than k/2 neighbors this certificate holds too.
+    """
     if bipartition_defect(G, *parts) is not None:
         return False
-    half = k // 2  # 2c <= k exactly when c <= k // 2
+    half, reach = k // 2, (k + 1) // 2  # 2c <= k exactly when c <= k // 2
     for side in parts:
         rows = [G.adj[v] for v in sorted(side)]
+        wrap = rows + rows[:reach]
         for i, ax in enumerate(rows):
-            for ay in rows[i + 1 :]:
+            for ay in wrap[i + 1 : i + 1 + reach]:
                 if (ax & ay).bit_count() <= half:
                     return False
     return True

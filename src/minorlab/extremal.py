@@ -172,7 +172,7 @@ def connectivity_extremal(t: int, k: int, seed: int = 0) -> Graph:
     otherwise sample the random bipartite graph with sides a = ceil(t^2 log t
     / 6k) and b = 3k at edge probability 1/2.
     """
-    check_integers(seed=seed)
+    check_integers(t=t, k=k, seed=seed)
     if t < 3:
         raise InputError(f"t must be at least 3, got {t}")
     if k < 1:

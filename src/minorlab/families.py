@@ -196,6 +196,7 @@ def random_graph_min_degree(n: int, d: int, seed: int, p: float | None = None) -
     edges to uniformly drawn non-neighbours.  The top-up edits the base
     graph's rows in place, so no edge list is rebuilt.
     """
+    check_integers(n=n, d=d)
     if d >= n:
         raise InputError(f"cannot force min degree {d} on {n} vertices")
     if p is None:

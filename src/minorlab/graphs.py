@@ -388,17 +388,28 @@ def contract_with_classes(
 
 def checked_vertices(G: Graph, vertices: Iterable[int]) -> list[int]:
     """`vertices` as a list, in their order; raises InputError on an id that
-    is not a vertex of G."""
-    out = list(vertices)
+    is not a vertex of G, or on a `vertices` that is not iterable."""
+    out = list(_vertex_iter(vertices))
     checked_mask(G, out)
     return out
 
 
+def _vertex_iter(vertices: Iterable[int]) -> Iterator[int]:
+    """iter(vertices), with the TypeError of a non-iterable as InputError."""
+    try:
+        return iter(vertices)
+    except TypeError:
+        raise InputError(
+            f"vertices must be an iterable of vertex ids, got {vertices!r}"
+        ) from None
+
+
 def checked_mask(G: Graph, vertices: Iterable[int]) -> int:
     """mask_of(vertices); raises InputError on an id that is not a vertex of
-    G, catching the TypeError of a non-integer id rather than testing types."""
+    G, catching the TypeError of a non-integer id rather than testing types,
+    and on a `vertices` that is not iterable."""
     mask = 0
-    for v in vertices:
+    for v in _vertex_iter(vertices):
         try:
             if not 0 <= v < G.n:
                 raise InputError(f"vertex {v} out of range for n={G.n}")

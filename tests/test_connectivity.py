@@ -108,26 +108,73 @@ def test_connectivity_certificate_bipartite():
     assert not ml.connectivity_at_least(G, want + 1, parts=parts)
 
 
+def _common(G, x, y):
+    return len(set(G.neighbors(x)) & set(G.neighbors(y)))
+
+
+def _circulant_commons(G, parts, k):
+    """The common-neighbour counts of the pairs the certificate checks:
+    (x_i, x_{(i+j) mod s}) for 1 <= j <= ceil(k/2), on each side in
+    ascending id order."""
+    out = []
+    for side in parts:
+        xs = sorted(side)
+        for i, x in enumerate(xs):
+            for j in range(1, (k + 1) // 2 + 1):
+                out.append(_common(G, x, xs[(i + j) % len(xs)]))
+    return out
+
+
 def test_bipartite_certificate_holds_when_every_same_side_pair_shares_over_half_k():
+    # the certificate checks the pairs of a circulant on each side, a subset
+    # of the same-side pairs, so the all-pairs rule implies it; a True
+    # verdict at k <= delta must still mean kappa >= k
     boundary = 0
     for seed in range(40):
         rng = random.Random(seed)
         a, b = rng.randint(2, 12), rng.randint(2, 12)
         G = ml.gen_bipartite(ml.BipartiteSpec(a, b, rng.choice((0.5, 0.7, 0.9)), seed))
         parts = (frozenset(range(a)), frozenset(range(a, a + b)))
-        common = [
-            len(set(G.neighbors(x)) & set(G.neighbors(y)))
-            for side in parts
-            for x in side
-            for y in side
-            if x < y
-        ]
+        common = [_common(G, x, y) for side in parts for x in side for y in side if x < y]
+        delta = G.min_degree()
         for k in range(a + b + 1):
             want = all(2 * c > k for c in common)
-            assert connectivity._bipartite_certificate(G, parts, k) == want, (seed, k)
-            assert connectivity._bipartite_certificate(G, parts[::-1], k) == want, (seed, k)
-            boundary += 2 * min(common) == k
+            checked = _circulant_commons(G, parts, k)
+            circulant = all(2 * c > k for c in checked)
+            assert connectivity._bipartite_certificate(G, parts, k) == circulant, (seed, k)
+            assert connectivity._bipartite_certificate(G, parts[::-1], k) == circulant, (seed, k)
+            assert circulant or not want, (seed, k)
+            if circulant and k <= delta:
+                assert connectivity_at_least_ref(G, k), (seed, k)
+            boundary += bool(checked) and 2 * min(checked) == k
     assert boundary >= 10
+
+
+def test_bipartite_certificate_is_sound_on_relabelled_unequal_sides():
+    # sides of unequal size whose ids interleave, so the ascending order of
+    # a side is not its order in the generator
+    certified = beyond_all_pairs = 0
+    for seed in range(240):
+        rng = random.Random(seed)
+        a, b = rng.randint(2, 14), rng.randint(2, 14)
+        p = rng.choice((0.5, 0.7, 0.8, 0.9, 0.95))
+        H = ml.gen_bipartite(ml.BipartiteSpec(a, b, p, seed))
+        perm = list(range(a + b))
+        rng.shuffle(perm)
+        G = ml.from_edge_list(a + b, [(perm[u], perm[v]) for u, v in H.edges()])
+        parts = (frozenset(perm[:a]), frozenset(perm[a:]))
+        common = [_common(G, x, y) for side in parts for x in side for y in side if x < y]
+        for k in range(1, G.min_degree() + 1):
+            if connectivity._bipartite_certificate(G, parts, k):
+                assert connectivity_at_least_ref(G, k), (seed, k)
+                certified += 1
+                beyond_all_pairs += not all(2 * c > k for c in common)
+        if a + b <= 12:
+            kappa = kappa_brute(G)
+            for k in range(a + b + 1):
+                got = ml.connectivity_at_least(G, k, parts=parts)
+                assert got == (kappa >= k), (seed, k)
+    assert certified >= 200 and beyond_all_pairs >= 10, (certified, beyond_all_pairs)
 
 
 def test_certificate_on_split_that_is_not_independent_matches_brute_force():
