@@ -381,8 +381,14 @@ def hall_ratio_list_color(
     :func:`multipartite_list_color`, and leaves the uncolored rest, with the
     remaining colors, as the next level's mask.  The color subset is redrawn
     (up to `max_redraws` times) until every vertex keeps between
-    (C/2) rho log(n/rho) and (3C/2) rho log(n/rho) of its list.  There are at
-    most ceil(log(n / rho)) + 2 levels; more is an :class:`InvariantViolation`.
+    (C/2) rho log(n/rho) and (3C/2) rho log(n/rho) of its list.  Before the
+    redraws, each list is cut to its ceil(C rho log^2(n/rho)) least colors: a
+    color is kept with probability 1 / log(n/rho), so a list of that length
+    keeps C rho log(n/rho) on average, the middle of the window, where a
+    longer list would overshoot it on some vertex in every redraw.  The cut
+    is sound because a coloring from sublists is a coloring from the lists.
+    There are at most ceil(log(n / rho)) + 2 levels; more is an
+    :class:`InvariantViolation`.
 
     A small level, or one whose lists are too short for the redraw window to
     ever accept, is the last: it falls back to sequential greedy and then to
@@ -445,6 +451,14 @@ def _hall_ratio_list_color(
             return None if phi is None else coloring | phi
 
         log_ratio = math.log(n / rho)
+        # each list cut to its `keep` least colours (see the docstring); the
+        # check above leaves no list shorter
+        keep = math.ceil(C * rho * log_ratio ** 2)
+        for v in bits(live):
+            L = masks[v]
+            for _ in range(L.bit_count() - keep):
+                L ^= 1 << L.bit_length() - 1
+            masks[v] = L
         lo = C / 2 * rho * log_ratio
         hi = 3 * C / 2 * rho * log_ratio
         pool = reduce(or_, (masks[v] for v in bits(live)), 0)

@@ -290,8 +290,17 @@ def connectivity_at_least(
     one side mutually connected and the other side attached to it; see
     :func:`_bipartite_certificate`).  Otherwise the growth test of
     :func:`_at_least` decides, with a flow only where the set stops growing.
+    `parts` that are not a pair of vertex collections raise :class:`InputError`.
     """
     check_integers(k=k)
+    if parts is not None:
+        try:
+            A, B = parts
+            parts = frozenset(A), frozenset(B)  # a frozenset is its own copy
+        except (TypeError, ValueError):
+            raise InputError(
+                f"parts must be a pair of vertex collections, got {parts!r}"
+            ) from None
     if k <= 0:
         return True
     if G.n < 2:

@@ -892,7 +892,8 @@ def hall_ratio_list_color_ref(
     extract k = ceil((1 - 1/e) n / s) disjoint independent sets of size
     s = floor(n / (e rho)), color their union from the split-off colors via
     :func:`multipartite_list_color`, and recurse on the remainder with the
-    remaining colors.  The color subset is redrawn (up to `max_redraws`
+    remaining colors.  Each list is first cut to its ceil(C rho log^2(n/rho))
+    least colors; the color subset is then redrawn (up to `max_redraws`
     times) until every vertex keeps between (C/2) rho log(n/rho) and
     (3C/2) rho log(n/rho) of its list.
 
@@ -936,6 +937,9 @@ def hall_ratio_list_color_ref(
         return coloring
 
     log_ratio = math.log(n / rho)
+    # a colouring from the sublists is one from the lists
+    keep = math.ceil(C * rho * log_ratio ** 2)
+    lists = [frozenset(sorted(L)[:keep]) for L in lists]
     keep_p = 1.0 / log_ratio
     lo = C / 2 * rho * log_ratio
     hi = 3 * C / 2 * rho * log_ratio
