@@ -33,6 +33,7 @@ from .errors import (
     InvariantViolation,
     PreconditionError,
     check_integers,
+    check_reals,
 )
 from .families import _bernoulli_marks, _cut
 from .graphs import (
@@ -396,6 +397,7 @@ def hall_ratio_list_color(
     out of budget.
     """
     check_integers(seed=seed, budget=budget)
+    check_reals(rho=rho, C=C)
     _check_lists(G, lists)
     if not rho >= 1:
         raise InputError(f"the Hall ratio bound must be at least 1, got {rho}")
@@ -533,6 +535,7 @@ def minor_free_list_color(
     check_peel_parameter(d)
     if rho is None:
         rho = 2 * d
+    check_reals(rho=rho)
     if not rho >= 1:
         raise InputError(f"the Hall ratio bound must be at least 1, got {rho}")
     _check_counts(trials=trials)

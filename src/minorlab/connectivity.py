@@ -38,7 +38,7 @@ falling cap that stops as soon as the growth test certifies it as kappa;
 from __future__ import annotations
 
 from .errors import InputError, PreconditionError, check_integers
-from .graphs import Graph, adjacency_mask, bipartition_defect, bits, components, from_rows, set_of
+from .graphs import Graph, adjacency_mask, bits, components, from_rows, set_of
 
 
 def maximum_flow(
@@ -282,21 +282,25 @@ def connectivity_at_least(
 ) -> bool:
     """Exact verdict for kappa(G) >= k, with cheap certificates tried first.
 
-    For a bipartite graph with known `parts`, the sufficient certificate is:
-    every degree >= k and, with each side listed in ascending id order as
-    x_0, ..., x_{s-1}, every pair (x_i, x_{(i+j) mod s}) with
-    1 <= j <= ceil(k/2) shares more than k/2 neighbors (those pairs form a
-    circulant that no cut smaller than k disconnects, so such a cut leaves
-    one side mutually connected and the other side attached to it; see
-    :func:`_bipartite_certificate`).  Otherwise the growth test of
-    :func:`_at_least` decides, with a flow only where the set stops growing.
-    `parts` that are not a pair of vertex collections raise :class:`InputError`.
+    For a bipartite G, whose sides :func:`_colour_classes` finds, the
+    sufficient certificate is: every degree >= k and, with each side listed
+    in ascending id order as x_0, ..., x_{s-1}, every pair
+    (x_i, x_{(i+j) mod s}) with 1 <= j <= ceil(k/2) shares more than k/2
+    neighbors (those pairs form a circulant that no cut smaller than k
+    disconnects, so such a cut leaves one side mutually connected and the
+    other side attached to it; see :func:`_bipartite_certificate`).
+    Otherwise the growth test of :func:`_at_least` decides, with a flow only
+    where the set stops growing.
+
+    `parts` is accepted for compatibility and not read: a connected
+    bipartite graph has exactly one bipartition, and on a disconnected one
+    the certificate fails whatever the bipartition.  `parts` that are not a
+    pair of vertex collections still raise :class:`InputError`.
     """
     check_integers(k=k)
     if parts is not None:
         try:
-            A, B = parts
-            parts = frozenset(A), frozenset(B)  # a frozenset is its own copy
+            A, B = map(frozenset, parts)  # its shape is checked, not its contents
         except (TypeError, ValueError):
             raise InputError(
                 f"parts must be a pair of vertex collections, got {parts!r}"
@@ -311,16 +315,36 @@ def connectivity_at_least(
         return True
     if G.min_degree() < k:
         return False
-    if parts is not None and _bipartite_certificate(G, parts, k):
+    sides = _colour_classes(G)
+    if sides is not None and _bipartite_certificate(G, sides, k):
         return True
     return _at_least(G, k)
 
 
-def _bipartite_certificate(
-    G: Graph, parts: tuple[frozenset[int], frozenset[int]], k: int
-) -> bool:
+def _colour_classes(G: Graph) -> tuple[int, int] | None:
+    """The two colour classes of a bipartite G as vertex masks, or None when
+    G has an odd cycle.  Breadth-first layers from the least vertex of each
+    component alternate between the classes; an edge joins two layers at
+    most one apart, so an edge inside a class lies inside one layer, and the
+    search stops at the first layer that reaches its own class."""
+    classes = [0, 0]
+    rest = G.full_mask
+    while rest:
+        layer, side = rest & -rest, 0
+        while layer:
+            classes[side] |= layer
+            rest &= ~layer
+            reach = adjacency_mask(G, layer)
+            if reach & classes[side]:
+                return None
+            layer, side = reach & rest, side ^ 1
+    return classes[0], classes[1]
+
+
+def _bipartite_certificate(G: Graph, sides: tuple[int, int], k: int) -> bool:
     """True only if kappa(G) >= k, for G of minimum degree at least k that
-    `parts` split into two independent sets: list each side in ascending id
+    the vertex masks `sides` split into two independent sets, as
+    :func:`_colour_classes` gives them: list each side in ascending id
     order as x_0, ..., x_{s-1}, let r = ceil(k/2), and require every pair
     (x_i, x_{(i+j) mod s}) with 1 <= j <= r to share more than k/2
     neighbors.  That is r*s pairs per side instead of all s(s-1)/2.
@@ -341,11 +365,9 @@ def _bipartite_certificate(
     The checked pairs are among all same-side pairs, so wherever every
     same-side pair shares more than k/2 neighbors this certificate holds too.
     """
-    if bipartition_defect(G, *parts) is not None:
-        return False
     half, reach = k // 2, (k + 1) // 2  # 2c <= k exactly when c <= k // 2
-    for side in parts:
-        rows = [G.adj[v] for v in sorted(side)]
+    for side in sides:
+        rows = [G.adj[v] for v in bits(side)]
         wrap = rows + rows[:reach]
         for i, ax in enumerate(rows):
             for ay in wrap[i + 1 : i + 1 + reach]:

@@ -50,6 +50,17 @@ def check_integers(**values: object) -> None:
             raise InputError(f"{name} must be an integer, got {value!r}")
 
 
+def check_reals(**values: object) -> None:
+    """Raise InputError("<name> must be a real number, got <value>") for the
+    first keyword whose type has no ``__float__``: int, float and Fraction
+    have one, a str, None or complex has not.  Callers run it before a
+    parameter reaches a comparison or a formula, which would raise a bare
+    TypeError."""
+    for name, value in values.items():
+        if not hasattr(type(value), "__float__"):
+            raise InputError(f"{name} must be a real number, got {value!r}")
+
+
 def checked_record(record: type) -> type:
     """Class decorator: the NamedTuple runs its `_check` on every record built,
     by `_make` and `_replace` too (a NamedTuple body may not set either)."""

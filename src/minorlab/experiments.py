@@ -241,8 +241,7 @@ def _trial_extremal_connectivity(config: ExperimentConfig, i: int, seed: int) ->
     eps = 0.5
     threshold = math.ceil((1 - eps) * b / 2)
     G = gen_bipartite(BipartiteSpec(b, b, 0.5, seed))
-    parts = (frozenset(range(b)), frozenset(range(b, 2 * b)))
-    kappa_ok = connectivity_at_least(G, threshold, parts=parts)
+    kappa_ok = connectivity_at_least(G, threshold)
     # k <= t - 2 route of the connectivity construction: K_{a, t-2}
     small = connectivity_extremal(5, 3, seed=derive_seed(seed, 1))
     small_kappa_ok = connectivity_at_least(small, 3)
@@ -306,7 +305,9 @@ def run_suite(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_dispatch, jobs))
+            # one batch of trials per worker, not one round trip per trial
+            chunk = math.ceil(config.trials / config.workers)
+            records = list(pool.map(_dispatch, jobs, chunksize=chunk))
     else:
         records = [_dispatch(job) for job in jobs]
 

@@ -13,7 +13,7 @@ import math
 import random
 from typing import Any, NamedTuple
 
-from .errors import ConstructionError, InputError, check_integers, checked_record
+from .errors import ConstructionError, InputError, check_integers, check_reals, checked_record
 from .families import (
     _CHUNK_DRAWS,
     _bernoulli_marks,
@@ -41,6 +41,7 @@ class BipartiteSpec(NamedTuple):
     def _check(self) -> None:
         _check_part_sizes((self.a, self.b))
         check_integers(seed=self.seed)
+        check_reals(p=self.p)
         if not 0.0 <= self.p <= 1.0:
             raise InputError(f"edge probability must be in [0, 1], got {self.p}")
 
@@ -86,7 +87,8 @@ def lambda_constant(tol: float = 1e-6) -> tuple[float, float]:
     0.63817..., and the argmax satisfies the stationarity condition
     2 x e^-x = 1 - e^-x to comparable accuracy.
     """
-    if tol <= 0:
+    check_reals(tol=tol)
+    if not tol > 0:  # NaN too, which would end the search before its first step
         raise InputError(f"tolerance must be positive, got {tol}")
 
     def f(x: float) -> float:
@@ -117,6 +119,7 @@ def _lambda() -> tuple[float, float]:
 
 def lower_bound_edge_target(a: int, b: int, t: int, eps: float) -> float:
     """(1 - eps) (lambda / sqrt 2) t sqrt(log t) sqrt(ab)."""
+    check_reals(a=a, b=b, t=t, eps=eps)
     lam, _ = _lambda()
     return (1 - eps) * lam / math.sqrt(2) * t * math.sqrt(math.log(t)) * math.sqrt(a * b)
 
@@ -144,6 +147,7 @@ def lower_bound_bipartite(a: int, b: int, t: int, eps: float, seed: int = 0) -> 
         raise InputError(f"t must be at least 3, got {t}")
     if a < t or b < t:
         raise InputError(f"both sides must have at least t = {t} vertices")
+    check_reals(eps=eps)
     if not 0 < eps <= 1:
         raise InputError(f"eps must be in (0, 1], got {eps}")
     _, x_star = _lambda()
@@ -221,25 +225,6 @@ def eval_bounds(
     Emits only the values whose inputs were supplied; each out-of-range
     parameter raises an input error naming the violated constraint.
     """
-    if t < 3:
-        raise InputError(f"t >= 3 is required, got t = {t}")
-    if beta is not None and not 0.25 < beta <= 0.5:
-        raise InputError(f"beta must lie in (1/4, 1/2], got {beta}")
-    if delta is not None and delta <= 0:
-        raise InputError(f"delta must be positive, got {delta}")
-    if eps is not None and not 0 < eps < 1:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
-    if q is not None and not 0 <= q <= 1:
-        raise InputError(f"q must lie in [0, 1], got {q}")
-    if l is not None and l < 1:
-        raise InputError(f"l must be at least 1, got {l}")
-    if p is not None and not 0 < p < 1:
-        raise InputError(f"p must lie in (0, 1), got {p}")
-    if a is not None and a < 0 or b is not None and b < 0:
-        raise InputError("part sizes must be non-negative")
-    if k is not None and k < 1:
-        raise InputError(f"k must be at least 1, got {k}")
-
     inputs: dict[str, Any] = {"t": t, "c_bipartite": c_bipartite}
     for name, val in (
         ("beta", beta),
@@ -256,6 +241,26 @@ def eval_bounds(
     ):
         if val is not None:
             inputs[name] = val
+
+    check_reals(**inputs)
+    if not t >= 3:
+        raise InputError(f"t >= 3 is required, got t = {t}")
+    if beta is not None and not 0.25 < beta <= 0.5:
+        raise InputError(f"beta must lie in (1/4, 1/2], got {beta}")
+    if delta is not None and not delta > 0:
+        raise InputError(f"delta must be positive, got {delta}")
+    if eps is not None and not 0 < eps < 1:
+        raise InputError(f"eps must lie in (0, 1), got {eps}")
+    if q is not None and not 0 <= q <= 1:
+        raise InputError(f"q must lie in [0, 1], got {q}")
+    if l is not None and not l >= 1:
+        raise InputError(f"l must be at least 1, got {l}")
+    if p is not None and not 0 < p < 1:
+        raise InputError(f"p must lie in (0, 1), got {p}")
+    if a is not None and not a >= 0 or b is not None and not b >= 0:
+        raise InputError("part sizes must be non-negative")
+    if k is not None and not k >= 1:
+        raise InputError(f"k must be at least 1, got {k}")
 
     values: dict[str, float] = {}
     verdicts: dict[str, bool] = {}

@@ -12,7 +12,7 @@ import math
 import random
 from typing import Callable, Sequence
 
-from .errors import InputError, check_integers
+from .errors import InputError, check_integers, check_reals
 from .graphs import Graph, bits, from_edge_list, from_rows
 from .seeds import derive_seed
 
@@ -160,6 +160,7 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
     laid out as n digits per row, zero on and below the diagonal.
     """
     check_integers(n=n, seed=seed)
+    check_reals(p=p)
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability must be in [0, 1], got {p}")
     getrandbits = random.Random(seed).getrandbits

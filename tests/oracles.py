@@ -2,7 +2,8 @@
 
 These deliberately use different algorithmic principles from the library:
 minor testing enumerates set partitions of vertex subsets, connectivity
-enumerates all vertex cuts, and the independence number enumerates subsets.
+enumerates all vertex cuts, and the independence number and the 2-colourings
+enumerate subsets.
 They are only feasible on small graphs, which is the point.  The one
 polynomial oracle, :func:`split_flow`, is a textbook augmenting-path max-flow
 on dict residual capacities, with none of the library's bitset machinery.
@@ -222,6 +223,19 @@ def kappa_brute(G: Graph) -> int:
             if disconnected_without(frozenset(cut)):
                 return size
     return n - 1
+
+
+def two_colourings_brute(G: Graph) -> list[tuple[int, int]]:
+    """Every split (A, V - A) of V into two independent sets, as masks, by
+    trying all 2^n subsets A and walking the edge list (n <= ~14).  Empty
+    exactly when G has an odd cycle."""
+    full = (1 << G.n) - 1
+    edges = G.edges()
+    return [
+        (A, full & ~A)
+        for A in range(1 << G.n)
+        if all((A >> u & 1) != (A >> v & 1) for u, v in edges)
+    ]
 
 
 def split_flow(G: Graph, s: int, t: int) -> tuple[int, set[tuple[int, int]]]:

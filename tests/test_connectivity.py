@@ -14,6 +14,7 @@ from oracles import (
     kappa_brute,
     separation_below_ref,
     split_flow,
+    two_colourings_brute,
 )
 
 
@@ -135,14 +136,15 @@ def test_bipartite_certificate_holds_when_every_same_side_pair_shares_over_half_
         a, b = rng.randint(2, 12), rng.randint(2, 12)
         G = ml.gen_bipartite(ml.BipartiteSpec(a, b, rng.choice((0.5, 0.7, 0.9)), seed))
         parts = (frozenset(range(a)), frozenset(range(a, a + b)))
+        sides = tuple(map(ml.mask_of, parts))
         common = [_common(G, x, y) for side in parts for x in side for y in side if x < y]
         delta = G.min_degree()
         for k in range(a + b + 1):
             want = all(2 * c > k for c in common)
             checked = _circulant_commons(G, parts, k)
             circulant = all(2 * c > k for c in checked)
-            assert connectivity._bipartite_certificate(G, parts, k) == circulant, (seed, k)
-            assert connectivity._bipartite_certificate(G, parts[::-1], k) == circulant, (seed, k)
+            assert connectivity._bipartite_certificate(G, sides, k) == circulant, (seed, k)
+            assert connectivity._bipartite_certificate(G, sides[::-1], k) == circulant, (seed, k)
             assert circulant or not want, (seed, k)
             if circulant and k <= delta:
                 assert connectivity_at_least_ref(G, k), (seed, k)
@@ -163,9 +165,10 @@ def test_bipartite_certificate_is_sound_on_relabelled_unequal_sides():
         rng.shuffle(perm)
         G = ml.from_edge_list(a + b, [(perm[u], perm[v]) for u, v in H.edges()])
         parts = (frozenset(perm[:a]), frozenset(perm[a:]))
+        sides = tuple(map(ml.mask_of, parts))
         common = [_common(G, x, y) for side in parts for x in side for y in side if x < y]
         for k in range(1, G.min_degree() + 1):
-            if connectivity._bipartite_certificate(G, parts, k):
+            if connectivity._bipartite_certificate(G, sides, k):
                 assert connectivity_at_least_ref(G, k), (seed, k)
                 certified += 1
                 beyond_all_pairs += not all(2 * c > k for c in common)
@@ -191,6 +194,87 @@ def test_certificate_on_split_that_is_not_independent_matches_brute_force():
         kappa = kappa_brute(G)
         for k in range(n + 1):
             assert ml.connectivity_at_least(G, k, parts=(A, B)) == (kappa >= k), (seed, k)
+
+
+# -- queries with no parts: the certificate finds the sides itself -----------
+
+
+def _relabelled(H, rng):
+    perm = list(range(H.n))
+    rng.shuffle(perm)
+    return ml.from_edge_list(H.n, [(perm[u], perm[v]) for u, v in H.edges()])
+
+
+def _unlabelled_graph(i):
+    """The i-th graph of the no-parts sweep: bipartite graphs whose sides
+    interleave, disconnected bipartite graphs (two K_{3,3} have delta = 3
+    and kappa = 0), even and odd cycles, K_{a,b}, dense bipartite graphs
+    with an edge added inside a side, and random graphs that are mostly not
+    bipartite."""
+    rng = random.Random(4400 + i)
+    kind = i % 7
+    if kind == 0:
+        a, b = rng.randint(1, 7), rng.randint(1, 7)
+        H = ml.gen_bipartite(ml.BipartiteSpec(a, b, rng.choice((0.5, 0.7, 0.9)), i))
+        return _relabelled(H, rng)
+    if kind == 1:
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        H = _disjoint_union(ml.complete_bipartite(a, b), ml.complete_bipartite(b, a))
+        return _relabelled(H, rng) if rng.random() < 0.5 else H
+    if kind == 2:
+        return ml.cycle_graph(rng.randint(3, 13))
+    if kind == 3:
+        return _relabelled(ml.complete_bipartite(rng.randint(1, 6), rng.randint(1, 6)), rng)
+    if kind == 4:
+        return _disjoint_union(ml.cycle_graph(rng.randint(3, 6)), ml.cycle_graph(rng.randint(3, 6)))
+    if kind == 5:
+        a, b = rng.randint(3, 7), rng.randint(3, 7)
+        H = ml.gen_bipartite(ml.BipartiteSpec(a, b, rng.choice((0.7, 0.9, 1.0)), i))
+        x, y = rng.sample(range(a), 2)
+        return _relabelled(ml.from_edge_list(a + b, H.edges() + [(x, y)]), rng)
+    return ml.gnp_random_graph(rng.randint(2, 12), rng.choice((0.2, 0.4, 0.6)), seed=i)
+
+
+def test_colour_classes_match_brute_force_two_colourings():
+    odd = 0
+    for i in range(350):
+        G = _unlabelled_graph(i)
+        found = connectivity._colour_classes(G)
+        colourings = two_colourings_brute(G)
+        # None exactly on an odd cycle, else two independent masks covering V
+        assert (found is None) == (not colourings), i
+        assert found is None or found in colourings, i
+        odd += found is None
+    assert 100 <= odd <= 250, odd
+
+
+def test_connectivity_without_parts_matches_pair_coverage():
+    bipartite = 0
+    for i in range(350):
+        G = _unlabelled_graph(i)
+        if G.n < 2:
+            continue
+        rng = random.Random(i)
+        A = frozenset(v for v in range(G.n) if rng.random() < 0.5)
+        not_bipartition = (A, frozenset(range(G.n)) - A)
+        bipartite += connectivity._colour_classes(G) is not None
+        for k in range(G.n + 1):
+            want = connectivity_at_least_ref(G, k)
+            assert ml.connectivity_at_least(G, k) == want, (i, k)
+            assert ml.connectivity_at_least(G, k, parts=not_bipartition) == want, (i, k)
+    assert bipartite >= 150, bipartite
+    # two disjoint K_{3,3}: every degree is 3 but the graph is disconnected
+    G = _disjoint_union(ml.complete_bipartite(3, 3), ml.complete_bipartite(3, 3))
+    assert [ml.connectivity_at_least(G, k) for k in range(5)] == [True, False, False, False, False]
+
+
+@pytest.mark.parametrize("b, seed, k", [(30, 7, 3), (60, 3, 11), (90, 7, 23)])
+def test_interleaved_sides_take_the_certificate_without_parts(b, seed, k, monkeypatch):
+    G = _relabelled(ml.gen_bipartite(ml.BipartiteSpec(b, b, 0.5, seed)), random.Random(seed))
+    growth = []
+    monkeypatch.setattr(connectivity, "_at_least", lambda *args: growth.append(args))
+    assert ml.connectivity_at_least(G, k) and not growth
+    assert connectivity_at_least_ref(G, k)
 
 
 # -- the growth test against pair coverage ---------------------------------

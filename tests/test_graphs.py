@@ -23,6 +23,7 @@ from minorlab.graphs import (
     bipartition_defect,
     mask_components,
     min_degree_peel,
+    set_of,
 )
 from oracles import (
     alpha_brute,
@@ -965,14 +966,20 @@ _PARTITION = "A and B must partition the vertex set"
 def test_bipartition_defect_is_the_rule_of_both_callers(A, B, defect):
     G = ml.complete_bipartite(3, 3)
     assert bipartition_defect(G, A, B) == defect
-    # the certificate declines the parts that the contraction round rejects
-    parts = (frozenset(A), frozenset(B))
-    assert connectivity._bipartite_certificate(G, parts, 3) == (defect is None)
     if defect is None:
         assert ml.contraction_round(G, A, B, set()).n == 0
     else:
         with pytest.raises(ml.InputError, match=defect):
             ml.contraction_round(G, A, B, set())
+    # the bipartite certificate finds its sides itself, and they pass the
+    # rule; the parts a caller passes are read for their shape only, so
+    # parts with a defect leave every verdict as it is without them
+    sides = connectivity._colour_classes(G)
+    assert bipartition_defect(G, *map(set_of, sides)) is None
+    assert connectivity._bipartite_certificate(G, sides, 3)
+    for k in range(G.n + 1):
+        want = ml.connectivity_at_least(G, k)
+        assert ml.connectivity_at_least(G, k, parts=(A, B)) == want == (k <= 3), k
 
 
 # -- vertex ids out of range at the public entry points ----------------------

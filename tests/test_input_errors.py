@@ -1,6 +1,8 @@
 """Each public entry point rejects a malformed argument with its own message."""
 
+import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -146,6 +148,17 @@ CASES = [
      lambda: ml.multipartite_list_color(K4, [{0}, {1}, {2}, {3}], ml.uniform_lists(4, 4),
                                         trials=2.5),
      ml.InputError, "trials must be an integer, got 2.5"),
+    # a real parameter that is not a number is rejected at entry, before a
+    # comparison or a formula raises a bare TypeError
+    ("hall-ratio-string-rho",
+     lambda: ml.hall_ratio_list_color(K4, ml.uniform_lists(4, 8), rho="x"),
+     ml.InputError, "rho must be a real number, got 'x'"),
+    ("hall-ratio-string-C",
+     lambda: ml.hall_ratio_list_color(K4, ml.uniform_lists(4, 8), rho=4, C="x"),
+     ml.InputError, "C must be a real number, got 'x'"),
+    ("minor-free-string-rho",
+     lambda: ml.minor_free_list_color(K4, ml.uniform_lists(4, 12), d=6, rho="x"),
+     ml.InputError, "rho must be a real number, got 'x'"),
     ("hall-ratio-float-redraws",
      lambda: ml.hall_ratio_list_color(K4, ml.uniform_lists(4, 8), rho=4, max_redraws=2.5),
      ml.InputError, "max_redraws must be an integer, got 2.5"),
@@ -187,6 +200,28 @@ CASES = [
      ml.InputError, "seed must be an integer, got None"),
     ("connectivity-extremal-none-seed", lambda: ml.connectivity_extremal(5, 4, None),
      ml.InputError, "seed must be an integer, got None"),
+    ("spec-string-p", lambda: ml.BipartiteSpec(3, 3, "x", 0),
+     ml.InputError, "p must be a real number, got 'x'"),
+    ("lower-bound-string-eps", lambda: ml.lower_bound_bipartite(10, 10, 5, "x"),
+     ml.InputError, "eps must be a real number, got 'x'"),
+    ("edge-target-string-eps", lambda: ml.lower_bound_edge_target(10, 10, 5, "x"),
+     ml.InputError, "eps must be a real number, got 'x'"),
+    ("lambda-string-tol", lambda: ml.lambda_constant("x"),
+     ml.InputError, "tol must be a real number, got 'x'"),
+    # a NaN fails every comparison, so each range check is written to reject
+    # it: lambda_constant(nan) returned (0.444, 5.0), far from the maximum
+    ("lambda-nan-tol", lambda: ml.lambda_constant(math.nan),
+     ml.InputError, "tolerance must be positive, got nan"),
+    ("bounds-nan-t", lambda: ml.eval_bounds(math.nan),
+     ml.InputError, "t >= 3 is required, got t = nan"),
+    ("bounds-nan-delta", lambda: ml.eval_bounds(5, delta=math.nan),
+     ml.InputError, "delta must be positive, got nan"),
+    ("bounds-string-t", lambda: ml.eval_bounds("5"),
+     ml.InputError, "t must be a real number, got '5'"),
+    ("bounds-string-beta", lambda: ml.eval_bounds(5, beta="x"),
+     ml.InputError, "beta must be a real number, got 'x'"),
+    ("bounds-none-c-bipartite", lambda: ml.eval_bounds(5, c_bipartite=None),
+     ml.InputError, "c_bipartite must be a real number, got None"),
     ("lower-bound-eps-zero", lambda: ml.lower_bound_bipartite(10, 10, 3, 0),
      ml.InputError, "eps must be in (0, 1], got 0"),
     ("connectivity-extremal-t", lambda: ml.connectivity_extremal(2, 1),
@@ -247,6 +282,10 @@ CASES = [
      ml.InputError, "workers must be an integer, got 1.0"),
     ("cycle-of-two", lambda: ml.cycle_graph(2),
      ml.InputError, "a cycle needs at least 3 vertices, got 2"),
+    ("gnp-string-p", lambda: ml.gnp_random_graph(5, "x", 0),
+     ml.InputError, "p must be a real number, got 'x'"),
+    ("min-degree-string-p", lambda: ml.random_graph_min_degree(10, 3, 0, p="x"),
+     ml.InputError, "p must be a real number, got 'x'"),
     ("gnp-p-above-one", lambda: ml.gnp_random_graph(5, 1.5, 0),
      ml.InputError, "edge probability must be in [0, 1], got 1.5"),
     ("empty-float-n", lambda: ml.empty_graph(3.0),
@@ -291,3 +330,14 @@ def test_integer_valued_float_t_is_rejected_where_the_int_finds_a_model():
     assert ml.find_kt_minor_exact(ml.petersen_graph(), 3) is not None
     with pytest.raises(ml.InputError, match="t must be an integer, got 3.0"):
         ml.find_kt_minor_exact(ml.petersen_graph(), 3.0)
+
+
+@pytest.mark.parametrize("real", [1, 0.5, Fraction(1, 2)], ids=["int", "float", "Fraction"])
+def test_real_parameters_take_int_float_and_fraction(real):
+    # the real-number check lets through what a comparison and a formula take
+    assert ml.gnp_random_graph(6, real, 0).n == 6
+    assert ml.gen_bipartite(ml.BipartiteSpec(3, 3, real, 0)).n == 6
+    assert ml.lambda_constant(real * 1e-3)[0] > 0.638
+    assert ml.eval_bounds(5, eps=real / 2, a=10, b=10).values["lower_bound_edge_target"] > 0
+    assert ml.lower_bound_edge_target(10, 10, 5, real / 2) > 0
+    assert ml.hall_ratio_list_color(ml.path_graph(4), ml.uniform_lists(4, 3), 2 * real + 1) is not None
