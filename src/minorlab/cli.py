@@ -32,6 +32,7 @@ from .errors import (
 )
 from .experiments import ExperimentConfig, run_suite
 from .extremal import (
+    BOUND_INPUTS,
     BipartiteSpec,
     connectivity_extremal,
     eval_bounds,
@@ -187,17 +188,9 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-#: The optional keyword inputs of :func:`eval_bounds`, each a ``--name`` option.
-_BOUND_INPUTS = (
-    ("beta", float), ("delta", float), ("eps", float), ("a", int), ("b", int),
-    ("k", int), ("q", float), ("l", int), ("p", float), ("n_vertices", int),
-    ("graph_density", float),
-)
-
-
 def _cmd_bounds(args) -> int:
-    inputs = {name: getattr(args, name) for name, _ in _BOUND_INPUTS}
-    report = eval_bounds(args.t, c_bipartite=args.c_bipartite, **inputs)
+    given = {name: getattr(args, name) for name, *_ in BOUND_INPUTS}
+    report = eval_bounds(args.t, **{name: v for name, v in given.items() if v is not None})
     if args.format == "text":
         lines = [f"{k}={v}" for k, v in sorted(report.values.items())]
         lines += [f"{k}={'true' if v else 'false'}"
@@ -269,9 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate the closed-form bounds as JSON or key=value text")
     p.add_argument("--t", type=int, required=True)
-    for name, kind in _BOUND_INPUTS:
+    for name, kind, *_ in BOUND_INPUTS:  # an option not given takes eval_bounds' default
         p.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
-    p.add_argument("--c-bipartite", type=float, default=6400.0)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bounds)

@@ -88,7 +88,7 @@ def lambda_constant(tol: float = 1e-6) -> tuple[float, float]:
     2 x e^-x = 1 - e^-x to comparable accuracy.
     """
     check_reals(tol=tol)
-    if not tol > 0:  # NaN too, which would end the search before its first step
+    if not 0 < tol < math.inf:  # NaN would end the search before its first step
         raise InputError(f"tolerance must be positive, got {tol}")
 
     def f(x: float) -> float:
@@ -118,8 +118,16 @@ def _lambda() -> tuple[float, float]:
 
 
 def lower_bound_edge_target(a: int, b: int, t: int, eps: float) -> float:
-    """(1 - eps) (lambda / sqrt 2) t sqrt(log t) sqrt(ab)."""
+    """(1 - eps) (lambda / sqrt 2) t sqrt(log t) sqrt(ab), for finite t >= 3,
+    eps in (0, 1] and finite a, b >= 0."""
     check_reals(a=a, b=b, t=t, eps=eps)
+    if not 3 <= t < math.inf:
+        raise InputError(f"t must be at least 3, got {t}")
+    if not 0 < eps <= 1:
+        raise InputError(f"eps must be in (0, 1], got {eps}")
+    for name, side in (("a", a), ("b", b)):
+        if not 0 <= side < math.inf:
+            raise InputError(f"{name} must be non-negative, got {side}")
     lam, _ = _lambda()
     return (1 - eps) * lam / math.sqrt(2) * t * math.sqrt(math.log(t)) * math.sqrt(a * b)
 
@@ -204,6 +212,25 @@ class BoundReport(NamedTuple):
         return {name: dict(table) for name, table in self._asdict().items()}
 
 
+#: One row per keyword input of :func:`eval_bounds`: its name, its type
+#: (``int`` or ``float``, what the library checks and the CLI parses), its
+#: range test and the words of its error.  A value must also be finite.
+BOUND_INPUTS = (
+    ("beta", float, lambda v: 0.25 < v <= 0.5, "must lie in (1/4, 1/2]"),
+    ("delta", float, lambda v: v > 0, "must be positive"),
+    ("eps", float, lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    ("a", int, lambda v: v >= 0, "must be non-negative"),
+    ("b", int, lambda v: v >= 0, "must be non-negative"),
+    ("k", int, lambda v: v >= 1, "must be at least 1"),
+    ("q", float, lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    ("l", int, lambda v: v >= 1, "must be at least 1"),
+    ("p", float, lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    ("n_vertices", int, lambda v: v >= 0, "must be non-negative"),
+    ("graph_density", float, lambda v: v >= 0, "must be non-negative"),
+    ("c_bipartite", float, lambda v: v > 0, "must be positive"),
+)
+
+
 def eval_bounds(
     t: int,
     *,
@@ -222,45 +249,23 @@ def eval_bounds(
 ) -> BoundReport:
     """Evaluate every closed-form bound the library works with.
 
-    Emits only the values whose inputs were supplied; each out-of-range
-    parameter raises an input error naming the violated constraint.
+    Emits only the values whose inputs were supplied.  Each input is checked
+    against its row of :data:`BOUND_INPUTS`; a value of the wrong type, out
+    of its range, NaN or infinite raises an input error naming the input.
     """
-    inputs: dict[str, Any] = {"t": t, "c_bipartite": c_bipartite}
-    for name, val in (
-        ("beta", beta),
-        ("delta", delta),
-        ("eps", eps),
-        ("a", a),
-        ("b", b),
-        ("k", k),
-        ("q", q),
-        ("l", l),
-        ("p", p),
-        ("n_vertices", n_vertices),
-        ("graph_density", graph_density),
-    ):
-        if val is not None:
-            inputs[name] = val
-
-    check_reals(**inputs)
-    if not t >= 3:
+    supplied = locals()  # the arguments only, taken before any other local is bound
+    check_reals(t=t)
+    if not 3 <= t < math.inf:
         raise InputError(f"t >= 3 is required, got t = {t}")
-    if beta is not None and not 0.25 < beta <= 0.5:
-        raise InputError(f"beta must lie in (1/4, 1/2], got {beta}")
-    if delta is not None and not delta > 0:
-        raise InputError(f"delta must be positive, got {delta}")
-    if eps is not None and not 0 < eps < 1:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
-    if q is not None and not 0 <= q <= 1:
-        raise InputError(f"q must lie in [0, 1], got {q}")
-    if l is not None and not l >= 1:
-        raise InputError(f"l must be at least 1, got {l}")
-    if p is not None and not 0 < p < 1:
-        raise InputError(f"p must lie in (0, 1), got {p}")
-    if a is not None and not a >= 0 or b is not None and not b >= 0:
-        raise InputError("part sizes must be non-negative")
-    if k is not None and not k >= 1:
-        raise InputError(f"k must be at least 1, got {k}")
+    inputs: dict[str, Any] = {"t": t}
+    for name, kind, in_range, words in BOUND_INPUTS:
+        value = supplied[name]
+        if value is None and eval_bounds.__kwdefaults__[name] is None:
+            continue  # not supplied
+        (check_integers if kind is int else check_reals)(**{name: value})
+        if not (abs(value) < math.inf and in_range(value)):
+            raise InputError(f"{name} {words}, got {value}")
+        inputs[name] = value
 
     values: dict[str, float] = {}
     verdicts: dict[str, bool] = {}

@@ -439,18 +439,6 @@ def induced_subgraph(G: Graph, vertices: Iterable[int]) -> Graph:
     return induced_subgraph_with_map(G, vertices)[0]
 
 
-def bipartition_defect(G: Graph, A: Iterable[int], B: Iterable[int]) -> str | None:
-    """Why A and B do not split V(G) into two independent sets, or None."""
-    A, B = frozenset(A), frozenset(B)
-    if A & B or A | B != frozenset(range(G.n)):
-        return "A and B must partition the vertex set"
-    for side in (A, B):
-        smask = mask_of(side)
-        if adjacency_mask(G, smask) & smask:
-            return "graph is not bipartite on the given parts"
-    return None
-
-
 def bipartite_induced(G: Graph, A: Iterable[int], B: Iterable[int]) -> Graph:
     """Graph on A | B keeping only edges with one end in each part.
 

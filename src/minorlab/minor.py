@@ -34,7 +34,6 @@ from .graphs import (
     _mis_search,
     adjacency_mask,
     biconnected_blocks,
-    bipartition_defect,
     bits,
     closure_mask,
     from_rows,
@@ -592,6 +591,11 @@ def dense_random_model(G: Graph, params: DenseModelParams) -> MinorModel | None:
 
 def dense_condition_holds(G: Graph, t: int, l: int) -> bool:
     """Whether 6t(70q)^(l^2) <= 1 for the graph's missing-edge fraction q."""
+    check_integers(t=t, l=l)
+    if t < 1:
+        raise InputError(f"t must be at least 1, got {t}")
+    if l < 1:
+        raise InputError(f"l must be at least 1, got {l}")
     q = float(nonedge_fraction(G))
     return 6 * t * (70 * q) ** (l * l) <= 1
 
@@ -616,9 +620,12 @@ def contraction_round(
     """
     check_integers(seed=seed)
     A, B, X = frozenset(A), frozenset(B), frozenset(X)
-    defect = bipartition_defect(G, A, B)
-    if defect is not None:
-        raise InputError(defect)
+    if A & B or A | B != frozenset(range(G.n)):
+        raise InputError("A and B must partition the vertex set")
+    for side in (A, B):
+        smask = mask_of(side)
+        if adjacency_mask(G, smask) & smask:
+            raise InputError("graph is not bipartite on the given parts")
     if not X <= B:
         raise InputError("X must be a subset of B")
 

@@ -3,6 +3,7 @@ import json
 import minorlab as ml
 from minorlab import formats
 from minorlab.cli import _first_fit_parts, main
+from minorlab.extremal import BOUND_INPUTS
 from oracles import first_fit_parts_ref
 
 
@@ -209,20 +210,23 @@ def test_bounds_json_output(tmp_path, capsys):
     assert doc["schema"] == 1
     assert abs(doc["values"]["density_forcing_threshold"] - 15.0714) < 1e-3
 
-    # every optional input reaches eval_bounds under its own keyword
-    inputs = dict(beta=0.3, delta=0.1, eps=0.5, a=50, b=50, k=3, q=0.5, l=4, p=0.5,
-                  n_vertices=100, graph_density=12.5)
-    argv = ["bounds", "--t", "5", "--c-bipartite", "100"]
+    # every optional input reaches eval_bounds under its own keyword; 3 and
+    # 0.3 lie in every int and every float row's range
+    inputs = {name: 3 if kind is int else 0.3 for name, kind, *_ in BOUND_INPUTS}
+    argv = ["bounds", "--t", "5"]
     for name, value in inputs.items():
         argv += ["--" + name.replace("_", "-"), str(value)]
     assert main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
-    report = ml.eval_bounds(5, c_bipartite=100.0, **inputs)
+    report = ml.eval_bounds(5, **inputs)
     assert doc == {"schema": 1, **report.as_dict()}
+    assert set(doc["inputs"]) == {"t", *inputs}
 
 
 def test_bounds_input_error(tmp_path, capsys):
     assert main(["bounds", "--t", "2"]) == 2
+    assert main(["bounds", "--t", "5", "--graph-density", "nan"]) == 2
+    assert "graph_density must be non-negative, got nan" in capsys.readouterr().err
 
 
 def test_experiment_command_writes_reports(tmp_path, capsys):

@@ -293,6 +293,13 @@ def test_eval_bounds_names_violated_constraint():
         ml.eval_bounds(4, eps=1.5)
 
 
+def test_bound_inputs_are_the_keyword_inputs_of_eval_bounds():
+    # one row per keyword input, in signature order, so no input goes unchecked
+    rows = extremal.BOUND_INPUTS
+    assert [row[0] for row in rows] == list(ml.eval_bounds.__kwdefaults__)
+    assert {kind for _, kind, *_ in rows} == {int, float}
+
+
 def test_eval_bounds_pure_function_of_inputs():
     a = ml.eval_bounds(6, beta=0.3, delta=0.2, eps=0.4, a=50, b=60, k=3,
                        n_vertices=110, q=0.01, l=2, p=0.5)
