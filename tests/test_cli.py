@@ -210,9 +210,12 @@ def test_bounds_json_output(tmp_path, capsys):
     assert doc["schema"] == 1
     assert abs(doc["values"]["density_forcing_threshold"] - 15.0714) < 1e-3
 
-    # every optional input reaches eval_bounds under its own keyword; 3 and
-    # 0.3 lie in every int and every float row's range
-    inputs = {name: 3 if kind is int else 0.3 for name, kind, *_ in BOUND_INPUTS}
+    # every optional input reaches eval_bounds under its own keyword: each row
+    # gets its own value, so a misrouted option changes the report; 3..14 and
+    # 0.30..0.41 lie in every int and every float row's range
+    inputs = {name: 3 + i if kind is int else round(0.3 + 0.01 * i, 2)
+              for i, (name, kind, *_) in enumerate(BOUND_INPUTS)}
+    assert len(set(inputs.values())) == len(inputs)
     argv = ["bounds", "--t", "5"]
     for name, value in inputs.items():
         argv += ["--" + name.replace("_", "-"), str(value)]
