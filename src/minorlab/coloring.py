@@ -25,15 +25,18 @@ from functools import reduce
 from operator import or_
 from typing import AbstractSet, Mapping, Sequence
 
-from .decompose import check_peel_parameter, peel_layers
+from .decompose import peel_layers
 from .errors import (
+    AT_LEAST_1,
+    AT_LEAST_6,
+    NON_NEGATIVE,
+    POSITIVE,
     BudgetExceeded,
     HallRatioViolation,
     InputError,
     InvariantViolation,
     PreconditionError,
-    check_integers,
-    check_reals,
+    check_inputs,
 )
 from .families import _bernoulli_marks, _cut
 from .graphs import (
@@ -74,30 +77,19 @@ def _colours(phi: dict[int, int] | None, palette: list) -> dict[int, int] | None
     return None if phi is None else {v: palette[i] for v, i in phi.items()}
 
 
-def _check_counts(**counts: int) -> None:
-    """Reject a non-integer count, or one below 1, which would fail untried."""
-    check_integers(**counts)
-    for name, count in counts.items():
-        if count < 1:
-            raise InputError(f"{name} must be at least 1, got {count}")
-
-
 def uniform_lists(n: int, k: int) -> list[frozenset[int]]:
     """The same list {0, .., k-1} for every vertex."""
-    check_integers(n=n, k=k)
-    if n < 0 or k < 0:
-        raise InputError(f"vertex count and list size must be non-negative, got {n}, {k}")
+    check_inputs(int, NON_NEGATIVE, n=n, k=k)
     base = frozenset(range(k))
     return [base] * n
 
 
 def random_lists(n: int, size: int, universe: int, seed: int) -> list[frozenset[int]]:
     """Seeded per-vertex lists: `size` distinct colors drawn from range(universe)."""
-    check_integers(n=n, size=size, universe=universe, seed=seed)
-    if n < 0:
-        raise InputError(f"vertex count must be non-negative, got {n}")
-    if not 0 <= size <= universe:
-        raise InputError(f"cannot draw {size} distinct colors from {universe}")
+    check_inputs(int, NON_NEGATIVE, n=n, universe=universe)
+    check_inputs(int, (lambda v: 0 <= v <= universe, f"must lie in [0, {universe}]", False),
+                 size=size)
+    check_inputs(int, seed=seed)
     rng = random.Random(seed)
     return [frozenset(rng.sample(range(universe), size)) for _ in range(n)]
 
@@ -172,7 +164,7 @@ def exact_list_color(
     Returns a proper list coloring or None if none exists.  Raises
     :class:`BudgetExceeded` when the node budget runs out.
     """
-    check_integers(budget=budget)
+    check_inputs(int, budget=budget)
     _check_lists(G, lists)
     palette, masks = _palette_masks(lists)
     return _colours(_exact_list_color(G, masks, G.full_mask, budget), palette)
@@ -264,7 +256,7 @@ def multipartite_list_color(
     trial.
     """
     _check_lists(G, lists)
-    _check_counts(trials=trials)
+    check_inputs(int, AT_LEAST_1, trials=trials)
     masks: list[int] = []
     seen = 0
     for i, part in enumerate(parts):
@@ -326,9 +318,8 @@ def independent_sets_extract(
     if some remainder has no independent set of size s the promised Hall
     ratio was wrong, reported as :class:`HallRatioViolation`.
     """
-    check_integers(s=s, k=k, budget=budget)
-    if s < 1 or k < 1:
-        raise InputError("both the set size and the count must be at least 1")
+    check_inputs(int, AT_LEAST_1, s=s, k=k)
+    check_inputs(int, budget=budget)
     return [set_of(p) for p in _independent_sets_extract(G, s, k, G.full_mask, budget)]
 
 
@@ -396,14 +387,11 @@ def hall_ratio_list_color(
     exact search, which, like the extraction, raises :class:`BudgetExceeded`
     out of budget.
     """
-    check_integers(seed=seed, budget=budget)
-    check_reals(rho=rho, C=C)
+    check_inputs(int, seed=seed, budget=budget)
+    check_inputs(float, AT_LEAST_1, rho=rho)
+    check_inputs(float, POSITIVE, C=C)
+    check_inputs(int, AT_LEAST_1, trials=trials, max_redraws=max_redraws)
     _check_lists(G, lists)
-    if not rho >= 1:
-        raise InputError(f"the Hall ratio bound must be at least 1, got {rho}")
-    if not C > 0:
-        raise InputError(f"the list-size constant C must be positive, got {C}")
-    _check_counts(trials=trials, max_redraws=max_redraws)
     palette, masks = _palette_masks(lists)  # the levels overwrite the masks
     phi = _hall_ratio_list_color(
         G, masks, G.full_mask, rho, C, seed, trials, budget, max_redraws
@@ -530,15 +518,13 @@ def minor_free_list_color(
     never an improper coloring; an inner search out of budget raises
     :class:`BudgetExceeded`.
     """
-    check_integers(seed=seed, budget=budget, inner_threshold=inner_threshold)
+    check_inputs(int, seed=seed, budget=budget, inner_threshold=inner_threshold)
     _check_lists(G, lists)
-    check_peel_parameter(d)
+    check_inputs(int, AT_LEAST_6, d=d)
     if rho is None:
         rho = 2 * d
-    check_reals(rho=rho)
-    if not rho >= 1:
-        raise InputError(f"the Hall ratio bound must be at least 1, got {rho}")
-    _check_counts(trials=trials)
+    check_inputs(float, AT_LEAST_1, rho=rho)
+    check_inputs(int, AT_LEAST_1, trials=trials)
     short = [v for v in range(G.n) if len(lists[v]) < 2 * d]
     if short:
         raise PreconditionError(

@@ -37,7 +37,7 @@ falling cap that stops as soon as the growth test certifies it as kappa;
 
 from __future__ import annotations
 
-from .errors import InputError, PreconditionError, check_integers
+from .errors import InputError, PreconditionError, check_inputs
 from .graphs import Graph, adjacency_mask, bits, components, from_rows, set_of
 
 
@@ -239,7 +239,7 @@ def separation_below(G: Graph, cap: int) -> tuple[int, int, int] | None:
     cap <= delta, and again at each fall of the cap: when it holds, the cap
     is kappa and no later pair can fall further.
     """
-    check_integers(cap=cap)
+    check_inputs(int, cap=cap)
     comps = components(G)
     if len(comps) > 1:
         return 0, comps[0], G.full_mask & ~comps[0]
@@ -297,7 +297,7 @@ def connectivity_at_least(
     the certificate fails whatever the bipartition.  `parts` that are not a
     pair of vertex collections still raise :class:`InputError`.
     """
-    check_integers(k=k)
+    check_inputs(int, k=k)
     if parts is not None:
         try:
             A, B = map(frozenset, parts)  # its shape is checked, not its contents

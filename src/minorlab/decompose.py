@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple
 
 from .connectivity import connectivity_at_least, separation_below, vertex_connectivity
-from .errors import InputError, InvariantViolation, PreconditionError, check_integers
+from .errors import AT_LEAST_1, AT_LEAST_6, InvariantViolation, PreconditionError, check_inputs
 from .graphs import (
     Graph,
     HallViolator,
@@ -71,9 +71,7 @@ def small_coboundary_piece(G: Graph, k: int) -> Decomposition:
     an implementation bug, reported as :class:`InvariantViolation`.  One
     :func:`~minorlab.connectivity.separation_below` at cap k decides a round.
     """
-    check_integers(k=k)
-    if k < 1:
-        raise InputError(f"k must be at least 1, got {k}")
+    check_inputs(int, AT_LEAST_1, k=k)
     if G.n == 0:
         raise PreconditionError("the graph must be non-empty")
     if G.min_degree() < 6 * k:
@@ -146,14 +144,6 @@ def peel_layers(G: Graph, d: int, live: int) -> Iterator[int]:
             yield piece
 
 
-def check_peel_parameter(d: int) -> None:
-    """Reject a peel parameter that is not an integer of at least 6."""
-    if not isinstance(d, int):
-        raise InputError(f"peel parameter must be an integer, got {d!r}")
-    if d < 6:
-        raise InputError(f"peel parameter must be at least 6, got {d}")
-
-
 def peel_piece(G: Graph, d: int, within: Iterable[int] | None = None) -> frozenset[int]:
     """A non-empty piece of G[within] whose coboundary there has at most d vertices.
 
@@ -164,7 +154,7 @@ def peel_piece(G: Graph, d: int, within: Iterable[int] | None = None) -> frozens
     live = within_mask(G, within)
     if live == 0:
         raise PreconditionError("the graph must be non-empty")
-    check_peel_parameter(d)
+    check_inputs(int, AT_LEAST_6, d=d)
     return set_of(next(peel_layers(G, d, live)))
 
 

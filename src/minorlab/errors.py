@@ -1,4 +1,11 @@
-"""Exception types shared across the library, and the checks that raise them."""
+"""Exception types shared across the library, and the one input check.
+
+Every numeric argument of a public entry goes through :func:`check_inputs`,
+which checks its type (``int``, or a real number) and, under a rule, its
+range; a value that fails raises :class:`InputError` "<name> <words>, got
+<value>", with <name> the parameter as the signature spells it.  The shared
+rules are the constants below.
+"""
 
 
 class InputError(ValueError):
@@ -41,24 +48,56 @@ class ConstructionError(RuntimeError):
     """A randomized construction degenerated (for example zero-width blocks)."""
 
 
-def check_integers(**values: object) -> None:
-    """Raise InputError("<name> must be an integer, got <value>") for the
-    first keyword whose value is not an int; callers run it before a count
-    reaches ``range`` or ``[0] * n``, which would raise a bare TypeError."""
-    for name, value in values.items():
-        if not isinstance(value, int):
-            raise InputError(f"{name} must be an integer, got {value!r}")
+#: A rule is a ``(test, words, finite)`` triple for :func:`check_inputs`: a
+#: value passes when ``test(value)`` holds, and, when `finite` is set, NaN,
+#: an infinity and an int or Fraction too large for a float fail first, with
+#: the words "must be finite".  An interval's own bounds keep NaN and the
+#: infinities out, so only the rules unbounded above need the flag.
+AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1", False)
+AT_LEAST_6 = (lambda v: v >= 6, "must be at least 6", False)
+NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative", False)
+POSITIVE = (lambda v: v > 0, "must be positive", False)
+FINITE_AT_LEAST_1 = (*AT_LEAST_1[:2], True)
+FINITE_AT_LEAST_3 = (lambda v: v >= 3, "must be at least 3", True)
+FINITE_NON_NEGATIVE = (*NON_NEGATIVE[:2], True)
+FINITE_POSITIVE = (*POSITIVE[:2], True)
+UNIT_INTERVAL = (lambda v: 0 <= v <= 1, "must lie in [0, 1]", False)
+OPEN_UNIT_INTERVAL = (lambda v: 0 < v < 1, "must lie in (0, 1)", False)
+HALF_OPEN_UNIT_INTERVAL = (lambda v: 0 < v <= 1, "must lie in (0, 1]", False)
+
+_INF = float("inf")
 
 
-def check_reals(**values: object) -> None:
-    """Raise InputError("<name> must be a real number, got <value>") for the
-    first keyword whose type has no ``__float__``: int, float and Fraction
-    have one, a str, None or complex has not.  Callers run it before a
-    parameter reaches a comparison or a formula, which would raise a bare
-    TypeError."""
-    for name, value in values.items():
-        if not hasattr(type(value), "__float__"):
-            raise InputError(f"{name} must be a real number, got {value!r}")
+def check_inputs(kind: type, rule: tuple | None = None, /, **values: object) -> None:
+    """Check each keyword's value, in order, and raise InputError for the first
+    that fails: "<name> must be an integer, got <value!r>" when `kind` is
+    ``int`` and the value is not an int; "<name> must be a real number, got
+    <value!r>" when `kind` is ``float`` and the value's type has no
+    ``__float__`` (int, float and Fraction have one; a str, None or complex
+    has not); then, under `rule`, "<name> <words>, got <value>".  Callers
+    run it at entry, before a value reaches ``range``, ``[0] * n``, a
+    comparison or a formula, which would raise a bare TypeError or
+    OverflowError or quietly compute with it."""
+    for name in values:  # faster than .items() on the one-value calls of hot entries
+        value = values[name]
+        if not (isinstance(value, int) if kind is int else hasattr(type(value), "__float__")):
+            noun = "an integer" if kind is int else "a real number"
+            raise InputError(f"{name} must be {noun}, got {value!r}")
+        if rule is None:
+            continue
+        test, words, finite = rule
+        if finite and not _is_finite(value):
+            words = "must be finite"
+        elif test(value):
+            continue
+        raise InputError(f"{name} {words}, got {value}")
+
+
+def _is_finite(value: object) -> bool:
+    try:
+        return -_INF < float(value) < _INF  # False for NaN
+    except OverflowError:  # an int or Fraction too large for a float
+        return False
 
 
 def checked_record(record: type) -> type:

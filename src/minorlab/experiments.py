@@ -25,7 +25,7 @@ from .coloring import (
 )
 from .connectivity import connectivity_at_least
 from .decompose import check_decomposition, small_coboundary_piece
-from .errors import InputError, check_integers, checked_record
+from .errors import AT_LEAST_1, InputError, check_inputs, checked_record
 from .extremal import (
     BipartiteSpec,
     connectivity_extremal,
@@ -68,15 +68,9 @@ class ExperimentConfig(NamedTuple):
             raise InputError(
                 f"unknown suite {self.suite!r}; choose one of {', '.join(SUITES)}"
             )
-        check_integers(trials=self.trials, seed=self.seed,
-                       max_n=0 if self.max_n is None else self.max_n,
-                       budget=self.budget, workers=self.workers)
-        if self.trials < 1:
-            raise InputError("trials must be at least 1")
-        if self.budget < 1:
-            raise InputError("budget must be positive")
-        if self.workers < 1:
-            raise InputError("workers must be at least 1")
+        check_inputs(int, AT_LEAST_1, trials=self.trials, budget=self.budget,
+                     workers=self.workers)
+        check_inputs(int, seed=self.seed, max_n=0 if self.max_n is None else self.max_n)
 
 
 class ExperimentReport(NamedTuple):

@@ -13,11 +13,22 @@ import math
 import random
 from typing import Any, NamedTuple
 
-from .errors import ConstructionError, InputError, check_integers, check_reals, checked_record
+from .errors import (
+    FINITE_AT_LEAST_1,
+    FINITE_AT_LEAST_3,
+    FINITE_NON_NEGATIVE,
+    FINITE_POSITIVE,
+    HALF_OPEN_UNIT_INTERVAL,
+    NON_NEGATIVE,
+    OPEN_UNIT_INTERVAL,
+    UNIT_INTERVAL,
+    ConstructionError,
+    check_inputs,
+    checked_record,
+)
 from .families import (
     _CHUNK_DRAWS,
     _bernoulli_marks,
-    _check_part_sizes,
     _cut,
     _place_block,
     complete_bipartite,
@@ -39,11 +50,9 @@ class BipartiteSpec(NamedTuple):
     seed: int = 0
 
     def _check(self) -> None:
-        _check_part_sizes((self.a, self.b))
-        check_integers(seed=self.seed)
-        check_reals(p=self.p)
-        if not 0.0 <= self.p <= 1.0:
-            raise InputError(f"edge probability must be in [0, 1], got {self.p}")
+        check_inputs(int, NON_NEGATIVE, a=self.a, b=self.b)
+        check_inputs(float, UNIT_INTERVAL, p=self.p)
+        check_inputs(int, seed=self.seed)
 
 
 def _place_bipartite(
@@ -87,9 +96,7 @@ def lambda_constant(tol: float = 1e-6) -> tuple[float, float]:
     0.63817..., and the argmax satisfies the stationarity condition
     2 x e^-x = 1 - e^-x to comparable accuracy.
     """
-    check_reals(tol=tol)
-    if not 0 < tol < math.inf:  # NaN would end the search before its first step
-        raise InputError(f"tolerance must be positive, got {tol}")
+    check_inputs(float, FINITE_POSITIVE, tol=tol)  # NaN would end the search untried
 
     def f(x: float) -> float:
         return (1.0 - math.exp(-x)) / math.sqrt(x)
@@ -120,14 +127,9 @@ def _lambda() -> tuple[float, float]:
 def lower_bound_edge_target(a: int, b: int, t: int, eps: float) -> float:
     """(1 - eps) (lambda / sqrt 2) t sqrt(log t) sqrt(ab), for finite t >= 3,
     eps in (0, 1] and finite a, b >= 0."""
-    check_reals(a=a, b=b, t=t, eps=eps)
-    if not 3 <= t < math.inf:
-        raise InputError(f"t must be at least 3, got {t}")
-    if not 0 < eps <= 1:
-        raise InputError(f"eps must be in (0, 1], got {eps}")
-    for name, side in (("a", a), ("b", b)):
-        if not 0 <= side < math.inf:
-            raise InputError(f"{name} must be non-negative, got {side}")
+    check_inputs(float, FINITE_NON_NEGATIVE, a=a, b=b)
+    check_inputs(float, FINITE_AT_LEAST_3, t=t)
+    check_inputs(float, HALF_OPEN_UNIT_INTERVAL, eps=eps)
     lam, _ = _lambda()
     return (1 - eps) * lam / math.sqrt(2) * t * math.sqrt(math.log(t)) * math.sqrt(a * b)
 
@@ -148,16 +150,9 @@ def lower_bound_bipartite(a: int, b: int, t: int, eps: float, seed: int = 0) -> 
     every seed and a = b = 30 at t = 6 a K_6 minor on 6 of them, while
     a = b = 30 and 60 at t = 4 were K_4-minor-free on every seed.
     """
-    check_integers(t=t)
-    if not (isinstance(a, int) and isinstance(b, int)):
-        raise InputError("part sizes must be integers")
-    if t < 3:
-        raise InputError(f"t must be at least 3, got {t}")
-    if a < t or b < t:
-        raise InputError(f"both sides must have at least t = {t} vertices")
-    check_reals(eps=eps)
-    if not 0 < eps <= 1:
-        raise InputError(f"eps must be in (0, 1], got {eps}")
+    check_inputs(int, FINITE_AT_LEAST_3, t=t)
+    check_inputs(int, (lambda v: v >= t, f"must be at least t = {t}", True), a=a, b=b)
+    check_inputs(float, HALF_OPEN_UNIT_INTERVAL, eps=eps)
     _, x_star = _lambda()
     p = 1.0 - math.exp(-x_star)
     two_log_q = 2.0 * x_star  # -2 log(1 - p)
@@ -184,11 +179,9 @@ def connectivity_extremal(t: int, k: int, seed: int = 0) -> Graph:
     otherwise sample the random bipartite graph with sides a = ceil(t^2 log t
     / 6k) and b = 3k at edge probability 1/2.
     """
-    check_integers(t=t, k=k, seed=seed)
-    if t < 3:
-        raise InputError(f"t must be at least 3, got {t}")
-    if k < 1:
-        raise InputError(f"k must be at least 1, got {k}")
+    check_inputs(int, FINITE_AT_LEAST_3, t=t)
+    check_inputs(int, FINITE_AT_LEAST_1, k=k)
+    check_inputs(int, seed=seed)
     a = math.ceil(t * t * math.log(t) / (6 * k))
     if k <= t - 2:
         return complete_bipartite(a, t - 2)
@@ -213,21 +206,22 @@ class BoundReport(NamedTuple):
 
 
 #: One row per keyword input of :func:`eval_bounds`: its name, its type
-#: (``int`` or ``float``, what the library checks and the CLI parses), its
-#: range test and the words of its error.  A value must also be finite.
+#: (``int`` or ``float``, what the library checks and the CLI parses) and its
+#: :func:`~minorlab.errors.check_inputs` rule; every rule keeps out NaN, the
+#: infinities and an int too large for a float.
 BOUND_INPUTS = (
-    ("beta", float, lambda v: 0.25 < v <= 0.5, "must lie in (1/4, 1/2]"),
-    ("delta", float, lambda v: v > 0, "must be positive"),
-    ("eps", float, lambda v: 0 < v < 1, "must lie in (0, 1)"),
-    ("a", int, lambda v: v >= 0, "must be non-negative"),
-    ("b", int, lambda v: v >= 0, "must be non-negative"),
-    ("k", int, lambda v: v >= 1, "must be at least 1"),
-    ("q", float, lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-    ("l", int, lambda v: v >= 1, "must be at least 1"),
-    ("p", float, lambda v: 0 < v < 1, "must lie in (0, 1)"),
-    ("n_vertices", int, lambda v: v >= 0, "must be non-negative"),
-    ("graph_density", float, lambda v: v >= 0, "must be non-negative"),
-    ("c_bipartite", float, lambda v: v > 0, "must be positive"),
+    ("beta", float, (lambda v: 0.25 < v <= 0.5, "must lie in (1/4, 1/2]", False)),
+    ("delta", float, FINITE_POSITIVE),
+    ("eps", float, OPEN_UNIT_INTERVAL),
+    ("a", int, FINITE_NON_NEGATIVE),
+    ("b", int, FINITE_NON_NEGATIVE),
+    ("k", int, FINITE_AT_LEAST_1),
+    ("q", float, UNIT_INTERVAL),
+    ("l", int, FINITE_AT_LEAST_1),
+    ("p", float, OPEN_UNIT_INTERVAL),
+    ("n_vertices", int, FINITE_NON_NEGATIVE),
+    ("graph_density", float, FINITE_NON_NEGATIVE),
+    ("c_bipartite", float, FINITE_POSITIVE),
 )
 
 
@@ -251,20 +245,17 @@ def eval_bounds(
 
     Emits only the values whose inputs were supplied.  Each input is checked
     against its row of :data:`BOUND_INPUTS`; a value of the wrong type, out
-    of its range, NaN or infinite raises an input error naming the input.
+    of its range, NaN, infinite or too large for a float raises an input
+    error naming the input.
     """
     supplied = locals()  # the arguments only, taken before any other local is bound
-    check_reals(t=t)
-    if not 3 <= t < math.inf:
-        raise InputError(f"t >= 3 is required, got t = {t}")
+    check_inputs(float, FINITE_AT_LEAST_3, t=t)
     inputs: dict[str, Any] = {"t": t}
-    for name, kind, in_range, words in BOUND_INPUTS:
+    for name, kind, rule in BOUND_INPUTS:
         value = supplied[name]
         if value is None and eval_bounds.__kwdefaults__[name] is None:
             continue  # not supplied
-        (check_integers if kind is int else check_reals)(**{name: value})
-        if not (abs(value) < math.inf and in_range(value)):
-            raise InputError(f"{name} {words}, got {value}")
+        check_inputs(kind, rule, **{name: value})
         inputs[name] = value
 
     values: dict[str, float] = {}

@@ -12,7 +12,7 @@ import math
 import random
 from typing import Callable, Sequence
 
-from .errors import InputError, check_integers, check_reals
+from .errors import FINITE_AT_LEAST_3, NON_NEGATIVE, UNIT_INTERVAL, check_inputs
 from .graphs import Graph, bits, from_edge_list, from_rows
 from .seeds import derive_seed
 
@@ -22,31 +22,27 @@ def empty_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    check_integers(n=n)
+    check_inputs(int, n=n)
     return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def path_graph(n: int) -> Graph:
-    check_integers(n=n)
+    check_inputs(int, n=n)
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    check_integers(n=n)
-    if n < 3:
-        raise InputError(f"a cycle needs at least 3 vertices, got {n}")
+    check_inputs(int, FINITE_AT_LEAST_3, n=n)
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
+    check_inputs(int, NON_NEGATIVE, a=a, b=b)
     return complete_multipartite([a, b])
 
 
 def _check_part_sizes(sizes: Sequence[int]) -> None:
-    if not all(isinstance(s, int) for s in sizes):
-        raise InputError("part sizes must be integers")
-    if any(s < 0 for s in sizes):
-        raise InputError("part sizes must be non-negative")
+    check_inputs(int, NON_NEGATIVE, **{f"sizes[{i}]": s for i, s in enumerate(sizes)})
 
 
 def complete_multipartite(sizes: Sequence[int]) -> Graph:
@@ -159,10 +155,9 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
     bulk, exactly (see :func:`_bernoulli_marks`), in chunks of rows, each
     laid out as n digits per row, zero on and below the diagonal.
     """
-    check_integers(n=n, seed=seed)
-    check_reals(p=p)
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"edge probability must be in [0, 1], got {p}")
+    check_inputs(int, NON_NEGATIVE, n=n)
+    check_inputs(float, UNIT_INTERVAL, p=p)
+    check_inputs(int, seed=seed)
     getrandbits = random.Random(seed).getrandbits
     cut = _cut(p)
     adj = [0] * n
@@ -182,10 +177,10 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
 
 def gnm_random_graph(n: int, m: int, seed: int) -> Graph:
     """Uniform graph with exactly m edges (sampled without replacement)."""
-    check_integers(n=n, m=m, seed=seed)
+    check_inputs(int, n=n, seed=seed)
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if not 0 <= m <= len(all_pairs):
-        raise InputError(f"m must lie in [0, {len(all_pairs)}], got {m}")
+    top = len(all_pairs)
+    check_inputs(int, (lambda v: 0 <= v <= top, f"must lie in [0, {top}]", False), m=m)
     rng = random.Random(seed)
     return from_edge_list(n, rng.sample(all_pairs, m))
 
@@ -197,9 +192,8 @@ def random_graph_min_degree(n: int, d: int, seed: int, p: float | None = None) -
     edges to uniformly drawn non-neighbours.  The top-up edits the base
     graph's rows in place, so no edge list is rebuilt.
     """
-    check_integers(n=n, d=d)
-    if d >= n:
-        raise InputError(f"cannot force min degree {d} on {n} vertices")
+    check_inputs(int, NON_NEGATIVE, n=n)
+    check_inputs(int, (lambda v: 0 <= v < n, f"must lie in [0, {n})", False), d=d)
     if p is None:
         p = min(1.0, (d + 2) / max(1, n - 1))
     base = gnp_random_graph(n, p, derive_seed(seed, 0))

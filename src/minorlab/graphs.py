@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import compress, count
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BudgetExceeded, InputError, PreconditionError, check_integers
+from .errors import NON_NEGATIVE, BudgetExceeded, InputError, PreconditionError, check_inputs
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -129,9 +129,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     The result is deterministic regardless of input order.  Loops and
     out-of-range ids are rejected.
     """
-    check_integers(n=n)
-    if n < 0:
-        raise InputError(f"vertex count must be non-negative, got {n}")
+    check_inputs(int, NON_NEGATIVE, n=n)
     adj = [0] * n
     for u, v in edges:
         if u == v:
@@ -625,14 +623,14 @@ def max_independent_set(
 ) -> frozenset[int]:
     """An exact maximum independent set (of the induced subgraph on `within`);
     raises :class:`BudgetExceeded` when the node budget runs out."""
-    check_integers(budget=budget)
+    check_inputs(int, budget=budget)
     _, best = _mis_search(G, within_mask(G, within), budget, None)
     return set_of(best)
 
 
 def exact_alpha(G: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """The exact independence number; raises :class:`BudgetExceeded` out of budget."""
-    check_integers(budget=budget)
+    check_inputs(int, budget=budget)
     size, _ = _mis_search(G, G.full_mask, budget, None)
     return size
 
@@ -645,7 +643,7 @@ def find_independent_set(
 ) -> frozenset[int] | None:
     """Some independent set of exactly max(size, 0) vertices, or None if none
     exists; raises :class:`BudgetExceeded` when the node budget runs out."""
-    check_integers(size=size, budget=budget)
+    check_inputs(int, size=size, budget=budget)
     start = within_mask(G, within)
     if size <= 0:
         return frozenset()

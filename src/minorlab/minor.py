@@ -21,11 +21,13 @@ import random
 from typing import NamedTuple
 
 from .errors import (
+    AT_LEAST_1,
+    FINITE_AT_LEAST_1,
     BudgetExceeded,
     InputError,
     InvariantViolation,
     PreconditionError,
-    check_integers,
+    check_inputs,
     checked_record,
 )
 from .graphs import (
@@ -412,9 +414,8 @@ def find_kt_minor_exact(
     verdicts are the same and the models and steps spent are the stage's
     own.
     """
-    check_integers(t=t, budget=budget)
-    if t < 1:
-        raise InputError(f"clique order must be at least 1, got {t}")
+    check_inputs(int, AT_LEAST_1, t=t)
+    check_inputs(int, budget=budget)
     if t == 1:
         return MinorModel((frozenset({0}),)) if G.n >= 1 else None
     if t == 2:
@@ -466,7 +467,7 @@ def hadwiger_number(G: Graph, budget: int = DEFAULT_BUDGET) -> int:
     largest t with C(t, 2) <= m, and the min-degree elimination width plus
     one.
     """
-    check_integers(budget=budget)
+    check_inputs(int, budget=budget)
     if G.n == 0:
         return 0
     lo = max(
@@ -506,14 +507,9 @@ class DenseModelParams(NamedTuple):
     seed: int = 0
 
     def _check(self) -> None:
-        check_integers(t=self.t, l=1 if self.l is None else self.l, trials=self.trials,
-                       seed=self.seed)
-        if self.t < 1:
-            raise InputError(f"t must be at least 1, got {self.t}")
-        if self.l is not None and self.l < 1:
-            raise InputError(f"block size must be at least 1, got {self.l}")
-        if self.trials < 1:
-            raise InputError(f"trials must be at least 1, got {self.trials}")
+        check_inputs(int, AT_LEAST_1, t=self.t, l=1 if self.l is None else self.l,
+                     trials=self.trials)
+        check_inputs(int, seed=self.seed)
 
 
 def dense_random_model(G: Graph, params: DenseModelParams) -> MinorModel | None:
@@ -591,11 +587,7 @@ def dense_random_model(G: Graph, params: DenseModelParams) -> MinorModel | None:
 
 def dense_condition_holds(G: Graph, t: int, l: int) -> bool:
     """Whether 6t(70q)^(l^2) <= 1 for the graph's missing-edge fraction q."""
-    check_integers(t=t, l=l)
-    if t < 1:
-        raise InputError(f"t must be at least 1, got {t}")
-    if l < 1:
-        raise InputError(f"l must be at least 1, got {l}")
+    check_inputs(int, FINITE_AT_LEAST_1, t=t, l=l)
     q = float(nonedge_fraction(G))
     return 6 * t * (70 * q) ** (l * l) <= 1
 
@@ -618,7 +610,7 @@ def contraction_round(
     random such neighbor; return the graph induced on X afterwards.  Vertex i
     of the result is the i-th smallest element of X.
     """
-    check_integers(seed=seed)
+    check_inputs(int, seed=seed)
     A, B, X = frozenset(A), frozenset(B), frozenset(X)
     if A & B or A | B != frozenset(range(G.n)):
         raise InputError("A and B must partition the vertex set")

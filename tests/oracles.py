@@ -1114,9 +1114,9 @@ def parse_edge_list_ref(text: str) -> Graph:
 def complete_multipartite_ref(sizes) -> Graph:
     """Complete multipartite graph; part i occupies a consecutive id block."""
     offsets = [0]
-    for s in sizes:
+    for i, s in enumerate(sizes):
         if s < 0:
-            raise InputError("part sizes must be non-negative")
+            raise InputError(f"sizes[{i}] must be non-negative, got {s}")
         offsets.append(offsets[-1] + s)
     n = offsets[-1]
     edges = []
@@ -1146,8 +1146,8 @@ def random_graph_min_degree_ref(n: int, d: int, seed: int, p: float | None = Non
     """G(n, p) topped up to minimum degree d on neighbour sets, vertex by
     vertex in id order, each new neighbour drawn from the ascending list of
     non-neighbours."""
-    if d >= n:
-        raise InputError(f"cannot force min degree {d} on {n} vertices")
+    if not 0 <= d < n:
+        raise InputError(f"d must lie in [0, {n}), got {d}")
     if p is None:
         p = min(1.0, (d + 2) / max(1, n - 1))
     base = gnp_random_graph_ref(n, p, derive_seed(seed, 0))

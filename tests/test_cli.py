@@ -229,7 +229,7 @@ def test_bounds_json_output(tmp_path, capsys):
 def test_bounds_input_error(tmp_path, capsys):
     assert main(["bounds", "--t", "2"]) == 2
     assert main(["bounds", "--t", "5", "--graph-density", "nan"]) == 2
-    assert "graph_density must be non-negative, got nan" in capsys.readouterr().err
+    assert "graph_density must be finite, got nan" in capsys.readouterr().err
 
 
 def test_experiment_command_writes_reports(tmp_path, capsys):

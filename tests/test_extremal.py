@@ -63,7 +63,7 @@ def test_gen_bipartite_rejects_bad_probability():
 
 def test_gen_bipartite_rejects_non_integer_sides():
     for a, b in ((2.0, 3), (3, 2.5), ("3", 3), (None, 0)):
-        with pytest.raises(ml.InputError, match="part sizes must be integers"):
+        with pytest.raises(ml.InputError, match="^[ab] must be an integer, got "):
             ml.BipartiteSpec(a, b, 0.5)
 
 
@@ -228,7 +228,7 @@ def test_lower_bound_rejects_non_integer_sides_and_order():
     # as BipartiteSpec does: a float side used to raise a bare TypeError
     # from the adjacency list, and a float t was taken as its integer
     for a, b in ((30.0, 30), (30, 30.0), ("30", 30)):
-        with pytest.raises(ml.InputError, match="part sizes must be integers"):
+        with pytest.raises(ml.InputError, match="^[ab] must be an integer, got "):
             ml.lower_bound_bipartite(a, b, 4, 0.05)
     for t in (4.0, "4"):
         with pytest.raises(ml.InputError, match="t must be an integer"):
@@ -287,7 +287,7 @@ def test_bipartite_density_rhs_formula():
 def test_eval_bounds_names_violated_constraint():
     with pytest.raises(ml.InputError, match="beta"):
         ml.eval_bounds(4, beta=0.2)
-    with pytest.raises(ml.InputError, match="t >= 3"):
+    with pytest.raises(ml.InputError, match="t must be at least 3"):
         ml.eval_bounds(2)
     with pytest.raises(ml.InputError, match="eps"):
         ml.eval_bounds(4, eps=1.5)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -197,7 +198,7 @@ def test_multipartite_constructors_reject_negative_part_sizes():
     # a negative size once shifted the next block back, so that vertex 2
     # sat in two of turan_parts([3, -1, 2])
     for make in (ml.turan_parts, ml.complete_multipartite, complete_multipartite_ref):
-        with pytest.raises(ml.InputError, match="part sizes must be non-negative"):
+        with pytest.raises(ml.InputError, match=re.escape("sizes[1] must be non-negative, got -1")):
             make([3, -1, 2])
     assert ml.turan_parts([3, 0, 2]) == [frozenset({0, 1, 2}), frozenset(), frozenset({3, 4})]
 
@@ -271,7 +272,7 @@ def test_random_graph_min_degree_matches_the_set_top_up_reference():
         assert G == random_graph_min_degree_ref(n, d, seed, p), (n, d, seed, p)
         assert G.min_degree() >= d
     for make in (ml.random_graph_min_degree, random_graph_min_degree_ref):
-        with pytest.raises(ml.InputError, match="cannot force min degree 5 on 5"):
+        with pytest.raises(ml.InputError, match=re.escape("d must lie in [0, 5), got 5")):
             make(5, 5, 0)
 
 

@@ -1,4 +1,13 @@
-"""Each public entry point rejects a malformed argument with its own message."""
+"""Each public entry point rejects a malformed argument with an InputError.
+
+Every numeric argument goes through one rule, ``errors.check_inputs``, and
+so fails with one message shape: "<name> must be an integer, got <value!r>",
+"<name> must be a real number, got <value!r>", "<name> <words>, got <value>"
+for a value outside its range, and "<name> must be finite, got <value>" for
+NaN, an infinity or an int too large for a float where the range needs a
+finite value; <name> is the parameter as the signature spells it.  Vertex
+ids, parts and file contents keep their own messages.
+"""
 
 import math
 import re
@@ -7,7 +16,9 @@ from fractions import Fraction
 import pytest
 
 import minorlab as ml
-from minorlab import connectivity, formats
+from minorlab import connectivity, errors, formats
+
+HUGE = 10**400  # an int too large for a float
 
 K4 = ml.complete_graph(4)
 NULL = ml.empty_graph(0)
@@ -15,7 +26,7 @@ NULL = ml.empty_graph(0)
 CASES = [
     # graphs
     ("from-edge-list-negative-n", lambda: ml.from_edge_list(-1, []),
-     ml.InputError, "vertex count must be non-negative, got -1"),
+     ml.InputError, "n must be non-negative, got -1"),
     # a float count is rejected before it reaches a range() or a [0] * n
     ("from-edge-list-float-n", lambda: ml.from_edge_list(3.0, []),
      ml.InputError, "n must be an integer, got 3.0"),
@@ -71,7 +82,7 @@ CASES = [
      lambda: ml.contraction_round(ml.complete_bipartite(2, 2), {0, 1}, {2, 3}, {2, 3}, None),
      ml.InputError, "seed must be an integer, got None"),
     ("find-t-zero", lambda: ml.find_kt_minor_exact(K4, 0),
-     ml.InputError, "clique order must be at least 1, got 0"),
+     ml.InputError, "t must be at least 1, got 0"),
     ("find-float-t", lambda: ml.find_kt_minor_exact(ml.petersen_graph(), 4.0),
      ml.InputError, "t must be an integer, got 4.0"),
     # a budget that is not an integer is rejected before the search
@@ -89,7 +100,7 @@ CASES = [
     ("dense-params-t", lambda: ml.DenseModelParams(t=0),
      ml.InputError, "t must be at least 1, got 0"),
     ("dense-params-l", lambda: ml.DenseModelParams(t=2, l=0),
-     ml.InputError, "block size must be at least 1, got 0"),
+     ml.InputError, "l must be at least 1, got 0"),
     ("dense-params-trials", lambda: ml.DenseModelParams(t=2, trials=0),
      ml.InputError, "trials must be at least 1, got 0"),
     ("dense-params-float-t", lambda: ml.DenseModelParams(t=4.0),
@@ -123,7 +134,7 @@ CASES = [
      ml.InputError, "vertices must be an iterable of vertex ids, got 5"),
     # coloring
     ("extract-size-zero", lambda: ml.independent_sets_extract(K4, 0, 1),
-     ml.InputError, "both the set size and the count must be at least 1"),
+     ml.InputError, "s must be at least 1, got 0"),
     ("extract-float-size", lambda: ml.independent_sets_extract(ml.cycle_graph(8), 2.5, 1),
      ml.InputError, "s must be an integer, got 2.5"),
     ("extract-float-count", lambda: ml.independent_sets_extract(ml.cycle_graph(8), 2, 1.5),
@@ -144,10 +155,10 @@ CASES = [
      lambda: ml.greedy_list_color(K4, ml.uniform_lists(4, 4), order=[0.5]),
      ml.InputError, "vertex must be an integer, got 0.5"),
     ("minor-free-d-5", lambda: ml.minor_free_list_color(K4, ml.uniform_lists(4, 12), d=5),
-     ml.InputError, "peel parameter must be at least 6, got 5"),
+     ml.InputError, "d must be at least 6, got 5"),
     ("minor-free-float-d",
      lambda: ml.minor_free_list_color(K4, ml.uniform_lists(4, 12), d=6.0),
-     ml.InputError, "peel parameter must be an integer, got 6.0"),
+     ml.InputError, "d must be an integer, got 6.0"),
     # checked at entry, not where a piece of two or more vertices compares
     # its size with it
     ("minor-free-string-inner-threshold",
@@ -205,7 +216,7 @@ CASES = [
      ml.InputError, "seed must be an integer, got None"),
     # extremal
     ("spec-negative-side", lambda: ml.BipartiteSpec(-1, 2, 0.5),
-     ml.InputError, "part sizes must be non-negative"),
+     ml.InputError, "a must be non-negative, got -1"),
     ("spec-none-seed", lambda: ml.BipartiteSpec(3, 3, 0.5, None),
      ml.InputError, "seed must be an integer, got None"),
     ("connectivity-extremal-none-seed", lambda: ml.connectivity_extremal(5, 4, None),
@@ -221,14 +232,14 @@ CASES = [
     # a NaN fails every comparison, so each range check is written to reject
     # it: lambda_constant(nan) returned (0.444, 5.0), far from the maximum
     ("lambda-nan-tol", lambda: ml.lambda_constant(math.nan),
-     ml.InputError, "tolerance must be positive, got nan"),
+     ml.InputError, "tol must be finite, got nan"),
     # an infinite tolerance stopped the search after no step: (0.444, 5.0)
     ("lambda-inf-tol", lambda: ml.lambda_constant(math.inf),
-     ml.InputError, "tolerance must be positive, got inf"),
+     ml.InputError, "tol must be finite, got inf"),
     ("bounds-nan-t", lambda: ml.eval_bounds(math.nan),
-     ml.InputError, "t >= 3 is required, got t = nan"),
+     ml.InputError, "t must be finite, got nan"),
     ("bounds-nan-delta", lambda: ml.eval_bounds(5, delta=math.nan),
-     ml.InputError, "delta must be positive, got nan"),
+     ml.InputError, "delta must be finite, got nan"),
     ("bounds-string-t", lambda: ml.eval_bounds("5"),
      ml.InputError, "t must be a real number, got '5'"),
     ("bounds-string-beta", lambda: ml.eval_bounds(5, beta="x"),
@@ -236,7 +247,7 @@ CASES = [
     ("bounds-none-c-bipartite", lambda: ml.eval_bounds(5, c_bipartite=None),
      ml.InputError, "c_bipartite must be a real number, got None"),
     ("lower-bound-eps-zero", lambda: ml.lower_bound_bipartite(10, 10, 3, 0),
-     ml.InputError, "eps must be in (0, 1], got 0"),
+     ml.InputError, "eps must lie in (0, 1], got 0"),
     ("connectivity-extremal-t", lambda: ml.connectivity_extremal(2, 1),
      ml.InputError, "t must be at least 3, got 2"),
     ("connectivity-extremal-k", lambda: ml.connectivity_extremal(5, 0),
@@ -266,21 +277,21 @@ CASES = [
     ("bounds-negative-n-vertices", lambda: ml.eval_bounds(5, n_vertices=-4),
      ml.InputError, "n_vertices must be non-negative, got -4"),
     ("bounds-nan-graph-density", lambda: ml.eval_bounds(5, graph_density=math.nan),
-     ml.InputError, "graph_density must be non-negative, got nan"),
+     ml.InputError, "graph_density must be finite, got nan"),
     ("bounds-inf-graph-density", lambda: ml.eval_bounds(5, graph_density=math.inf),
-     ml.InputError, "graph_density must be non-negative, got inf"),
+     ml.InputError, "graph_density must be finite, got inf"),
     ("bounds-negative-graph-density", lambda: ml.eval_bounds(5, graph_density=-1.0),
      ml.InputError, "graph_density must be non-negative, got -1.0"),
     ("bounds-nan-c-bipartite", lambda: ml.eval_bounds(5, c_bipartite=math.nan),
-     ml.InputError, "c_bipartite must be positive, got nan"),
+     ml.InputError, "c_bipartite must be finite, got nan"),
     ("bounds-inf-c-bipartite", lambda: ml.eval_bounds(5, c_bipartite=math.inf),
-     ml.InputError, "c_bipartite must be positive, got inf"),
+     ml.InputError, "c_bipartite must be finite, got inf"),
     ("bounds-negative-c-bipartite", lambda: ml.eval_bounds(5, c_bipartite=-1.0),
      ml.InputError, "c_bipartite must be positive, got -1.0"),
     ("bounds-inf-t", lambda: ml.eval_bounds(math.inf),
-     ml.InputError, "t >= 3 is required, got t = inf"),
+     ml.InputError, "t must be finite, got inf"),
     ("bounds-inf-delta", lambda: ml.eval_bounds(5, delta=math.inf),
-     ml.InputError, "delta must be positive, got inf"),
+     ml.InputError, "delta must be finite, got inf"),
     ("bounds-inf-a", lambda: ml.eval_bounds(5, a=math.inf),
      ml.InputError, "a must be an integer, got inf"),
     ("bounds-float-k", lambda: ml.eval_bounds(5, k=2.0),
@@ -289,21 +300,34 @@ CASES = [
      ml.InputError, "l must be an integer, got 1.5"),
     ("bounds-float-n-vertices", lambda: ml.eval_bounds(5, n_vertices=20.0),
      ml.InputError, "n_vertices must be an integer, got 20.0"),
+    # an int too large for a float raised a bare OverflowError from a formula
+    ("bounds-huge-n-vertices", lambda: ml.eval_bounds(5, n_vertices=HUGE),
+     ml.InputError, f"n_vertices must be finite, got {HUGE}"),
+    ("bounds-huge-k", lambda: ml.eval_bounds(5, k=HUGE),
+     ml.InputError, f"k must be finite, got {HUGE}"),
+    ("bounds-huge-sides", lambda: ml.eval_bounds(5, a=HUGE, b=HUGE, n_vertices=HUGE),
+     ml.InputError, f"a must be finite, got {HUGE}"),
+    ("bounds-huge-c-bipartite", lambda: ml.eval_bounds(5, c_bipartite=HUGE),
+     ml.InputError, f"c_bipartite must be finite, got {HUGE}"),
     # lower_bound_edge_target takes the ranges lower_bound_bipartite takes:
     # t = 0 and a = -1 failed with a bare math domain error, eps = 5 returned
     # a negative target and eps = nan a NaN one
     ("edge-target-t-zero", lambda: ml.lower_bound_edge_target(10, 10, 0, 0.5),
      ml.InputError, "t must be at least 3, got 0"),
     ("edge-target-inf-t", lambda: ml.lower_bound_edge_target(10, 10, math.inf, 0.5),
-     ml.InputError, "t must be at least 3, got inf"),
+     ml.InputError, "t must be finite, got inf"),
     ("edge-target-negative-a", lambda: ml.lower_bound_edge_target(-1, 10, 5, 0.5),
      ml.InputError, "a must be non-negative, got -1"),
     ("edge-target-inf-b", lambda: ml.lower_bound_edge_target(10, math.inf, 5, 0.5),
-     ml.InputError, "b must be non-negative, got inf"),
+     ml.InputError, "b must be finite, got inf"),
     ("edge-target-eps-five", lambda: ml.lower_bound_edge_target(10, 10, 5, 5),
-     ml.InputError, "eps must be in (0, 1], got 5"),
+     ml.InputError, "eps must lie in (0, 1], got 5"),
     ("edge-target-nan-eps", lambda: ml.lower_bound_edge_target(10, 10, 5, math.nan),
-     ml.InputError, "eps must be in (0, 1], got nan"),
+     ml.InputError, "eps must lie in (0, 1], got nan"),
+    ("edge-target-huge-a", lambda: ml.lower_bound_edge_target(HUGE, 10, 5, 0.5),
+     ml.InputError, f"a must be finite, got {HUGE}"),
+    ("lower-bound-huge-a", lambda: ml.lower_bound_bipartite(HUGE, 10, 5, 0.5),
+     ml.InputError, f"a must be finite, got {HUGE}"),
     # formats
     ("lists-no-colon", lambda: formats.parse_lists("0: 1 2\n1 3 4\n"),
      ml.InputError, "line 2: expected 'v: c1 c2 ...', got '1 3 4'"),
@@ -321,7 +345,7 @@ CASES = [
      ml.InputError, "decomposition needs a k= header plus X and Y sections"),
     # experiments and families
     ("experiment-budget-zero", lambda: ml.ExperimentConfig(suite="minorfree", budget=0),
-     ml.InputError, "budget must be positive"),
+     ml.InputError, "budget must be at least 1, got 0"),
     # _replace builds through _make, which checks like the constructor
     ("experiment-replace-float-trials",
      lambda: ml.ExperimentConfig(suite="bounds")._replace(trials=2.5),
@@ -329,7 +353,7 @@ CASES = [
     ("dense-params-replace-t", lambda: ml.DenseModelParams(t=2)._replace(t=0),
      ml.InputError, "t must be at least 1, got 0"),
     ("bipartite-spec-replace-p", lambda: ml.BipartiteSpec(2, 2, 0.5)._replace(p=1.5),
-     ml.InputError, "edge probability must be in [0, 1], got 1.5"),
+     ml.InputError, "p must lie in [0, 1], got 1.5"),
     ("experiment-float-trials", lambda: ml.ExperimentConfig(suite="bounds", trials=2.5),
      ml.InputError, "trials must be an integer, got 2.5"),
     ("experiment-float-seed", lambda: ml.ExperimentConfig(suite="bounds", seed=1.5),
@@ -341,13 +365,13 @@ CASES = [
     ("experiment-float-workers", lambda: ml.ExperimentConfig(suite="bounds", workers=1.0),
      ml.InputError, "workers must be an integer, got 1.0"),
     ("cycle-of-two", lambda: ml.cycle_graph(2),
-     ml.InputError, "a cycle needs at least 3 vertices, got 2"),
+     ml.InputError, "n must be at least 3, got 2"),
     ("gnp-string-p", lambda: ml.gnp_random_graph(5, "x", 0),
      ml.InputError, "p must be a real number, got 'x'"),
     ("min-degree-string-p", lambda: ml.random_graph_min_degree(10, 3, 0, p="x"),
      ml.InputError, "p must be a real number, got 'x'"),
     ("gnp-p-above-one", lambda: ml.gnp_random_graph(5, 1.5, 0),
-     ml.InputError, "edge probability must be in [0, 1], got 1.5"),
+     ml.InputError, "p must lie in [0, 1], got 1.5"),
     ("empty-float-n", lambda: ml.empty_graph(3.0),
      ml.InputError, "n must be an integer, got 3.0"),
     ("complete-float-n", lambda: ml.complete_graph(4.0),
@@ -357,11 +381,11 @@ CASES = [
     ("cycle-float-n", lambda: ml.cycle_graph(5.0),
      ml.InputError, "n must be an integer, got 5.0"),
     ("multipartite-float-part", lambda: ml.complete_multipartite([2, 1.5]),
-     ml.InputError, "part sizes must be integers"),
+     ml.InputError, "sizes[1] must be an integer, got 1.5"),
     ("bipartite-float-side", lambda: ml.complete_bipartite(2.0, 3),
-     ml.InputError, "part sizes must be integers"),
+     ml.InputError, "a must be an integer, got 2.0"),
     ("turan-float-part", lambda: ml.turan_parts([3.0]),
-     ml.InputError, "part sizes must be integers"),
+     ml.InputError, "sizes[0] must be an integer, got 3.0"),
     ("gnp-float-n", lambda: ml.gnp_random_graph(5.0, 0.5, 0),
      ml.InputError, "n must be an integer, got 5.0"),
     ("gnm-float-n", lambda: ml.gnm_random_graph(5.0, 3, 0),
@@ -376,6 +400,14 @@ CASES = [
      ml.InputError, "n must be an integer, got 10.0"),
     ("min-degree-float-d", lambda: ml.random_graph_min_degree(10, 2.5, 0),
      ml.InputError, "d must be an integer, got 2.5"),
+    # a negative n returned a null graph, or blamed p for a value derived
+    # from n and d; a negative d was accepted
+    ("gnp-negative-n", lambda: ml.gnp_random_graph(-5, 0.5, 0),
+     ml.InputError, "n must be non-negative, got -5"),
+    ("min-degree-negative-n", lambda: ml.random_graph_min_degree(-3, -5, 0),
+     ml.InputError, "n must be non-negative, got -3"),
+    ("min-degree-negative-d", lambda: ml.random_graph_min_degree(10, -1, 0),
+     ml.InputError, "d must lie in [0, 10), got -1"),
 ]
 
 
@@ -401,3 +433,41 @@ def test_real_parameters_take_int_float_and_fraction(real):
     assert ml.eval_bounds(5, eps=real / 2, a=10, b=10).values["lower_bound_edge_target"] > 0
     assert ml.lower_bound_edge_target(10, 10, 5, real / 2) > 0
     assert ml.hall_ratio_list_color(ml.path_graph(4), ml.uniform_lists(4, 3), 2 * real + 1) is not None
+
+
+#: Each shared rule of ``errors`` with a value just inside it and one just
+#: outside it.
+RULES = {
+    "AT_LEAST_1": (1, 0),
+    "AT_LEAST_6": (6, 5),
+    "NON_NEGATIVE": (0, -1),
+    "POSITIVE": (5e-324, 0),
+    "FINITE_AT_LEAST_1": (1, 0.5),
+    "FINITE_AT_LEAST_3": (3, 2.5),
+    "FINITE_NON_NEGATIVE": (0, -5e-324),
+    "FINITE_POSITIVE": (5e-324, 0.0),
+    "UNIT_INTERVAL": (1, 1.0000000000000002),
+    "OPEN_UNIT_INTERVAL": (5e-324, 0),
+    "HALF_OPEN_UNIT_INTERVAL": (1, 0),
+}
+
+
+def test_the_rule_table_covers_every_shared_rule():
+    shared = {name for name, value in vars(errors).items()
+              if name.isupper() and isinstance(value, tuple)}
+    assert shared == set(RULES)
+
+
+@pytest.mark.parametrize("name", RULES)
+def test_shared_rule_takes_its_boundary_and_rejects_past_it(name):
+    _, words, finite = rule = getattr(errors, name)
+    inside, outside = RULES[name]
+    errors.check_inputs(float, rule, x=inside)
+    with pytest.raises(ml.InputError, match=f"^{re.escape(f'x {words}, got {outside}')}$"):
+        errors.check_inputs(float, rule, x=outside)
+    # NaN fails every rule; a finite rule names finiteness, for the
+    # infinities and an int too large for a float too
+    for value in (math.nan, math.inf, HUGE) if finite else (math.nan,):
+        message = f"x {'must be finite' if finite else words}, got {value}"
+        with pytest.raises(ml.InputError, match=f"^{re.escape(message)}$"):
+            errors.check_inputs(float, rule, x=value)
